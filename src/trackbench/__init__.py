@@ -6,108 +6,63 @@ a supervised reinitialization protocol, and provides dataset-level
 analyses: accuracy-robustness summaries, measure correlation and
 clustering, and sequence property labeling. Plots are emitted as
 deterministic SVG.
+
+The names below load their home module on first access (PEP 562), so
+importing one submodule, such as the tracker process entry point
+`trackbench.tracker_cli`, does not import numpy or the runner.
 """
 
-from .errors import (
-    ConfigError,
-    EmptySeriesError,
-    FragmentationUndefinedError,
-    InvalidRegionError,
-    LengthMismatchError,
-    MeasureDomainError,
-    ParseError,
-    RunError,
-    TrackbenchError,
-)
-from .geometry import Point, Region, overlap, region_center, region_size
-from .measures import (
-    MEASURES,
-    auc,
-    average_overlap,
-    compute_all,
-    cotps_closed_form,
-    cotps_original,
-    correct_fraction,
-    failure_rate,
-    fragmentation,
-    measure_keys,
-    reliability,
-    tracking_length,
-)
-from .trajectory import (
-    Failure,
-    Init,
-    MeasureRow,
-    MeasureTable,
-    SequenceAnnotation,
-    SupervisedRunRecord,
-    Tracked,
-    Trajectory,
-)
-from .runner import RunPlan, TrackerHandle, derive_seed, execute_plan, run_supervised, run_unsupervised
-from .analysis import (
-    ARPair,
-    affinity_propagation,
-    ar_pair,
-    ar_summary,
-    cluster_measures,
-    kmeans_labels,
-    kmeans_partition,
-    label_sequences,
-    pearson_matrix,
-)
-from .theoretical import (
-    ScriptedTracker,
-    ScriptedTrackerSpec,
-    make_theoretical,
-    scripted_trajectory,
-    sequence_properties,
-    theoretical_ar_points,
-    theoretical_trajectory,
-)
-from .io_formats import (
-    SequenceData,
-    read_measure_table,
-    read_record,
-    read_sequence,
-    read_trajectory,
-    write_measure_table,
-    write_record,
-    write_sequence,
-    write_trajectory,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "TrackbenchError", "ConfigError", "ParseError", "RunError",
-    "InvalidRegionError", "LengthMismatchError", "EmptySeriesError",
-    "MeasureDomainError", "FragmentationUndefinedError",
-    # geometry
-    "Point", "Region", "overlap", "region_center", "region_size",
-    # trajectories and records
-    "SequenceAnnotation", "Trajectory", "Tracked", "Failure", "Init",
-    "SupervisedRunRecord", "MeasureRow", "MeasureTable",
-    # measures
-    "MEASURES", "measure_keys", "compute_all", "average_overlap",
-    "correct_fraction", "tracking_length", "failure_rate",
-    "fragmentation", "cotps_closed_form", "cotps_original", "auc",
-    "reliability",
-    # running trackers
-    "TrackerHandle", "RunPlan", "run_supervised", "run_unsupervised",
-    "execute_plan", "derive_seed",
-    # analysis
-    "ARPair", "ar_pair", "ar_summary", "pearson_matrix",
-    "affinity_propagation", "cluster_measures", "kmeans_partition",
-    "kmeans_labels", "label_sequences",
-    # theoretical trackers
-    "ScriptedTrackerSpec", "ScriptedTracker", "make_theoretical",
-    "theoretical_trajectory", "scripted_trajectory",
-    "sequence_properties", "theoretical_ar_points",
-    # storage
-    "SequenceData", "read_sequence", "write_sequence",
-    "read_trajectory", "write_trajectory", "read_record", "write_record",
-    "read_measure_table", "write_measure_table",
-]
+_HOMES = {
+    "errors": (
+        "TrackbenchError", "ConfigError", "ParseError", "RunError",
+        "InvalidRegionError", "LengthMismatchError", "EmptySeriesError",
+        "MeasureDomainError", "FragmentationUndefinedError",
+    ),
+    "geometry": ("Point", "Region", "overlap", "region_center", "region_size"),
+    "trajectory": (
+        "SequenceAnnotation", "Trajectory", "Tracked", "Failure", "Init",
+        "SupervisedRunRecord", "MeasureRow", "MeasureTable",
+    ),
+    "measures": (
+        "MEASURES", "measure_keys", "compute_all", "average_overlap",
+        "correct_fraction", "tracking_length", "failure_rate",
+        "fragmentation", "cotps_closed_form", "cotps_original", "auc",
+        "reliability",
+    ),
+    "runner": (
+        "TrackerHandle", "RunPlan", "run_supervised", "run_unsupervised",
+        "execute_plan", "derive_seed",
+    ),
+    "analysis": (
+        "ARPair", "ar_pair", "ar_summary", "pearson_matrix",
+        "affinity_propagation", "cluster_measures", "kmeans_partition",
+        "kmeans_labels", "label_sequences",
+    ),
+    "theoretical": (
+        "ScriptedTrackerSpec", "ScriptedTracker", "make_theoretical",
+        "theoretical_trajectory", "scripted_trajectory",
+        "sequence_properties", "theoretical_ar_points",
+    ),
+    "io_formats": (
+        "SequenceData", "read_sequence", "write_sequence",
+        "read_trajectory", "write_trajectory", "read_record", "write_record",
+        "read_measure_table", "write_measure_table",
+    ),
+}
+
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = ["__version__", *_HOME_OF]
+
+
+def __getattr__(name):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -42,8 +42,8 @@ from .measures import (
 from .runner import RunPlan, TrackerHandle, execute_plan
 from .theoretical import (
     ScriptedTracker,
-    ScriptedTrackerSpec,
     make_theoretical,
+    parse_scripted_params,
     theoretical_ar_points,
 )
 from .trajectory import MeasureRow, MeasureTable
@@ -51,46 +51,6 @@ from .trajectory import MeasureRow, MeasureTable
 THEORETICAL_NAMES = ("tta", "tts", "ttf", "tto")
 
 __all__ = ["main", "parse_tracker_spec", "parse_scripted_params"]
-
-
-def _fail(msg: str) -> "ConfigError":
-    return ConfigError(msg)
-
-
-def parse_scripted_params(text: str) -> ScriptedTrackerSpec:
-    """Build a scripted tracker spec from "key=value,key=value" text.
-
-    drift_velocity uses a colon pair (dx:dy) since commas separate
-    fields. Unknown keys are rejected.
-    """
-    fields: dict = {}
-    if text.strip():
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if "=" not in chunk:
-                raise _fail(f"scripted parameter {chunk!r} is not key=value")
-            key, value = chunk.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            try:
-                if key == "name":
-                    fields[key] = value
-                elif key in ("center_noise", "scale_noise", "loss_prob"):
-                    fields[key] = float(value)
-                elif key == "drift_onset":
-                    fields[key] = None if value.lower() == "none" else int(value)
-                elif key == "drift_velocity":
-                    dx, dy = value.split(":")
-                    fields[key] = (float(dx), float(dy))
-                elif key == "seed":
-                    fields[key] = int(value)
-                else:
-                    raise _fail(f"unknown scripted parameter {key!r}")
-            except ValueError as e:
-                raise _fail(f"bad scripted parameter {chunk!r}: {e}") from None
-    return ScriptedTrackerSpec(**fields)
 
 
 def _read_params_file(path: str) -> str:
@@ -102,7 +62,7 @@ def _read_params_file(path: str) -> str:
                 if line.strip() and not line.lstrip().startswith("#")
             ]
     except OSError as e:
-        raise _fail(f"cannot read scripted params {path!r}: {e}") from e
+        raise ConfigError(f"cannot read scripted params {path!r}: {e}") from e
     return ",".join(lines)
 
 
@@ -134,21 +94,21 @@ def parse_tracker_spec(spec: str, timeout: float = 30.0) -> TrackerHandle:
     if spec.startswith("cmd:"):
         rest = spec[len("cmd:"):]
         if ":" not in rest:
-            raise _fail(f"cmd tracker needs cmd:<name>:<command>, got {spec!r}")
+            raise ConfigError(f"cmd tracker needs cmd:<name>:<command>, got {spec!r}")
         name, command = rest.split(":", 1)
         if not name or not command.strip():
-            raise _fail(f"cmd tracker needs a name and a command, got {spec!r}")
+            raise ConfigError(f"cmd tracker needs a name and a command, got {spec!r}")
         return TrackerHandle.from_command(name, command, timeout=timeout)
     if spec.startswith("tcp:"):
         parts = spec.split(":")
         if len(parts) != 4:
-            raise _fail(f"tcp tracker needs tcp:<name>:<host>:<port>, got {spec!r}")
+            raise ConfigError(f"tcp tracker needs tcp:<name>:<host>:<port>, got {spec!r}")
         _, name, host, port = parts
         try:
             return TrackerHandle.from_tcp(name, host, int(port), timeout=timeout)
         except ValueError:
-            raise _fail(f"bad tcp port in {spec!r}") from None
-    raise _fail(f"unrecognized tracker spec {spec!r}")
+            raise ConfigError(f"bad tcp port in {spec!r}") from None
+    raise ConfigError(f"unrecognized tracker spec {spec!r}")
 
 
 _CONFIG_SCALARS = {
@@ -170,13 +130,13 @@ def _read_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except OSError as e:
-        raise _fail(f"cannot read config {path!r}: {e}") from e
+        raise ConfigError(f"cannot read config {path!r}: {e}") from e
     for i, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise _fail(f"{path}:{i}: expected key=value, got {line!r}")
+            raise ConfigError(f"{path}:{i}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
@@ -186,18 +146,18 @@ def _read_config(path: str) -> dict:
             try:
                 out[key] = _CONFIG_SCALARS[key](value)
             except ValueError:
-                raise _fail(f"{path}:{i}: bad value for {key}: {value!r}") from None
+                raise ConfigError(f"{path}:{i}: bad value for {key}: {value!r}") from None
         else:
-            raise _fail(f"{path}:{i}: unknown config key {key!r}")
+            raise ConfigError(f"{path}:{i}: unknown config key {key!r}")
     return out
 
 
 def _load_dataset(root: str) -> list[SequenceData]:
     if not os.path.isdir(root):
-        raise _fail(f"dataset directory not found: {root!r}")
+        raise ConfigError(f"dataset directory not found: {root!r}")
     dirs = list_sequences(root)
     if not dirs:
-        raise _fail(f"no sequences under {root!r} (need <seq>/groundtruth.txt)")
+        raise ConfigError(f"no sequences under {root!r} (need <seq>/groundtruth.txt)")
     return [read_sequence(d) for d in dirs]
 
 
@@ -228,7 +188,7 @@ def _cmd_run(args) -> int:
 
     dataset = pick(args.dataset, "dataset", None)
     if not dataset:
-        raise _fail("run needs --dataset (or dataset= in the config)")
+        raise ConfigError("run needs --dataset (or dataset= in the config)")
     out_dir = pick(args.out, "out", "out")
     mode = pick(args.mode, "mode", "both")
     repetitions = pick(args.repetitions, "repetitions", 30)
@@ -239,7 +199,7 @@ def _cmd_run(args) -> int:
 
     specs = args.tracker if args.tracker else cfg["tracker"]
     if not specs:
-        raise _fail("run needs at least one --tracker (or tracker= in the config)")
+        raise ConfigError("run needs at least one --tracker (or tracker= in the config)")
     handles = [parse_tracker_spec(s, timeout=timeout) for s in specs]
     seqs = _load_dataset(dataset)
 
@@ -278,7 +238,7 @@ def _cmd_measure(args) -> int:
     trajectory = read_trajectory(args.trajectory) if args.trajectory else None
     record = read_record(args.record) if args.record else None
     if trajectory is None and record is None:
-        raise _fail("measure needs --trajectory and/or --record")
+        raise ConfigError("measure needs --trajectory and/or --record")
     values = compute_all(annotation, trajectory=trajectory, record=record)
     row = MeasureRow(
         tracker=args.name,
@@ -371,7 +331,7 @@ def _named_inputs(pairs, kind: str) -> list[tuple[str, str]]:
             name = os.path.splitext(os.path.basename(item))[0]
             path = item
         if not name or not path:
-            raise _fail(f"bad --{kind} {item!r}, want NAME=PATH")
+            raise ConfigError(f"bad --{kind} {item!r}, want NAME=PATH")
         out.append((name, path))
     return out
 
@@ -385,9 +345,9 @@ def _cmd_plot(args) -> int:
 
     if args.type in ("center_error", "overlap", "threshold"):
         if not args.sequence:
-            raise _fail(f"plot {args.type} needs --sequence")
+            raise ConfigError(f"plot {args.type} needs --sequence")
         if not trajs and not recs:
-            raise _fail(f"plot {args.type} needs --trajectory and/or --record inputs")
+            raise ConfigError(f"plot {args.type} needs --trajectory and/or --record inputs")
         annotation = read_sequence(args.sequence).annotation
         series: dict = {}
         for name, path in trajs:
@@ -414,7 +374,7 @@ def _cmd_plot(args) -> int:
             svg = plots.threshold_plot(flat)
     elif args.type == "ar":
         if not args.measures:
-            raise _fail("plot ar needs --measures")
+            raise ConfigError("plot ar needs --measures")
         table = read_measure_table(args.measures)
         points = {
             tracker: (acc, rel)
@@ -426,7 +386,7 @@ def _cmd_plot(args) -> int:
         svg = plots.ar_plot(points, refs)
     elif args.type == "fragmentation":
         if not args.sequence or not recs:
-            raise _fail("plot fragmentation needs --sequence and --record inputs")
+            raise ConfigError("plot fragmentation needs --sequence and --record inputs")
         annotation = read_sequence(args.sequence).annotation
         failure_sets = {
             name: read_record(path).failure_frames for name, path in recs
@@ -434,7 +394,7 @@ def _cmd_plot(args) -> int:
         svg = plots.fragmentation_timeline(failure_sets, len(annotation))
     elif args.type == "survival":
         if not args.measures:
-            raise _fail("plot survival needs --measures")
+            raise ConfigError("plot survival needs --measures")
         table = read_measure_table(args.measures)
         keys = measure_keys()
         sup_idx = keys.index("sup_avg_overlap")
@@ -456,7 +416,7 @@ def _cmd_plot(args) -> int:
         }
         svg = plots.survival_curve(scores)
     else:  # unreachable, argparse restricts choices
-        raise _fail(f"unknown plot type {args.type!r}")
+        raise ConfigError(f"unknown plot type {args.type!r}")
 
     _write_text(out_path, svg)
     print(f"wrote {out_path}")

@@ -19,8 +19,6 @@ Conventions, applied consistently:
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DegenerateAnnotationError,
     EmptySeriesError,
@@ -229,6 +227,8 @@ def cotps_original(phis) -> float:
     integral over the sorted positive overlaps. Kept deliberately
     independent of cotps_closed_form; the two agree to rounding error.
     """
+    import numpy as np
+
     phis = _check_overlaps(phis)
     n = len(phis)
     pos = np.sort(np.array([p for p in phis if p > 0.0], dtype=np.float64))
@@ -253,6 +253,8 @@ def auc(phis) -> float:
     overlap; the implementation keeps the integral construction so the
     identity stays an executable cross-check, not an assumption.
     """
+    import numpy as np
+
     phis = _check_overlaps(phis)
     n = len(phis)
     s = np.sort(np.array(phis, dtype=np.float64))
@@ -336,12 +338,18 @@ def reliability(failure_count: float, n: int, span: float = 30.0) -> float:
 
     span is the frame horizon over which survival without intervention
     is scored; the ranking induced over trackers is the same for every
-    positive span (it is monotone in failures / n alone).
+    positive span (it is monotone in failures / n alone). A run cannot
+    fail more often than it has frames, so failure_count > n is
+    rejected.
     """
     if n < 1:
         raise MeasureDomainError(f"sequence length {n} must be at least 1")
     if failure_count < 0:
         raise MeasureDomainError(f"negative failure count {failure_count}")
+    if failure_count > n:
+        raise MeasureDomainError(
+            f"failure count {failure_count} exceeds sequence length {n}"
+        )
     if span <= 0:
         raise MeasureDomainError(f"span {span} must be positive")
     return math.exp(-span * (failure_count / n))

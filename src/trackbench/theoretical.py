@@ -44,6 +44,7 @@ __all__ = [
     "SelfFailingTracker",
     "CenterOracleTracker",
     "ScriptedTrackerSpec",
+    "parse_scripted_params",
     "ScriptedTracker",
     "make_theoretical",
     "theoretical_trajectory",
@@ -198,6 +199,42 @@ class ScriptedTrackerSpec:
     drift_velocity: tuple[float, float] = (0.0, 0.0)
     loss_prob: float = 0.0
     seed: int = 0
+
+
+def parse_scripted_params(text: str) -> ScriptedTrackerSpec:
+    """Build a scripted tracker spec from "key=value,key=value" text.
+
+    drift_velocity uses a colon pair (dx:dy) since commas separate
+    fields. Unknown keys are rejected.
+    """
+    fields: dict = {}
+    if text.strip():
+        for chunk in text.split(","):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            if "=" not in chunk:
+                raise ConfigError(f"scripted parameter {chunk!r} is not key=value")
+            key, value = chunk.split("=", 1)
+            key = key.strip()
+            value = value.strip()
+            try:
+                if key == "name":
+                    fields[key] = value
+                elif key in ("center_noise", "scale_noise", "loss_prob"):
+                    fields[key] = float(value)
+                elif key == "drift_onset":
+                    fields[key] = None if value.lower() == "none" else int(value)
+                elif key == "drift_velocity":
+                    dx, dy = value.split(":")
+                    fields[key] = (float(dx), float(dy))
+                elif key == "seed":
+                    fields[key] = int(value)
+                else:
+                    raise ConfigError(f"unknown scripted parameter {key!r}")
+            except ValueError as e:
+                raise ConfigError(f"bad scripted parameter {chunk!r}: {e}") from None
+    return ScriptedTrackerSpec(**fields)
 
 
 class ScriptedTracker(TrackerBehavior):

@@ -13,10 +13,13 @@ specs, e.g.:
 
     trackbench run --dataset data \\
         --tracker 'cmd:ttf:trackbench-tracker ttf --groundtruth {groundtruth}'
+
+Every supervised session starts one of these processes, so this module
+imports only what serving needs: no numpy, runner, analysis or cli
+(tests/test_imports.py holds it to that).
 """
 
 import argparse
-import socket
 import sys
 
 from .errors import ConfigError, ParseError, TrackbenchError
@@ -34,6 +37,7 @@ from .theoretical import (
     ScriptedTracker,
     SelfFailingTracker,
     StaticTracker,
+    parse_scripted_params,
 )
 from .trajectory import SequenceAnnotation
 
@@ -82,8 +86,6 @@ def _build_behavior(args):
     if args.kind == "tto":
         return CenterOracleTracker(_annotation(args))
     if args.kind == "scripted":
-        from .cli import parse_scripted_params
-
         spec = parse_scripted_params(args.params or "")
         return ScriptedTracker(spec, _annotation(args))
     raise ConfigError(f"unknown tracker kind {args.kind!r}")
@@ -138,6 +140,8 @@ def serve(behavior, rfile, wfile) -> int:
 
 
 def _serve_tcp(behavior, port: int) -> int:
+    import socket
+
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         server.bind(("127.0.0.1", port))

@@ -1,0 +1,70 @@
+"""Import budget: what each entry point loads in a fresh interpreter.
+
+Every supervised session of a `cmd:` tracker starts a new
+`trackbench.tracker_cli` process, so whatever that module imports is
+paid once per session. These checks run in a subprocess because the
+test process itself has long since imported everything.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import trackbench
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(trackbench.__file__)))
+
+
+def run_fresh(code: str) -> str:
+    """Run `code` in a fresh interpreter; returns the last line it prints."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    ).stdout
+    return out.splitlines()[-1]
+
+
+def loaded_after(code: str) -> set[str]:
+    """Module names in sys.modules after running `code` in a fresh interpreter."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    return set(json.loads(run_fresh(script)))
+
+
+def test_tracker_process_imports_only_what_it_serves_with():
+    loaded = loaded_after("import trackbench.tracker_cli")
+    heavy = {
+        "numpy", "trackbench.runner", "trackbench.analysis", "trackbench.cli",
+        "concurrent.futures",
+    }
+    assert "trackbench.tracker_cli" in loaded
+    assert not heavy & loaded, sorted(heavy & loaded)
+
+
+def test_bare_package_import_loads_no_numpy():
+    loaded = loaded_after("import trackbench")
+    assert "numpy" not in loaded
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    assert set(trackbench.__all__) == {"__version__", *trackbench._HOME_OF}
+    for name, module in trackbench._HOME_OF.items():
+        home = importlib.import_module(f"trackbench.{module}")
+        assert getattr(trackbench, name) is getattr(home, name), name
+
+
+def test_star_import_exports_all():
+    missing = run_fresh(
+        "from trackbench import *\nimport trackbench\n"
+        "print([n for n in trackbench.__all__ if n not in globals()])"
+    )
+    assert missing == "[]"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        trackbench.no_such_name

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trackbench.errors import (
@@ -197,11 +197,14 @@ class TestThresholdCurve:
             assert y1 <= y0
 
     @given(overlaps)
+    @example([1.0, 0.9999999999999999])
     def test_curve_matches_correct_fraction_between_knots(self, phis):
         pts = threshold_curve(phis)
         for (x0, _), (x1, y1) in zip(pts, pts[1:]):
-            if x1 > x0:
-                mid = (x0 + x1) / 2.0
+            # Adjacent floats have no float between them; their midpoint
+            # rounds onto a knot, so such intervals have nothing to probe.
+            mid = (x0 + x1) / 2.0
+            if x0 < mid < x1:
                 assert abs(correct_fraction(phis, mid) - y1) < 1e-12
 
 
@@ -242,10 +245,23 @@ class TestReliability:
         with pytest.raises(MeasureDomainError):
             reliability(1, 10, span=0.0)
 
+    def test_more_failures_than_frames_rejected(self):
+        assert reliability(1, 1) == math.exp(-30.0)
+        with pytest.raises(MeasureDomainError):
+            reliability(7, 1, span=125.0)
+        with pytest.raises(MeasureDomainError):
+            reliability(2.5, 2)
+
     @given(
-        st.lists(st.tuples(st.integers(0, 20), st.integers(1, 500)), min_size=2, max_size=8),
+        st.lists(
+            st.integers(1, 500).flatmap(
+                lambda n: st.tuples(st.integers(0, min(20, n)), st.just(n))
+            ),
+            min_size=2, max_size=8,
+        ),
         st.floats(0.5, 200.0),
     )
+    @example([(7, 7), (6, 7)], 125.0)
     def test_ranking_independent_of_span(self, items, span):
         base = sorted(range(len(items)), key=lambda i: -reliability(*items[i]))
         other = sorted(range(len(items)), key=lambda i: -reliability(*items[i], span=span))
