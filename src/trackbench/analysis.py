@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusterDomainError, ConfigError, InsufficientSamplesError
-from .measures import MEASURES, reliability, supervised_overlap_series
+from .measures import MEASURES, measure_keys, reliability, supervised_overlap_series
 from .trajectory import MeasureTable, SequenceAnnotation, SupervisedRunRecord
 
 __all__ = [
@@ -68,8 +68,9 @@ def ar_summary(table: MeasureTable, span: float = 30.0) -> list[tuple[str, float
     Aggregates the supervised columns of clean rows; reliability is
     computed per row from its own sequence length, then averaged.
     """
-    acc_idx = 14  # sup_avg_overlap
-    fail_idx = 15  # failures
+    keys = measure_keys()
+    acc_idx = keys.index("sup_avg_overlap")
+    fail_idx = keys.index("failures")
     by_tracker: dict[str, list] = {}
     for row in table.rows:
         if row.error is not None:

@@ -31,14 +31,7 @@ from .io_formats import (
     write_label_table,
     write_measure_table,
 )
-from .measures import (
-    center_error_series,
-    compute_all,
-    measure_keys,
-    overlap_series,
-    supervised_center_error_series,
-    supervised_overlap_series,
-)
+from .measures import compute_all, measure_keys
 from .runner import RunPlan, TrackerHandle, execute_plan
 from .theoretical import (
     ScriptedTracker,
@@ -46,7 +39,7 @@ from .theoretical import (
     parse_scripted_params,
     theoretical_ar_points,
 )
-from .trajectory import MeasureRow, MeasureTable
+from .trajectory import MeasureRow, MeasureTable, score_record, score_trajectory
 
 THEORETICAL_NAMES = ("tta", "tts", "ttf", "tto")
 
@@ -349,19 +342,10 @@ def _cmd_plot(args) -> int:
         if not trajs and not recs:
             raise ConfigError(f"plot {args.type} needs --trajectory and/or --record inputs")
         annotation = read_sequence(args.sequence).annotation
-        series: dict = {}
-        for name, path in trajs:
-            t = read_trajectory(path)
-            if args.type == "center_error":
-                series[name] = center_error_series(annotation, t)
-            else:
-                series[name] = overlap_series(annotation, t)
-        for name, path in recs:
-            r = read_record(path)
-            if args.type == "center_error":
-                series[name] = supervised_center_error_series(r, annotation)
-            else:
-                series[name] = supervised_overlap_series(r, annotation)
+        scored = [(n, score_trajectory(annotation, read_trajectory(p))) for n, p in trajs]
+        scored += [(n, score_record(read_record(p), annotation)) for n, p in recs]
+        kind = "center_errors" if args.type == "center_error" else "overlaps"
+        series = {name: getattr(scores, kind) for name, scores in scored}
         if args.type == "center_error":
             svg = plots.center_error_plot(series, cap=args.cap)
         elif args.type == "overlap":

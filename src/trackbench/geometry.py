@@ -15,7 +15,9 @@ __all__ = [
     "Region",
     "Point",
     "ClassificationScores",
+    "is_valid_region",
     "validate_region",
+    "iou",
     "overlap",
     "classify",
     "f_measure",
@@ -23,6 +25,8 @@ __all__ = [
     "region_center",
     "region_size",
 ]
+
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,14 @@ class ClassificationScores:
     fn: float
 
 
+def is_valid_region(r: Region) -> bool:
+    """True when r is finite with non-negative extent; False for NaN too."""
+    return (
+        -_INF < r.x < _INF and -_INF < r.y < _INF
+        and 0.0 <= r.width < _INF and 0.0 <= r.height < _INF
+    )
+
+
 def validate_region(r: Region, frame: int | None = None) -> None:
     """Raise InvalidRegionError if r is non-finite or has negative extent.
 
@@ -83,11 +95,12 @@ def validate_region(r: Region, frame: int | None = None) -> None:
         r: region to check.
         frame: optional 1-based frame number to include in the error.
     """
+    if is_valid_region(r):
+        return
     for v in (r.x, r.y, r.width, r.height):
         if not math.isfinite(v):
             raise InvalidRegionError(f"non-finite region coordinate in {r}", frame)
-    if r.width < 0 or r.height < 0:
-        raise InvalidRegionError(f"negative region extent in {r}", frame)
+    raise InvalidRegionError(f"negative region extent in {r}", frame)
 
 
 def _intersection_area(a: Region, b: Region) -> float:
@@ -98,6 +111,19 @@ def _intersection_area(a: Region, b: Region) -> float:
     if ih <= 0:
         return 0.0
     return iw * ih
+
+
+def iou(gt: Region, pred: Region) -> float:
+    """overlap without its checks, for regions the caller has validated."""
+    if gt == pred:
+        return 1.0 if gt.area > 0 else 0.0
+    inter = _intersection_area(gt, pred)
+    union = gt.area + pred.area - inter
+    if union <= 0:
+        return 0.0
+    # (x+w)-x can exceed w by ulps, making inter overshoot the union for
+    # nearly identical boxes; the clamp keeps the ratio in range.
+    return min(1.0, inter / union)
 
 
 def overlap(gt: Region, pred: Region) -> float:
@@ -114,15 +140,7 @@ def overlap(gt: Region, pred: Region) -> float:
     """
     validate_region(gt)
     validate_region(pred)
-    if gt == pred:
-        return 1.0 if gt.area > 0 else 0.0
-    inter = _intersection_area(gt, pred)
-    union = gt.area + pred.area - inter
-    if union <= 0:
-        return 0.0
-    # (x+w)-x can exceed w by ulps, making inter overshoot the union for
-    # nearly identical boxes; the clamp keeps the ratio in range.
-    return min(1.0, inter / union)
+    return iou(gt, pred)
 
 
 def classify(gt: Region, pred: Region) -> ClassificationScores:

@@ -35,7 +35,6 @@ from .trajectory import (
     Trajectory,
     validate_record,
 )
-from .measures import measure_keys
 
 __all__ = [
     "FORMAT_LINE",
@@ -213,22 +212,18 @@ def read_sequence(seq_dir) -> SequenceData:
             )
 
     frames_dir = os.path.join(seq_dir, "frames")
-    if os.path.isdir(frames_dir):
-        names = sorted(
-            f for f in os.listdir(frames_dir)
-            if f.lower().endswith(_FRAME_EXTENSIONS)
+    if not os.path.isdir(frames_dir):
+        return SequenceData.synthetic(annotation, image_size, root=str(seq_dir))
+    names = sorted(
+        f for f in os.listdir(frames_dir)
+        if f.lower().endswith(_FRAME_EXTENSIONS)
+    )
+    if len(names) != len(annotation):
+        raise LengthMismatchError(
+            f"{frames_dir}: {len(names)} frame images for"
+            f" {len(annotation)} annotated frames"
         )
-        if len(names) != len(annotation):
-            raise LengthMismatchError(
-                f"{frames_dir}: {len(names)} frame images for"
-                f" {len(annotation)} annotated frames"
-            )
-        paths = tuple(os.path.join(frames_dir, f) for f in names)
-    else:
-        paths = tuple(
-            os.path.join(seq_dir, "frames", "%08d.jpg" % (i + 1))
-            for i in range(len(annotation))
-        )
+    paths = tuple(os.path.join(frames_dir, f) for f in names)
     return SequenceData(
         annotation=annotation,
         image_size=image_size,
@@ -343,7 +338,11 @@ def write_record(path, rec: SupervisedRunRecord) -> None:
     _write_text(path, dumps_record(rec))
 
 
-_TABLE_COLUMNS = ["tracker", "sequence", "run", "frames"] + measure_keys() + ["error"]
+def _table_columns() -> list[str]:
+    # Imported here: tracker processes use this module but never tables.
+    from .measures import measure_keys
+
+    return ["tracker", "sequence", "run", "frames"] + measure_keys() + ["error"]
 
 
 def _format_cell(v: float) -> str:
@@ -358,7 +357,7 @@ def dumps_measure_table(table: MeasureTable) -> str:
     Undefined cells are NA; the error column is empty for clean rows.
     Floats use shortest round-trip form (17 significant digits at most).
     """
-    lines = [FORMAT_LINE, "\t".join(_TABLE_COLUMNS)]
+    lines = [FORMAT_LINE, "\t".join(_table_columns())]
     for row in table.rows:
         err = "" if row.error is None else row.error.replace("\t", " ").replace("\n", " ")
         cells = [row.tracker, row.sequence, str(row.run), str(row.frames)]
@@ -378,14 +377,15 @@ def loads_measure_table(text: str, path=None) -> MeasureTable:
         raise FormatVersionError(f"unsupported format: {lines[0]!r}", path, 1)
     if len(lines) < 2:
         raise ParseError("missing column header", path, 2)
-    if lines[1].split("\t") != _TABLE_COLUMNS:
+    columns = _table_columns()
+    if lines[1].split("\t") != columns:
         raise ParseError("column header mismatch", path, 2)
     rows = []
     for i, line in enumerate(lines[2:], start=3):
         cells = line.split("\t")
-        if len(cells) != len(_TABLE_COLUMNS):
+        if len(cells) != len(columns):
             raise ParseError(
-                f"expected {len(_TABLE_COLUMNS)} cells, got {len(cells)}", path, i
+                f"expected {len(columns)} cells, got {len(cells)}", path, i
             )
         tracker, sequence, run_text, frames_text = cells[0], cells[1], cells[2], cells[3]
         try:

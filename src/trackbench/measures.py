@@ -19,30 +19,19 @@ Conventions, applied consistently:
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateAnnotationError,
-    EmptySeriesError,
-    FragmentationUndefinedError,
-    LengthMismatchError,
-    MeasureDomainError,
-)
+from .errors import EmptySeriesError, FragmentationUndefinedError, MeasureDomainError
 from .trajectory import (
-    Failure,
-    Init,
     SequenceAnnotation,
     SupervisedRunRecord,
-    Tracked,
     Trajectory,
-    center_error_series,
-    overlap_series,
+    score_record,
+    score_trajectory,
     validate_record,
 )
-from .geometry import overlap, region_center, region_size
 
 __all__ = [
     "MeasureId",
     "MEASURES",
-    "EXTRA_MEASURES",
     "measure_keys",
     "average_center_error",
     "rmse",
@@ -70,8 +59,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasureId:
-    """Identity of a measure: list position (0 for extras), stable key,
-    human label, polarity, and whether it needs a supervised record."""
+    """Identity of a measure: list position, stable key, human label,
+    polarity, and whether it needs a supervised record."""
 
     index: int
     key: str
@@ -98,21 +87,6 @@ MEASURES: tuple[MeasureId, ...] = (
     MeasureId(15, "sup_avg_overlap", "supervised average overlap", True, True),
     MeasureId(16, "failures", "failure count", False, True),
 )
-
-EXTRA_MEASURES: dict[str, MeasureId] = {
-    m.key: m
-    for m in (
-        MeasureId(0, "fragmentation", "failure fragmentation", False, True),
-        MeasureId(0, "cotps_original", "combined score, threshold-sum form", False, False),
-        MeasureId(0, "auc", "area under the threshold curve", True, False),
-        MeasureId(0, "motp", "tracking precision, single-target reduction", True, False),
-        MeasureId(0, "mota", "tracking accuracy, single-target reduction", True, False),
-        MeasureId(0, "avg_f_measure", "average per-frame F-measure", True, False),
-        MeasureId(0, "avg_precision", "average per-frame precision", True, False),
-        MeasureId(0, "reliability", "reliability over a frame span", True, True),
-    )
-}
-
 
 def measure_keys() -> list[str]:
     """Keys of the 16 canonical measures in list order."""
@@ -364,20 +338,7 @@ def supervised_overlap_series(
     frames contribute 0.0, and Init frames are excluded (None) so that
     downstream averages skip them.
     """
-    validate_record(rec)
-    if len(rec) != len(a):
-        raise LengthMismatchError(
-            f"record has {len(rec)} frames, annotation {len(a)}"
-        )
-    out: list[float | None] = []
-    for i, fr in enumerate(rec.frames):
-        if isinstance(fr, Init):
-            out.append(None)
-        elif isinstance(fr, Failure):
-            out.append(0.0)
-        else:
-            out.append(overlap(a.regions[i], fr.region))
-    return out
+    return score_record(rec, a).overlaps
 
 
 def supervised_center_error_series(
@@ -388,29 +349,8 @@ def supervised_center_error_series(
     Only Tracked frames carry a region to measure; Failure and Init
     frames are None. Normalization follows center_error_series.
     """
-    validate_record(rec)
-    if len(rec) != len(a):
-        raise LengthMismatchError(
-            f"record has {len(rec)} frames, annotation {len(a)}"
-        )
-    out: list[float | None] = []
-    for i, fr in enumerate(rec.frames):
-        if not isinstance(fr, Tracked):
-            out.append(None)
-            continue
-        g = a.center(i)
-        p = region_center(fr.region)
-        d = ((g.x - p.x) ** 2 + (g.y - p.y) ** 2) ** 0.5
-        if normalized:
-            s = region_size(a.regions[i])
-            if s <= 0:
-                raise DegenerateAnnotationError(
-                    "zero-size ground-truth region, normalized error undefined",
-                    frame=i + 1,
-                )
-            d /= s
-        out.append(d)
-    return out
+    scores = score_record(rec, a)
+    return scores.normalized_errors() if normalized else scores.center_errors
 
 
 def _included(series) -> list[float]:
@@ -419,12 +359,11 @@ def _included(series) -> list[float]:
 
 def unsupervised_measures(a: SequenceAnnotation, t: Trajectory) -> list[float]:
     """Measures 1-9 from a single-initialization trajectory."""
-    phis = overlap_series(a, t)
-    deltas = center_error_series(a, t, normalized=False)
-    norm_deltas = center_error_series(a, t, normalized=True)
+    scores = score_trajectory(a, t)
+    phis, deltas = scores.overlaps, scores.center_errors
     return [
         average_center_error(deltas),
-        average_center_error(norm_deltas),
+        average_center_error(scores.normalized_errors()),
         rmse(deltas),
         correct_fraction(phis, 0.1),
         correct_fraction(phis, 0.5),
@@ -440,20 +379,20 @@ def supervised_measures(rec: SupervisedRunRecord, a: SequenceAnnotation) -> list
 
     Center-error entries are NaN when the run has no Tracked frames.
     """
-    phis = _included(supervised_overlap_series(rec, a))
-    deltas = _included(supervised_center_error_series(rec, a, normalized=False))
-    norm_deltas = _included(supervised_center_error_series(rec, a, normalized=True))
+    scores = score_record(rec, a)
+    phis = _included(scores.overlaps)
+    deltas = _included(scores.center_errors)
+    norm_deltas = _included(scores.normalized_errors())
     nan = float("nan")
-    out = [
+    return [
         average_center_error(deltas) if deltas else nan,
         average_center_error(norm_deltas) if norm_deltas else nan,
         rmse(deltas) if deltas else nan,
         correct_fraction(phis, 0.1) if phis else nan,
         correct_fraction(phis, 0.5) if phis else nan,
         average_overlap(phis) if phis else nan,
-        float(failure_rate(rec)),
+        float(len(rec.failure_frames)),
     ]
-    return out
 
 
 def compute_all(

@@ -30,6 +30,7 @@ ground-truth region.
 import hashlib
 import os
 import queue
+import re
 import shlex
 import socket
 import subprocess
@@ -47,7 +48,7 @@ from .errors import (
     TrackbenchError,
     TrackerTimeoutError,
 )
-from .geometry import Region, overlap
+from .geometry import Region, iou, is_valid_region, validate_region
 from .io_formats import (
     SequenceData,
     format_region,
@@ -149,12 +150,11 @@ class InProcessSession(_Session):
         return self._behavior.name, bool(self._behavior.deterministic)
 
     def _checked(self, region, frame: int) -> Region:
+        # The same finiteness and sign check a wire reply gets from parse_region.
         if not isinstance(region, Region):
             raise ProtocolViolationError(f"tracker returned {type(region).__name__}", frame)
-        try:
-            parse_region(format_region(region))
-        except (ParseError, ValueError):
-            raise ProtocolViolationError(f"invalid reported region {region}", frame) from None
+        if not is_valid_region(region):
+            raise ProtocolViolationError(f"invalid reported region {region}", frame)
         return region
 
     def initialize(self, frame: int, path: str, region: Region) -> Region:
@@ -402,10 +402,14 @@ class _HandleScopedSession(_Session):
                     self._handle._busy = False
 
 
+# Matches what str.isspace accepts: both use the same Unicode table.
+_WHITESPACE = re.compile(r"\s")
+
+
 def _check_paths(seq: SequenceData) -> None:
-    for p in seq.frame_paths:
-        if any(c.isspace() for c in p):
-            raise ConfigError(f"frame path contains whitespace: {p!r}")
+    if _WHITESPACE.search("".join(seq.frame_paths)):
+        bad = next(p for p in seq.frame_paths if _WHITESPACE.search(p))
+        raise ConfigError(f"frame path contains whitespace: {bad!r}")
 
 
 def run_unsupervised(handle: TrackerHandle, seq: SequenceData, seed: int = 0) -> Trajectory:
@@ -456,7 +460,8 @@ def run_supervised(
                 init_pending = False
                 continue
             state = session.frame(t, seq.frame_paths[t - 1])
-            if overlap(gt, state) <= tau:
+            validate_region(gt)  # the session has checked `state`
+            if iou(gt, state) <= tau:
                 frames.append(Failure())
                 init_pending = True
             else:

@@ -16,7 +16,7 @@ import random
 from .io_formats import SequenceData, write_sequence
 from .geometry import Region
 from .runner import RunPlan, TrackerHandle, execute_plan
-from .theoretical import ScriptedTracker, ScriptedTrackerSpec, make_theoretical
+from .theoretical import ScriptedTracker, ScriptedTrackerSpec
 from .trajectory import MeasureTable, SequenceAnnotation
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "make_dataset",
     "write_dataset",
     "corpus_trackers",
-    "corpus_handles",
-    "theoretical_handles",
     "corpus_table",
 ]
 
@@ -197,26 +195,6 @@ def corpus_trackers() -> tuple[ScriptedTrackerSpec, ...]:
     )
 
 
-def corpus_handles(specs=None) -> list[TrackerHandle]:
-    """In-process handles for the scripted corpus."""
-    if specs is None:
-        specs = corpus_trackers()
-    return [
-        TrackerHandle.in_process(
-            spec.name, lambda seq, s=spec: ScriptedTracker(s, seq.annotation)
-        )
-        for spec in specs
-    ]
-
-
-def theoretical_handles(kinds=("tta", "tts", "ttf", "tto")) -> list[TrackerHandle]:
-    """In-process handles for the theoretical trackers."""
-    return [
-        TrackerHandle.in_process(kind, lambda seq, k=kind: make_theoretical(k, seq))
-        for kind in kinds
-    ]
-
-
 def corpus_table(
     seqs=None,
     repetitions: int = 3,
@@ -226,7 +204,11 @@ def corpus_table(
     """Run the scripted corpus over a dataset and collect the measures."""
     if seqs is None:
         seqs = make_dataset()
+    handles = [
+        TrackerHandle.in_process(
+            spec.name, lambda seq, s=spec: ScriptedTracker(s, seq.annotation)
+        )
+        for spec in corpus_trackers()
+    ]
     plan = RunPlan(repetitions=repetitions, mode="both")
-    return execute_plan(
-        plan, corpus_handles(), seqs, master_seed=master_seed, workers=workers
-    )
+    return execute_plan(plan, handles, seqs, master_seed=master_seed, workers=workers)

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, DegenerateAnnotationError
 from .geometry import Region, region_size
 from .io_formats import SequenceData
-from .measures import reliability
-from .trajectory import SequenceAnnotation, Tracked, Trajectory
+from .trajectory import SequenceAnnotation, Tracked, Trajectory, score_record
 
 __all__ = [
     "THEORETICAL_KINDS",
@@ -371,7 +370,7 @@ def sequence_properties(seq: SequenceData, span: float = 30.0) -> tuple[float, f
       size_change tto supervised average overlap (closer to 1 = less
                   size change).
     """
-    from .measures import supervised_overlap_series
+    from .measures import reliability, supervised_overlap_series
 
     a = seq.annotation
     rec_tta = _supervised_tracked_and_failures("tta", seq)
@@ -417,18 +416,15 @@ def theoretical_ar_points(
     ar_pair on evaluated trackers, where failure frames count as
     overlap 0.
     """
-    from .geometry import overlap as _overlap
+    from .measures import reliability
 
     sums = {k: [0.0, 0.0, 0] for k in THEORETICAL_KINDS}
     for seq in seqs:
         a = seq.annotation
         for kind in THEORETICAL_KINDS:
             rec = _supervised_tracked_and_failures(kind, seq)
-            tracked = [
-                _overlap(a.regions[i], fr.region)
-                for i, fr in enumerate(rec.frames)
-                if isinstance(fr, Tracked)
-            ]
+            phis = score_record(rec, a).overlaps
+            tracked = [v for v, fr in zip(phis, rec.frames) if isinstance(fr, Tracked)]
             if tracked:
                 acc = math.fsum(tracked) / len(tracked)
             elif kind == "ttf":

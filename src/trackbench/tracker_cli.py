@@ -15,8 +15,8 @@ specs, e.g.:
         --tracker 'cmd:ttf:trackbench-tracker ttf --groundtruth {groundtruth}'
 
 Every supervised session starts one of these processes, so this module
-imports only what serving needs: no numpy, runner, analysis or cli
-(tests/test_imports.py holds it to that).
+imports only what serving needs: no numpy, measures, runner, analysis
+or cli (tests/test_imports.py holds it to that).
 """
 
 import argparse

@@ -7,13 +7,14 @@ center channel; when absent, centers derive from the region geometry.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     DegenerateAnnotationError,
     LengthMismatchError,
     MalformedRecordError,
 )
-from .geometry import Point, Region, overlap, region_center, region_size, validate_region
+from .geometry import Point, Region, iou, region_center, region_size, validate_region
 
 __all__ = [
     "SequenceAnnotation",
@@ -26,6 +27,9 @@ __all__ = [
     "MeasureTable",
     "validate_pair",
     "validate_record",
+    "FrameSeries",
+    "score_trajectory",
+    "score_record",
     "overlap_series",
     "center_error_series",
 ]
@@ -207,10 +211,89 @@ def validate_pair(a: SequenceAnnotation, t: Trajectory) -> None:
         validate_region(r, frame=i + 1)
 
 
+class FrameSeries(NamedTuple):
+    """Per-frame overlap, center error and normalized center error of a run.
+
+    None marks a frame a series excludes. degenerate_frame is the 1-based
+    number of the first scored frame whose ground truth has zero size, so
+    that its normalized error is undefined, or None.
+    """
+
+    overlaps: list[float | None]
+    center_errors: list[float | None]
+    normalized: list[float | None]
+    degenerate_frame: int | None
+
+    def normalized_errors(self) -> list[float | None]:
+        """The normalized series; DegenerateAnnotationError when undefined."""
+        if self.degenerate_frame is not None:
+            raise DegenerateAnnotationError(
+                "zero-size ground-truth region, normalized error undefined",
+                frame=self.degenerate_frame,
+            )
+        return self.normalized
+
+
+def _score_frames(a: SequenceAnnotation, frames) -> FrameSeries:
+    """Score one run in one pass over already validated regions.
+
+    frames holds a trajectory Region or a supervised FrameRecord per
+    frame. A Failure scores overlap 0 and no center error; an Init is
+    excluded from every series.
+    """
+    overlaps: list[float | None] = []
+    errors: list[float | None] = []
+    normalized: list[float | None] = []
+    degenerate = None
+    for i, (gt, f) in enumerate(zip(a.regions, frames)):
+        if isinstance(f, (Failure, Init)):
+            overlaps.append(0.0 if isinstance(f, Failure) else None)
+            errors.append(None)
+            normalized.append(None)
+            continue
+        pred = f.region if isinstance(f, Tracked) else f
+        overlaps.append(iou(gt, pred))
+        # The centers of SequenceAnnotation.center and region_center,
+        # without a Point per frame.
+        if a.centers is None:
+            gx, gy = gt.x + gt.width / 2.0, gt.y + gt.height / 2.0
+        else:
+            gx, gy = a.centers[i].x, a.centers[i].y
+        px, py = pred.x + pred.width / 2.0, pred.y + pred.height / 2.0
+        d = ((gx - px) ** 2 + (gy - py) ** 2) ** 0.5
+        errors.append(d)
+        size = region_size(gt)
+        if size <= 0 and degenerate is None:
+            degenerate = i + 1
+        normalized.append(d / size if size > 0 else None)
+    return FrameSeries(overlaps, errors, normalized, degenerate)
+
+
+def score_trajectory(a: SequenceAnnotation, t: Trajectory) -> FrameSeries:
+    """Every per-frame series of a trajectory, after one validate_pair."""
+    validate_pair(a, t)
+    return _score_frames(a, t.regions)
+
+
+def score_record(rec: SupervisedRunRecord, a: SequenceAnnotation) -> FrameSeries:
+    """Every per-frame series of a supervised run, after one validate_record.
+
+    The regions of each Tracked frame are checked as overlap checks
+    them, without a frame number.
+    """
+    validate_record(rec)
+    if len(rec) != len(a):
+        raise LengthMismatchError(f"record has {len(rec)} frames, annotation {len(a)}")
+    for gt, fr in zip(a.regions, rec.frames):
+        if isinstance(fr, Tracked):
+            validate_region(gt)
+            validate_region(fr.region)
+    return _score_frames(a, rec.frames)
+
+
 def overlap_series(a: SequenceAnnotation, t: Trajectory) -> list[float]:
     """Per-frame overlap between trajectory and ground truth."""
-    validate_pair(a, t)
-    return [overlap(g, p) for g, p in zip(a.regions, t.regions)]
+    return score_trajectory(a, t).overlaps
 
 
 def center_error_series(
@@ -222,19 +305,5 @@ def center_error_series(
     the ground-truth region of that frame; a zero-size ground-truth
     region then raises DegenerateAnnotationError with the frame number.
     """
-    validate_pair(a, t)
-    out = []
-    for i, pred in enumerate(t.regions):
-        g = a.center(i)
-        p = region_center(pred)
-        d = ((g.x - p.x) ** 2 + (g.y - p.y) ** 2) ** 0.5
-        if normalized:
-            s = region_size(a.regions[i])
-            if s <= 0:
-                raise DegenerateAnnotationError(
-                    "zero-size ground-truth region, normalized error undefined",
-                    frame=i + 1,
-                )
-            d /= s
-        out.append(d)
-    return out
+    scores = score_trajectory(a, t)
+    return scores.normalized_errors() if normalized else scores.center_errors

@@ -39,7 +39,7 @@ def test_tracker_process_imports_only_what_it_serves_with():
     loaded = loaded_after("import trackbench.tracker_cli")
     heavy = {
         "numpy", "trackbench.runner", "trackbench.analysis", "trackbench.cli",
-        "concurrent.futures",
+        "trackbench.measures", "concurrent.futures",
     }
     assert "trackbench.tracker_cli" in loaded
     assert not heavy & loaded, sorted(heavy & loaded)

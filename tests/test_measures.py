@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,12 +6,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trackbench.errors import (
+    DegenerateAnnotationError,
     EmptySeriesError,
     FragmentationUndefinedError,
+    InvalidRegionError,
     LengthMismatchError,
     MeasureDomainError,
 )
-from trackbench.geometry import Region
+from trackbench.geometry import Point, Region, overlap, region_center, region_size
 from trackbench.measures import (
     MEASURES,
     auc,
@@ -38,10 +41,14 @@ from trackbench.measures import (
 from trackbench.trajectory import (
     Failure,
     Init,
+    SequenceAnnotation,
     SupervisedRunRecord,
     Tracked,
     Trajectory,
+    center_error_series,
     overlap_series,
+    validate_pair,
+    validate_record,
 )
 
 from conftest import make_annotation
@@ -370,3 +377,199 @@ class TestFrameScores:
         t = Trajectory(regions=(Region(50.0, 50.0, 4.0, 4.0),))
         assert average_f_measure(a, t) == 0.0
         assert average_precision(a, t) == 0.0
+
+
+# Reference series: per-frame loops built on geometry.overlap and
+# region_center, as the series were computed before the one-pass kernel.
+def ref_overlap_series(a, t):
+    validate_pair(a, t)
+    return [overlap(g, p) for g, p in zip(a.regions, t.regions)]
+
+
+def ref_center_error(a, i, pred, normalized):
+    g = a.center(i)
+    p = region_center(pred)
+    d = ((g.x - p.x) ** 2 + (g.y - p.y) ** 2) ** 0.5
+    if normalized:
+        s = region_size(a.regions[i])
+        if s <= 0:
+            raise DegenerateAnnotationError(
+                "zero-size ground-truth region, normalized error undefined",
+                frame=i + 1,
+            )
+        d /= s
+    return d
+
+
+def ref_center_error_series(a, t, normalized):
+    validate_pair(a, t)
+    return [ref_center_error(a, i, p, normalized) for i, p in enumerate(t.regions)]
+
+
+def ref_checked_record(rec, a):
+    validate_record(rec)
+    if len(rec) != len(a):
+        raise LengthMismatchError(f"record has {len(rec)} frames, annotation {len(a)}")
+
+
+def ref_supervised_overlap_series(rec, a):
+    ref_checked_record(rec, a)
+    out = []
+    for i, fr in enumerate(rec.frames):
+        if isinstance(fr, Init):
+            out.append(None)
+        elif isinstance(fr, Failure):
+            out.append(0.0)
+        else:
+            out.append(overlap(a.regions[i], fr.region))
+    return out
+
+
+def ref_supervised_center_error_series(rec, a, normalized):
+    ref_checked_record(rec, a)
+    return [
+        ref_center_error(a, i, fr.region, normalized) if isinstance(fr, Tracked) else None
+        for i, fr in enumerate(rec.frames)
+    ]
+
+
+def ref_compute_all(a, t, rec):
+    """compute_all composed from the reference series and the public reductions."""
+    nan = float("nan")
+    values = [nan] * 16
+    if t is not None:
+        phis = ref_overlap_series(a, t)
+        deltas = ref_center_error_series(a, t, False)
+        norm = ref_center_error_series(a, t, True)
+        values[0:9] = [
+            average_center_error(deltas), average_center_error(norm), rmse(deltas),
+            correct_fraction(phis, 0.1), correct_fraction(phis, 0.5),
+            float(tracking_length(phis, 0.1)), float(tracking_length(phis, 0.5)),
+            average_overlap(phis), cotps_closed_form(phis),
+        ]
+    if rec is not None:
+        phis = [v for v in ref_supervised_overlap_series(rec, a) if v is not None]
+        deltas = [v for v in ref_supervised_center_error_series(rec, a, False) if v is not None]
+        norm = [v for v in ref_supervised_center_error_series(rec, a, True) if v is not None]
+        values[9:16] = [
+            average_center_error(deltas) if deltas else nan,
+            average_center_error(norm) if norm else nan,
+            rmse(deltas) if deltas else nan,
+            correct_fraction(phis, 0.1) if phis else nan,
+            correct_fraction(phis, 0.5) if phis else nan,
+            average_overlap(phis) if phis else nan,
+            float(failure_rate(rec)),
+        ]
+    return values
+
+
+def outcome(fn, *args):
+    """Bit pattern of every value, or the error's type, frame and message."""
+    try:
+        result = fn(*args)
+    except Exception as e:  # the comparison covers whatever either side raises
+        return type(e), getattr(e, "frame", None), str(e)
+    return [None if v is None else float(v).hex() for v in result]
+
+
+coords = st.one_of(st.integers(-20, 120).map(float), st.floats(-20.0, 120.0))
+extents = st.one_of(st.just(0.0), st.integers(0, 40).map(float), st.floats(0.0, 40.0))
+boxes = st.builds(Region, coords, coords, extents, extents)
+BAD_VALUES = (math.nan, math.inf, -math.inf, -1.0)
+
+
+@st.composite
+def scoring_cases(draw):
+    """(annotation, trajectory or None, record or None) for one sequence.
+
+    Predictions are often the ground truth itself, to reach the gt == pred
+    case; optionally one coordinate of the ground truth, the trajectory or
+    a Tracked region is replaced by NaN, an infinity or -1.
+    """
+    n = draw(st.integers(1, 24))
+    gt = draw(st.lists(boxes, min_size=n, max_size=n))
+    centers = draw(st.none() | st.lists(st.builds(Point, coords, coords),
+                                         min_size=n, max_size=n))
+    preds = [draw(st.just(g) | boxes) for g in gt]
+    frames, pending = [], True
+    for g in gt:
+        if pending:
+            frames.append(Init(g))
+            pending = False
+        elif draw(st.integers(0, 3)) == 0:
+            frames.append(Failure())
+            pending = True
+        else:
+            frames.append(Tracked(draw(st.just(g) | boxes)))
+
+    target = draw(st.sampled_from([None, None, "gt", "trajectory", "tracked"]))
+    tracked = [i for i, f in enumerate(frames) if isinstance(f, Tracked)]
+    if target is not None and (target != "tracked" or tracked):
+        k = draw(st.sampled_from(tracked)) if target == "tracked" else draw(st.integers(0, n - 1))
+        change = {draw(st.sampled_from(["x", "y", "width", "height"])):
+                  draw(st.sampled_from(BAD_VALUES))}
+        if target == "gt":
+            gt[k] = dataclasses.replace(gt[k], **change)
+        elif target == "trajectory":
+            preds[k] = dataclasses.replace(preds[k], **change)
+        else:
+            frames[k] = Tracked(dataclasses.replace(frames[k].region, **change))
+
+    a = SequenceAnnotation(name="seq", regions=tuple(gt),
+                           centers=None if centers is None else tuple(centers))
+    mode = draw(st.sampled_from(["unsupervised", "supervised", "both"]))
+    t = Trajectory(regions=tuple(preds)) if mode != "supervised" else None
+    rec = (SupervisedRunRecord.from_frames(frames, tau=0.0)
+           if mode != "unsupervised" else None)
+    return a, t, rec
+
+
+class TestScoringKernel:
+    @given(scoring_cases())
+    def test_compute_all_matches_reference_bit_for_bit(self, case):
+        a, t, rec = case
+        assert outcome(compute_all, a, t, rec) == outcome(ref_compute_all, a, t, rec)
+
+    @given(scoring_cases())
+    def test_series_match_reference(self, case):
+        a, t, rec = case
+        if t is not None:
+            assert outcome(overlap_series, a, t) == outcome(ref_overlap_series, a, t)
+            for norm in (False, True):
+                assert (outcome(center_error_series, a, t, norm)
+                        == outcome(ref_center_error_series, a, t, norm))
+        if rec is None:
+            return
+        ref = outcome(ref_supervised_overlap_series, rec, a)
+        assert outcome(supervised_overlap_series, rec, a) == ref
+        if ref[0] is InvalidRegionError:
+            # The reference center-error loop never validated regions; the
+            # kernel rejects an invalid Tracked region as overlap does.
+            return
+        for norm in (False, True):
+            assert (outcome(supervised_center_error_series, rec, a, norm)
+                    == outcome(ref_supervised_center_error_series, rec, a, norm))
+
+    @pytest.mark.parametrize("mode", ["unsupervised", "supervised", "both"])
+    @pytest.mark.parametrize(
+        "where, value, frame",
+        [
+            ("gt", Region(math.nan, 0.0, 4.0, 4.0), 3),
+            ("gt", Region(0.0, 0.0, -1.0, 4.0), 2),
+            ("gt", Region(0.0, 0.0, 0.0, 4.0), 3),
+            ("pred", Region(0.0, math.inf, 4.0, 4.0), 3),
+            ("pred", Region(0.0, 0.0, 4.0, -math.inf), 2),
+        ],
+    )
+    def test_invalid_input_raises_as_reference(self, mode, where, value, frame):
+        gt = [Region(0.0, 0.0, 4.0, 4.0)] * 4
+        preds = [Region(1.0, 0.0, 4.0, 4.0)] * 4
+        (gt if where == "gt" else preds)[frame - 1] = value
+        a = SequenceAnnotation(name="seq", regions=tuple(gt))
+        t = Trajectory(regions=tuple(preds)) if mode != "supervised" else None
+        frames = [Init(gt[0])] + [Tracked(p) for p in preds[1:]]
+        rec = (SupervisedRunRecord.from_frames(frames, tau=0.0)
+               if mode != "unsupervised" else None)
+        got = outcome(compute_all, a, t, rec)
+        assert got == outcome(ref_compute_all, a, t, rec)
+        assert issubclass(got[0], (InvalidRegionError, DegenerateAnnotationError))

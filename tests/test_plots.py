@@ -62,6 +62,13 @@ class TestDocumentShape:
         assert got[0] == "svg"
         assert set(got) <= ALLOWED_TAGS
 
+    def test_markup_in_names_and_titles_is_escaped(self):
+        name = 'a<b> & "c"'
+        svg = overlap_plot({name: [0.5, 0.6]}, title="x < y & z")
+        texts = [el.text for el in elements(svg, "text") + elements(svg, "title")]
+        assert name in texts and "x < y & z" in texts
+        assert "a&lt;b&gt; &amp; \"c\"" in svg
+
     def test_re_render_is_byte_identical(self):
         first = sample_plots()
         second = sample_plots()

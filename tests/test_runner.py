@@ -309,3 +309,98 @@ class TestUnsupervised:
         c = run_unsupervised(h, seq, seed=2)
         assert a == b
         assert a != c
+
+
+class Reporter:
+    """In-process tracker that holds its initial region but reports
+    `report` on frame `at`."""
+
+    name = "reporter"
+    deterministic = True
+
+    def __init__(self, report, at):
+        self._report = report
+        self._at = at
+
+    def begin(self, seed):
+        self._frame = 0
+
+    def initialize(self, frame_path, region):
+        self._frame = 1
+        self._region = region
+        return self._report if self._at == 1 else region
+
+    def update(self, frame_path):
+        self._frame += 1
+        return self._report if self._frame == self._at else self._region
+
+
+def reporter_handle(report, at):
+    return TrackerHandle.in_process("reporter", lambda seq: Reporter(report, at))
+
+
+class TestInProcessReportCheck:
+    @pytest.mark.parametrize("run", [run_unsupervised, run_supervised])
+    @pytest.mark.parametrize("at", [1, 4])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Region(math.nan, 30.0, 24.0, 18.0),
+            Region(40.0, math.inf, 24.0, 18.0),
+            Region(-math.inf, 30.0, 24.0, 18.0),
+            Region(40.0, 30.0, math.nan, 18.0),
+            Region(40.0, 30.0, math.inf, 18.0),
+            Region(40.0, 30.0, 24.0, math.inf),
+            Region(40.0, 30.0, -1.0, 18.0),
+            Region(40.0, 30.0, 24.0, -5e-324),
+        ],
+    )
+    def test_invalid_report_is_a_protocol_violation_at_its_frame(self, run, at, bad):
+        with pytest.raises(ProtocolViolationError) as e:
+            run(reporter_handle(bad, at), static_sequence(6))
+        assert e.value.frame == at
+        assert str(e.value).endswith(f"invalid reported region {bad}")
+
+    def test_non_region_report_is_a_protocol_violation(self):
+        with pytest.raises(ProtocolViolationError, match="tracker returned tuple") as e:
+            run_unsupervised(reporter_handle((40.0, 30.0, 24.0, 18.0), 3), static_sequence(6))
+        assert e.value.frame == 3
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            Region(-0.0, -0.0, -0.0, 18.0),
+            Region(40.0, 30.0, 0.0, 0.0),
+            Region(-7.5, 30.0, 0.0, 18.0),
+        ],
+    )
+    def test_negative_zero_and_zero_area_reports_are_accepted(self, report):
+        t = run_unsupervised(reporter_handle(report, 4), static_sequence(6))
+        got = t.regions[3]
+        assert got == report
+        signs = [math.copysign(1.0, v) for v in (got.x, got.y, got.width, got.height)]
+        assert signs == [math.copysign(1.0, v)
+                         for v in (report.x, report.y, report.width, report.height)]
+        rec = run_supervised(reporter_handle(report, 4), static_sequence(6))
+        assert rec.failure_frames == (4,)
+
+
+class TestFramePathCheck:
+    @pytest.mark.parametrize("space", [" ", "\t", "\u3000", "\x1c", "\x85", "\xa0", "\u2028"])
+    def test_unicode_whitespace_is_rejected(self, space):
+        seq = make_sequence([(0.0, 0.0, 4.0, 4.0)] * 3, root=f"data{space}dir")
+        for run in (run_unsupervised, run_supervised):
+            with pytest.raises(ConfigError, match="frame path contains whitespace"):
+                run(tts_handle(), seq)
+
+    def test_error_names_the_offending_path(self):
+        a = static_sequence(3).annotation
+        seq = SequenceData(annotation=a, image_size=None,
+                           frame_paths=("f/1.jpg", "f/2\x1c.jpg", "f/3 .jpg"))
+        with pytest.raises(ConfigError) as e:
+            run_unsupervised(tts_handle(), seq)
+        assert str(e.value) == "frame path contains whitespace: 'f/2\\x1c.jpg'"
+
+    def test_non_whitespace_unicode_is_accepted(self):
+        seq = make_sequence([(0.0, 0.0, 4.0, 4.0)] * 3, root="caf\u00e9\u200b")
+        assert len(run_unsupervised(tts_handle(), seq)) == 3
