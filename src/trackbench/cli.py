@@ -59,6 +59,9 @@ def _read_params_file(path: str) -> str:
     return ",".join(lines)
 
 
+_UNSAFE_NAME_CHARS = ("/", "\\", "\t", "\r", "\n")
+
+
 def parse_tracker_spec(spec: str, timeout: float = 30.0) -> TrackerHandle:
     """Turn a tracker spec string into a handle.
 
@@ -68,8 +71,19 @@ def parse_tracker_spec(spec: str, timeout: float = 30.0) -> TrackerHandle:
       scripted:@params.txt                   same, parameters from a file
       cmd:<name>:<command line>              child process over stdio
       tcp:<name>:<host>:<port>               live process over TCP
+
+    The tracker name becomes a directory under `raw/` and a TSV cell,
+    so empty names, `.`, `..` and names containing `/`, `\\`, a tab,
+    CR or LF are rejected.
     """
-    spec = spec.strip()
+    handle = _parse_tracker_spec(spec.strip(), timeout)
+    name = handle.name
+    if name in ("", ".", "..") or any(c in name for c in _UNSAFE_NAME_CHARS):
+        raise ConfigError(f"unsafe tracker name {name!r} in {spec!r}")
+    return handle
+
+
+def _parse_tracker_spec(spec: str, timeout: float) -> TrackerHandle:
     if spec in THEORETICAL_NAMES:
         return TrackerHandle.in_process(
             spec, lambda seq, k=spec: make_theoretical(k, seq), timeout=timeout
@@ -433,7 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--repetitions", type=int, help="runs per pair (default: 30)")
     rp.add_argument("--tau", type=float, help="failure threshold (default: 0)")
     rp.add_argument("--seed", type=int, help="master seed (default: 0)")
-    rp.add_argument("--workers", type=int, help="parallel trackers (default: 1)")
+    rp.add_argument("--workers", type=int,
+                    help="(tracker, sequence) units run in parallel (default: 1)")
     rp.add_argument("--timeout", type=float, help="per-reply timeout in seconds")
     rp.add_argument("--config", help="key=value config file; flags win")
     rp.set_defaults(func=_cmd_run)

@@ -387,7 +387,9 @@ def loads_measure_table(text: str, path=None) -> MeasureTable:
             raise ParseError(
                 f"expected {len(columns)} cells, got {len(cells)}", path, i
             )
-        tracker, sequence, run_text, frames_text = cells[0], cells[1], cells[2], cells[3]
+        # The header check above pinned the layout: four key columns,
+        # one per measure key, then the error column.
+        tracker, sequence, run_text, frames_text, *value_cells, error_cell = cells
         try:
             run = int(run_text)
             frames = int(frames_text)
@@ -395,12 +397,12 @@ def loads_measure_table(text: str, path=None) -> MeasureTable:
             raise ParseError(f"bad run/frames index: {run_text!r}/{frames_text!r}",
                              path, i) from None
         values = []
-        for cell in cells[4:20]:
+        for cell in value_cells:
             if cell == "NA":
                 values.append(float("nan"))
             else:
                 values.append(parse_number(cell, path, i))
-        error = cells[20] if cells[20] != "" else None
+        error = error_cell if error_cell != "" else None
         rows.append(MeasureRow(tracker=tracker, sequence=sequence, run=run,
                                frames=frames, values=tuple(values), error=error))
     return MeasureTable(rows=tuple(rows))

@@ -27,16 +27,24 @@ next frame (if any) becomes an Init frame carrying that frame's
 ground-truth region.
 """
 
-import hashlib
 import os
 import queue
 import re
 import shlex
-import socket
 import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+
+# hashlib loads OpenSSL; the builtin module is enough for one digest
+# (random.py does the same for sha512).
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import (
     ConfigError,
@@ -241,10 +249,17 @@ class PipeSession(_Session):
 
 
 class TcpSession(_Session):
-    """Tracker reached over a TCP endpoint speaking the same protocol."""
+    """Tracker reached over a TCP endpoint speaking the same protocol.
 
-    def __init__(self, address: tuple[str, int], timeout: float):
+    `release()` runs once, when the session closes.
+    """
+
+    def __init__(self, address: tuple[str, int], timeout: float, release):
+        # Imported here: only TCP endpoints need it.
+        import socket
+
         self._timeout = timeout
+        self._release = release
         self._closed = False
         try:
             self._sock = socket.create_connection(address, timeout=timeout)
@@ -268,7 +283,7 @@ class TcpSession(_Session):
             raise PrematureExitError(f"connection lost: {e}", frame) from None
         try:
             reply = self._file.readline()
-        except socket.timeout:
+        except TimeoutError:
             raise TrackerTimeoutError(f"no reply within {self._timeout}s", frame) from None
         except OSError as e:
             raise PrematureExitError(f"connection lost: {e}", frame) from None
@@ -289,6 +304,7 @@ class TcpSession(_Session):
             self._sock.close()
         except OSError:
             pass
+        self._release()
 
     def quit(self) -> None:
         self.close()
@@ -304,9 +320,10 @@ class TrackerHandle:
     Exactly one of `factory` (in-process behaviors), `command` (argv
     template for a child process; `{groundtruth}`, `{meta}`,
     `{sequence}` and `{frames}` expand per sequence) or `address`
-    (host, port) is set. At most one evaluation session may be active
-    per handle at a time. `deterministic` is learned from the first
-    handshake and used to collapse repetitions.
+    (host, port) is set. In-process and `command` handles start a fresh
+    tracker per session, so they admit any number of open sessions. A
+    TCP endpoint serves one session at a time: a second concurrent
+    `open` raises HandleBusyError.
     """
 
     name: str
@@ -314,9 +331,7 @@ class TrackerHandle:
     factory: object = None
     command: tuple[str, ...] | None = None
     address: tuple[str, int] | None = None
-    deterministic: bool | None = None
-    _busy: bool = field(default=False, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _busy: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @classmethod
     def in_process(cls, name: str, factory, timeout: float = 30.0) -> "TrackerHandle":
@@ -352,54 +367,19 @@ class TrackerHandle:
         return argv
 
     def open(self, seq: SequenceData) -> _Session:
-        with self._lock:
-            if self._busy:
-                raise HandleBusyError(f"tracker {self.name!r} already has an active session")
-            self._busy = True
+        if self.factory is not None:
+            return InProcessSession(self.factory(seq))
+        if self.command is not None:
+            return PipeSession(self._expand_command(seq), self.timeout)
+        if self.address is None:
+            raise ConfigError(f"tracker {self.name!r} has no transport")
+        if not self._busy.acquire(blocking=False):
+            raise HandleBusyError(f"tracker {self.name!r} already has an active session")
         try:
-            if self.factory is not None:
-                session = InProcessSession(self.factory(seq))
-            elif self.command is not None:
-                session = PipeSession(self._expand_command(seq), self.timeout)
-            elif self.address is not None:
-                session = TcpSession(self.address, self.timeout)
-            else:
-                raise ConfigError(f"tracker {self.name!r} has no transport")
+            return TcpSession(self.address, self.timeout, self._busy.release)
         except BaseException:
-            with self._lock:
-                self._busy = False
+            self._busy.release()
             raise
-        return _HandleScopedSession(self, session)
-
-
-class _HandleScopedSession(_Session):
-    """Releases the handle's busy flag when the session closes."""
-
-    def __init__(self, handle: TrackerHandle, inner: _Session):
-        self._handle = handle
-        self._inner = inner
-        self._released = False
-
-    def handshake(self, seed: int):
-        return self._inner.handshake(seed)
-
-    def initialize(self, frame: int, path: str, region: Region) -> Region:
-        return self._inner.initialize(frame, path, region)
-
-    def frame(self, frame: int, path: str) -> Region:
-        return self._inner.frame(frame, path)
-
-    def quit(self) -> None:
-        self._inner.quit()
-
-    def close(self) -> None:
-        try:
-            self._inner.close()
-        finally:
-            if not self._released:
-                self._released = True
-                with self._handle._lock:
-                    self._handle._busy = False
 
 
 # Matches what str.isspace accepts: both use the same Unicode table.
@@ -412,17 +392,21 @@ def _check_paths(seq: SequenceData) -> None:
         raise ConfigError(f"frame path contains whitespace: {bad!r}")
 
 
-def run_unsupervised(handle: TrackerHandle, seq: SequenceData, seed: int = 0) -> Trajectory:
+def run_unsupervised(
+    handle: TrackerHandle, seq: SequenceData, seed: int = 0, hello: dict | None = None
+) -> Trajectory:
     """One single-initialization run; returns one region per frame.
 
     Frame 1 holds the region the tracker echoed for the initialization.
+    If given, `hello["deterministic"]` is set from the handshake reply
+    unless an earlier handshake already set it.
     """
     _check_paths(seq)
     a = seq.annotation
     with handle.open(seq) as session:
         name, deterministic = session.handshake(seed)
-        if handle.deterministic is None:
-            handle.deterministic = deterministic
+        if hello is not None:
+            hello.setdefault("deterministic", deterministic)
         regions = [session.initialize(1, seq.frame_paths[0], a.regions[0])]
         for t in range(2, len(a) + 1):
             regions.append(session.frame(t, seq.frame_paths[t - 1]))
@@ -431,7 +415,11 @@ def run_unsupervised(handle: TrackerHandle, seq: SequenceData, seed: int = 0) ->
 
 
 def run_supervised(
-    handle: TrackerHandle, seq: SequenceData, tau: float = 0.0, seed: int = 0
+    handle: TrackerHandle,
+    seq: SequenceData,
+    tau: float = 0.0,
+    seed: int = 0,
+    hello: dict | None = None,
 ) -> SupervisedRunRecord:
     """One supervised run with reinitialization after each failure.
 
@@ -440,7 +428,7 @@ def run_supervised(
     Failure there and turns the next frame (if any) into an Init frame
     carrying its ground-truth region. A failure on the final frame is
     recorded with no subsequent Init. Init entries store the
-    ground-truth region bit-exactly.
+    ground-truth region bit-exactly. `hello` is as in run_unsupervised.
     """
     if not (0.0 <= tau <= 1.0):
         raise ConfigError(f"tau {tau} outside [0, 1]")
@@ -449,8 +437,8 @@ def run_supervised(
     frames: list = []
     with handle.open(seq) as session:
         name, deterministic = session.handshake(seed)
-        if handle.deterministic is None:
-            handle.deterministic = deterministic
+        if hello is not None:
+            hello.setdefault("deterministic", deterministic)
         init_pending = True
         for t in range(1, len(a) + 1):
             gt = a.regions[t - 1]
@@ -473,7 +461,7 @@ def run_supervised(
 def derive_seed(master_seed: int, tracker: str, sequence: str, rep: int, mode: str) -> int:
     """Stable per-run seed; distinct repetitions get distinct seeds."""
     text = f"{master_seed}|{tracker}|{sequence}|{rep}|{mode}"
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -513,6 +501,7 @@ def _run_pair(
 ) -> list[MeasureRow]:
     rows = []
     a = seq.annotation
+    hello: dict = {}  # this pair's first handshake decides the collapse
     for rep in range(plan.repetitions):
         trajectory = None
         record = None
@@ -520,10 +509,10 @@ def _run_pair(
         try:
             if plan.mode in ("unsupervised", "both"):
                 seed = derive_seed(master_seed, handle.name, a.name, rep, "unsupervised")
-                trajectory = run_unsupervised(handle, seq, seed=seed)
+                trajectory = run_unsupervised(handle, seq, seed=seed, hello=hello)
             if plan.mode in ("supervised", "both"):
                 seed = derive_seed(master_seed, handle.name, a.name, rep, "supervised")
-                record = run_supervised(handle, seq, tau=plan.tau, seed=seed)
+                record = run_supervised(handle, seq, tau=plan.tau, seed=seed, hello=hello)
         except RunError as e:
             error = str(e)
         try:
@@ -547,7 +536,7 @@ def _run_pair(
                 error=error,
             )
         )
-        if handle.deterministic:
+        if hello.get("deterministic"):
             break
     return rows
 
@@ -562,29 +551,40 @@ def execute_plan(
 ) -> MeasureTable:
     """Run the full plan and return one measure row per completed run.
 
-    Repetitions of trackers that declare themselves deterministic
-    collapse to a single run. Run errors become rows with the error
-    field set, never aborts. Workers parallelize across trackers (a
-    handle admits one session at a time); rows are sorted by (tracker,
-    sequence, run) so the result does not depend on scheduling.
+    The unit of work is one (tracker, sequence) pair. Its repetitions
+    run in order and collapse to a single run when the pair's first
+    handshake declares the tracker deterministic. Run errors become
+    rows with the error field set, never aborts. `workers` threads run
+    units in parallel; sessions wait on child pipes and sockets, which
+    releases the GIL. A TCP endpoint serves one session at a time, so
+    all pairs of a `tcp:` handle form one serial unit. Rows are sorted
+    by (tracker, sequence, run) so the result does not depend on
+    scheduling.
     """
-    names = [h.name for h in trackers]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate tracker names in plan: {names}")
+    # Names key the rows and the raw/<tracker>/<sequence>/ directories,
+    # which units on different threads write at the same time.
+    for kind, names in (("tracker", [h.name for h in trackers]),
+                        ("sequence", [s.annotation.name for s in sequences])):
+        if len(set(names)) != len(names):
+            raise ConfigError(f"duplicate {kind} names in plan: {names}")
 
-    def run_tracker(handle: TrackerHandle) -> list[MeasureRow]:
-        rows = []
-        for seq in sequences:
-            rows.extend(_run_pair(plan, handle, seq, master_seed, out_dir))
-        return rows
+    units = []
+    for handle in trackers:
+        if handle.address is not None:
+            units.append((handle, sequences))
+        else:
+            units.extend((handle, [seq]) for seq in sequences)
 
-    all_rows: list[MeasureRow] = []
-    if workers > 1 and len(trackers) > 1:
+    def run_unit(unit) -> list[MeasureRow]:
+        handle, seqs = unit
+        return [row for seq in seqs
+                for row in _run_pair(plan, handle, seq, master_seed, out_dir)]
+
+    if workers > 1 and len(units) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rows in pool.map(run_tracker, trackers):
-                all_rows.extend(rows)
+            results = list(pool.map(run_unit, units))
     else:
-        for handle in trackers:
-            all_rows.extend(run_tracker(handle))
-    all_rows.sort(key=lambda r: (r.tracker, r.sequence, r.run))
-    return MeasureTable(rows=tuple(all_rows))
+        results = [run_unit(unit) for unit in units]
+    rows = sorted((row for unit_rows in results for row in unit_rows),
+                  key=lambda r: (r.tracker, r.sequence, r.run))
+    return MeasureTable(rows=tuple(rows))

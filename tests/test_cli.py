@@ -74,6 +74,16 @@ class TestTrackerSpecs:
             with pytest.raises(ConfigError):
                 cli.parse_tracker_spec(bad)
 
+    @pytest.mark.parametrize("spec", [
+        "tcp::127.0.0.1:9000", "scripted:name=",
+        "cmd:.:ls", "scripted:name=..",
+        "cmd:a/b:ls", "scripted:name=../up",
+        "cmd:a\\b:ls", "cmd:a\tb:ls", "tcp:a\rb:127.0.0.1:9000", "cmd:a\nb:ls",
+    ])
+    def test_names_unsafe_as_path_or_cell_rejected(self, spec):
+        with pytest.raises(ConfigError, match="unsafe tracker name"):
+            cli.parse_tracker_spec(spec)
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):

@@ -45,6 +45,13 @@ def test_tracker_process_imports_only_what_it_serves_with():
     assert not heavy & loaded, sorted(heavy & loaded)
 
 
+def test_evaluator_loads_no_openssl_or_socket():
+    # One sha256 per run seed does not need hashlib's OpenSSL binding.
+    loaded = loaded_after("import trackbench.cli")
+    assert "trackbench.runner" in loaded
+    assert not {"_hashlib", "socket"} & loaded, sorted({"_hashlib", "socket"} & loaded)
+
+
 def test_bare_package_import_loads_no_numpy():
     loaded = loaded_after("import trackbench")
     assert "numpy" not in loaded

@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
 import math
+import os
+import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -13,7 +17,7 @@ from trackbench.errors import (
     TrackerTimeoutError,
 )
 from trackbench.geometry import Region, overlap
-from trackbench.io_formats import SequenceData, dumps_record
+from trackbench.io_formats import SequenceData, dumps_measure_table, dumps_record, read_sequence
 from trackbench.runner import (
     RunPlan,
     TrackerHandle,
@@ -48,6 +52,37 @@ def stub_handle(mode, timeout=10.0):
     return TrackerHandle.from_command(
         f"stub-{mode}", [sys.executable, STUB, mode], timeout=timeout
     )
+
+
+@contextlib.contextmanager
+def listening_tracker(kind):
+    """A `trackbench-tracker --listen 0` process; yields (host, port)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trackbench.tracker_cli", kind, "--listen", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        banner = proc.stdout.readline().split()
+        assert banner[0] == "listening"
+        yield banner[1], int(banner[2])
+    finally:
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
+    assert proc.returncode == 0
+
+
+def tree_bytes(root):
+    """{relative path: content} of every file under root."""
+    out = {}
+    for d, _, files in os.walk(root):
+        for f in files:
+            path = os.path.join(d, f)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
 
 
 class TestSupervisedProtocol:
@@ -134,6 +169,11 @@ class TestRunPlan:
         with pytest.raises(ConfigError):
             execute_plan(RunPlan(), [tts_handle(), tts_handle()], [static_sequence(3)])
 
+    def test_duplicate_sequence_names_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate sequence names"):
+            execute_plan(RunPlan(), [tts_handle()],
+                         [static_sequence(3, name="s"), moving_sequence(4, name="s")])
+
     def test_deterministic_trackers_collapse_repetitions(self):
         table = execute_plan(
             RunPlan(repetitions=5, mode="supervised"),
@@ -152,17 +192,32 @@ class TestRunPlan:
         assert len(table.rows) == 4
         assert [r.run for r in table.rows] == [0, 1, 2, 3]
 
-    def test_worker_count_does_not_change_the_table(self):
-        seqs = [static_sequence(6), moving_sequence(9)]
+    def test_worker_count_does_not_change_the_table(self, tmp_dataset, tmp_path):
+        seqs = [read_sequence(os.path.join(tmp_dataset, n)) for n in ("alpha", "bravo")]
+        wobble = "name=wob,center_noise=1.0,seed=8"
         handles = lambda: [
             scripted_handle(),
             tts_handle(),
-            scripted_handle(ScriptedTrackerSpec(name="wob", center_noise=1.0, seed=8)),
+            stub_handle("ok"),
+            TrackerHandle.from_command("wob", [
+                sys.executable, "-m", "trackbench.tracker_cli", "scripted",
+                "--groundtruth", "{groundtruth}", "--params", wobble,
+            ], timeout=20.0),
         ]
-        plan = RunPlan(repetitions=3, mode="both")
-        serial = execute_plan(plan, handles(), seqs, master_seed=5, workers=1)
-        parallel = execute_plan(plan, handles(), seqs, master_seed=5, workers=3)
-        assert serial == parallel
+        plan = RunPlan(repetitions=2, mode="both")
+        tables, trees = [], []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"out{workers}"
+            table = execute_plan(plan, handles(), seqs, master_seed=5,
+                                 workers=workers, out_dir=str(out))
+            assert not any(r.error for r in table.rows)
+            tables.append(dumps_measure_table(table))
+            trees.append(tree_bytes(out))
+        # Both stochastic trackers ran every repetition: 2 pairs x 2 runs.
+        assert sum(r.tracker in ("noisy", "wob") for r in table.rows) == 8
+        assert tables[0] == tables[1] == tables[2]
+        assert trees[0] == trees[1] == trees[2]
+        assert len(trees[0]) == 2 * len(table.rows)
 
     def test_rows_sorted_by_tracker_sequence_run(self):
         table = execute_plan(
@@ -189,13 +244,65 @@ class TestRunPlan:
 
 class TestHandle:
     def test_one_session_at_a_time(self):
-        handle = tts_handle()
         seq = static_sequence(4)
-        s = handle.open(seq)
-        with pytest.raises(HandleBusyError):
-            handle.open(seq)
-        s.close()
-        handle.open(seq).close()
+        with listening_tracker("tts") as (host, port):
+            handle = TrackerHandle.from_tcp("tts-tcp", host, port, timeout=10.0)
+            s = handle.open(seq)
+            with pytest.raises(HandleBusyError):
+                handle.open(seq)
+            s.close()
+        # Closing freed the handle, and so does a failed connect: the
+        # endpoint served its one session and left.
+        for _ in range(2):
+            with pytest.raises(PrematureExitError):
+                handle.open(seq)
+
+    def test_racing_opens_of_a_tcp_handle_admit_exactly_one(self):
+        # The endpoint never accepts; connects still complete in its backlog.
+        server = socket.create_server(("127.0.0.1", 0), backlog=16)
+        host, port = server.getsockname()
+        handle = TrackerHandle.from_tcp("t", host, port, timeout=5.0)
+        start = threading.Barrier(8)
+        outcomes = []
+
+        def race():
+            start.wait(timeout=10)
+            try:
+                outcomes.append(handle.open(static_sequence(2)))
+            except HandleBusyError:
+                outcomes.append(None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=race) for _ in range(8)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            for session in outcomes:
+                if session is not None:
+                    session.close()
+            server.close()
+        assert len(outcomes) == 8
+        assert sum(session is not None for session in outcomes) == 1
+
+    @pytest.mark.parametrize("make", [tts_handle, lambda: stub_handle("ok")],
+                             ids=["in-process", "cmd"])
+    def test_fresh_tracker_handles_admit_concurrent_sessions(self, make):
+        handle = make()
+        seq = static_sequence(4)
+        box = seq.annotation.regions[0]
+        with handle.open(seq) as first, handle.open(seq) as second:
+            for session in (first, second):
+                assert session.handshake(0)[1] is True
+            for session in (first, second):
+                assert session.initialize(1, seq.frame_paths[0], box) == box
+            for session in (first, second):
+                assert session.frame(2, seq.frame_paths[1]) == box
 
     def test_no_transport_rejected(self):
         with pytest.raises(ConfigError):
@@ -262,30 +369,12 @@ class TestChildProcess:
 
 class TestTcp:
     def test_tcp_session_matches_in_process(self, tmp_dataset):
-        import os
-
-        from trackbench.io_formats import read_sequence
-
         seq = read_sequence(os.path.join(tmp_dataset, "bravo"))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "trackbench.tracker_cli", "tts", "--listen", "0"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            banner = proc.stdout.readline().split()
-            assert banner[0] == "listening"
-            host, port = banner[1], int(banner[2])
+        with listening_tracker("tts") as (host, port):
             handle = TrackerHandle.from_tcp("tts-tcp", host, port, timeout=10.0)
             got = run_supervised(handle, seq, tau=0.0, seed=3)
-        finally:
-            proc.wait(timeout=10)
-            proc.stdout.close()
-            proc.stderr.close()
         local = run_supervised(tts_handle(), seq, tau=0.0, seed=3)
         assert dumps_record(got) == dumps_record(local)
-        assert proc.returncode == 0
 
     def test_refused_connection_is_premature_exit(self):
         handle = TrackerHandle.from_tcp("nobody", "127.0.0.1", 1, timeout=2.0)
