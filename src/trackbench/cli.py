@@ -20,6 +20,7 @@ from .io_formats import (
     FORMAT_LINE,
     SequenceData,
     format_number,
+    is_safe_name,
     list_sequences,
     read_measure_table,
     read_record,
@@ -59,9 +60,6 @@ def _read_params_file(path: str) -> str:
     return ",".join(lines)
 
 
-_UNSAFE_NAME_CHARS = ("/", "\\", "\t", "\r", "\n")
-
-
 def parse_tracker_spec(spec: str, timeout: float = 30.0) -> TrackerHandle:
     """Turn a tracker spec string into a handle.
 
@@ -77,9 +75,8 @@ def parse_tracker_spec(spec: str, timeout: float = 30.0) -> TrackerHandle:
     CR or LF are rejected.
     """
     handle = _parse_tracker_spec(spec.strip(), timeout)
-    name = handle.name
-    if name in ("", ".", "..") or any(c in name for c in _UNSAFE_NAME_CHARS):
-        raise ConfigError(f"unsafe tracker name {name!r} in {spec!r}")
+    if not is_safe_name(handle.name):
+        raise ConfigError(f"unsafe tracker name {handle.name!r} in {spec!r}")
     return handle
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "format_region",
     "parse_region",
     "SequenceData",
+    "is_safe_name",
     "read_annotation",
     "read_sequence",
     "write_sequence",
@@ -101,6 +102,18 @@ def parse_region(text: str, path=None, line=None) -> Region:
     if w < 0 or h < 0:
         raise ParseError(f"negative region extent: {text!r}", path, line)
     return Region(x, y, w, h)
+
+
+_UNSAFE_NAME_CHARS = ("/", "\\", "\t", "\r", "\n")
+
+
+def is_safe_name(name: str) -> bool:
+    """Whether a name can be a directory under `raw/` and a TSV cell.
+
+    Empty names, `.`, `..` and names containing `/`, `\\`, a tab, CR or
+    LF cannot.
+    """
+    return name not in ("", ".", "..") and not any(c in name for c in _UNSAFE_NAME_CHARS)
 
 
 def _read_lines(path) -> list[str]:
@@ -188,9 +201,13 @@ def read_annotation(seq_dir) -> SequenceAnnotation:
             )
 
     name = os.path.basename(os.path.normpath(seq_dir))
+    source = seq_dir
     meta_path = os.path.join(seq_dir, "sequence.meta")
     if os.path.exists(meta_path):
         name = _read_meta(meta_path).get("name", name)
+        source = meta_path
+    if not is_safe_name(name):
+        raise ParseError(f"unsafe sequence name {name!r}", source)
     return SequenceAnnotation(
         name=name,
         regions=tuple(regions),

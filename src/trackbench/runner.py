@@ -3,7 +3,7 @@
 Trackers are driven over a line-based protocol, UTF-8, one message per
 line, LF-terminated. The evaluator speaks first:
 
-    hello version=1 seed=<u64>          -> hello name=<id> deterministic=<0|1>
+    hello version=1 seed=<u64>          -> hello name=<id> deterministic=<0|1> [runs=many]
     initialize <frame-path> <x>,<y>,<w>,<h>  -> state <x>,<y>,<w>,<h>
     frame <frame-path>                  -> state <x>,<y>,<w>,<h>
     quit                                (tracker exits)
@@ -11,9 +11,17 @@ line, LF-terminated. The evaluator speaks first:
 Numbers are decimal with `.` as separator; regions use the same
 `x,y,w,h` syntax as dataset files. A tracker may answer with a
 zero-area region to deliberately signal loss. Any reply that does not
-match the expected shape is a protocol violation. Frame paths are
-passed verbatim and never opened by the evaluator; paths containing
-whitespace cannot be framed on this protocol and are rejected up front.
+match the expected shape, or that runs past MAX_REPLY_CHARS without a
+newline, is a protocol violation. Frame paths are passed verbatim and
+never opened by the evaluator; paths containing whitespace cannot be
+framed on this protocol and are rejected up front.
+
+A child process that ends its hello reply with `runs=many` accepts a
+fresh `hello` after a run's last reply and resets all its state there.
+`execute_plan` then keeps that child for every run of its (tracker,
+sequence) unit and sends `quit` once, when the unit ends. Any other
+child is started for one run and sent `quit` after it. A run that ends
+in an error always stops its child, so the next run starts a new one.
 
 Per-frame timeouts and tracker crashes invalidate the run (they are
 run failures, not tracking failures). The same engine drives
@@ -33,8 +41,7 @@ import re
 import shlex
 import subprocess
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # hashlib loads OpenSSL; the builtin module is enough for one digest
 # (random.py does the same for sha512).
@@ -87,6 +94,10 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 
+# A reply line, newline included, holds at most this many characters; a
+# region line is under 100. Past it the run fails instead of buffering.
+MAX_REPLY_CHARS = 4096
+
 
 def _parse_state_line(line: str, frame: int) -> Region:
     parts = line.split()
@@ -98,7 +109,7 @@ def _parse_state_line(line: str, frame: int) -> Region:
         raise ProtocolViolationError(f"bad state region: {e}", frame) from None
 
 
-def _parse_hello_line(line: str) -> tuple[str, bool]:
+def _parse_hello_line(line: str) -> dict[str, str]:
     parts = line.split()
     if not parts or parts[0] != "hello":
         raise ProtocolViolationError(f"expected hello reply, got {line!r}", 0)
@@ -110,11 +121,13 @@ def _parse_hello_line(line: str) -> tuple[str, bool]:
         fields[k] = v
     if "name" not in fields or fields.get("deterministic") not in ("0", "1"):
         raise ProtocolViolationError(f"incomplete hello reply: {line!r}", 0)
-    return fields["name"], fields["deterministic"] == "1"
+    return fields
 
 
 class _Session:
     """One evaluation conversation with a tracker."""
+
+    _runs_many = False  # the last hello reply carried runs=many
 
     def _request(self, line: str, frame: int) -> str:
         raise NotImplementedError
@@ -124,7 +137,9 @@ class _Session:
 
     def handshake(self, seed: int) -> tuple[str, bool]:
         reply = self._request(f"hello version={PROTOCOL_VERSION} seed={seed}", 0)
-        return _parse_hello_line(reply)
+        fields = _parse_hello_line(reply)
+        self._runs_many = fields.get("runs") == "many"
+        return fields["name"], fields["deterministic"] == "1"
 
     def initialize(self, frame: int, path: str, region: Region) -> Region:
         reply = self._request(f"initialize {path} {format_region(region)}", frame)
@@ -176,13 +191,25 @@ class InProcessSession(_Session):
 
 
 _EOF = object()
+_OVERFLOW = object()
+
+
+def _over_limit(line: str) -> bool:
+    return len(line) == MAX_REPLY_CHARS and not line.endswith("\n")
 
 
 class PipeSession(_Session):
-    """Child process spoken to over stdin/stdout."""
+    """Child process spoken to over stdin/stdout.
 
-    def __init__(self, argv: list[str], timeout: float):
+    `idle` is the slot of a pair-scoped TrackerHandle, or None. A clean
+    quit() after a hello that carried `runs=many` parks the session
+    there with its child alive, and close() leaves a parked session
+    alone. Every other end of a run stops the child.
+    """
+
+    def __init__(self, argv: list[str], timeout: float, idle: list | None = None):
         self._timeout = timeout
+        self._idle = idle
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -200,8 +227,12 @@ class PipeSession(_Session):
         self._reader.start()
 
     def _pump(self) -> None:
+        readline = self._proc.stdout.readline
         try:
-            for line in self._proc.stdout:
+            while line := readline(MAX_REPLY_CHARS):
+                if _over_limit(line):
+                    self._lines.put(_OVERFLOW)
+                    break
                 self._lines.put(line)
         finally:
             self._lines.put(_EOF)
@@ -228,9 +259,17 @@ class PipeSession(_Session):
         if reply is _EOF:
             code = self._proc.poll()
             raise PrematureExitError(f"tracker exited (status {code})", frame)
+        if reply is _OVERFLOW:
+            # Nothing drains its stdout any more, so it would never read quit.
+            self._proc.kill()
+            raise ProtocolViolationError(
+                f"reply longer than {MAX_REPLY_CHARS} characters", frame
+            )
         return reply.rstrip("\n")
 
     def close(self) -> None:
+        if self._idle and self in self._idle:
+            return
         if self._proc.poll() is None:
             self._send_only("quit")
             try:
@@ -245,7 +284,12 @@ class PipeSession(_Session):
                 pass
 
     def quit(self) -> None:
-        self.close()
+        # An unread line would answer the next run's hello.
+        if (self._idle is not None and self._runs_many
+                and self._proc.poll() is None and self._lines.empty()):
+            self._idle.append(self)
+        else:
+            self.close()
 
 
 class TcpSession(_Session):
@@ -282,13 +326,17 @@ class TcpSession(_Session):
         except OSError as e:
             raise PrematureExitError(f"connection lost: {e}", frame) from None
         try:
-            reply = self._file.readline()
+            reply = self._file.readline(MAX_REPLY_CHARS)
         except TimeoutError:
             raise TrackerTimeoutError(f"no reply within {self._timeout}s", frame) from None
         except OSError as e:
             raise PrematureExitError(f"connection lost: {e}", frame) from None
         if reply == "":
             raise PrematureExitError("connection closed", frame)
+        if _over_limit(reply):
+            raise ProtocolViolationError(
+                f"reply longer than {MAX_REPLY_CHARS} characters", frame
+            )
         return reply.rstrip("\n")
 
     def close(self) -> None:
@@ -324,6 +372,11 @@ class TrackerHandle:
     tracker per session, so they admit any number of open sessions. A
     TCP endpoint serves one session at a time: a second concurrent
     `open` raises HandleBusyError.
+
+    `execute_plan` runs each (tracker, sequence) unit on a copy whose
+    `_idle` slot is a list. A `command` child that declared `runs=many`
+    waits there after a clean run, the next `open` resumes it instead
+    of starting a process, and `close_idle` stops it when the unit ends.
     """
 
     name: str
@@ -332,6 +385,7 @@ class TrackerHandle:
     command: tuple[str, ...] | None = None
     address: tuple[str, int] | None = None
     _busy: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _idle: list | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def in_process(cls, name: str, factory, timeout: float = 30.0) -> "TrackerHandle":
@@ -370,7 +424,9 @@ class TrackerHandle:
         if self.factory is not None:
             return InProcessSession(self.factory(seq))
         if self.command is not None:
-            return PipeSession(self._expand_command(seq), self.timeout)
+            if self._idle:
+                return self._idle.pop()
+            return PipeSession(self._expand_command(seq), self.timeout, self._idle)
         if self.address is None:
             raise ConfigError(f"tracker {self.name!r} has no transport")
         if not self._busy.acquire(blocking=False):
@@ -380,6 +436,10 @@ class TrackerHandle:
         except BaseException:
             self._busy.release()
             raise
+
+    def close_idle(self) -> None:
+        while self._idle:
+            self._idle.pop().close()
 
 
 # Matches what str.isspace accepts: both use the same Unicode table.
@@ -502,42 +562,47 @@ def _run_pair(
     rows = []
     a = seq.annotation
     hello: dict = {}  # this pair's first handshake decides the collapse
-    for rep in range(plan.repetitions):
-        trajectory = None
-        record = None
-        error = None
-        try:
-            if plan.mode in ("unsupervised", "both"):
-                seed = derive_seed(master_seed, handle.name, a.name, rep, "unsupervised")
-                trajectory = run_unsupervised(handle, seq, seed=seed, hello=hello)
-            if plan.mode in ("supervised", "both"):
-                seed = derive_seed(master_seed, handle.name, a.name, rep, "supervised")
-                record = run_supervised(handle, seq, tau=plan.tau, seed=seed, hello=hello)
-        except RunError as e:
-            error = str(e)
-        try:
-            values = compute_all(a, trajectory, record)
-        except TrackbenchError as e:
-            values = (float("nan"),) * 16
-            error = error or f"measure error: {e}"
-        if out_dir is not None:
-            d = _raw_dir(out_dir, handle.name, a.name)
-            if trajectory is not None:
-                write_trajectory(os.path.join(d, "run_%02d.traj" % rep), trajectory)
-            if record is not None:
-                write_record(os.path.join(d, "run_%02d.record" % rep), record)
-        rows.append(
-            MeasureRow(
-                tracker=handle.name,
-                sequence=a.name,
-                run=rep,
-                frames=len(a),
-                values=values,
-                error=error,
+    # The unit's runs=many child waits here between runs.
+    handle = replace(handle, _idle=[])
+    try:
+        for rep in range(plan.repetitions):
+            trajectory = None
+            record = None
+            error = None
+            try:
+                if plan.mode in ("unsupervised", "both"):
+                    seed = derive_seed(master_seed, handle.name, a.name, rep, "unsupervised")
+                    trajectory = run_unsupervised(handle, seq, seed=seed, hello=hello)
+                if plan.mode in ("supervised", "both"):
+                    seed = derive_seed(master_seed, handle.name, a.name, rep, "supervised")
+                    record = run_supervised(handle, seq, tau=plan.tau, seed=seed, hello=hello)
+            except RunError as e:
+                error = str(e)
+            try:
+                values = compute_all(a, trajectory, record)
+            except TrackbenchError as e:
+                values = (float("nan"),) * 16
+                error = error or f"measure error: {e}"
+            if out_dir is not None:
+                d = _raw_dir(out_dir, handle.name, a.name)
+                if trajectory is not None:
+                    write_trajectory(os.path.join(d, "run_%02d.traj" % rep), trajectory)
+                if record is not None:
+                    write_record(os.path.join(d, "run_%02d.record" % rep), record)
+            rows.append(
+                MeasureRow(
+                    tracker=handle.name,
+                    sequence=a.name,
+                    run=rep,
+                    frames=len(a),
+                    values=values,
+                    error=error,
+                )
             )
-        )
-        if hello.get("deterministic"):
-            break
+            if hello.get("deterministic"):
+                break
+    finally:
+        handle.close_idle()
     return rows
 
 
@@ -554,12 +619,14 @@ def execute_plan(
     The unit of work is one (tracker, sequence) pair. Its repetitions
     run in order and collapse to a single run when the pair's first
     handshake declares the tracker deterministic. Run errors become
-    rows with the error field set, never aborts. `workers` threads run
-    units in parallel; sessions wait on child pipes and sockets, which
-    releases the GIL. A TCP endpoint serves one session at a time, so
-    all pairs of a `tcp:` handle form one serial unit. Rows are sorted
-    by (tracker, sequence, run) so the result does not depend on
-    scheduling.
+    rows with the error field set, never aborts. `workers` threads take
+    units from one shared iterator; sessions wait on child pipes and
+    sockets, which releases the GIL. Any other exception stops the
+    threads from taking new units, and the first one raised reaches the
+    caller once every thread has finished its unit. A TCP endpoint
+    serves one session at a time, so all pairs of a `tcp:` handle form
+    one serial unit. Rows are sorted by (tracker, sequence, run) so the
+    result does not depend on scheduling.
     """
     # Names key the rows and the raw/<tracker>/<sequence>/ directories,
     # which units on different threads write at the same time.
@@ -580,9 +647,31 @@ def execute_plan(
         return [row for seq in seqs
                 for row in _run_pair(plan, handle, seq, master_seed, out_dir)]
 
+    results: list[list[MeasureRow]] = []
     if workers > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_unit, units))
+        todo = iter(units)
+        lock = threading.Lock()
+        failures: list[BaseException] = []
+
+        def work() -> None:
+            while True:
+                with lock:
+                    unit = None if failures else next(todo, None)
+                if unit is None:
+                    return
+                try:
+                    results.append(run_unit(unit))
+                except BaseException as e:
+                    with lock:
+                        failures.append(e)
+
+        threads = [threading.Thread(target=work) for _ in range(min(workers, len(units)))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if failures:
+            raise failures[0]
     else:
         results = [run_unit(unit) for unit in units]
     rows = sorted((row for unit_rows in results for row in unit_rows),

@@ -1,10 +1,13 @@
 """Standalone tracker process speaking the line protocol.
 
 Runs one of the built-in behaviors behind stdio (default) or a TCP
-socket (--listen PORT, one session then exit). The protocol is the
+socket (--listen PORT, one connection then exit). The protocol is the
 one the runner speaks: `hello version=1 seed=<n>`, `initialize <path>
 <x>,<y>,<w>,<h>`, `frame <path>`, `quit`; every frame is answered with
-`state <x>,<y>,<w>,<h>`.
+`state <x>,<y>,<w>,<h>`. The hello reply ends with `runs=many`: a
+later `hello` starts a new run, and `begin(seed)` resets all of the
+behavior's state, so the runner keeps one process for every run of a
+(tracker, sequence) unit.
 
 Behaviors that need the ground truth (ttf, tto, scripted) take it via
 --groundtruth or --sequence; tta needs the frame size via --meta or
@@ -14,9 +17,9 @@ specs, e.g.:
     trackbench run --dataset data \\
         --tracker 'cmd:ttf:trackbench-tracker ttf --groundtruth {groundtruth}'
 
-Every supervised session starts one of these processes, so this module
-imports only what serving needs: no numpy, measures, runner, analysis
-or cli (tests/test_imports.py holds it to that).
+Every (tracker, sequence) unit of a run starts one of these processes,
+so this module imports only what serving needs: no numpy, measures,
+runner, analysis or cli (tests/test_imports.py holds it to that).
 """
 
 import argparse
@@ -92,7 +95,7 @@ def _build_behavior(args):
 
 
 def serve(behavior, rfile, wfile) -> int:
-    """Run one protocol session; returns the process exit code."""
+    """Serve runs until quit or end of input; returns the exit code."""
 
     def reply(line: str) -> None:
         wfile.write(line + "\n")
@@ -114,7 +117,7 @@ def serve(behavior, rfile, wfile) -> int:
                     return 2
                 behavior.begin(int(kv.get("seed", "0")))
                 det = 1 if behavior.deterministic else 0
-                reply(f"hello name={behavior.name} deterministic={det}")
+                reply(f"hello name={behavior.name} deterministic={det} runs=many")
             elif cmd == "initialize":
                 if len(parts) < 3:
                     reply("error initialize needs a path and a region")

@@ -10,6 +10,14 @@ scripted misbehavior selected by argv[1]:
   exit      exits silently before answering the 2nd frame request
   badhello  mangles the handshake reply
   zerocopy  reports a zero-area region on every frame request
+  flood     answers the 2nd frame request with megabytes and no newline
+
+Options may follow the mode:
+
+  runs=many        end the hello reply with runs=many; every hello then
+                   starts a new run
+  deterministic=0  declare the tracker stochastic, so repetitions run
+  at=K             misbehave only in the K-th run of this process
 
 Deliberately self-contained: no package imports, so it behaves like a
 foreign executable.
@@ -21,7 +29,13 @@ import time
 
 def main() -> int:
     mode = sys.argv[1] if len(sys.argv) > 1 else "ok"
+    options = dict(arg.split("=", 1) for arg in sys.argv[2:])
+    hello = f"hello name=stub deterministic={options.get('deterministic', '1')}"
+    if options.get("runs") == "many":
+        hello += " runs=many"
+    at = int(options.get("at", "0"))
     held = "0,0,0,0"
+    runs = 0
     frames_seen = 0
     for raw in sys.stdin:
         line = raw.strip()
@@ -30,22 +44,29 @@ def main() -> int:
         parts = line.split()
         cmd = parts[0]
         if cmd == "hello":
+            runs += 1
+            frames_seen = 0
             if mode == "badhello":
                 print("hi there", flush=True)
             else:
-                print("hello name=stub deterministic=1", flush=True)
+                print(hello, flush=True)
         elif cmd == "initialize":
             held = parts[-1]
             print(f"state {held}", flush=True)
         elif cmd == "frame":
             frames_seen += 1
-            if frames_seen == 2:
+            if frames_seen == 2 and at in (0, runs):
                 if mode == "garbage":
                     print("banana banana banana", flush=True)
                     continue
                 if mode == "slow":
                     time.sleep(5.0)
                 if mode == "exit":
+                    return 1
+                if mode == "flood":
+                    for _ in range(256):
+                        sys.stdout.write("x" * (1 << 20))
+                        sys.stdout.flush()
                     return 1
             if mode == "zerocopy":
                 print("state 0,0,0,0", flush=True)

@@ -3,17 +3,27 @@ import os
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trackbench import cli
 from trackbench.errors import ConfigError
 from trackbench.io_formats import (
     dumps_measure_table,
+    format_region,
     loads_measure_table,
     read_measure_table,
     write_measure_table,
 )
-from trackbench.theoretical import ScriptedTrackerSpec, StaticTracker
+from trackbench.theoretical import (
+    ScriptedTracker,
+    ScriptedTrackerSpec,
+    StaticTracker,
+    make_theoretical,
+)
 from trackbench.tracker_cli import serve
+
+from conftest import moving_sequence
 
 SCRIPTED = "scripted:name=jig,center_noise=2.5,scale_noise=0.05,seed=5"
 
@@ -83,6 +93,16 @@ class TestTrackerSpecs:
     def test_names_unsafe_as_path_or_cell_rejected(self, spec):
         with pytest.raises(ConfigError, match="unsafe tracker name"):
             cli.parse_tracker_spec(spec)
+
+
+def test_run_rejects_a_sequence_name_that_escapes_raw(tmp_dataset, tmp_path, capsys):
+    with open(os.path.join(tmp_dataset, "alpha", "sequence.meta"), "a") as fh:
+        fh.write("name=../../escaped\n")
+    out = tmp_path / "found" / "out" / "x"
+    rc = cli.main(["run", "--dataset", tmp_dataset, "--out", str(out), "--tracker", "tts"])
+    assert rc == 1
+    assert "unsafe sequence name" in capsys.readouterr().err
+    assert not (out / "escaped").exists()
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +326,38 @@ class TestPlotCommand:
         assert cli.main(["plot", "--type", "overlap", "--sequence", seq]) == 2
 
 
+RESET_SEQ = moving_sequence(10)
+NOISY_DRIFT = ScriptedTrackerSpec(
+    name="wob", center_noise=1.5, scale_noise=0.03, loss_prob=0.2,
+    drift_onset=2, drift_velocity=(0.5, -0.25), seed=9,
+)
+
+
+def fresh_behavior(kind):
+    if kind == "scripted":
+        return ScriptedTracker(NOISY_DRIFT, RESET_SEQ.annotation)
+    return make_theoretical(kind, RESET_SEQ)
+
+
+def run_messages(seed, length, inits):
+    """One run's messages: hello, then frames 1..length; `inits` reinitialize."""
+    regions, paths = RESET_SEQ.annotation.regions, RESET_SEQ.frame_paths
+    lines = [f"hello version=1 seed={seed}"]
+    for t in range(1, length + 1):
+        if t == 1 or t in inits:
+            lines.append(f"initialize {paths[t - 1]} {format_region(regions[t - 1])}")
+        else:
+            lines.append(f"frame {paths[t - 1]}")
+    return lines
+
+
+def served_text(behavior, lines):
+    wfile = io.StringIO()
+    rfile = io.StringIO("".join(line + "\n" for line in lines))
+    assert serve(behavior, rfile, wfile) == 0
+    return wfile.getvalue()
+
+
 class TestTrackerServe:
     def run_session(self, lines):
         rfile = io.StringIO("".join(line + "\n" for line in lines))
@@ -313,6 +365,18 @@ class TestTrackerServe:
         behavior = StaticTracker()
         code = serve(behavior, rfile, wfile)
         return code, wfile.getvalue().splitlines()
+
+    @given(
+        kind=st.sampled_from(["tta", "tts", "ttf", "tto", "scripted"]),
+        seeds=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+        lengths=st.tuples(st.integers(1, 10), st.integers(1, 10)),
+        inits=st.tuples(*[st.frozensets(st.integers(2, 10), max_size=3)] * 2),
+    )
+    def test_a_second_hello_resets_every_behavior(self, kind, seeds, lengths, inits):
+        runs = [run_messages(*args) for args in zip(seeds, lengths, inits)]
+        together = served_text(fresh_behavior(kind), runs[0] + runs[1] + ["quit"])
+        apart = "".join(served_text(fresh_behavior(kind), run + ["quit"]) for run in runs)
+        assert together == apart
 
     def test_full_session(self):
         code, replies = self.run_session([
@@ -323,7 +387,7 @@ class TestTrackerServe:
         ])
         assert code == 0
         assert replies == [
-            "hello name=tts deterministic=1",
+            "hello name=tts deterministic=1 runs=many",
             "state 10,20,30,40",
             "state 10,20,30,40",
         ]

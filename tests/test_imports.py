@@ -1,9 +1,11 @@
 """Import budget: what each entry point loads in a fresh interpreter.
 
-Every supervised session of a `cmd:` tracker starts a new
-`trackbench.tracker_cli` process, so whatever that module imports is
-paid once per session. These checks run in a subprocess because the
-test process itself has long since imported everything.
+Every (tracker, sequence) unit of a `cmd:` tracker starts a new
+`trackbench.tracker_cli` process, and one that does not declare
+`runs=many` starts one per run, so whatever that module imports is
+paid at least once per unit. The evaluator's own imports are paid by
+every `trackbench` command. These checks run in a subprocess because
+the test process itself has long since imported everything.
 """
 
 import importlib
@@ -50,6 +52,13 @@ def test_evaluator_loads_no_openssl_or_socket():
     loaded = loaded_after("import trackbench.cli")
     assert "trackbench.runner" in loaded
     assert not {"_hashlib", "socket"} & loaded, sorted({"_hashlib", "socket"} & loaded)
+
+
+def test_evaluator_loads_no_thread_pool_or_logging():
+    # Plain threads run the units; concurrent.futures would pull in logging.
+    loaded = loaded_after("import trackbench.cli")
+    unneeded = {"concurrent.futures", "logging"}
+    assert not unneeded & loaded, sorted(unneeded & loaded)
 
 
 def test_bare_package_import_loads_no_numpy():

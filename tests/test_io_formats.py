@@ -114,6 +114,17 @@ class TestSequenceDir:
         a = read_annotation(str(d))
         assert a.name == "fallback"
 
+    @pytest.mark.parametrize("name", ["../../escaped", "a\tb", ""],
+                             ids=["escape", "tab", "empty"])
+    def test_unsafe_meta_name_rejected_naming_the_file(self, tmp_path, name):
+        d = tmp_path / "seq"
+        d.mkdir()
+        (d / "groundtruth.txt").write_text("0,0,2,2\n")
+        (d / "sequence.meta").write_text(f"name={name}\nwidth=9\nheight=9\n")
+        with pytest.raises(ParseError, match="unsafe sequence name") as e:
+            read_sequence(str(d))
+        assert e.value.path == str(d / "sequence.meta")
+
     def test_blank_ground_truth_line_rejected(self, tmp_path):
         d = tmp_path / "bad"
         d.mkdir()

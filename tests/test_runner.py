@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from trackbench.errors import (
 from trackbench.geometry import Region, overlap
 from trackbench.io_formats import SequenceData, dumps_measure_table, dumps_record, read_sequence
 from trackbench.runner import (
+    MAX_REPLY_CHARS,
     RunPlan,
     TrackerHandle,
     derive_seed,
@@ -31,6 +33,7 @@ from trackbench.theoretical import (
     ScriptedTrackerSpec,
     StaticTracker,
     make_theoretical,
+    parse_scripted_params,
 )
 
 from conftest import STUB, make_sequence, moving_sequence, static_sequence
@@ -48,10 +51,40 @@ def scripted_handle(spec=NOISY):
     )
 
 
-def stub_handle(mode, timeout=10.0):
+def stub_handle(mode, *options, timeout=10.0):
     return TrackerHandle.from_command(
-        f"stub-{mode}", [sys.executable, STUB, mode], timeout=timeout
+        f"stub-{mode}", [sys.executable, STUB, mode, *options], timeout=timeout
     )
+
+
+WOBBLE = "name=wob,center_noise=1.0,seed=8"
+
+
+def wob_handle():
+    """A stochastic `trackbench-tracker scripted` child; it declares runs=many."""
+    return TrackerHandle.from_command("wob", [
+        sys.executable, "-m", "trackbench.tracker_cli", "scripted",
+        "--groundtruth", "{groundtruth}", "--params", WOBBLE,
+    ], timeout=20.0)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every process the runner starts during the test, in start order."""
+    procs = []
+    popen = subprocess.Popen
+
+    def counting(*args, **kwargs):
+        proc = popen(*args, **kwargs)
+        procs.append(proc)
+        return proc
+
+    monkeypatch.setattr(subprocess, "Popen", counting)
+    return procs
+
+
+def all_exited(procs):
+    return all(proc.poll() is not None for proc in procs)
 
 
 @contextlib.contextmanager
@@ -194,30 +227,57 @@ class TestRunPlan:
 
     def test_worker_count_does_not_change_the_table(self, tmp_dataset, tmp_path):
         seqs = [read_sequence(os.path.join(tmp_dataset, n)) for n in ("alpha", "bravo")]
-        wobble = "name=wob,center_noise=1.0,seed=8"
-        handles = lambda: [
+        child_handles = lambda: [scripted_handle(), tts_handle(), stub_handle("ok"), wob_handle()]
+        # The same trackers, every one in-process.
+        local_handles = [
             scripted_handle(),
             tts_handle(),
-            stub_handle("ok"),
-            TrackerHandle.from_command("wob", [
-                sys.executable, "-m", "trackbench.tracker_cli", "scripted",
-                "--groundtruth", "{groundtruth}", "--params", wobble,
-            ], timeout=20.0),
+            TrackerHandle.in_process("stub-ok", lambda seq: StaticTracker()),
+            scripted_handle(parse_scripted_params(WOBBLE)),
         ]
         plan = RunPlan(repetitions=2, mode="both")
         tables, trees = [], []
-        for workers in (1, 2, 3):
-            out = tmp_path / f"out{workers}"
-            table = execute_plan(plan, handles(), seqs, master_seed=5,
+        for workers, handles in ((1, child_handles()), (2, child_handles()),
+                                 (3, child_handles()), (2, local_handles)):
+            out = tmp_path / f"out{len(tables)}"
+            table = execute_plan(plan, handles, seqs, master_seed=5,
                                  workers=workers, out_dir=str(out))
             assert not any(r.error for r in table.rows)
             tables.append(dumps_measure_table(table))
             trees.append(tree_bytes(out))
         # Both stochastic trackers ran every repetition: 2 pairs x 2 runs.
         assert sum(r.tracker in ("noisy", "wob") for r in table.rows) == 8
-        assert tables[0] == tables[1] == tables[2]
-        assert trees[0] == trees[1] == trees[2]
+        assert tables[0] == tables[1] == tables[2] == tables[3]
+        assert trees[0] == trees[1] == trees[2] == trees[3]
         assert len(trees[0]) == 2 * len(table.rows)
+
+    def test_every_unit_runs_exactly_once_under_thread_churn(self):
+        seqs = [static_sequence(4, name=f"s{i:02d}") for i in range(24)]
+        handles = lambda: [scripted_handle(), tts_handle()]
+        plan = RunPlan(repetitions=2, mode="both")
+        serial = execute_plan(plan, handles(), seqs, master_seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = execute_plan(plan, handles(), seqs, master_seed=3, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        keys = [(r.tracker, r.sequence, r.run) for r in threaded.rows]
+        assert len(keys) == len(set(keys)) == 24 * 3
+        assert dumps_measure_table(threaded) == dumps_measure_table(serial)
+
+    def test_a_worker_exception_reaches_the_caller(self):
+        def factory(seq):
+            if seq.annotation.name == "s3":
+                raise ValueError("no tracker for s3")
+            return StaticTracker()
+
+        seqs = [static_sequence(4, name=f"s{i}") for i in range(6)]
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^no tracker for s3$"):
+            execute_plan(RunPlan(repetitions=1), [TrackerHandle.in_process("t", factory)],
+                         seqs, workers=3)
+        assert threading.active_count() == before
 
     def test_rows_sorted_by_tracker_sequence_run(self):
         table = execute_plan(
@@ -240,6 +300,93 @@ class TestRunPlan:
         d = out / "raw" / "tts" / "alpha"
         assert (d / "run_00.traj").exists()
         assert (d / "run_00.record").exists()
+
+
+class TestSessionReuse:
+    def test_a_runs_many_unit_starts_one_process(self, tmp_dataset, started):
+        seq = read_sequence(os.path.join(tmp_dataset, "alpha"))
+        table = execute_plan(RunPlan(repetitions=3, mode="both"), [wob_handle()], [seq])
+        assert [r.run for r in table.rows] == [0, 1, 2]
+        assert not any(r.error for r in table.rows)
+        assert len(started) == 1
+        assert all_exited(started)
+
+    def test_a_tracker_without_the_token_starts_one_process_per_run(self, started):
+        handle = stub_handle("ok", "deterministic=0")
+        table = execute_plan(RunPlan(repetitions=3, mode="both"), [handle], [static_sequence(6)])
+        assert len(table.rows) == 3
+        assert len(started) == 6
+        assert all_exited(started)
+
+    @pytest.mark.parametrize("mode, timeout", [("exit", 10.0), ("slow", 0.5)])
+    def test_a_failed_run_stops_its_process_and_the_next_run_starts_anew(
+        self, started, mode, timeout
+    ):
+        seq = static_sequence(8)
+        handle = stub_handle(mode, "runs=many", "deterministic=0", "at=2", timeout=timeout)
+        table = execute_plan(RunPlan(repetitions=3, mode="unsupervised"), [handle], [seq])
+        assert len(started) == 2  # run 1 and 2 in one process, run 3 in a new one
+        # The error row of a tracker that gets one process per run.
+        once = execute_plan(RunPlan(repetitions=1, mode="unsupervised"),
+                            [stub_handle(mode, "deterministic=0", timeout=timeout)], [seq])
+        first, failed, after = table.rows
+        assert failed.error is not None and failed.error == once.rows[0].error
+        assert repr(failed.values) == repr(once.rows[0].values)
+        assert first.error is None and after.error is None
+        assert repr(after.values) == repr(first.values)
+        assert all_exited(started)
+
+    def test_no_process_outlives_a_plan_that_raises(self, tmp_dataset, tmp_path, started):
+        seqs = [read_sequence(os.path.join(tmp_dataset, n)) for n in ("alpha", "bravo")]
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "raw").write_text("a file where the raw/ directory should go\n")
+        handles = [wob_handle(), stub_handle("ok", "runs=many", "deterministic=0")]
+        with pytest.raises(OSError):
+            execute_plan(RunPlan(repetitions=2, mode="both"), handles, seqs,
+                         workers=2, out_dir=str(out))
+        assert started
+        assert all_exited(started)
+
+    def test_every_run_opens_its_session_through_the_handle(
+        self, tmp_dataset, started, monkeypatch
+    ):
+        # A wrapper around TrackerHandle.open that exposes only the
+        # session methods a run may use still sees every run.
+        opened = []
+        handle_open = TrackerHandle.open
+
+        class Proxy:
+            def __init__(self, inner):
+                self.handshake, self.initialize = inner.handshake, inner.initialize
+                self.frame, self.quit, self.close = inner.frame, inner.quit, inner.close
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.close()
+
+        def wrapped(handle, seq):
+            opened.append(seq.annotation.name)
+            return Proxy(handle_open(handle, seq))
+
+        monkeypatch.setattr(TrackerHandle, "open", wrapped)
+        seqs = [read_sequence(os.path.join(tmp_dataset, n)) for n in ("alpha", "bravo")]
+        table = execute_plan(RunPlan(repetitions=3, mode="both"), [wob_handle()], seqs,
+                             workers=2)
+        assert not any(r.error for r in table.rows)
+        assert len(opened) == 2 * len(table.rows) == 12
+        assert len(started) == 2
+        assert all_exited(started)
+
+    def test_direct_runs_never_keep_a_process(self, tmp_dataset, started):
+        seq = read_sequence(os.path.join(tmp_dataset, "alpha"))
+        handle = wob_handle()
+        run_unsupervised(handle, seq, seed=1)
+        run_supervised(handle, seq, seed=1)
+        assert len(started) == 2
+        assert all_exited(started)
 
 
 class TestHandle:
@@ -343,6 +490,14 @@ class TestChildProcess:
             run_supervised(stub_handle("exit"), seq, tau=0.0, seed=0)
         assert e.value.frame == 3
 
+    def test_endless_reply_line_fails_fast_and_stops_the_tracker(self, started):
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolViolationError, match="reply longer") as e:
+            run_supervised(stub_handle("flood", timeout=10.0), static_sequence(8))
+        assert time.monotonic() - t0 < 5.0  # half the per-frame timeout
+        assert e.value.frame == 3
+        assert all_exited(started)
+
     def test_mangled_handshake_is_rejected_at_frame_zero(self):
         seq = static_sequence(8)
         with pytest.raises(ProtocolViolationError) as e:
@@ -375,6 +530,29 @@ class TestTcp:
             got = run_supervised(handle, seq, tau=0.0, seed=3)
         local = run_supervised(tts_handle(), seq, tau=0.0, seed=3)
         assert dumps_record(got) == dumps_record(local)
+
+    def test_endless_reply_line_is_a_protocol_violation(self):
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def flood():
+            conn, _ = server.accept()
+            # The evaluator closes with the flood unread, which may reset.
+            with conn, contextlib.suppress(OSError):
+                conn.makefile("rb").readline()
+                conn.sendall(b"x" * (4 * MAX_REPLY_CHARS))
+                while conn.recv(4096):
+                    pass
+
+        thread = threading.Thread(target=flood)
+        thread.start()
+        try:
+            handle = TrackerHandle.from_tcp("flood", *server.getsockname(), timeout=10.0)
+            with pytest.raises(ProtocolViolationError, match="reply longer") as e:
+                run_unsupervised(handle, static_sequence(3))
+            assert e.value.frame == 0
+        finally:
+            thread.join(timeout=10)
+            server.close()
 
     def test_refused_connection_is_premature_exit(self):
         handle = TrackerHandle.from_tcp("nobody", "127.0.0.1", 1, timeout=2.0)
