@@ -43,7 +43,7 @@ _HOMES = {
         "kmeans_labels", "label_sequences",
     ),
     "theoretical": (
-        "ScriptedTrackerSpec", "ScriptedTracker", "make_theoretical",
+        "ScriptedTrackerSpec", "ScriptedTracker", "BuiltinTracker",
         "theoretical_trajectory", "scripted_trajectory",
         "sequence_properties", "theoretical_ar_points",
     ),

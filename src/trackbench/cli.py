@@ -31,20 +31,14 @@ from .io_formats import (
     write_correlation_matrix,
     write_label_table,
     write_measure_table,
+    write_text,
 )
 from .measures import compute_all, measure_keys
 from .runner import RunPlan, TrackerHandle, execute_plan
-from .theoretical import (
-    ScriptedTracker,
-    make_theoretical,
-    parse_scripted_params,
-    theoretical_ar_points,
-)
+from .theoretical import BUILTINS, BuiltinTracker, theoretical_ar_points
 from .trajectory import MeasureRow, MeasureTable, score_record, score_trajectory
 
-THEORETICAL_NAMES = ("tta", "tts", "ttf", "tto")
-
-__all__ = ["main", "parse_tracker_spec", "parse_scripted_params"]
+__all__ = ["main", "parse_tracker_spec"]
 
 
 def _read_params_file(path: str) -> str:
@@ -65,14 +59,16 @@ def parse_tracker_spec(spec: str, timeout: float = 30.0) -> TrackerHandle:
 
     Forms:
       tta | tts | ttf | tto                  theoretical trackers
-      scripted:key=value,...                 scripted perturbation of ground truth
+      scripted[:key=value,...]               scripted perturbation of ground truth
       scripted:@params.txt                   same, parameters from a file
       cmd:<name>:<command line>              child process over stdio
       tcp:<name>:<host>:<port>               live process over TCP
 
-    The tracker name becomes a directory under `raw/` and a TSV cell,
-    so empty names, `.`, `..` and names containing `/`, `\\`, a tab,
-    CR or LF are rejected.
+    The built-in forms (theoretical.BUILTINS) become a BuiltinTracker
+    that the handle calls to build the behavior; only scripted takes
+    parameters. The tracker name becomes a directory under `raw/` and
+    a TSV cell, so empty names, `.`, `..` and names containing `/`,
+    `\\`, a tab, CR or LF are rejected.
     """
     handle = _parse_tracker_spec(spec.strip(), timeout)
     if not is_safe_name(handle.name):
@@ -81,29 +77,20 @@ def parse_tracker_spec(spec: str, timeout: float = 30.0) -> TrackerHandle:
 
 
 def _parse_tracker_spec(spec: str, timeout: float) -> TrackerHandle:
-    if spec in THEORETICAL_NAMES:
-        return TrackerHandle.in_process(
-            spec, lambda seq, k=spec: make_theoretical(k, seq), timeout=timeout
-        )
-    if spec.startswith("scripted:"):
-        body = spec[len("scripted:"):]
-        if body.startswith("@"):
+    kind, colon, body = spec.partition(":")
+    if kind in BUILTINS:
+        if kind == "scripted" and body.startswith("@"):
             body = _read_params_file(body[1:])
-        params = parse_scripted_params(body)
-        return TrackerHandle.in_process(
-            params.name,
-            lambda seq, p=params: ScriptedTracker(p, seq.annotation),
-            timeout=timeout,
-        )
-    if spec.startswith("cmd:"):
-        rest = spec[len("cmd:"):]
-        if ":" not in rest:
+        tracker = BuiltinTracker.parse(kind, body if colon else None)
+        return TrackerHandle.in_process(tracker.name, tracker, timeout=timeout)
+    if kind == "cmd":
+        if ":" not in body:
             raise ConfigError(f"cmd tracker needs cmd:<name>:<command>, got {spec!r}")
-        name, command = rest.split(":", 1)
+        name, command = body.split(":", 1)
         if not name or not command.strip():
             raise ConfigError(f"cmd tracker needs a name and a command, got {spec!r}")
         return TrackerHandle.from_command(name, command, timeout=timeout)
-    if spec.startswith("tcp:"):
+    if kind == "tcp":
         parts = spec.split(":")
         if len(parts) != 4:
             raise ConfigError(f"tcp tracker needs tcp:<name>:<host>:<port>, got {spec!r}")
@@ -165,11 +152,6 @@ def _load_dataset(root: str) -> list[SequenceData]:
     return [read_sequence(d) for d in dirs]
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _cmd_synth(args) -> int:
     from .synthdata import make_dataset, write_dataset
 
@@ -225,7 +207,7 @@ def _cmd_run(args) -> int:
         f"tau={format_number(float(tau))}",
         f"master_seed={seed}",
     ]
-    _write_text(
+    write_text(
         os.path.join(out_dir, "manifest.txt"),
         "".join(line + "\n" for line in manifest),
     )
@@ -413,7 +395,7 @@ def _cmd_plot(args) -> int:
     else:  # unreachable, argparse restricts choices
         raise ConfigError(f"unknown plot type {args.type!r}")
 
-    _write_text(out_path, svg)
+    write_text(out_path, svg)
     print(f"wrote {out_path}")
     return 0
 

@@ -44,7 +44,9 @@ __all__ = [
     "parse_region",
     "SequenceData",
     "is_safe_name",
+    "write_text",
     "read_annotation",
+    "read_image_size",
     "read_sequence",
     "write_sequence",
     "list_sequences",
@@ -128,7 +130,8 @@ def _read_lines(path) -> list[str]:
     return lines
 
 
-def _write_text(path, text: str) -> None:
+def write_text(path, text: str) -> None:
+    """Write text as UTF-8 with LF newlines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -174,9 +177,15 @@ def _read_meta(path) -> dict[str, str]:
     return meta
 
 
-def read_annotation(seq_dir) -> SequenceAnnotation:
-    """Read groundtruth.txt (and center.txt if present) from a sequence dir."""
-    gt_path = os.path.join(seq_dir, "groundtruth.txt")
+def read_annotation(seq_dir, gt_path=None) -> SequenceAnnotation:
+    """Read groundtruth.txt (and center.txt if present) from a sequence dir.
+
+    gt_path names a ground truth file to read in place of the
+    directory's groundtruth.txt; center.txt and sequence.meta still
+    come from seq_dir.
+    """
+    if gt_path is None:
+        gt_path = os.path.join(seq_dir, "groundtruth.txt")
     regions = []
     for i, line in enumerate(_read_lines(gt_path), start=1):
         if line.strip() == "":
@@ -215,18 +224,22 @@ def read_annotation(seq_dir) -> SequenceAnnotation:
     )
 
 
+def read_image_size(meta_path) -> tuple[float, float] | None:
+    """(width, height) from a sequence.meta file; None when either is absent."""
+    meta = _read_meta(meta_path)
+    if "width" not in meta or "height" not in meta:
+        return None
+    return (
+        parse_number(meta["width"], meta_path),
+        parse_number(meta["height"], meta_path),
+    )
+
+
 def read_sequence(seq_dir) -> SequenceData:
     """Load a sequence directory into a SequenceData bundle."""
     annotation = read_annotation(seq_dir)
-    image_size = None
     meta_path = os.path.join(seq_dir, "sequence.meta")
-    if os.path.exists(meta_path):
-        meta = _read_meta(meta_path)
-        if "width" in meta and "height" in meta:
-            image_size = (
-                parse_number(meta["width"], meta_path),
-                parse_number(meta["height"], meta_path),
-            )
+    image_size = read_image_size(meta_path) if os.path.exists(meta_path) else None
 
     frames_dir = os.path.join(seq_dir, "frames")
     if not os.path.isdir(frames_dir):
@@ -253,12 +266,12 @@ def write_sequence(seq_dir, annotation: SequenceAnnotation,
                    image_size: tuple[float, float] | None = None) -> None:
     """Write a sequence directory: ground truth, optional centers, meta."""
     os.makedirs(seq_dir, exist_ok=True)
-    _write_text(
+    write_text(
         os.path.join(seq_dir, "groundtruth.txt"),
         "".join(format_region(r) + "\n" for r in annotation.regions),
     )
     if annotation.centers is not None:
-        _write_text(
+        write_text(
             os.path.join(seq_dir, "center.txt"),
             "".join(
                 f"{format_number(c.x)},{format_number(c.y)}\n"
@@ -269,8 +282,8 @@ def write_sequence(seq_dir, annotation: SequenceAnnotation,
     if image_size is not None:
         meta.append(f"width={format_number(image_size[0])}")
         meta.append(f"height={format_number(image_size[1])}")
-    _write_text(os.path.join(seq_dir, "sequence.meta"),
-                "".join(m + "\n" for m in meta))
+    write_text(os.path.join(seq_dir, "sequence.meta"),
+               "".join(m + "\n" for m in meta))
 
 
 def list_sequences(root) -> list[str]:
@@ -296,7 +309,7 @@ def read_trajectory(path) -> Trajectory:
 
 
 def write_trajectory(path, t: Trajectory) -> None:
-    _write_text(path, "".join(format_region(r) + "\n" for r in t.regions))
+    write_text(path, "".join(format_region(r) + "\n" for r in t.regions))
 
 
 def dumps_record(rec: SupervisedRunRecord) -> str:
@@ -352,7 +365,7 @@ def read_record(path) -> SupervisedRunRecord:
 
 
 def write_record(path, rec: SupervisedRunRecord) -> None:
-    _write_text(path, dumps_record(rec))
+    write_text(path, dumps_record(rec))
 
 
 def _table_columns() -> list[str]:
@@ -431,7 +444,7 @@ def read_measure_table(path) -> MeasureTable:
 
 
 def write_measure_table(path, table: MeasureTable) -> None:
-    _write_text(path, dumps_measure_table(table))
+    write_text(path, dumps_measure_table(table))
 
 
 def write_correlation_matrix(path, labels, values, counts, notes=()) -> None:
@@ -447,7 +460,7 @@ def write_correlation_matrix(path, labels, values, counts, notes=()) -> None:
             cells.append("NA" if math.isnan(v) else repr(float(v)))
         lines.append("\t".join(cells))
     lines.append("\t".join(["samples"] + [str(int(counts[i][i])) for i in range(n)]))
-    _write_text(path, "".join(line + "\n" for line in lines))
+    write_text(path, "".join(line + "\n" for line in lines))
 
 
 def write_cluster_assignment(path, labels, exemplar_of, converged, iterations,
@@ -460,7 +473,7 @@ def write_cluster_assignment(path, labels, exemplar_of, converged, iterations,
     lines.append("item\texemplar")
     for i, e in enumerate(exemplar_of):
         lines.append(f"{labels[i]}\t{labels[e]}")
-    _write_text(path, "".join(line + "\n" for line in lines))
+    write_text(path, "".join(line + "\n" for line in lines))
 
 
 def write_ar_summary(path, rows, span: float, notes=()) -> None:
@@ -471,7 +484,7 @@ def write_ar_summary(path, rows, span: float, notes=()) -> None:
     for tracker, accuracy, robustness, rel in rows:
         acc = "NA" if math.isnan(accuracy) else repr(float(accuracy))
         lines.append(f"{tracker}\t{acc}\t{repr(float(robustness))}\t{repr(float(rel))}")
-    _write_text(path, "".join(line + "\n" for line in lines))
+    write_text(path, "".join(line + "\n" for line in lines))
 
 
 def write_label_table(path, rows, notes=()) -> None:
@@ -481,4 +494,4 @@ def write_label_table(path, rows, notes=()) -> None:
     lines.append("sequence\tsize\tmotion\tspeed\tsize_change")
     for sequence, size, motion, speed, size_change in rows:
         lines.append(f"{sequence}\t{size}\t{motion}\t{speed}\t{size_change}")
-    _write_text(path, "".join(line + "\n" for line in lines))
+    write_text(path, "".join(line + "\n" for line in lines))

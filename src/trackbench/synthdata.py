@@ -16,7 +16,7 @@ import random
 from .io_formats import SequenceData, write_sequence
 from .geometry import Region
 from .runner import RunPlan, TrackerHandle, execute_plan
-from .theoretical import ScriptedTracker, ScriptedTrackerSpec
+from .theoretical import BuiltinTracker, ScriptedTrackerSpec
 from .trajectory import MeasureTable, SequenceAnnotation
 
 __all__ = [
@@ -205,9 +205,7 @@ def corpus_table(
     if seqs is None:
         seqs = make_dataset()
     handles = [
-        TrackerHandle.in_process(
-            spec.name, lambda seq, s=spec: ScriptedTracker(s, seq.annotation)
-        )
+        TrackerHandle.in_process(spec.name, BuiltinTracker("scripted", spec))
         for spec in corpus_trackers()
     ]
     plan = RunPlan(repetitions=repetitions, mode="both")

@@ -24,6 +24,12 @@ begin(seed), initialize(path, region) -> region, update(path) -> region.
 Behaviors count frames by counting messages, exactly like their
 standalone executable counterparts, so both modes produce identical
 output.
+
+BUILTINS, the one registry of these behaviors, maps each kind to the
+SequenceData field it is built from and to its constructor. Both
+`trackbench run --tracker` and `trackbench-tracker` parse a spec into
+a BuiltinTracker value, and both reject parameters on a kind other
+than scripted.
 """
 
 import math
@@ -37,6 +43,8 @@ from .trajectory import SequenceAnnotation, Tracked, Trajectory, score_record
 
 __all__ = [
     "THEORETICAL_KINDS",
+    "BUILTINS",
+    "BuiltinTracker",
     "TrackerBehavior",
     "FullFrameTracker",
     "StaticTracker",
@@ -45,7 +53,6 @@ __all__ = [
     "ScriptedTrackerSpec",
     "parse_scripted_params",
     "ScriptedTracker",
-    "make_theoretical",
     "theoretical_trajectory",
     "scripted_trajectory",
     "sequence_properties",
@@ -287,17 +294,48 @@ class ScriptedTracker(TrackerBehavior):
         return Region(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
-def make_theoretical(kind: str, seq: SequenceData) -> TrackerBehavior:
-    """Instantiate a theoretical tracker for one sequence."""
-    if kind == "tta":
-        return FullFrameTracker(seq.image_size)
-    if kind == "tts":
-        return StaticTracker()
-    if kind == "ttf":
-        return SelfFailingTracker(seq.annotation)
-    if kind == "tto":
-        return CenterOracleTracker(seq.annotation)
-    raise ConfigError(f"unknown theoretical tracker kind: {kind!r}")
+# kind -> (the SequenceData field its behavior is built from, or None;
+#          constructor(scripted parameters or None, that field's value))
+BUILTINS = {
+    "tta": ("image_size", lambda params, image_size: FullFrameTracker(image_size)),
+    "tts": (None, lambda params, _: StaticTracker()),
+    "ttf": ("annotation", lambda params, annotation: SelfFailingTracker(annotation)),
+    "tto": ("annotation", lambda params, annotation: CenterOracleTracker(annotation)),
+    "scripted": ("annotation", ScriptedTracker),
+}
+
+
+@dataclass(frozen=True)
+class BuiltinTracker:
+    """A built-in tracker spec: a BUILTINS kind, plus parameters for scripted.
+
+    Calling it with a SequenceData builds the behavior, so it is a
+    TrackerHandle.in_process factory that pickles and compares by value.
+    """
+
+    kind: str
+    params: ScriptedTrackerSpec | None = None
+
+    def __post_init__(self):
+        if self.kind not in BUILTINS:
+            raise ConfigError(f"unknown tracker kind {self.kind!r}")
+
+    @classmethod
+    def parse(cls, kind: str, params: str | None = None) -> "BuiltinTracker":
+        """Spec from a kind and, for scripted only, its key=value text."""
+        if kind == "scripted":
+            return cls(kind, parse_scripted_params(params or ""))
+        if params is not None:
+            raise ConfigError(f"tracker kind {kind!r} takes no parameters")
+        return cls(kind)
+
+    @property
+    def name(self) -> str:
+        return self.kind if self.params is None else self.params.name
+
+    def __call__(self, seq: SequenceData) -> TrackerBehavior:
+        needs, build = BUILTINS[self.kind]
+        return build(self.params, None if needs is None else getattr(seq, needs))
 
 
 def theoretical_trajectory(
@@ -349,9 +387,7 @@ def scripted_trajectory(
 def _supervised_tracked_and_failures(kind: str, seq: SequenceData):
     from . import runner
 
-    handle = runner.TrackerHandle.in_process(
-        kind, lambda s, k=kind: make_theoretical(k, s)
-    )
+    handle = runner.TrackerHandle.in_process(kind, BuiltinTracker(kind))
     rec = runner.run_supervised(handle, seq, tau=0.0, seed=0)
     return rec
 

@@ -9,10 +9,13 @@ later `hello` starts a new run, and `begin(seed)` resets all of the
 behavior's state, so the runner keeps one process for every run of a
 (tracker, sequence) unit.
 
-Behaviors that need the ground truth (ttf, tto, scripted) take it via
---groundtruth or --sequence; tta needs the frame size via --meta or
---sequence. These are the placeholders the runner expands in command
-specs, e.g.:
+Which behavior runs comes from `theoretical.BUILTINS`, the registry
+`trackbench run --tracker` also builds from, and so does what the
+process reads before serving: ttf, tto and scripted read the ground
+truth via --groundtruth (with the center.txt beside it) or --sequence;
+tta reads the frame size via --meta or --sequence; tts reads nothing.
+--params is for scripted only, and any other kind rejects it. The
+runner expands placeholders for those paths in command specs, e.g.:
 
     trackbench run --dataset data \\
         --tracker 'cmd:ttf:trackbench-tracker ttf --groundtruth {groundtruth}'
@@ -23,75 +26,32 @@ runner, analysis or cli (tests/test_imports.py holds it to that).
 """
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigError, ParseError, TrackbenchError
-from .io_formats import (
-    _read_meta,
-    format_region,
-    parse_number,
-    parse_region,
-    read_annotation,
-    read_trajectory,
-)
-from .theoretical import (
-    CenterOracleTracker,
-    FullFrameTracker,
-    ScriptedTracker,
-    SelfFailingTracker,
-    StaticTracker,
-    parse_scripted_params,
-)
-from .trajectory import SequenceAnnotation
+from .io_formats import format_region, parse_region, read_annotation, read_image_size
+from .theoretical import BUILTINS, BuiltinTracker
 
 __all__ = ["main", "serve"]
 
-KINDS = ("tta", "tts", "ttf", "tto", "scripted")
 
-
-def _annotation(args):
-    if args.groundtruth:
-        import os
-
-        traj = read_trajectory(args.groundtruth)
-        name = os.path.basename(os.path.dirname(os.path.abspath(args.groundtruth)))
-        return SequenceAnnotation(name=name or "sequence", regions=traj.regions)
-    if args.sequence:
-        return read_annotation(args.sequence)
-    raise ConfigError(f"tracker {args.kind!r} needs --groundtruth or --sequence")
-
-
-def _image_size(args):
-    meta_path = args.meta
-    if meta_path is None and args.sequence:
-        import os
-
-        candidate = os.path.join(args.sequence, "sequence.meta")
-        meta_path = candidate if os.path.exists(candidate) else None
-    if meta_path is None:
-        raise ConfigError("tta needs --meta or --sequence with sequence.meta")
-    meta = _read_meta(meta_path)
-    if "width" not in meta or "height" not in meta:
-        raise ConfigError(f"{meta_path}: missing width/height")
-    return (
-        parse_number(meta["width"], meta_path),
-        parse_number(meta["height"], meta_path),
-    )
-
-
-def _build_behavior(args):
-    if args.kind == "tta":
-        return FullFrameTracker(_image_size(args))
-    if args.kind == "tts":
-        return StaticTracker()
-    if args.kind == "ttf":
-        return SelfFailingTracker(_annotation(args))
-    if args.kind == "tto":
-        return CenterOracleTracker(_annotation(args))
-    if args.kind == "scripted":
-        spec = parse_scripted_params(args.params or "")
-        return ScriptedTracker(spec, _annotation(args))
-    raise ConfigError(f"unknown tracker kind {args.kind!r}")
+def _read_input(args, needs: str | None):
+    """The value of the SequenceData field `needs` names, from the flags."""
+    if needs == "annotation":
+        if args.groundtruth:
+            gt_path = os.path.abspath(args.groundtruth)
+            return read_annotation(os.path.dirname(gt_path), gt_path)
+        if args.sequence:
+            return read_annotation(args.sequence)
+        raise ConfigError(f"tracker {args.kind!r} needs --groundtruth or --sequence")
+    if needs == "image_size":
+        meta_path = args.meta
+        if meta_path is None and args.sequence:
+            candidate = os.path.join(args.sequence, "sequence.meta")
+            meta_path = candidate if os.path.exists(candidate) else None
+        return None if meta_path is None else read_image_size(meta_path)
+    return None
 
 
 def serve(behavior, rfile, wfile) -> int:
@@ -163,7 +123,7 @@ def main(argv=None) -> int:
         prog="trackbench-tracker",
         description="Serve a built-in tracker over the line protocol.",
     )
-    p.add_argument("kind", choices=KINDS)
+    p.add_argument("kind", choices=tuple(BUILTINS))
     p.add_argument("--groundtruth", help="ground truth file of the sequence")
     p.add_argument("--sequence", help="sequence directory (alternative to the above)")
     p.add_argument("--meta", help="sequence.meta path (frame size for tta)")
@@ -174,7 +134,9 @@ def main(argv=None) -> int:
     )
     args = p.parse_args(argv)
     try:
-        behavior = _build_behavior(args)
+        tracker = BuiltinTracker.parse(args.kind, args.params)
+        needs, build = BUILTINS[tracker.kind]
+        behavior = build(tracker.params, _read_input(args, needs))
         if args.listen is not None:
             return _serve_tcp(behavior, args.listen)
         return serve(behavior, sys.stdin, sys.stdout)

@@ -39,7 +39,7 @@ from trackbench.measures import (
 )
 from trackbench.runner import TrackerHandle, run_supervised, run_unsupervised
 from trackbench.synthdata import corpus_table, make_dataset, write_dataset
-from trackbench.theoretical import make_theoretical
+from trackbench.theoretical import BuiltinTracker
 from trackbench.trajectory import SequenceAnnotation
 
 from conftest import STUB
@@ -167,7 +167,7 @@ def _walk_sequence(rng, n, leave):
 
 
 def _theoretical_record(kind, seq, tau=0.0):
-    handle = TrackerHandle.in_process(kind, lambda s, k=kind: make_theoretical(k, s))
+    handle = TrackerHandle.in_process(kind, BuiltinTracker(kind))
     return run_supervised(handle, seq, tau=tau, seed=0)
 
 
@@ -348,7 +348,7 @@ def test_09_child_processes_reproduce_in_process_records(tmp_path):
 
     for kind in ("tta", "tts", "ttf", "tto"):
         for seq in seqs:
-            local = TrackerHandle.in_process(kind, lambda s, k=kind: make_theoretical(k, s))
+            local = TrackerHandle.in_process(kind, BuiltinTracker(kind))
             child = cmd_handle(kind)
             rec_local = run_supervised(local, seq, tau=0.0, seed=13)
             rec_child = run_supervised(child, seq, tau=0.0, seed=13)

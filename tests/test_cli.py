@@ -16,10 +16,10 @@ from trackbench.io_formats import (
     write_measure_table,
 )
 from trackbench.theoretical import (
-    ScriptedTracker,
+    BuiltinTracker,
     ScriptedTrackerSpec,
     StaticTracker,
-    make_theoretical,
+    parse_scripted_params,
 )
 from trackbench.tracker_cli import serve
 
@@ -30,7 +30,7 @@ SCRIPTED = "scripted:name=jig,center_noise=2.5,scale_noise=0.05,seed=5"
 
 class TestScriptedParams:
     def test_all_keys(self):
-        spec = cli.parse_scripted_params(
+        spec = parse_scripted_params(
             "name=wob,center_noise=2.5,scale_noise=0.1,"
             "drift_onset=12,drift_velocity=0.5:0.25,loss_prob=0.02,seed=9"
         )
@@ -40,19 +40,19 @@ class TestScriptedParams:
         )
 
     def test_empty_gives_defaults(self):
-        assert cli.parse_scripted_params("") == ScriptedTrackerSpec()
+        assert parse_scripted_params("") == ScriptedTrackerSpec()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            cli.parse_scripted_params("wobble=3")
+            parse_scripted_params("wobble=3")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
-            cli.parse_scripted_params("center_noise=abc")
+            parse_scripted_params("center_noise=abc")
         with pytest.raises(ConfigError):
-            cli.parse_scripted_params("drift_velocity=1")
+            parse_scripted_params("drift_velocity=1")
         with pytest.raises(ConfigError):
-            cli.parse_scripted_params("just-a-word")
+            parse_scripted_params("just-a-word")
 
 
 class TestTrackerSpecs:
@@ -334,9 +334,7 @@ NOISY_DRIFT = ScriptedTrackerSpec(
 
 
 def fresh_behavior(kind):
-    if kind == "scripted":
-        return ScriptedTracker(NOISY_DRIFT, RESET_SEQ.annotation)
-    return make_theoretical(kind, RESET_SEQ)
+    return BuiltinTracker(kind, NOISY_DRIFT if kind == "scripted" else None)(RESET_SEQ)
 
 
 def run_messages(seed, length, inits):

@@ -29,10 +29,9 @@ from trackbench.runner import (
     run_unsupervised,
 )
 from trackbench.theoretical import (
-    ScriptedTracker,
+    BuiltinTracker,
     ScriptedTrackerSpec,
     StaticTracker,
-    make_theoretical,
     parse_scripted_params,
 )
 
@@ -42,13 +41,11 @@ NOISY = ScriptedTrackerSpec(name="noisy", center_noise=2.0, scale_noise=0.04, se
 
 
 def tts_handle():
-    return TrackerHandle.in_process("tts", lambda seq: StaticTracker())
+    return TrackerHandle.in_process("tts", BuiltinTracker("tts"))
 
 
 def scripted_handle(spec=NOISY):
-    return TrackerHandle.in_process(
-        spec.name, lambda seq, s=spec: ScriptedTracker(s, seq.annotation)
-    )
+    return TrackerHandle.in_process(spec.name, BuiltinTracker("scripted", spec))
 
 
 def stub_handle(mode, *options, timeout=10.0):
@@ -142,7 +139,7 @@ class TestSupervisedProtocol:
 
     def test_self_failing_tracker_failure_frames(self):
         seq = static_sequence(11)
-        handle = TrackerHandle.in_process("ttf", lambda s: make_theoretical("ttf", s))
+        handle = TrackerHandle.in_process("ttf", BuiltinTracker("ttf"))
         rec = run_supervised(handle, seq, tau=0.0, seed=0)
         assert rec.failure_frames == (2, 4, 6, 8, 10)
 

@@ -7,9 +7,9 @@ from trackbench.geometry import Region
 from trackbench.runner import TrackerHandle, run_supervised
 from trackbench.theoretical import (
     THEORETICAL_KINDS,
+    BuiltinTracker,
     ScriptedTracker,
     ScriptedTrackerSpec,
-    make_theoretical,
     scripted_trajectory,
     sequence_properties,
     theoretical_ar_points,
@@ -34,7 +34,7 @@ class TestTheoreticalTrajectories:
     @pytest.mark.parametrize("kind", THEORETICAL_KINDS)
     def test_stateful_behavior_matches_direct_construction(self, kind):
         for seq in (static_sequence(9), moving_sequence(12)):
-            behavior = make_theoretical(kind, seq)
+            behavior = BuiltinTracker(kind)(seq)
             got = drive_unsupervised(behavior, seq)
             want = theoretical_trajectory(kind, seq.annotation, seq.image_size)
             assert got == want
@@ -49,8 +49,7 @@ class TestTheoreticalTrajectories:
         with pytest.raises(ConfigError):
             theoretical_trajectory("tta", seq.annotation, None)
         with pytest.raises(ConfigError):
-            make_theoretical(
-                "tta",
+            BuiltinTracker("tta")(
                 type(seq)(
                     annotation=seq.annotation,
                     image_size=None,
@@ -84,7 +83,7 @@ class TestTheoreticalTrajectories:
     def test_unknown_kind_rejected(self):
         seq = static_sequence(3)
         with pytest.raises(ConfigError):
-            make_theoretical("ttx", seq)
+            BuiltinTracker("ttx")
         with pytest.raises(ConfigError):
             theoretical_trajectory("ttx", seq.annotation, seq.image_size)
 
@@ -166,6 +165,6 @@ class TestReferencePoints:
     def test_self_failing_failure_count(self):
         for n in (7, 12):
             seq = static_sequence(n)
-            handle = TrackerHandle.in_process("ttf", lambda s: make_theoretical("ttf", s))
+            handle = TrackerHandle.in_process("ttf", BuiltinTracker("ttf"))
             rec = run_supervised(handle, seq, tau=0.0, seed=0)
             assert len(rec.failure_frames) == (n - 1) // 2

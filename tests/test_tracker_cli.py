@@ -1,0 +1,130 @@
+"""The built-in tracker registry at its two front ends.
+
+`trackbench run --tracker <spec>` and the `trackbench-tracker <kind>`
+process both build their behavior from `theoretical.BUILTINS`; these
+tests hold the two to the same kinds, inputs and parameter rules.
+"""
+
+import io
+import os
+import pickle
+import sys
+
+import pytest
+
+from trackbench import cli, tracker_cli
+from trackbench.errors import ConfigError
+from trackbench.geometry import Point
+from trackbench.io_formats import (
+    dumps_record,
+    format_region,
+    read_measure_table,
+    read_sequence,
+    write_sequence,
+)
+from trackbench.runner import TrackerHandle, run_supervised, run_unsupervised
+from trackbench.theoretical import (
+    BUILTINS,
+    THEORETICAL_KINDS,
+    BuiltinTracker,
+    theoretical_trajectory,
+)
+from trackbench.trajectory import SequenceAnnotation
+
+from conftest import moving_sequence
+
+NOISY_DRIFT = (
+    "scripted:name=wob,center_noise=1.5,scale_noise=0.03,loss_prob=0.2,"
+    "drift_onset=2,drift_velocity=0.5:-0.25,seed=9"
+)
+
+
+@pytest.mark.parametrize("kind", ["ttf", "tto", "scripted"])
+def test_ground_truth_kinds_need_groundtruth_or_sequence(kind, capsys):
+    assert tracker_cli.main([kind]) == 2
+    assert "needs --groundtruth or --sequence" in capsys.readouterr().err
+
+
+def test_tta_needs_a_frame_size(tmp_path, capsys):
+    seq_dir = str(tmp_path / "sizeless")
+    write_sequence(seq_dir, moving_sequence(4).annotation, image_size=None)
+    meta = os.path.join(seq_dir, "sequence.meta")
+    for argv in (["tta"], ["tta", "--sequence", seq_dir], ["tta", "--meta", meta]):
+        assert tracker_cli.main(argv) == 2, argv
+        assert "tta needs the image size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", THEORETICAL_KINDS)
+def test_params_on_a_kind_other_than_scripted_rejected(kind, tmp_dataset, capsys):
+    seq_dir = os.path.join(tmp_dataset, "bravo")
+    assert tracker_cli.main([kind, "--sequence", seq_dir, "--params", "seed=1"]) == 2
+    assert "takes no parameters" in capsys.readouterr().err
+    for spec in (f"{kind}:seed=1", f"{kind}:"):
+        with pytest.raises(ConfigError, match="takes no parameters"):
+            cli.parse_tracker_spec(spec)
+
+
+@pytest.mark.parametrize("kind", list(BUILTINS))
+def test_every_builtin_kind_is_accepted_by_both_front_ends(
+    kind, tmp_dataset, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "out"
+    assert cli.main([
+        "run", "--dataset", tmp_dataset, "--out", str(out), "--mode", "unsupervised",
+        "--repetitions", "1", "--tracker", kind,
+    ]) == 0
+    rows = read_measure_table(str(out / "measures.tsv")).rows
+    assert [(r.tracker, r.error) for r in rows] == [(kind, None)] * 3
+
+    session = "hello version=1 seed=0\ninitialize f1 10,40,20,16\nframe f2\nquit\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+    capsys.readouterr()
+    seq_dir = os.path.join(tmp_dataset, "bravo")
+    assert tracker_cli.main([kind, "--sequence", seq_dir]) == 0
+    replies = capsys.readouterr().out.splitlines()
+    assert replies[0].startswith(f"hello name={kind} ")
+    assert len(replies) == 3
+
+
+@pytest.mark.parametrize("spec", [*THEORETICAL_KINDS, NOISY_DRIFT])
+def test_a_builtin_factory_pickles_by_value(spec):
+    factory = cli.parse_tracker_spec(spec).factory
+    copy = pickle.loads(pickle.dumps(factory))
+    assert copy == factory
+    seq = moving_sequence(12)
+    trajectories = [
+        run_unsupervised(TrackerHandle.in_process("t", f), seq, seed=5)
+        for f in (factory, copy)
+    ]
+    assert trajectories[0] == trajectories[1]
+
+
+def test_groundtruth_flag_reads_the_center_file_beside_it(tmp_path):
+    """tto follows center.txt whether the child gets --groundtruth or
+    the in-process run gets the whole sequence."""
+    base = moving_sequence(8).annotation
+    centers = tuple(
+        Point(r.x + r.width / 2.0 + (i % 3) - 1.0, r.y + r.height / 2.0 + 0.5 * i)
+        for i, r in enumerate(base.regions)
+    )
+    seq_dir = str(tmp_path / "offcenter")
+    write_sequence(seq_dir, SequenceAnnotation("offcenter", base.regions, centers),
+                   (320.0, 240.0))
+    seq = read_sequence(seq_dir)
+
+    local = TrackerHandle.in_process("tto", BuiltinTracker("tto"))
+    child = TrackerHandle.from_command(
+        "tto-child",
+        [sys.executable, "-m", "trackbench.tracker_cli", "tto", "--groundtruth",
+         "{groundtruth}"],
+        timeout=20.0,
+    )
+    rec_local = run_supervised(local, seq, tau=0.0, seed=13)
+    rec_child = run_supervised(child, seq, tau=0.0, seed=13)
+    assert dumps_record(rec_child) == dumps_record(rec_local)
+    t_local = run_unsupervised(local, seq, seed=13)
+    t_child = run_unsupervised(child, seq, seed=13)
+    assert [format_region(r) for r in t_child.regions] == [
+        format_region(r) for r in t_local.regions
+    ]
+    assert t_local != theoretical_trajectory("tto", base)
