@@ -9,6 +9,7 @@ configuration (argparse uses 2 as well).
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -400,6 +401,7 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="trackbench",
@@ -485,8 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:

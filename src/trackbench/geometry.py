@@ -27,21 +27,23 @@ __all__ = [
 ]
 
 _INF = math.inf
+# Frozen fields are stored once each, by the hand-written __init__ methods.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Point:
     """A 2-D point."""
 
     x: float
     y: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
+    def __init__(self, x: float, y: float) -> None:
+        _set(self, "x", float(x))
+        _set(self, "y", float(y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Region:
     """Axis-aligned box: top-left corner plus non-negative extent.
 
@@ -55,11 +57,11 @@ class Region:
     width: float
     height: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "width", float(self.width))
-        object.__setattr__(self, "height", float(self.height))
+    def __init__(self, x: float, y: float, width: float, height: float) -> None:
+        _set(self, "x", float(x))
+        _set(self, "y", float(y))
+        _set(self, "width", float(width))
+        _set(self, "height", float(height))
 
     @property
     def area(self) -> float:

@@ -13,9 +13,10 @@ optional `frames/` with the image files, and `sequence.meta` with
 
 Run records and measure tables start with the version line
 `# format: trackbench/1`; parsers reject other versions and trailing
-garbage. Analysis outputs (correlation matrices, cluster assignments,
-A-R summaries, label tables) are write-only artifacts with `#`-prefixed
-metadata comments.
+garbage. Region files parse in one pass, and line by line with
+parse_region only to report an error with its file and line. Analysis
+outputs (correlation matrices, cluster assignments, A-R summaries, label
+tables) are write-only artifacts with `#`-prefixed metadata comments.
 """
 
 import math
@@ -106,6 +107,23 @@ def parse_region(text: str, path=None, line=None) -> Region:
     return Region(x, y, w, h)
 
 
+def _parse_regions(texts: list[str]) -> list[Region] | None:
+    """parse_region of every text in one pass, or None if any is invalid.
+
+    float parses the numbers on both routes, so they accept the same
+    texts; on None the caller's per-line loop reports the error.
+    """
+    if [t.count(",") for t in texts] != [3] * len(texts):
+        return None
+    try:
+        v = list(map(float, ",".join(texts).split(",")))
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, v)) or min(v[2::4]) < 0 or min(v[3::4]) < 0:
+        return None
+    return list(map(Region, v[0::4], v[1::4], v[2::4], v[3::4]))
+
+
 _UNSAFE_NAME_CHARS = ("/", "\\", "\t", "\r", "\n")
 
 
@@ -165,6 +183,21 @@ class SequenceData:
                    frame_paths=paths, root=root)
 
 
+def _read_regions(path, what: str) -> list[Region]:
+    """The regions of a file holding one region per line, at least one."""
+    lines = _read_lines(path)
+    regions = _parse_regions(lines)
+    if regions is None:
+        regions = []
+        for i, line in enumerate(lines, start=1):
+            if line.strip() == "":
+                raise ParseError(f"blank line in {what}", path, i)
+            regions.append(parse_region(line, path, i))
+    if not regions:
+        raise ParseError(f"{what} has no frames", path)
+    return regions
+
+
 def _read_meta(path) -> dict[str, str]:
     meta = {}
     for i, line in enumerate(_read_lines(path), start=1):
@@ -184,15 +217,14 @@ def read_annotation(seq_dir, gt_path=None) -> SequenceAnnotation:
     directory's groundtruth.txt; center.txt and sequence.meta still
     come from seq_dir.
     """
+    return _read_annotation(seq_dir, gt_path)[0]
+
+
+def _read_annotation(seq_dir, gt_path=None) -> tuple[SequenceAnnotation, dict | None]:
+    """read_annotation, plus sequence.meta's key=value pairs (None if absent)."""
     if gt_path is None:
         gt_path = os.path.join(seq_dir, "groundtruth.txt")
-    regions = []
-    for i, line in enumerate(_read_lines(gt_path), start=1):
-        if line.strip() == "":
-            raise ParseError("blank line in ground truth", gt_path, i)
-        regions.append(parse_region(line, gt_path, i))
-    if not regions:
-        raise ParseError("ground truth has no frames", gt_path)
+    regions = _read_regions(gt_path, "ground truth")
 
     centers = None
     center_path = os.path.join(seq_dir, "center.txt")
@@ -212,21 +244,24 @@ def read_annotation(seq_dir, gt_path=None) -> SequenceAnnotation:
     name = os.path.basename(os.path.normpath(seq_dir))
     source = seq_dir
     meta_path = os.path.join(seq_dir, "sequence.meta")
-    if os.path.exists(meta_path):
-        name = _read_meta(meta_path).get("name", name)
-        source = meta_path
+    meta = _read_meta(meta_path) if os.path.exists(meta_path) else None
+    if meta is not None:
+        name, source = meta.get("name", name), meta_path
     if not is_safe_name(name):
         raise ParseError(f"unsafe sequence name {name!r}", source)
     return SequenceAnnotation(
         name=name,
         regions=tuple(regions),
         centers=tuple(centers) if centers is not None else None,
-    )
+    ), meta
 
 
 def read_image_size(meta_path) -> tuple[float, float] | None:
     """(width, height) from a sequence.meta file; None when either is absent."""
-    meta = _read_meta(meta_path)
+    return _image_size(_read_meta(meta_path), meta_path)
+
+
+def _image_size(meta: dict[str, str], meta_path) -> tuple[float, float] | None:
     if "width" not in meta or "height" not in meta:
         return None
     return (
@@ -237,9 +272,9 @@ def read_image_size(meta_path) -> tuple[float, float] | None:
 
 def read_sequence(seq_dir) -> SequenceData:
     """Load a sequence directory into a SequenceData bundle."""
-    annotation = read_annotation(seq_dir)
+    annotation, meta = _read_annotation(seq_dir)
     meta_path = os.path.join(seq_dir, "sequence.meta")
-    image_size = read_image_size(meta_path) if os.path.exists(meta_path) else None
+    image_size = None if meta is None else _image_size(meta, meta_path)
 
     frames_dir = os.path.join(seq_dir, "frames")
     if not os.path.isdir(frames_dir):
@@ -298,14 +333,7 @@ def list_sequences(root) -> list[str]:
 
 def read_trajectory(path) -> Trajectory:
     """Read a trajectory file: one region per line, same syntax as ground truth."""
-    regions = []
-    for i, line in enumerate(_read_lines(path), start=1):
-        if line.strip() == "":
-            raise ParseError("blank line in trajectory", str(path), i)
-        regions.append(parse_region(line, str(path), i))
-    if not regions:
-        raise ParseError("trajectory has no frames", str(path))
-    return Trajectory(regions=tuple(regions))
+    return Trajectory(regions=tuple(_read_regions(str(path), "trajectory")))
 
 
 def write_trajectory(path, t: Trajectory) -> None:
@@ -342,16 +370,24 @@ def loads_record(text: str, path=None) -> SupervisedRunRecord:
     if len(lines) < 2 or not lines[1].startswith("tau:"):
         raise ParseError("missing tau line", path, 2)
     tau = parse_number(lines[1][len("tau:"):], path, 2)
-    frames: list = []
-    for i, line in enumerate(lines[2:], start=3):
-        if line.startswith("T:"):
-            frames.append(Tracked(parse_region(line[2:], path, i)))
-        elif line == "F:":
-            frames.append(Failure())
-        elif line.startswith("I:"):
-            frames.append(Init(parse_region(line[2:], path, i)))
-        else:
-            raise ParseError(f"malformed frame tag: {line!r}", path, i)
+    # A bad tag stands in as an empty text, which no region parse accepts.
+    regions = _parse_regions(
+        [t[2:] if t[:2] in ("T:", "I:") else "" for t in lines[2:] if t != "F:"])
+    if regions is not None:
+        it = iter(regions)
+        frames = [Failure() if line == "F:" else (Tracked if line[0] == "T" else Init)(next(it))
+                  for line in lines[2:]]
+    else:
+        frames = []
+        for i, line in enumerate(lines[2:], start=3):
+            if line.startswith("T:"):
+                frames.append(Tracked(parse_region(line[2:], path, i)))
+            elif line == "F:":
+                frames.append(Failure())
+            elif line.startswith("I:"):
+                frames.append(Init(parse_region(line[2:], path, i)))
+            else:
+                raise ParseError(f"malformed frame tag: {line!r}", path, i)
     if not frames:
         raise ParseError("record has no frames", path)
     rec = SupervisedRunRecord.from_frames(frames, tau=tau)

@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import xml.etree.ElementTree as ET
@@ -324,6 +325,67 @@ class TestPlotCommand:
         assert cli.main(["plot", "--type", "survival"]) == 2
         seq, _ = first_raw(pipeline, "tts", ".traj")
         assert cli.main(["plot", "--type", "overlap", "--sequence", seq]) == 2
+
+
+class TestParserReuse:
+    """main builds its argparse tree once per process; no call sees another's arguments."""
+
+    def test_a_second_run_sees_only_its_own_trackers(self, tmp_dataset, tmp_path):
+        common = ["run", "--dataset", tmp_dataset, "--mode", "unsupervised",
+                  "--repetitions", "1"]
+        for tracker in ("tta", "tts"):
+            out = str(tmp_path / tracker)
+            assert cli.main([*common, "--out", out, "--tracker", tracker]) == 0
+            table = read_measure_table(os.path.join(out, "measures.tsv"))
+            assert {r.tracker for r in table.rows} == {tracker}
+            assert os.listdir(os.path.join(out, "raw")) == [tracker]
+
+    def test_plot_inputs_do_not_accumulate(self, pipeline, tmp_path, monkeypatch):
+        seen = []
+        named_inputs = cli._named_inputs
+
+        def spy(pairs, kind):
+            seen.append((kind, list(pairs or ())))
+            return named_inputs(pairs, kind)
+
+        monkeypatch.setattr(cli, "_named_inputs", spy)
+        seq, traj = first_raw(pipeline, "tts", ".traj")
+        for name in ("first_probe", "second_probe"):
+            dest = str(tmp_path / f"{name}.svg")
+            argv = ["plot", "--type", "overlap", "--sequence", seq,
+                    "--trajectory", f"{name}={traj}", "--out", dest]
+            assert cli.main(argv) == 0
+        assert seen == [
+            ("trajectory", [f"first_probe={traj}"]), ("record", []),
+            ("trajectory", [f"second_probe={traj}"]), ("record", []),
+        ]
+        second = (tmp_path / "second_probe.svg").read_text(encoding="utf-8")
+        assert "second_probe" in second and "first_probe" not in second
+
+    def test_usage_errors_in_a_row_each_exit_2(self, capsys):
+        for argv in (["plot", "--type", "bogus"], ["run", "--repetitions", "x"], [],
+                     ["no-such-command"]):
+            with pytest.raises(SystemExit) as e:
+                cli.main(argv)
+            assert e.value.code == 2
+        assert cli.main(["plot", "--type", "ar"]) == 2
+        assert cli.main(["plot", "--type", "ar"]) == 2
+        assert "plot ar needs --measures" in capsys.readouterr().err
+
+    def test_later_calls_build_no_parser(self, monkeypatch):
+        cli.main(["plot", "--type", "ar"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert cli.main(["plot", "--type", "survival"]) == 2
+        with pytest.raises(SystemExit):
+            cli.main(["plot", "--type", "bogus"])
+        assert built == []
 
 
 RESET_SEQ = moving_sequence(10)

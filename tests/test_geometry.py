@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -159,3 +161,66 @@ class TestRegionHelpers:
         c = region_center(r)
         assert math.isclose(c.x, r.x + r.width / 2, rel_tol=0, abs_tol=1e-9)
         assert region_size(r) == pytest.approx(math.sqrt(r.width * r.height))
+
+
+class TestValueSemantics:
+    """What callers can see of Region and Point: a frozen dataclass value."""
+
+    def test_repr(self):
+        assert repr(Region(1, 2.5, 3, 4)) == "Region(x=1.0, y=2.5, width=3.0, height=4.0)"
+        assert repr(Point(-0.0, 7)) == "Point(x=-0.0, y=7.0)"
+
+    def test_equality_and_hash(self):
+        a, b = Region(1, 2, 3, 4), Region(1.0, 2.0, 3.0, 4.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != Region(1, 2, 3, 5)
+        assert a != (1.0, 2.0, 3.0, 4.0)
+        assert len({a, b, Region(0, 2, 3, 4)}) == 2
+        assert Point(1, 2) == Point(1.0, 2.0) and hash(Point(1, 2)) == hash(Point(1.0, 2.0))
+        assert Point(1, 2) != Point(2, 1)
+
+    @pytest.mark.parametrize("value", [Region(1, 2, 3, 4), Point(1, 2)],
+                             ids=["region", "point"])
+    def test_fields_are_frozen(self, value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.x = 9.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del value.y
+
+    @pytest.mark.parametrize("raw", [3, True, np.float64(0.1), np.int64(-2), 2.5],
+                             ids=["int", "bool", "float64", "int64", "float"])
+    def test_arguments_are_stored_as_exact_float(self, raw):
+        r = Region(raw, raw, raw, raw)
+        p = Point(raw, raw)
+        for v in (r.x, r.y, r.width, r.height, p.x, p.y):
+            assert type(v) is float
+            assert v.hex() == float(raw).hex()
+
+    def test_keyword_and_positional_construction_agree(self):
+        assert Region(x=1, y=2, width=3, height=4) == Region(1, 2, 3, 4)
+        assert Region(1, 2, height=4, width=3) == Region(1, 2, 3, 4)
+        assert Point(y=2, x=1) == Point(1, 2)
+        with pytest.raises(TypeError):
+            Region(1, 2, 3)
+        with pytest.raises(TypeError):
+            Point(1, 2, z=3)
+
+    @pytest.mark.parametrize("value", [Region(0.1, -0.0, 3, 1e300), Point(0.1, -0.0)],
+                             ids=["region", "point"])
+    def test_pickle_round_trip(self, value):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(value, protocol))
+            assert copy == value and type(copy) is type(value)
+            assert [v.hex() for v in dataclasses.astuple(copy)] == [
+                v.hex() for v in dataclasses.astuple(value)]
+
+    def test_dataclass_helpers(self):
+        r = Region(1, 2, 3, 4)
+        assert [f.name for f in dataclasses.fields(Region)] == ["x", "y", "width", "height"]
+        assert [f.name for f in dataclasses.fields(Point)] == ["x", "y"]
+        assert dataclasses.astuple(r) == (1.0, 2.0, 3.0, 4.0)
+        assert dataclasses.asdict(Point(1, 2)) == {"x": 1.0, "y": 2.0}
+        moved = dataclasses.replace(r, width=7)
+        assert moved == Region(1, 2, 7, 4) and type(moved.width) is float
+        assert dataclasses.replace(Point(1, 2), y=5) == Point(1, 5)
+        assert r.area == 12.0

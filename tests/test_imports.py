@@ -61,6 +61,29 @@ def test_evaluator_loads_no_thread_pool_or_logging():
     assert not unneeded & loaded, sorted(unneeded & loaded)
 
 
+def test_importing_the_cli_builds_no_parser():
+    # main builds the argparse tree on its first call and reuses it.
+    counts = run_fresh(
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import trackbench.cli as cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    cli.main(['plot', '--type', 'ar'])\n"
+        "    counts.append(len(built))\n"
+        "print(*counts)"
+    )
+    at_import, first, second = map(int, counts.split())
+    assert at_import == 0
+    assert first > 0
+    assert second == first
+
+
 def test_bare_package_import_loads_no_numpy():
     loaded = loaded_after("import trackbench")
     assert "numpy" not in loaded

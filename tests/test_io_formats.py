@@ -1,10 +1,12 @@
 import math
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trackbench import io_formats
 from trackbench.errors import FormatVersionError, LengthMismatchError, ParseError
 from trackbench.geometry import Point, Region
 from trackbench.io_formats import (
@@ -106,6 +108,26 @@ class TestSequenceDir:
         assert seq.annotation == a
         assert seq.image_size == (320.0, 240.0)
         assert len(seq.frame_paths) == 2
+
+    def test_read_sequence_reads_each_file_once(self, tmp_path, monkeypatch):
+        a = SequenceAnnotation(
+            name="demo",
+            regions=(Region(1.0, 2.0, 3.5, 4.0), Region(2.0, 3.0, 3.5, 4.0)),
+            centers=(Point(2.75, 4.0), Point(3.75, 5.0)),
+        )
+        d = tmp_path / "demo"
+        write_sequence(str(d), a, image_size=(320.0, 240.0))
+        reads = Counter()
+        read_lines = io_formats._read_lines
+
+        def counted(path):
+            reads[os.path.basename(path)] += 1
+            return read_lines(path)
+
+        monkeypatch.setattr(io_formats, "_read_lines", counted)
+        seq = read_sequence(str(d))
+        assert (seq.annotation, seq.image_size) == (a, (320.0, 240.0))
+        assert reads == {"groundtruth.txt": 1, "center.txt": 1, "sequence.meta": 1}
 
     def test_name_falls_back_to_directory(self, tmp_path):
         d = tmp_path / "fallback"
