@@ -116,7 +116,11 @@ def _intersection_area(a: Region, b: Region) -> float:
 
 
 def iou(gt: Region, pred: Region) -> float:
-    """overlap without its checks, for regions the caller has validated."""
+    """overlap without its checks, for regions the caller has validated.
+
+    trajectory._score_frames inlines this arithmetic for whole runs;
+    change both together.
+    """
     if gt == pred:
         return 1.0 if gt.area > 0 else 0.0
     inter = _intersection_area(gt, pred)

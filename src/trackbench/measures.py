@@ -17,7 +17,9 @@ Conventions, applied consistently:
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import EmptySeriesError, FragmentationUndefinedError, MeasureDomainError
 from .trajectory import (
@@ -132,9 +134,7 @@ def correct_fraction(phis, tau: float) -> float:
     return hits / len(phis)
 
 
-def tracking_length(phis, tau: float) -> int:
-    """Number of leading frames with overlap strictly above tau."""
-    phis = _check_overlaps(phis)
+def _leading(phis: list[float], tau: float) -> int:
     n = 0
     for p in phis:
         if p > tau:
@@ -142,6 +142,11 @@ def tracking_length(phis, tau: float) -> int:
         else:
             break
     return n
+
+
+def tracking_length(phis, tau: float) -> int:
+    """Number of leading frames with overlap strictly above tau."""
+    return _leading(_check_overlaps(phis), tau)
 
 
 def failure_rate(rec: SupervisedRunRecord) -> int:
@@ -245,15 +250,15 @@ def threshold_curve(phis) -> list[tuple[float, float]]:
     strictly above tau), including the vertical drops, starting at
     tau=0 and ending at tau=1. The fraction is non-increasing in tau.
     """
-    phis = _check_overlaps(phis)
-    n = len(phis)
-    points = [(0.0, sum(1 for p in phis if p > 0.0) / n)]
-    for v in sorted(set(phis)):
-        if v <= 0.0:
-            continue
-        level = sum(1 for p in phis if p > v) / n
+    ordered = sorted(_check_overlaps(phis))
+    n = len(ordered)
+    i = bisect_right(ordered, 0.0)
+    points = [(0.0, (n - i) / n)]
+    while i < n:
+        v = ordered[i]
+        i = bisect_right(ordered, v, i)
         points.append((v, points[-1][1]))
-        points.append((v, level))
+        points.append((v, (n - i) / n))
     if points[-1][0] < 1.0:
         points.append((1.0, points[-1][1]))
     return points
@@ -357,20 +362,47 @@ def _included(series) -> list[float]:
     return [v for v in series if v is not None]
 
 
+# The reductions below take the scoring kernel's own series, whose
+# overlaps it keeps in [0, 1], so they skip the public reductions' checks;
+# each value equals the public reduction's bit for bit.
+def _center_measures(deltas: list[float], normalized: list[float]) -> list[float]:
+    """Average center error, average normalized error and RMSE; NaN if empty."""
+    n = len(deltas)
+    if not n:
+        return [math.nan] * 3
+    return [
+        math.fsum(deltas) / n,
+        math.fsum(normalized) / n,
+        math.sqrt(math.fsum(map(mul, deltas, deltas)) / n),
+    ]
+
+
+def _overlap_measures(phis: list[float]) -> list[float]:
+    """Correct fractions at 0.1 and 0.5 and the average overlap; NaN if empty."""
+    n = len(phis)
+    if not n:
+        return [math.nan] * 3
+    ordered = sorted(phis)
+    return [
+        (n - bisect_right(ordered, 0.1)) / n,
+        (n - bisect_right(ordered, 0.5)) / n,
+        math.fsum(phis) / n,
+    ]
+
+
 def unsupervised_measures(a: SequenceAnnotation, t: Trajectory) -> list[float]:
     """Measures 1-9 from a single-initialization trajectory."""
     scores = score_trajectory(a, t)
-    phis, deltas = scores.overlaps, scores.center_errors
-    return [
-        average_center_error(deltas),
-        average_center_error(scores.normalized_errors()),
-        rmse(deltas),
-        correct_fraction(phis, 0.1),
-        correct_fraction(phis, 0.5),
-        float(tracking_length(phis, 0.1)),
-        float(tracking_length(phis, 0.5)),
-        average_overlap(phis),
-        cotps_closed_form(phis),
+    phis = scores.overlaps
+    p_01, p_05, mean = _overlap_measures(phis)
+    lam0 = phis.count(0.0) / len(phis)
+    return _center_measures(scores.center_errors, scores.normalized_errors()) + [
+        p_01,
+        p_05,
+        float(_leading(phis, 0.1)),
+        float(_leading(phis, 0.5)),
+        mean,
+        1.0 - mean - (1.0 - lam0) * lam0,
     ]
 
 
@@ -380,19 +412,12 @@ def supervised_measures(rec: SupervisedRunRecord, a: SequenceAnnotation) -> list
     Center-error entries are NaN when the run has no Tracked frames.
     """
     scores = score_record(rec, a)
-    phis = _included(scores.overlaps)
-    deltas = _included(scores.center_errors)
-    norm_deltas = _included(scores.normalized_errors())
-    nan = float("nan")
-    return [
-        average_center_error(deltas) if deltas else nan,
-        average_center_error(norm_deltas) if norm_deltas else nan,
-        rmse(deltas) if deltas else nan,
-        correct_fraction(phis, 0.1) if phis else nan,
-        correct_fraction(phis, 0.5) if phis else nan,
-        average_overlap(phis) if phis else nan,
-        float(len(rec.failure_frames)),
-    ]
+    return (
+        _center_measures(_included(scores.center_errors),
+                         _included(scores.normalized_errors()))
+        + _overlap_measures(_included(scores.overlaps))
+        + [float(len(rec.failure_frames))]
+    )
 
 
 def compute_all(

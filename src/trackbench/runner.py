@@ -257,7 +257,12 @@ class PipeSession(_Session):
                 f"no reply within {self._timeout}s", frame
             ) from None
         if reply is _EOF:
-            code = self._proc.poll()
+            # stdout closes before the child is reaped; poll() alone could
+            # still read None for a child that has exited.
+            try:
+                code = self._proc.wait(timeout=min(5.0, self._timeout))
+            except subprocess.TimeoutExpired:
+                code = None
             raise PrematureExitError(f"tracker exited (status {code})", frame)
         if reply is _OVERFLOW:
             # Nothing drains its stdout any more, so it would never read quit.

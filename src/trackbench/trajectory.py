@@ -7,6 +7,7 @@ center channel; when absent, centers derive from the region geometry.
 """
 
 from dataclasses import dataclass, field
+from math import sqrt as _sqrt
 from typing import NamedTuple
 
 from .errors import (
@@ -14,7 +15,7 @@ from .errors import (
     LengthMismatchError,
     MalformedRecordError,
 )
-from .geometry import Point, Region, iou, region_center, region_size, validate_region
+from .geometry import Point, Region, region_center, validate_region
 
 __all__ = [
     "SequenceAnnotation",
@@ -234,45 +235,88 @@ class FrameSeries(NamedTuple):
         return self.normalized
 
 
-def _score_frames(a: SequenceAnnotation, frames) -> FrameSeries:
-    """Score one run in one pass over already validated regions.
+def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
+    """Score one run in one pass over local floats.
 
     frames holds a trajectory Region or a supervised FrameRecord per
     frame. A Failure scores overlap 0 and no center error; an Init is
-    excluded from every series.
+    excluded from every series. A scored pair that fails the inline
+    finiteness and sign check goes to invalid(gt, pred), which raises
+    the caller's error if a region is invalid and returns if not.
+
+    The overlap is geometry.iou inlined operation for operation, with
+    min(a, b) as `b if b < a else a` and max(a, b) as `b if b > a else a`,
+    so ties and signed zeros come out bit-identical; change both together.
     """
     overlaps: list[float | None] = []
     errors: list[float | None] = []
     normalized: list[float | None] = []
     degenerate = None
+    centers = a.centers
     for i, (gt, f) in enumerate(zip(a.regions, frames)):
-        if isinstance(f, (Failure, Init)):
-            overlaps.append(0.0 if isinstance(f, Failure) else None)
-            errors.append(None)
-            normalized.append(None)
-            continue
-        pred = f.region if isinstance(f, Tracked) else f
-        overlaps.append(iou(gt, pred))
-        # The centers of SequenceAnnotation.center and region_center,
-        # without a Point per frame.
-        if a.centers is None:
-            gx, gy = gt.x + gt.width / 2.0, gt.y + gt.height / 2.0
+        if f.__class__ is not Region:
+            if isinstance(f, Tracked):
+                f = f.region
+            elif isinstance(f, (Failure, Init)):
+                overlaps.append(0.0 if isinstance(f, Failure) else None)
+                errors.append(None)
+                normalized.append(None)
+                continue
+        gx, gy, gw, gh = gt.x, gt.y, gt.width, gt.height
+        px, py, pw, ph = f.x, f.y, f.width, f.height
+        # NaN or an infinity makes the sum NaN or infinite; a sum of
+        # finite values that overflows only costs the exact check.
+        total = gx + gy + gw + gh + px + py + pw + ph
+        if not (total - total == 0.0 and gw >= 0.0 and gh >= 0.0
+                and pw >= 0.0 and ph >= 0.0):
+            invalid(gt, f)
+        if gx == px and gy == py and gw == pw and gh == ph:
+            overlaps.append(1.0 if gw * gh > 0 else 0.0)
         else:
-            gx, gy = a.centers[i].x, a.centers[i].y
-        px, py = pred.x + pred.width / 2.0, pred.y + pred.height / 2.0
-        d = ((gx - px) ** 2 + (gy - py) ** 2) ** 0.5
+            ge, pe = gx + gw, px + pw
+            iw = (pe if pe < ge else ge) - (px if px > gx else gx)
+            if iw <= 0:
+                inter = 0.0
+            else:
+                ge, pe = gy + gh, py + ph
+                ih = (pe if pe < ge else ge) - (py if py > gy else gy)
+                inter = 0.0 if ih <= 0 else iw * ih
+            union = gw * gh + pw * ph - inter
+            if union <= 0:
+                overlaps.append(0.0)
+            else:
+                q = inter / union
+                overlaps.append(q if q < 1.0 else 1.0)
+        if centers is None:
+            cx, cy = gx + gw / 2.0, gy + gh / 2.0
+        else:
+            cx, cy = centers[i].x, centers[i].y
+        d = ((cx - (px + pw / 2.0)) ** 2 + (cy - (py + ph / 2.0)) ** 2) ** 0.5
         errors.append(d)
-        size = region_size(gt)
-        if size <= 0 and degenerate is None:
-            degenerate = i + 1
-        normalized.append(d / size if size > 0 else None)
+        size = _sqrt(gw * gh)
+        if size > 0:
+            normalized.append(d / size)
+        else:
+            normalized.append(None)
+            if degenerate is None:
+                degenerate = i + 1
     return FrameSeries(overlaps, errors, normalized, degenerate)
 
 
 def score_trajectory(a: SequenceAnnotation, t: Trajectory) -> FrameSeries:
-    """Every per-frame series of a trajectory, after one validate_pair."""
-    validate_pair(a, t)
-    return _score_frames(a, t.regions)
+    """Every per-frame series of a trajectory.
+
+    Errors are validate_pair's: the first invalid ground-truth region,
+    then the first invalid predicted one.
+    """
+    if len(a) != len(t):
+        validate_pair(a, t)
+    return _score_frames(a, t.regions, lambda gt, pred: validate_pair(a, t))
+
+
+def _invalid_tracked(gt: Region, pred: Region) -> None:
+    validate_region(gt)
+    validate_region(pred)
 
 
 def score_record(rec: SupervisedRunRecord, a: SequenceAnnotation) -> FrameSeries:
@@ -284,11 +328,7 @@ def score_record(rec: SupervisedRunRecord, a: SequenceAnnotation) -> FrameSeries
     validate_record(rec)
     if len(rec) != len(a):
         raise LengthMismatchError(f"record has {len(rec)} frames, annotation {len(a)}")
-    for gt, fr in zip(a.regions, rec.frames):
-        if isinstance(fr, Tracked):
-            validate_region(gt)
-            validate_region(fr.region)
-    return _score_frames(a, rec.frames)
+    return _score_frames(a, rec.frames, _invalid_tracked)
 
 
 def overlap_series(a: SequenceAnnotation, t: Trajectory) -> list[float]:

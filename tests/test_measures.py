@@ -214,6 +214,24 @@ class TestThresholdCurve:
             if x0 < mid < x1:
                 assert abs(correct_fraction(phis, mid) - y1) < 1e-12
 
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25]) | st.floats(0.0, 1.0),
+                    min_size=1, max_size=60))
+    @example([0.0, -0.0, 1.0, 1.0, 0.5, 0.5])
+    @example([1.0])
+    def test_curve_matches_a_count_per_distinct_overlap(self, phis):
+        # Reference: the direct construction, one full count per distinct
+        # overlap.
+        n = len(phis)
+        ref = [(0.0, sum(1 for p in phis if p > 0.0) / n)]
+        for v in sorted(set(phis)):
+            if v > 0.0:
+                level = sum(1 for p in phis if p > v) / n
+                ref += [(v, ref[-1][1]), (v, level)]
+        if ref[-1][0] < 1.0:
+            ref.append((1.0, ref[-1][1]))
+        assert ([(x.hex(), y.hex()) for x, y in threshold_curve(phis)]
+                == [(x.hex(), y.hex()) for x, y in ref])
+
 
 class TestAreaUnderCurve:
     def test_small_frozen_cases(self):
@@ -472,10 +490,20 @@ def outcome(fn, *args):
     return [None if v is None else float(v).hex() for v in result]
 
 
-coords = st.one_of(st.integers(-20, 120).map(float), st.floats(-20.0, 120.0))
-extents = st.one_of(st.just(0.0), st.integers(0, 40).map(float), st.floats(0.0, 40.0))
+coords = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-20, 120).map(float),
+                   st.floats(-20.0, 120.0))
+extents = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(0, 40).map(float),
+                    st.floats(0.0, 40.0))
 boxes = st.builds(Region, coords, coords, extents, extents)
 BAD_VALUES = (math.nan, math.inf, -math.inf, -1.0)
+
+
+def touching(g):
+    """Boxes that start on g's right or bottom edge: an intersection extent is exactly 0."""
+    return st.one_of(
+        st.builds(lambda y, w, h: Region(g.x + g.width, y, w, h), coords, extents, extents),
+        st.builds(lambda x, w, h: Region(x, g.y + g.height, w, h), coords, extents, extents),
+    )
 
 
 @st.composite
@@ -483,14 +511,17 @@ def scoring_cases(draw):
     """(annotation, trajectory or None, record or None) for one sequence.
 
     Predictions are often the ground truth itself, to reach the gt == pred
-    case; optionally one coordinate of the ground truth, the trajectory or
-    a Tracked region is replaced by NaN, an infinity or -1.
+    case, or touch it on an edge. Coordinates and extents include -0.0.
+    Up to three frames get a coordinate of the ground truth, of the
+    prediction (trajectory and Tracked region) or of both replaced by NaN,
+    an infinity or -1, so that the order in which errors are reported
+    matters.
     """
     n = draw(st.integers(1, 24))
     gt = draw(st.lists(boxes, min_size=n, max_size=n))
     centers = draw(st.none() | st.lists(st.builds(Point, coords, coords),
                                          min_size=n, max_size=n))
-    preds = [draw(st.just(g) | boxes) for g in gt]
+    preds = [draw(st.just(g) | boxes | touching(g)) for g in gt]
     frames, pending = [], True
     for g in gt:
         if pending:
@@ -500,20 +531,21 @@ def scoring_cases(draw):
             frames.append(Failure())
             pending = True
         else:
-            frames.append(Tracked(draw(st.just(g) | boxes)))
+            frames.append(Tracked(draw(st.just(g) | boxes | touching(g))))
 
-    target = draw(st.sampled_from([None, None, "gt", "trajectory", "tracked"]))
-    tracked = [i for i, f in enumerate(frames) if isinstance(f, Tracked)]
-    if target is not None and (target != "tracked" or tracked):
-        k = draw(st.sampled_from(tracked)) if target == "tracked" else draw(st.integers(0, n - 1))
-        change = {draw(st.sampled_from(["x", "y", "width", "height"])):
-                  draw(st.sampled_from(BAD_VALUES))}
-        if target == "gt":
-            gt[k] = dataclasses.replace(gt[k], **change)
-        elif target == "trajectory":
-            preds[k] = dataclasses.replace(preds[k], **change)
-        else:
-            frames[k] = Tracked(dataclasses.replace(frames[k].region, **change))
+    def spoiled(r):
+        return dataclasses.replace(r, **{draw(st.sampled_from(["x", "y", "width", "height"])):
+                                         draw(st.sampled_from(BAD_VALUES))})
+
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        k = draw(st.integers(0, n - 1))
+        where = draw(st.sampled_from(["gt", "pred", "both"]))
+        if where != "pred":
+            gt[k] = spoiled(gt[k])
+        if where != "gt":
+            preds[k] = spoiled(preds[k])
+            if isinstance(frames[k], Tracked):
+                frames[k] = Tracked(spoiled(frames[k].region))
 
     a = SequenceAnnotation(name="seq", regions=tuple(gt),
                            centers=None if centers is None else tuple(centers))
@@ -524,13 +556,38 @@ def scoring_cases(draw):
     return a, t, rec
 
 
+def one_frame_case(gt, pred):
+    return (SequenceAnnotation(name="seq", regions=(gt,)), Trajectory(regions=(pred,)),
+            SupervisedRunRecord.from_frames([Tracked(pred)], tau=0.0))
+
+
+# Boxes touching where an edge is -0.0: the intersection width, then the
+# height, is exactly -0.0.
+TOUCH_WIDTH = one_frame_case(Region(0.0, 0.0, 1.0, 1.0), Region(-0.0, 0.0, -0.0, 1.0))
+TOUCH_HEIGHT = one_frame_case(Region(0.0, 0.0, 1.0, 1.0), Region(0.0, -0.0, 1.0, -0.0))
+# An invalid prediction before an invalid ground truth: a trajectory
+# reports the ground truth of frame 3, a record the prediction of frame 2.
+_ok, _bad = Region(0.0, 0.0, 4.0, 4.0), Region(0.0, 0.0, -1.0, 4.0)
+ERRORS_SPREAD = (
+    SequenceAnnotation(name="seq", regions=(_ok, _ok, Region(math.nan, 0.0, 4.0, 4.0))),
+    Trajectory(regions=(_ok, _bad, _ok)),
+    SupervisedRunRecord.from_frames([Init(_ok), Tracked(_bad), Tracked(_ok)], tau=0.0),
+)
+
+
 class TestScoringKernel:
     @given(scoring_cases())
+    @example(TOUCH_WIDTH)
+    @example(TOUCH_HEIGHT)
+    @example(ERRORS_SPREAD)
     def test_compute_all_matches_reference_bit_for_bit(self, case):
         a, t, rec = case
         assert outcome(compute_all, a, t, rec) == outcome(ref_compute_all, a, t, rec)
 
     @given(scoring_cases())
+    @example(TOUCH_WIDTH)
+    @example(TOUCH_HEIGHT)
+    @example(ERRORS_SPREAD)
     def test_series_match_reference(self, case):
         a, t, rec = case
         if t is not None:
