@@ -44,7 +44,7 @@ _HOMES = {
     ),
     "theoretical": (
         "ScriptedTrackerSpec", "ScriptedTracker", "BuiltinTracker",
-        "theoretical_trajectory", "scripted_trajectory",
+        "theoretical_trajectory",
         "sequence_properties", "theoretical_ar_points",
     ),
     "io_formats": (

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusterDomainError, ConfigError, InsufficientSamplesError
-from .measures import MEASURES, measure_keys, reliability, supervised_overlap_series
-from .trajectory import MeasureTable, SequenceAnnotation, SupervisedRunRecord
+from .measures import MEASURES, measure_keys, reliability
+from .trajectory import MeasureTable, SequenceAnnotation, SupervisedRunRecord, score_record
 
 __all__ = [
     "ARPair",
@@ -52,7 +52,7 @@ def ar_pair(rec: SupervisedRunRecord, a: SequenceAnnotation, span: float = 30.0)
     Follows the supervised averaging convention: Failure frames count
     as overlap 0, Init frames are excluded.
     """
-    phis = [v for v in supervised_overlap_series(rec, a) if v is not None]
+    phis = [v for v in score_record(rec, a).overlaps if v is not None]
     accuracy = math.fsum(phis) / len(phis) if phis else float("nan")
     failures = len(rec.failure_frames)
     return ARPair(

@@ -47,9 +47,10 @@ class Point:
 class Region:
     """Axis-aligned box: top-left corner plus non-negative extent.
 
-    Construction only coerces to float; call validate_region to check
-    finiteness and sign, so that data read from external trackers can be
-    carried around and rejected with a frame index at the point of use.
+    Construction only coerces to float. Finiteness and sign are checked
+    where a region enters: by parse_region and the file readers, by the
+    runner for in-process reports, and by the scoring kernel, which
+    reports an invalid region through validate_region with its frame.
     """
 
     x: float

@@ -34,7 +34,6 @@ from .trajectory import (
     SupervisedRunRecord,
     Tracked,
     Trajectory,
-    validate_record,
 )
 
 __all__ = [
@@ -347,7 +346,6 @@ def dumps_record(rec: SupervisedRunRecord) -> str:
     then one line per frame tagged `T:` (tracked, with region), `F:`
     (failure, no payload) or `I:` (init, with the GT region used).
     """
-    validate_record(rec)
     lines = [FORMAT_LINE, f"tau:{format_number(rec.tau)}"]
     for fr in rec.frames:
         if isinstance(fr, Tracked):
@@ -390,9 +388,7 @@ def loads_record(text: str, path=None) -> SupervisedRunRecord:
                 raise ParseError(f"malformed frame tag: {line!r}", path, i)
     if not frames:
         raise ParseError("record has no frames", path)
-    rec = SupervisedRunRecord.from_frames(frames, tau=tau)
-    validate_record(rec)
-    return rec
+    return SupervisedRunRecord(frames, tau=tau)
 
 
 def read_record(path) -> SupervisedRunRecord:

@@ -28,7 +28,6 @@ from .trajectory import (
     Trajectory,
     score_record,
     score_trajectory,
-    validate_record,
 )
 
 __all__ = [
@@ -51,8 +50,6 @@ __all__ = [
     "average_f_measure",
     "average_precision",
     "reliability",
-    "supervised_overlap_series",
-    "supervised_center_error_series",
     "unsupervised_measures",
     "supervised_measures",
     "compute_all",
@@ -151,7 +148,6 @@ def tracking_length(phis, tau: float) -> int:
 
 def failure_rate(rec: SupervisedRunRecord) -> int:
     """Number of failures in a supervised run record."""
-    validate_record(rec)
     return len(rec.failure_frames)
 
 
@@ -332,30 +328,6 @@ def reliability(failure_count: float, n: int, span: float = 30.0) -> float:
     if span <= 0:
         raise MeasureDomainError(f"span {span} must be positive")
     return math.exp(-span * (failure_count / n))
-
-
-def supervised_overlap_series(
-    rec: SupervisedRunRecord, a: SequenceAnnotation
-) -> list[float | None]:
-    """Per-frame overlaps of a supervised run.
-
-    Tracked frames score their region against the ground truth, Failure
-    frames contribute 0.0, and Init frames are excluded (None) so that
-    downstream averages skip them.
-    """
-    return score_record(rec, a).overlaps
-
-
-def supervised_center_error_series(
-    rec: SupervisedRunRecord, a: SequenceAnnotation, normalized: bool = False
-) -> list[float | None]:
-    """Per-frame center errors of a supervised run.
-
-    Only Tracked frames carry a region to measure; Failure and Init
-    frames are None. Normalization follows center_error_series.
-    """
-    scores = score_record(rec, a)
-    return scores.normalized_errors() if normalized else scores.center_errors
 
 
 def _included(series) -> list[float]:

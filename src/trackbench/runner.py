@@ -132,9 +132,6 @@ class _Session:
     def _request(self, line: str, frame: int) -> str:
         raise NotImplementedError
 
-    def _send_only(self, line: str) -> None:
-        raise NotImplementedError
-
     def handshake(self, seed: int) -> tuple[str, bool]:
         reply = self._request(f"hello version={PROTOCOL_VERSION} seed={seed}", 0)
         fields = _parse_hello_line(reply)
@@ -148,9 +145,6 @@ class _Session:
     def frame(self, frame: int, path: str) -> Region:
         reply = self._request(f"frame {path}", frame)
         return _parse_state_line(reply, frame)
-
-    def quit(self) -> None:
-        self._send_only("quit")
 
     def close(self) -> None:
         pass
@@ -469,7 +463,7 @@ def run_unsupervised(
     _check_paths(seq)
     a = seq.annotation
     with handle.open(seq) as session:
-        name, deterministic = session.handshake(seed)
+        _, deterministic = session.handshake(seed)
         if hello is not None:
             hello.setdefault("deterministic", deterministic)
         regions = [session.initialize(1, seq.frame_paths[0], a.regions[0])]
@@ -501,7 +495,7 @@ def run_supervised(
     a = seq.annotation
     frames: list = []
     with handle.open(seq) as session:
-        name, deterministic = session.handshake(seed)
+        _, deterministic = session.handshake(seed)
         if hello is not None:
             hello.setdefault("deterministic", deterministic)
         init_pending = True
@@ -520,7 +514,7 @@ def run_supervised(
             else:
                 frames.append(Tracked(state))
         session.quit()
-    return SupervisedRunRecord.from_frames(frames, tau=tau)
+    return SupervisedRunRecord(frames, tau=tau)
 
 
 def derive_seed(master_seed: int, tracker: str, sequence: str, rep: int, mode: str) -> int:

@@ -54,7 +54,6 @@ __all__ = [
     "parse_scripted_params",
     "ScriptedTracker",
     "theoretical_trajectory",
-    "scripted_trajectory",
     "sequence_properties",
     "theoretical_ar_points",
 ]
@@ -69,6 +68,7 @@ class TrackerBehavior:
 
     name = "tracker"
     deterministic = True
+    _length = math.inf  # frames of its annotation; _advance raises ValueError past them
 
     def begin(self, seed: int) -> None:
         """Reset all run state; called once before the first frame."""
@@ -83,6 +83,8 @@ class TrackerBehavior:
     def _advance(self) -> int:
         """Count one protocol message; returns the 1-based frame number."""
         self._frame += 1
+        if self._frame > self._length:
+            raise ValueError(f"frame {self._frame} is past the sequence's {self._length} frames")
         return self._frame
 
 
@@ -139,6 +141,7 @@ class SelfFailingTracker(TrackerBehavior):
 
     def __init__(self, annotation: SequenceAnnotation):
         self._annotation = annotation
+        self._length = len(annotation)
 
     def initialize(self, frame_path: str, region: Region) -> Region:
         self._advance()
@@ -163,6 +166,7 @@ class CenterOracleTracker(TrackerBehavior):
 
     def __init__(self, annotation: SequenceAnnotation):
         self._annotation = annotation
+        self._length = len(annotation)
 
     def begin(self, seed: int) -> None:
         super().begin(seed)
@@ -249,6 +253,7 @@ class ScriptedTracker(TrackerBehavior):
     def __init__(self, spec: ScriptedTrackerSpec, annotation: SequenceAnnotation):
         self._spec = spec
         self._annotation = annotation
+        self._length = len(annotation)
         self.name = spec.name
 
     @property
@@ -369,27 +374,11 @@ def theoretical_trajectory(
     raise ConfigError(f"unknown theoretical tracker kind: {kind!r}")
 
 
-def scripted_trajectory(
-    spec: ScriptedTrackerSpec, a: SequenceAnnotation, seed: int = 0
-) -> Trajectory:
-    """Single-initialization trajectory of a scripted tracker.
-
-    Identical seeds give identical trajectories.
-    """
-    tracker = ScriptedTracker(spec, a)
-    tracker.begin(seed)
-    regions = [tracker.initialize("frame-1", a.regions[0])]
-    for t in range(2, len(a) + 1):
-        regions.append(tracker.update(f"frame-{t}"))
-    return Trajectory(regions=tuple(regions))
-
-
 def _supervised_tracked_and_failures(kind: str, seq: SequenceData):
     from . import runner
 
     handle = runner.TrackerHandle.in_process(kind, BuiltinTracker(kind))
-    rec = runner.run_supervised(handle, seq, tau=0.0, seed=0)
-    return rec
+    return runner.run_supervised(handle, seq, tau=0.0, seed=0)
 
 
 def sequence_properties(seq: SequenceData, span: float = 30.0) -> tuple[float, float, float, float]:
@@ -406,7 +395,7 @@ def sequence_properties(seq: SequenceData, span: float = 30.0) -> tuple[float, f
       size_change tto supervised average overlap (closer to 1 = less
                   size change).
     """
-    from .measures import reliability, supervised_overlap_series
+    from .measures import reliability
 
     a = seq.annotation
     rec_tta = _supervised_tracked_and_failures("tta", seq)
@@ -414,7 +403,7 @@ def sequence_properties(seq: SequenceData, span: float = 30.0) -> tuple[float, f
     rec_tto = _supervised_tracked_and_failures("tto", seq)
 
     def avg(rec):
-        phis = [v for v in supervised_overlap_series(rec, a) if v is not None]
+        phis = [v for v in score_record(rec, a).overlaps if v is not None]
         return math.fsum(phis) / len(phis) if phis else float("nan")
 
     size = avg(rec_tta)

@@ -61,6 +61,8 @@ def serve(behavior, rfile, wfile) -> int:
         wfile.write(line + "\n")
         wfile.flush()
 
+    # A run starts at hello, and its first frame must be an initialize.
+    begun = initialized = False
     for raw in rfile:
         line = raw.strip()
         if not line:
@@ -76,18 +78,26 @@ def serve(behavior, rfile, wfile) -> int:
                     reply("error unsupported protocol version")
                     return 2
                 behavior.begin(int(kv.get("seed", "0")))
+                begun, initialized = True, False
                 det = 1 if behavior.deterministic else 0
                 reply(f"hello name={behavior.name} deterministic={det} runs=many")
             elif cmd == "initialize":
                 if len(parts) < 3:
                     reply("error initialize needs a path and a region")
                     return 2
+                if not begun:
+                    reply("error initialize before hello")
+                    return 2
                 region = parse_region(parts[-1])
                 path = " ".join(parts[1:-1])
                 reply(f"state {format_region(behavior.initialize(path, region))}")
+                initialized = True
             elif cmd == "frame":
                 if len(parts) < 2:
                     reply("error frame needs a path")
+                    return 2
+                if not initialized:
+                    reply("error frame before the run's first initialize")
                     return 2
                 path = " ".join(parts[1:])
                 reply(f"state {format_region(behavior.update(path))}")

@@ -27,12 +27,9 @@ __all__ = [
     "MeasureRow",
     "MeasureTable",
     "validate_pair",
-    "validate_record",
     "FrameSeries",
     "score_trajectory",
     "score_record",
-    "overlap_series",
-    "center_error_series",
 ]
 
 
@@ -105,57 +102,33 @@ FrameRecord = Tracked | Failure | Init
 class SupervisedRunRecord:
     """Outcome of one supervised run with reinitialization.
 
-    failure_frames lists the 1-based frame numbers of Failure entries,
-    strictly increasing. The threshold tau is the overlap at or below
-    which a frame counts as failed.
+    The threshold tau is the overlap at or below which a frame counts as
+    failed. failure_frames is derived, not passed: the 1-based frame
+    numbers of the Failure entries, in order. Construction is where the
+    structure is checked, once: it raises MalformedRecordError for an
+    empty record or for a Failure not followed by an Init (except on the
+    final frame), so every record that exists is well formed.
     """
 
     frames: tuple[FrameRecord, ...]
-    failure_frames: tuple[int, ...]
     tau: float
+    failure_frames: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        object.__setattr__(self, "failure_frames", tuple(int(f) for f in self.failure_frames))
+        frames = tuple(self.frames)
+        n = len(frames)
+        if n == 0:
+            raise MalformedRecordError("record has no frames")
+        failures = tuple(i + 1 for i, f in enumerate(frames) if isinstance(f, Failure))
+        for f in failures:
+            if f < n and not isinstance(frames[f], Init):
+                raise MalformedRecordError(f"frame {f + 1} after failure at {f} is not an Init")
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "failure_frames", failures)
         object.__setattr__(self, "tau", float(self.tau))
 
     def __len__(self) -> int:
         return len(self.frames)
-
-    @classmethod
-    def from_frames(cls, frames, tau: float) -> "SupervisedRunRecord":
-        """Build a record deriving failure_frames from the Failure entries."""
-        frames = tuple(frames)
-        failures = tuple(i + 1 for i, f in enumerate(frames) if isinstance(f, Failure))
-        return cls(frames=frames, failure_frames=failures, tau=tau)
-
-
-def validate_record(rec: SupervisedRunRecord) -> None:
-    """Check the structural invariants of a supervised run record.
-
-    Raises MalformedRecordError on: empty record, failure_frames not
-    strictly increasing or out of range, disagreement between
-    failure_frames and the Failure entries, or a Failure not followed by
-    an Init (except on the final frame).
-    """
-    n = len(rec.frames)
-    if n == 0:
-        raise MalformedRecordError("record has no frames")
-    prev = 0
-    for f in rec.failure_frames:
-        if f <= prev:
-            raise MalformedRecordError(f"failure frames not strictly increasing at {f}")
-        if f < 1 or f > n:
-            raise MalformedRecordError(f"failure frame {f} outside 1..{n}")
-        prev = f
-    derived = tuple(i + 1 for i, fr in enumerate(rec.frames) if isinstance(fr, Failure))
-    if derived != rec.failure_frames:
-        raise MalformedRecordError(
-            f"failure_frames {rec.failure_frames} disagree with Failure entries {derived}"
-        )
-    for i, fr in enumerate(rec.frames):
-        if isinstance(fr, Failure) and i + 1 < n and not isinstance(rec.frames[i + 1], Init):
-            raise MalformedRecordError(f"frame {i + 2} after failure at {i + 1} is not an Init")
 
 
 @dataclass(frozen=True)
@@ -215,7 +188,9 @@ def validate_pair(a: SequenceAnnotation, t: Trajectory) -> None:
 class FrameSeries(NamedTuple):
     """Per-frame overlap, center error and normalized center error of a run.
 
-    None marks a frame a series excludes. degenerate_frame is the 1-based
+    None marks a frame a series excludes: in a supervised run an Init
+    frame is excluded from every series, and a Failure frame scores
+    overlap 0.0 and has no center error. degenerate_frame is the 1-based
     number of the first scored frame whose ground truth has zero size, so
     that its normalized error is undefined, or None.
     """
@@ -320,30 +295,13 @@ def _invalid_tracked(gt: Region, pred: Region) -> None:
 
 
 def score_record(rec: SupervisedRunRecord, a: SequenceAnnotation) -> FrameSeries:
-    """Every per-frame series of a supervised run, after one validate_record.
+    """Every per-frame series of a supervised run.
 
-    The regions of each Tracked frame are checked as overlap checks
-    them, without a frame number.
+    The record's structure was checked when it was built. The regions of
+    each Tracked frame are checked as overlap checks them, without a
+    frame number.
     """
-    validate_record(rec)
     if len(rec) != len(a):
         raise LengthMismatchError(f"record has {len(rec)} frames, annotation {len(a)}")
     return _score_frames(a, rec.frames, _invalid_tracked)
 
-
-def overlap_series(a: SequenceAnnotation, t: Trajectory) -> list[float]:
-    """Per-frame overlap between trajectory and ground truth."""
-    return score_trajectory(a, t).overlaps
-
-
-def center_error_series(
-    a: SequenceAnnotation, t: Trajectory, normalized: bool = False
-) -> list[float]:
-    """Per-frame center distance between trajectory and ground truth.
-
-    With normalized=True each distance is divided by the scalar size of
-    the ground-truth region of that frame; a zero-size ground-truth
-    region then raises DegenerateAnnotationError with the frame number.
-    """
-    scores = score_trajectory(a, t)
-    return scores.normalized_errors() if normalized else scores.center_errors

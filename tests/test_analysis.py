@@ -46,9 +46,7 @@ class TestArPair:
     def test_supervised_averaging_convention(self):
         a = make_annotation([(0.0, 0.0, 2.0, 2.0)] * 4)
         r = Region(0.0, 0.0, 2.0, 2.0)
-        rec = SupervisedRunRecord.from_frames(
-            [Init(r), Tracked(r), Failure(), Init(r)], tau=0.0
-        )
+        rec = SupervisedRunRecord([Init(r), Tracked(r), Failure(), Init(r)], tau=0.0)
         pair = ar_pair(rec, a, span=30.0)
         # two scored frames: overlap 1 and failure 0
         assert pair.accuracy == 0.5

@@ -8,6 +8,7 @@ every `trackbench` command. These checks run in a subprocess because
 the test process itself has long since imported everything.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -102,6 +103,54 @@ def test_star_import_exports_all():
         "print([n for n in trackbench.__all__ if n not in globals()])"
     )
     assert missing == "[]"
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name an import binds that the module never reads.
+
+    A name in `__all__` or in a string annotation counts as read.
+    """
+    tree = ast.parse(source)
+    bound, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name
+                bound.append((node.lineno, name if alias.asname else name.split(".")[0]))
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant))
+        for ann in (getattr(node, "returns", None), getattr(node, "annotation", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                read.update(n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_no_module_imports_what_it_does_not_use():
+    package = os.path.dirname(os.path.abspath(trackbench.__file__))
+    unused = []
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename), encoding="utf-8") as fh:
+                unused += [f"{filename}:{line}: {name}"
+                           for line, name in unused_imports(fh.read())]
+    assert unused == []
+
+
+def test_unused_import_check_sees_each_kind_of_use():
+    source = (
+        "import os, os.path as osp\n"
+        "from a import (b, c as d, e, f, g)\n"
+        "__all__ = ['e']\n"
+        "def h(x: 'f') -> None:\n"
+        "    return b(osp)\n"
+        "g = 1\n"
+    )
+    assert unused_imports(source) == [(1, "os"), (2, "d"), (2, "g")]
 
 
 def test_unknown_attribute_raises_attribute_error():

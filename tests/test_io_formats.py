@@ -7,7 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trackbench import io_formats
-from trackbench.errors import FormatVersionError, LengthMismatchError, ParseError
+from trackbench.errors import (
+    FormatVersionError,
+    LengthMismatchError,
+    MalformedRecordError,
+    ParseError,
+)
 from trackbench.geometry import Point, Region
 from trackbench.io_formats import (
     FORMAT_LINE,
@@ -197,7 +202,7 @@ class TestTrajectoryFile:
 def sample_record():
     r = Region(1.0, 2.0, 3.0, 4.5)
     frames = (Init(r), Tracked(Region(1.5, 2.0, 3.0, 4.5)), Failure(), Init(r), Tracked(r))
-    return SupervisedRunRecord.from_frames(frames, tau=0.125)
+    return SupervisedRunRecord(frames, tau=0.125)
 
 
 class TestRecordFile:
@@ -234,11 +239,16 @@ class TestRecordFile:
         with pytest.raises(ParseError):
             loads_record(FORMAT_LINE + "\nT:1,2,3,4\n")
 
-    def test_structural_invariants_checked_on_load(self):
+    def test_structural_invariants_checked_on_load(self, tmp_path):
         # failure followed by a tracked frame, not an init
-        text = FORMAT_LINE + "\ntau:0\nI:0,0,2,2\nF:\nT:0,0,2,2\n"
-        with pytest.raises(Exception):
-            loads_record(text)
+        p = tmp_path / "rec.txt"
+        p.write_text(FORMAT_LINE + "\ntau:0\nI:0,0,2,2\nF:\nT:0,0,2,2\n")
+        with pytest.raises(MalformedRecordError) as e:
+            read_record(str(p))
+        assert str(e.value) == "frame 3 after failure at 2 is not an Init"
+        p.write_text(FORMAT_LINE + "\ntau:0\n")
+        with pytest.raises(ParseError, match="record has no frames"):
+            read_record(str(p))
 
     @given(
         st.lists(
@@ -250,7 +260,7 @@ class TestRecordFile:
         frames = []
         for tag in tags:
             frames.append({"T": Tracked(r), "F": Failure(), "I": Init(r)}[tag])
-        rec = SupervisedRunRecord.from_frames(frames, tau=0.0)
+        rec = SupervisedRunRecord(frames, tau=0.0)
         assert loads_record(dumps_record(rec)) == rec
 
 

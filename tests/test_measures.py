@@ -11,6 +11,7 @@ from trackbench.errors import (
     FragmentationUndefinedError,
     InvalidRegionError,
     LengthMismatchError,
+    MalformedRecordError,
     MeasureDomainError,
 )
 from trackbench.geometry import Point, Region, overlap, region_center, region_size
@@ -32,23 +33,21 @@ from trackbench.measures import (
     motp_single,
     reliability,
     rmse,
-    supervised_center_error_series,
     supervised_measures,
-    supervised_overlap_series,
     threshold_curve,
     tracking_length,
 )
 from trackbench.trajectory import (
     Failure,
+    FrameSeries,
     Init,
     SequenceAnnotation,
     SupervisedRunRecord,
     Tracked,
     Trajectory,
-    center_error_series,
-    overlap_series,
+    score_record,
+    score_trajectory,
     validate_pair,
-    validate_record,
 )
 
 from conftest import make_annotation
@@ -296,35 +295,34 @@ class TestReliability:
 
 def perfect_record(ann):
     frames = [Init(ann.regions[0])] + [Tracked(r) for r in ann.regions[1:]]
-    return SupervisedRunRecord.from_frames(frames, tau=0.0)
+    return SupervisedRunRecord(frames, tau=0.0)
 
 
 class TestSupervisedSeries:
     def test_init_excluded_failure_zero(self):
         a = make_annotation([(0, 0, 2, 2)] * 4)
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord.from_frames(
-            [Init(r), Tracked(r), Failure(), Init(r)], tau=0.0
-        )
-        assert supervised_overlap_series(rec, a) == [None, 1.0, 0.0, None]
-        assert supervised_center_error_series(rec, a) == [None, 0.0, None, None]
+        rec = SupervisedRunRecord([Init(r), Tracked(r), Failure(), Init(r)], tau=0.0)
+        scores = score_record(rec, a)
+        assert scores.overlaps == [None, 1.0, 0.0, None]
+        assert scores.center_errors == [None, 0.0, None, None]
 
     def test_length_mismatch(self):
         a = make_annotation([(0, 0, 2, 2)] * 3)
         rec = perfect_record(make_annotation([(0, 0, 2, 2)] * 5))
         with pytest.raises(LengthMismatchError):
-            supervised_overlap_series(rec, a)
+            score_record(rec, a)
 
     def test_failure_free_record_matches_trajectory_measures(self):
         boxes = [(10.0 + 3 * i, 20.0, 12.0, 10.0) for i in range(8)]
         preds = [(x + 1.0, y, w, h) for x, y, w, h in boxes]
         a = make_annotation(boxes)
         frames = [Init(Region(*boxes[0]))] + [Tracked(Region(*p)) for p in preds[1:]]
-        rec = SupervisedRunRecord.from_frames(frames, tau=0.0)
+        rec = SupervisedRunRecord(frames, tau=0.0)
         tail = make_annotation(boxes[1:])
         t = Trajectory(regions=tuple(Region(*p) for p in preds[1:]))
         sup = supervised_measures(rec, a)
-        phis = overlap_series(tail, t)
+        phis = score_trajectory(tail, t).overlaps
         assert sup[5] == average_overlap(phis)
         assert sup[3] == correct_fraction(phis, 0.1)
         assert sup[6] == 0.0
@@ -332,7 +330,7 @@ class TestSupervisedSeries:
     def test_all_failures_leaves_center_errors_nan(self):
         a = make_annotation([(0, 0, 2, 2)] * 2)
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord.from_frames([Init(r), Failure()], tau=0.0)
+        rec = SupervisedRunRecord([Init(r), Failure()], tau=0.0)
         sup = supervised_measures(rec, a)
         assert math.isnan(sup[0]) and math.isnan(sup[1]) and math.isnan(sup[2])
         assert sup[5] == 0.0
@@ -340,11 +338,10 @@ class TestSupervisedSeries:
 
     def test_failure_rate_validates(self):
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord(
-            frames=(Init(r), Failure(), Tracked(r)), failure_frames=(2,), tau=0.0
-        )
-        with pytest.raises(Exception):
-            failure_rate(rec)
+        assert failure_rate(SupervisedRunRecord([Init(r), Failure(), Init(r)], tau=0.0)) == 1
+        # A malformed record is rejected when it is built, before failure_rate sees it.
+        with pytest.raises(MalformedRecordError):
+            failure_rate(SupervisedRunRecord([Init(r), Failure(), Tracked(r)], tau=0.0))
 
 
 class TestComputeAll:
@@ -425,7 +422,6 @@ def ref_center_error_series(a, t, normalized):
 
 
 def ref_checked_record(rec, a):
-    validate_record(rec)
     if len(rec) != len(a):
         raise LengthMismatchError(f"record has {len(rec)} frames, annotation {len(a)}")
 
@@ -449,6 +445,33 @@ def ref_supervised_center_error_series(rec, a, normalized):
         ref_center_error(a, i, fr.region, normalized) if isinstance(fr, Tracked) else None
         for i, fr in enumerate(rec.frames)
     ]
+
+
+def ref_normalized_field(a, scored):
+    """FrameSeries.normalized and degenerate_frame from the reference loop.
+
+    scored holds each frame's predicted region, or None for a frame the
+    series excludes; a zero-size ground truth leaves its frame None.
+    """
+    values = [None if p is None or region_size(a.regions[i]) <= 0
+              else ref_center_error(a, i, p, True) for i, p in enumerate(scored)]
+    degenerate = next((i + 1 for i, p in enumerate(scored)
+                       if p is not None and values[i] is None), None)
+    return values, degenerate
+
+
+def ref_trajectory_series(a, t):
+    """score_trajectory composed from the reference loops."""
+    return FrameSeries(ref_overlap_series(a, t), ref_center_error_series(a, t, False),
+                       *ref_normalized_field(a, t.regions))
+
+
+def ref_record_series(rec, a):
+    """score_record composed from the reference loops."""
+    scored = [fr.region if isinstance(fr, Tracked) else None for fr in rec.frames]
+    return FrameSeries(ref_supervised_overlap_series(rec, a),
+                       ref_supervised_center_error_series(rec, a, False),
+                       *ref_normalized_field(a, scored))
 
 
 def ref_compute_all(a, t, rec):
@@ -488,6 +511,15 @@ def outcome(fn, *args):
     except Exception as e:  # the comparison covers whatever either side raises
         return type(e), getattr(e, "frame", None), str(e)
     return [None if v is None else float(v).hex() for v in result]
+
+
+def series_outcome(score, *args):
+    """Bit pattern of every FrameSeries field, or the error's type, frame and message."""
+    try:
+        s = score(*args)
+    except Exception as e:  # the comparison covers whatever either side raises
+        return type(e), getattr(e, "frame", None), str(e)
+    return [outcome(list, v) for v in s[:3]] + [s.degenerate_frame]
 
 
 coords = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-20, 120).map(float),
@@ -551,14 +583,14 @@ def scoring_cases(draw):
                            centers=None if centers is None else tuple(centers))
     mode = draw(st.sampled_from(["unsupervised", "supervised", "both"]))
     t = Trajectory(regions=tuple(preds)) if mode != "supervised" else None
-    rec = (SupervisedRunRecord.from_frames(frames, tau=0.0)
+    rec = (SupervisedRunRecord(frames, tau=0.0)
            if mode != "unsupervised" else None)
     return a, t, rec
 
 
 def one_frame_case(gt, pred):
     return (SequenceAnnotation(name="seq", regions=(gt,)), Trajectory(regions=(pred,)),
-            SupervisedRunRecord.from_frames([Tracked(pred)], tau=0.0))
+            SupervisedRunRecord([Tracked(pred)], tau=0.0))
 
 
 # Boxes touching where an edge is -0.0: the intersection width, then the
@@ -571,7 +603,7 @@ _ok, _bad = Region(0.0, 0.0, 4.0, 4.0), Region(0.0, 0.0, -1.0, 4.0)
 ERRORS_SPREAD = (
     SequenceAnnotation(name="seq", regions=(_ok, _ok, Region(math.nan, 0.0, 4.0, 4.0))),
     Trajectory(regions=(_ok, _bad, _ok)),
-    SupervisedRunRecord.from_frames([Init(_ok), Tracked(_bad), Tracked(_ok)], tau=0.0),
+    SupervisedRunRecord([Init(_ok), Tracked(_bad), Tracked(_ok)], tau=0.0),
 )
 
 
@@ -588,24 +620,20 @@ class TestScoringKernel:
     @example(TOUCH_WIDTH)
     @example(TOUCH_HEIGHT)
     @example(ERRORS_SPREAD)
-    def test_series_match_reference(self, case):
+    def test_frame_series_match_reference(self, case):
         a, t, rec = case
+        runs = []
         if t is not None:
-            assert outcome(overlap_series, a, t) == outcome(ref_overlap_series, a, t)
-            for norm in (False, True):
-                assert (outcome(center_error_series, a, t, norm)
-                        == outcome(ref_center_error_series, a, t, norm))
-        if rec is None:
-            return
-        ref = outcome(ref_supervised_overlap_series, rec, a)
-        assert outcome(supervised_overlap_series, rec, a) == ref
-        if ref[0] is InvalidRegionError:
-            # The reference center-error loop never validated regions; the
-            # kernel rejects an invalid Tracked region as overlap does.
-            return
-        for norm in (False, True):
-            assert (outcome(supervised_center_error_series, rec, a, norm)
-                    == outcome(ref_supervised_center_error_series, rec, a, norm))
+            runs.append((score_trajectory, ref_trajectory_series, ref_center_error_series, (a, t)))
+        if rec is not None:
+            runs.append((score_record, ref_record_series, ref_supervised_center_error_series,
+                         (rec, a)))
+        for score, ref_score, ref_errors, args in runs:
+            got = series_outcome(score, *args)
+            assert got == series_outcome(ref_score, *args)
+            if isinstance(got, list):
+                assert (outcome(score(*args).normalized_errors)
+                        == outcome(ref_errors, *args, True))
 
     @pytest.mark.parametrize("mode", ["unsupervised", "supervised", "both"])
     @pytest.mark.parametrize(
@@ -625,7 +653,7 @@ class TestScoringKernel:
         a = SequenceAnnotation(name="seq", regions=tuple(gt))
         t = Trajectory(regions=tuple(preds)) if mode != "supervised" else None
         frames = [Init(gt[0])] + [Tracked(p) for p in preds[1:]]
-        rec = (SupervisedRunRecord.from_frames(frames, tau=0.0)
+        rec = (SupervisedRunRecord(frames, tau=0.0)
                if mode != "unsupervised" else None)
         got = outcome(compute_all, a, t, rec)
         assert got == outcome(ref_compute_all, a, t, rec)

@@ -4,13 +4,12 @@ import pytest
 
 from trackbench.errors import ConfigError
 from trackbench.geometry import Region
-from trackbench.runner import TrackerHandle, run_supervised
+from trackbench.runner import TrackerHandle, run_supervised, run_unsupervised
 from trackbench.theoretical import (
     THEORETICAL_KINDS,
     BuiltinTracker,
     ScriptedTracker,
     ScriptedTrackerSpec,
-    scripted_trajectory,
     sequence_properties,
     theoretical_ar_points,
     theoretical_trajectory,
@@ -28,6 +27,12 @@ def drive_unsupervised(behavior, seq):
     for t in range(2, len(a) + 1):
         regions.append(behavior.update(f"frame-{t}"))
     return Trajectory(regions=tuple(regions))
+
+
+def scripted_run(spec, seq, seed):
+    """Single-initialization trajectory of a scripted tracker, through the runner."""
+    handle = TrackerHandle.in_process(spec.name, BuiltinTracker("scripted", spec))
+    return run_unsupervised(handle, seq, seed=seed)
 
 
 class TestTheoreticalTrajectories:
@@ -90,19 +95,19 @@ class TestTheoreticalTrajectories:
 
 class TestScriptedTracker:
     def test_zero_noise_reproduces_ground_truth(self):
-        a = moving_sequence(10).annotation
-        t = scripted_trajectory(ScriptedTrackerSpec(), a, seed=5)
-        assert t.regions == a.regions
+        seq = moving_sequence(10)
+        t = scripted_run(ScriptedTrackerSpec(), seq, seed=5)
+        assert t.regions == seq.annotation.regions
 
     def test_same_seed_same_trajectory(self):
-        a = moving_sequence(15).annotation
+        seq = moving_sequence(15)
         spec = ScriptedTrackerSpec(center_noise=2.0, scale_noise=0.05, seed=3)
-        assert scripted_trajectory(spec, a, seed=9) == scripted_trajectory(spec, a, seed=9)
+        assert scripted_run(spec, seq, seed=9) == scripted_run(spec, seq, seed=9)
 
     def test_different_seed_different_trajectory(self):
-        a = moving_sequence(15).annotation
+        seq = moving_sequence(15)
         spec = ScriptedTrackerSpec(center_noise=2.0, seed=3)
-        assert scripted_trajectory(spec, a, seed=1) != scripted_trajectory(spec, a, seed=2)
+        assert scripted_run(spec, seq, seed=1) != scripted_run(spec, seq, seed=2)
 
     def test_determinism_flag(self):
         a = static_sequence(3).annotation
@@ -110,18 +115,18 @@ class TestScriptedTracker:
         assert not ScriptedTracker(ScriptedTrackerSpec(center_noise=1.0), a).deterministic
 
     def test_drift_displaces_late_frames(self):
-        a = static_sequence(30).annotation
+        seq = static_sequence(30)
+        a = seq.annotation
         spec = ScriptedTrackerSpec(drift_onset=5, drift_velocity=(2.0, 0.0))
-        t = scripted_trajectory(spec, a, seed=0)
+        t = scripted_run(spec, seq, seed=0)
         # frame t is since_init = t - 1 updates after the initialization
         for i, r in enumerate(t.regions):
             steps = max(0, i - 5)
             assert abs(r.x - (a.regions[i].x + 2.0 * steps)) < 1e-9
 
     def test_certain_loss_reports_zero_area_near_target(self):
-        a = static_sequence(8).annotation
         spec = ScriptedTrackerSpec(center_noise=1.0, loss_prob=1.0, seed=4)
-        t = scripted_trajectory(spec, a, seed=4)
+        t = scripted_run(spec, static_sequence(8), seed=4)
         for r in t.regions[1:]:
             assert r.width == 0.0 and r.height == 0.0
             assert abs(r.x - 52.0) < 10.0 and abs(r.y - 39.0) < 10.0

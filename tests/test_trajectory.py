@@ -19,10 +19,8 @@ from trackbench.trajectory import (
     SupervisedRunRecord,
     Tracked,
     Trajectory,
-    center_error_series,
-    overlap_series,
+    score_trajectory,
     validate_pair,
-    validate_record,
 )
 
 from conftest import make_annotation
@@ -58,54 +56,45 @@ class TestAnnotation:
         assert a.center(0) == Point(99.0, -1.0)
 
 
+def record_frames(tags):
+    """Frames for tags in "TFI", each Failure followed by an Init unless last."""
+    r = Region(0, 0, 2, 2)
+    make = {"T": lambda: Tracked(r), "F": Failure, "I": lambda: Init(r)}
+    return [make[t]() for t in ["I"] + ["I" if a == "F" else b for a, b in zip(tags, tags[1:])]]
+
+
 class TestRecord:
-    def test_from_frames_derives_failures(self):
+    def test_failure_frames_derived_from_entries(self):
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord.from_frames(
-            [Init(r), Tracked(r), Failure(), Init(r), Tracked(r)], tau=0.0
-        )
+        rec = SupervisedRunRecord([Init(r), Tracked(r), Failure(), Init(r), Tracked(r)], tau=0.0)
         assert rec.failure_frames == (3,)
-        validate_record(rec)
+        assert rec.frames == (Init(r), Tracked(r), Failure(), Init(r), Tracked(r))
+
+    @given(st.lists(st.sampled_from("TFI"), min_size=1, max_size=30).map(record_frames))
+    def test_failure_frames_are_the_failure_positions(self, frames):
+        rec = SupervisedRunRecord(frames, tau=0.0)
+        assert rec.failure_frames == tuple(
+            i + 1 for i, f in enumerate(frames) if isinstance(f, Failure))
+
+    def test_failure_frames_is_not_an_argument(self):
+        r = Region(0, 0, 2, 2)
+        with pytest.raises(TypeError):
+            SupervisedRunRecord(frames=(Init(r), Failure()), failure_frames=(2,), tau=0.0)
 
     def test_empty_record(self):
-        with pytest.raises(MalformedRecordError):
-            validate_record(SupervisedRunRecord(frames=(), failure_frames=(), tau=0.0))
-
-    def test_failure_frames_out_of_range(self):
-        r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord(frames=(Init(r),), failure_frames=(2,), tau=0.0)
-        with pytest.raises(MalformedRecordError):
-            validate_record(rec)
-
-    def test_failure_frames_must_increase(self):
-        r = Region(0, 0, 2, 2)
-        frames = (Init(r), Failure(), Init(r), Failure(), Init(r))
-        rec = SupervisedRunRecord(frames=frames, failure_frames=(4, 2), tau=0.0)
-        with pytest.raises(MalformedRecordError):
-            validate_record(rec)
-
-    def test_failure_frames_must_match_entries(self):
-        r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord(
-            frames=(Init(r), Failure(), Init(r)), failure_frames=(3,), tau=0.0
-        )
-        with pytest.raises(MalformedRecordError):
-            validate_record(rec)
+        with pytest.raises(MalformedRecordError, match="^record has no frames$"):
+            SupervisedRunRecord(frames=(), tau=0.0)
 
     def test_failure_needs_following_init(self):
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord(
-            frames=(Init(r), Failure(), Tracked(r)), failure_frames=(2,), tau=0.0
-        )
-        with pytest.raises(MalformedRecordError):
-            validate_record(rec)
+        with pytest.raises(MalformedRecordError) as e:
+            SupervisedRunRecord(frames=(Init(r), Failure(), Tracked(r)), tau=0.0)
+        assert str(e.value) == "frame 3 after failure at 2 is not an Init"
 
     def test_final_frame_failure_allowed(self):
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord(
-            frames=(Init(r), Tracked(r), Failure()), failure_frames=(3,), tau=0.0
-        )
-        validate_record(rec)
+        rec = SupervisedRunRecord(frames=(Init(r), Tracked(r), Failure()), tau=0.0)
+        assert rec.failure_frames == (3,)
 
 
 class TestMeasureRow:
@@ -142,28 +131,28 @@ class TestSeries:
     def test_overlap_series_values(self):
         a = make_annotation([(0, 0, 2, 2), (0, 0, 2, 2)])
         t = traj([(0, 0, 2, 2), (1, 0, 2, 2)])
-        s = overlap_series(a, t)
+        s = score_trajectory(a, t).overlaps
         assert s[0] == 1.0
         assert abs(s[1] - 1.0 / 3.0) < 1e-15
 
     def test_center_error_series_values(self):
         a = make_annotation([(0.0, 0.0, 2.0, 2.0)] * 2)
         t = traj([(0.0, 0.0, 2.0, 2.0), (3.0, 4.0, 2.0, 2.0)])
-        s = center_error_series(a, t)
+        s = score_trajectory(a, t).center_errors
         assert s == [0.0, 5.0]
 
     def test_normalized_divides_by_size(self):
         # size of a 3x4 ground-truth box is sqrt(12)
         a = make_annotation([(0.0, 0.0, 3.0, 4.0)])
         t = traj([(6.0, 0.0, 3.0, 4.0)])
-        s = center_error_series(a, t, normalized=True)
+        s = score_trajectory(a, t).normalized_errors()
         assert abs(s[0] - 6.0 / math.sqrt(12.0)) < 1e-12
 
     def test_normalized_rejects_zero_size_gt(self):
         a = make_annotation([(0.0, 0.0, 2.0, 2.0), (5.0, 5.0, 0.0, 0.0)])
         t = traj([(0.0, 0.0, 2.0, 2.0)] * 2)
         with pytest.raises(DegenerateAnnotationError) as e:
-            center_error_series(a, t, normalized=True)
+            score_trajectory(a, t).normalized_errors()
         assert e.value.frame == 2
 
     def test_explicit_centers_feed_error_series(self):
@@ -173,7 +162,7 @@ class TestSeries:
             centers=(Point(10.0, 1.0),),
         )
         t = traj([(0.0, 0.0, 2.0, 2.0)])
-        assert center_error_series(a, t) == [9.0]
+        assert score_trajectory(a, t).center_errors == [9.0]
 
 
 box = st.tuples(
@@ -190,6 +179,6 @@ def test_series_are_frame_local(pairs, rng):
     t = traj([p[1] for p in pairs])
     ap = make_annotation([pairs[i][0] for i in idx])
     tp = traj([pairs[i][1] for i in idx])
-    for series in (overlap_series, center_error_series):
-        base = series(a, t)
-        assert series(ap, tp) == [base[i] for i in idx]
+    base, permuted = score_trajectory(a, t), score_trajectory(ap, tp)
+    for field in ("overlaps", "center_errors", "normalized"):
+        assert getattr(permuted, field) == [getattr(base, field)[i] for i in idx]
