@@ -63,7 +63,6 @@ def parse_tracker_spec(spec: str, timeout: float = 30.0) -> TrackerHandle:
       scripted[:key=value,...]               scripted perturbation of ground truth
       scripted:@params.txt                   same, parameters from a file
       cmd:<name>:<command line>              child process over stdio
-      tcp:<name>:<host>:<port>               live process over TCP
 
     The built-in forms (theoretical.BUILTINS) become a BuiltinTracker
     that the handle calls to build the behavior; only scripted takes
@@ -91,15 +90,6 @@ def _parse_tracker_spec(spec: str, timeout: float) -> TrackerHandle:
         if not name or not command.strip():
             raise ConfigError(f"cmd tracker needs a name and a command, got {spec!r}")
         return TrackerHandle.from_command(name, command, timeout=timeout)
-    if kind == "tcp":
-        parts = spec.split(":")
-        if len(parts) != 4:
-            raise ConfigError(f"tcp tracker needs tcp:<name>:<host>:<port>, got {spec!r}")
-        _, name, host, port = parts
-        try:
-            return TrackerHandle.from_tcp(name, host, int(port), timeout=timeout)
-        except ValueError:
-            raise ConfigError(f"bad tcp port in {spec!r}") from None
     raise ConfigError(f"unrecognized tracker spec {spec!r}")
 
 
@@ -421,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tracker",
         action="append",
         help="tracker spec; repeatable (tta|tts|ttf|tto, scripted:..., "
-        "cmd:<name>:<command>, tcp:<name>:<host>:<port>)",
+        "cmd:<name>:<command>)",
     )
     rp.add_argument("--out", help="output directory (default: out)")
     rp.add_argument("--mode", choices=("supervised", "unsupervised", "both"))

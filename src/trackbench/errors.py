@@ -86,10 +86,6 @@ class PrematureExitError(RunError):
     kind = "premature-exit"
 
 
-class HandleBusyError(TrackbenchError):
-    """A tracker handle already has an active evaluation session."""
-
-
 class InsufficientSamplesError(TrackbenchError):
     """Not enough rows for the requested statistic."""
 

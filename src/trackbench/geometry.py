@@ -113,7 +113,9 @@ def _intersection_area(a: Region, b: Region) -> float:
     ih = min(a.y + a.height, b.y + b.height) - max(a.y, b.y)
     if ih <= 0:
         return 0.0
-    return iw * ih
+    # (y+h)-y can exceed h by an ulp of y; no box is smaller than its
+    # intersection with another.
+    return min(iw * ih, a.area, b.area)
 
 
 def iou(gt: Region, pred: Region) -> float:
@@ -128,8 +130,8 @@ def iou(gt: Region, pred: Region) -> float:
     union = gt.area + pred.area - inter
     if union <= 0:
         return 0.0
-    # (x+w)-x can exceed w by ulps, making inter overshoot the union for
-    # nearly identical boxes; the clamp keeps the ratio in range.
+    # Finite boxes whose areas overflow to inf make the union NaN
+    # (inf - inf); the clamp keeps the ratio in range.
     return min(1.0, inter / union)
 
 

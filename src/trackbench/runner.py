@@ -25,8 +25,8 @@ in an error always stops its child, so the next run starts a new one.
 
 Per-frame timeouts and tracker crashes invalidate the run (they are
 run failures, not tracking failures). The same engine drives
-in-process tracker behaviors, child processes over stdio, and TCP
-endpoints, producing identical records for identical reports.
+in-process tracker behaviors and child processes over stdio,
+producing identical records for identical reports.
 
 The supervised protocol reinitializes after failures: frame 1 is
 always an Init frame; on any later frame whose reported overlap with
@@ -55,7 +55,6 @@ except ImportError:
 
 from .errors import (
     ConfigError,
-    HandleBusyError,
     ParseError,
     PrematureExitError,
     ProtocolViolationError,
@@ -188,10 +187,6 @@ _EOF = object()
 _OVERFLOW = object()
 
 
-def _over_limit(line: str) -> bool:
-    return len(line) == MAX_REPLY_CHARS and not line.endswith("\n")
-
-
 class PipeSession(_Session):
     """Child process spoken to over stdin/stdout.
 
@@ -224,7 +219,7 @@ class PipeSession(_Session):
         readline = self._proc.stdout.readline
         try:
             while line := readline(MAX_REPLY_CHARS):
-                if _over_limit(line):
+                if len(line) == MAX_REPLY_CHARS and not line.endswith("\n"):
                     self._lines.put(_OVERFLOW)
                     break
                 self._lines.put(line)
@@ -291,72 +286,6 @@ class PipeSession(_Session):
             self.close()
 
 
-class TcpSession(_Session):
-    """Tracker reached over a TCP endpoint speaking the same protocol.
-
-    `release()` runs once, when the session closes.
-    """
-
-    def __init__(self, address: tuple[str, int], timeout: float, release):
-        # Imported here: only TCP endpoints need it.
-        import socket
-
-        self._timeout = timeout
-        self._release = release
-        self._closed = False
-        try:
-            self._sock = socket.create_connection(address, timeout=timeout)
-        except OSError as e:
-            raise PrematureExitError(f"could not connect to {address}: {e}", 0) from e
-        self._sock.settimeout(timeout)
-        self._file = self._sock.makefile("rw", encoding="utf-8", newline="\n")
-
-    def _send_only(self, line: str) -> None:
-        try:
-            self._file.write(line + "\n")
-            self._file.flush()
-        except (OSError, ValueError):
-            pass
-
-    def _request(self, line: str, frame: int) -> str:
-        try:
-            self._file.write(line + "\n")
-            self._file.flush()
-        except OSError as e:
-            raise PrematureExitError(f"connection lost: {e}", frame) from None
-        try:
-            reply = self._file.readline(MAX_REPLY_CHARS)
-        except TimeoutError:
-            raise TrackerTimeoutError(f"no reply within {self._timeout}s", frame) from None
-        except OSError as e:
-            raise PrematureExitError(f"connection lost: {e}", frame) from None
-        if reply == "":
-            raise PrematureExitError("connection closed", frame)
-        if _over_limit(reply):
-            raise ProtocolViolationError(
-                f"reply longer than {MAX_REPLY_CHARS} characters", frame
-            )
-        return reply.rstrip("\n")
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._send_only("quit")
-        try:
-            self._file.close()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._release()
-
-    def quit(self) -> None:
-        self.close()
-
-
 _PLACEHOLDERS = ("{groundtruth}", "{meta}", "{sequence}", "{frames}")
 
 
@@ -364,13 +293,11 @@ _PLACEHOLDERS = ("{groundtruth}", "{meta}", "{sequence}", "{frames}")
 class TrackerHandle:
     """Addressable tracker: a name plus one transport.
 
-    Exactly one of `factory` (in-process behaviors), `command` (argv
+    Exactly one of `factory` (in-process behaviors) or `command` (argv
     template for a child process; `{groundtruth}`, `{meta}`,
-    `{sequence}` and `{frames}` expand per sequence) or `address`
-    (host, port) is set. In-process and `command` handles start a fresh
-    tracker per session, so they admit any number of open sessions. A
-    TCP endpoint serves one session at a time: a second concurrent
-    `open` raises HandleBusyError.
+    `{sequence}` and `{frames}` expand per sequence) is set. Both start
+    a fresh tracker per session, so a handle admits any number of open
+    sessions, and it holds no lock, so it pickles when its factory does.
 
     `execute_plan` runs each (tracker, sequence) unit on a copy whose
     `_idle` slot is a list. A `command` child that declared `runs=many`
@@ -382,8 +309,6 @@ class TrackerHandle:
     timeout: float = 30.0
     factory: object = None
     command: tuple[str, ...] | None = None
-    address: tuple[str, int] | None = None
-    _busy: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _idle: list | None = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -397,10 +322,6 @@ class TrackerHandle:
         if not argv:
             raise ConfigError(f"tracker {name!r}: empty command")
         return cls(name=name, timeout=timeout, command=argv)
-
-    @classmethod
-    def from_tcp(cls, name: str, host: str, port: int, timeout: float = 30.0) -> "TrackerHandle":
-        return cls(name=name, timeout=timeout, address=(host, int(port)))
 
     def _expand_command(self, seq: SequenceData) -> list[str]:
         argv = []
@@ -422,19 +343,11 @@ class TrackerHandle:
     def open(self, seq: SequenceData) -> _Session:
         if self.factory is not None:
             return InProcessSession(self.factory(seq))
-        if self.command is not None:
-            if self._idle:
-                return self._idle.pop()
-            return PipeSession(self._expand_command(seq), self.timeout, self._idle)
-        if self.address is None:
+        if self.command is None:
             raise ConfigError(f"tracker {self.name!r} has no transport")
-        if not self._busy.acquire(blocking=False):
-            raise HandleBusyError(f"tracker {self.name!r} already has an active session")
-        try:
-            return TcpSession(self.address, self.timeout, self._busy.release)
-        except BaseException:
-            self._busy.release()
-            raise
+        if self._idle:
+            return self._idle.pop()
+        return PipeSession(self._expand_command(seq), self.timeout, self._idle)
 
     def close_idle(self) -> None:
         while self._idle:
@@ -619,13 +532,11 @@ def execute_plan(
     run in order and collapse to a single run when the pair's first
     handshake declares the tracker deterministic. Run errors become
     rows with the error field set, never aborts. `workers` threads take
-    units from one shared iterator; sessions wait on child pipes and
-    sockets, which releases the GIL. Any other exception stops the
-    threads from taking new units, and the first one raised reaches the
-    caller once every thread has finished its unit. A TCP endpoint
-    serves one session at a time, so all pairs of a `tcp:` handle form
-    one serial unit. Rows are sorted by (tracker, sequence, run) so the
-    result does not depend on scheduling.
+    units from one shared iterator; sessions wait on child pipes, which
+    releases the GIL. Any other exception stops the threads from taking
+    new units, and the first one raised reaches the caller once every
+    thread has finished its unit. Rows are sorted by (tracker, sequence,
+    run) so the result does not depend on scheduling.
     """
     # Names key the rows and the raw/<tracker>/<sequence>/ directories,
     # which units on different threads write at the same time.
@@ -634,17 +545,7 @@ def execute_plan(
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate {kind} names in plan: {names}")
 
-    units = []
-    for handle in trackers:
-        if handle.address is not None:
-            units.append((handle, sequences))
-        else:
-            units.extend((handle, [seq]) for seq in sequences)
-
-    def run_unit(unit) -> list[MeasureRow]:
-        handle, seqs = unit
-        return [row for seq in seqs
-                for row in _run_pair(plan, handle, seq, master_seed, out_dir)]
+    units = [(handle, seq) for handle in trackers for seq in sequences]
 
     results: list[list[MeasureRow]] = []
     if workers > 1 and len(units) > 1:
@@ -659,7 +560,7 @@ def execute_plan(
                 if unit is None:
                     return
                 try:
-                    results.append(run_unit(unit))
+                    results.append(_run_pair(plan, *unit, master_seed, out_dir))
                 except BaseException as e:
                     with lock:
                         failures.append(e)
@@ -672,7 +573,7 @@ def execute_plan(
         if failures:
             raise failures[0]
     else:
-        results = [run_unit(unit) for unit in units]
+        results = [_run_pair(plan, *unit, master_seed, out_dir) for unit in units]
     rows = sorted((row for unit_rows in results for row in unit_rows),
                   key=lambda r: (r.tracker, r.sequence, r.run))
     return MeasureTable(rows=tuple(rows))

@@ -211,11 +211,17 @@ class ScriptedTrackerSpec:
     seed: int = 0
 
 
+# random.gauss never exceeds sqrt(-2 ln 2**-53) < 8.58 in magnitude, so
+# exp(gauss * scale_noise) stays below math.exp's overflow at 709.78.
+MAX_SCALE_NOISE = 82.0
+
+
 def parse_scripted_params(text: str) -> ScriptedTrackerSpec:
     """Build a scripted tracker spec from "key=value,key=value" text.
 
     drift_velocity uses a colon pair (dx:dy) since commas separate
-    fields. Unknown keys are rejected.
+    fields. Unknown keys, a non-finite center_noise, scale_noise or
+    loss_prob, and a scale_noise beyond +-MAX_SCALE_NOISE are rejected.
     """
     fields: dict = {}
     if text.strip():
@@ -233,6 +239,13 @@ def parse_scripted_params(text: str) -> ScriptedTrackerSpec:
                     fields[key] = value
                 elif key in ("center_noise", "scale_noise", "loss_prob"):
                     fields[key] = float(value)
+                    if not math.isfinite(fields[key]):
+                        raise ConfigError(f"scripted parameter {key!r} must be finite")
+                    if key == "scale_noise" and abs(fields[key]) > MAX_SCALE_NOISE:
+                        raise ConfigError(
+                            f"scripted parameter 'scale_noise' must be within "
+                            f"+-{MAX_SCALE_NOISE:g}"
+                        )
                 elif key == "drift_onset":
                     fields[key] = None if value.lower() == "none" else int(value)
                 elif key == "drift_velocity":

@@ -1,13 +1,12 @@
 """Standalone tracker process speaking the line protocol.
 
-Runs one of the built-in behaviors behind stdio (default) or a TCP
-socket (--listen PORT, one connection then exit). The protocol is the
-one the runner speaks: `hello version=1 seed=<n>`, `initialize <path>
-<x>,<y>,<w>,<h>`, `frame <path>`, `quit`; every frame is answered with
-`state <x>,<y>,<w>,<h>`. The hello reply ends with `runs=many`: a
-later `hello` starts a new run, and `begin(seed)` resets all of the
-behavior's state, so the runner keeps one process for every run of a
-(tracker, sequence) unit.
+Runs one of the built-in behaviors behind stdin and stdout. The
+protocol is the one the runner speaks: `hello version=1 seed=<n>`,
+`initialize <path> <x>,<y>,<w>,<h>`, `frame <path>`, `quit`; every
+frame is answered with `state <x>,<y>,<w>,<h>`. The hello reply ends
+with `runs=many`: a later `hello` starts a new run, and `begin(seed)`
+resets all of the behavior's state, so the runner keeps one process
+for every run of a (tracker, sequence) unit.
 
 Which behavior runs comes from `theoretical.BUILTINS`, the registry
 `trackbench run --tracker` also builds from, and so does what the
@@ -112,22 +111,6 @@ def serve(behavior, rfile, wfile) -> int:
     return 0
 
 
-def _serve_tcp(behavior, port: int) -> int:
-    import socket
-
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind(("127.0.0.1", port))
-        server.listen(1)
-        host, bound = server.getsockname()
-        print(f"listening {host} {bound}", flush=True)
-        conn, _ = server.accept()
-        with conn:
-            rfile = conn.makefile("r", encoding="utf-8", newline=None)
-            wfile = conn.makefile("w", encoding="utf-8", newline="\n")
-            return serve(behavior, rfile, wfile)
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(
         prog="trackbench-tracker",
@@ -138,17 +121,11 @@ def main(argv=None) -> int:
     p.add_argument("--sequence", help="sequence directory (alternative to the above)")
     p.add_argument("--meta", help="sequence.meta path (frame size for tta)")
     p.add_argument("--params", help="scripted parameters, key=value,...")
-    p.add_argument(
-        "--listen", type=int, metavar="PORT",
-        help="serve one TCP session on 127.0.0.1:PORT (0 picks a free port)",
-    )
     args = p.parse_args(argv)
     try:
         tracker = BuiltinTracker.parse(args.kind, args.params)
         needs, build = BUILTINS[tracker.kind]
         behavior = build(tracker.params, _read_input(args, needs))
-        if args.listen is not None:
-            return _serve_tcp(behavior, args.listen)
         return serve(behavior, sys.stdin, sys.stdout)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -220,8 +220,9 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
     the caller's error if a region is invalid and returns if not.
 
     The overlap is geometry.iou inlined operation for operation, with
-    min(a, b) as `b if b < a else a` and max(a, b) as `b if b > a else a`,
-    so ties and signed zeros come out bit-identical; change both together.
+    min(a, b) as `b if b < a else a` and max(a, b) as `b if b > a else a`
+    (the area clamp as two such steps), so ties and signed zeros come
+    out bit-identical; change both together.
     """
     overlaps: list[float | None] = []
     errors: list[float | None] = []
@@ -248,6 +249,7 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
         if gx == px and gy == py and gw == pw and gh == ph:
             overlaps.append(1.0 if gw * gh > 0 else 0.0)
         else:
+            ga, pa = gw * gh, pw * ph
             ge, pe = gx + gw, px + pw
             iw = (pe if pe < ge else ge) - (px if px > gx else gx)
             if iw <= 0:
@@ -255,8 +257,15 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
             else:
                 ge, pe = gy + gh, py + ph
                 ih = (pe if pe < ge else ge) - (py if py > gy else gy)
-                inter = 0.0 if ih <= 0 else iw * ih
-            union = gw * gh + pw * ph - inter
+                if ih <= 0:
+                    inter = 0.0
+                else:
+                    inter = iw * ih
+                    if ga < inter:
+                        inter = ga
+                    if pa < inter:
+                        inter = pa
+            union = ga + pa - inter
             if union <= 0:
                 overlaps.append(0.0)
             else:

@@ -76,20 +76,19 @@ class TestTrackerSpecs:
         assert h.name == "mine"
         assert h.command[0] == "python3"
 
-    def test_tcp(self):
-        h = cli.parse_tracker_spec("tcp:live:127.0.0.1:9000")
-        assert h.name == "live" and h.address == ("127.0.0.1", 9000)
-
     def test_malformed_specs_rejected(self):
-        for bad in ("cmd:onlyname", "cmd::ls", "tcp:x:host", "tcp:x:host:notaport", "nope"):
+        for bad in ("cmd:onlyname", "cmd::ls", "nope"):
             with pytest.raises(ConfigError):
                 cli.parse_tracker_spec(bad)
+        # stdio is the one wire transport.
+        with pytest.raises(ConfigError, match="unrecognized tracker spec"):
+            cli.parse_tracker_spec("tcp:x:host")
 
     @pytest.mark.parametrize("spec", [
-        "tcp::127.0.0.1:9000", "scripted:name=",
+        "scripted:name=",
         "cmd:.:ls", "scripted:name=..",
         "cmd:a/b:ls", "scripted:name=../up",
-        "cmd:a\\b:ls", "cmd:a\tb:ls", "tcp:a\rb:127.0.0.1:9000", "cmd:a\nb:ls",
+        "cmd:a\\b:ls", "cmd:a\tb:ls", "cmd:a\rb:ls", "cmd:a\nb:ls",
     ])
     def test_names_unsafe_as_path_or_cell_rejected(self, spec):
         with pytest.raises(ConfigError, match="unsafe tracker name"):

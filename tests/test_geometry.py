@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from trackbench.errors import InvalidRegionError
 from trackbench.geometry import (
@@ -90,6 +90,8 @@ class TestOverlap:
         assert overlap(a, b) == overlap(b, a)
 
     @given(finite_regions, finite_regions)
+    # Areas overflow to inf, so the union is inf - inf = NaN.
+    @example(Region(0.0, 0.0, 1e200, 1e200), Region(1.0, 0.0, 1e200, 1e200))
     def test_range(self, a, b):
         v = overlap(a, b)
         assert 0.0 <= v <= 1.0
@@ -100,6 +102,10 @@ class TestOverlap:
         assert overlap(r, r) == expected
 
     @given(finite_regions, finite_regions)
+    # A height below an ulp of y: (y+h)-y made the intersection larger
+    # than either box, so overlap read 1.0 (not 2/3) and fn went negative.
+    @example(Region(0.0, 256.0, 2.0, 4.029699754383572e-14),
+             Region(0.0, 256.0, 3.0, 4.029699754383572e-14))
     def test_consistency_with_classification(self, a, b):
         s = classify(a, b)
         denom = s.tp + s.fp + s.fn
@@ -128,6 +134,14 @@ class TestClassification:
         s = classify(Region(0, 0, 3, 3), Region(10, 10, 0, 0))
         assert s.tp == 0.0 and s.fp == 0.0 and s.fn == 9.0
         assert f_measure(s) == 0.0
+
+    @given(finite_regions, finite_regions)
+    @example(Region(0.0, 256.0, 2.0, 4.029699754383572e-14),
+             Region(0.0, 256.0, 3.0, 4.029699754383572e-14))
+    def test_parts_are_non_negative_and_within_each_box(self, a, b):
+        s = classify(a, b)
+        assert min(s.tp, s.fp, s.fn) >= 0.0
+        assert s.tp <= min(a.area, b.area)
 
     def test_degenerate_scores(self):
         assert f_measure(ClassificationScores(0.0, 0.0, 0.0)) == 0.0

@@ -597,6 +597,15 @@ def one_frame_case(gt, pred):
 # height, is exactly -0.0.
 TOUCH_WIDTH = one_frame_case(Region(0.0, 0.0, 1.0, 1.0), Region(-0.0, 0.0, -0.0, 1.0))
 TOUCH_HEIGHT = one_frame_case(Region(0.0, 0.0, 1.0, 1.0), Region(0.0, -0.0, 1.0, -0.0))
+# Boxes whose height is below an ulp of y: (y+h)-y exceeds either area,
+# so the intersection is clamped, once to the ground truth's area and
+# once to the prediction's.
+_THIN2 = Region(0.0, 256.0, 2.0, 4.029699754383572e-14)
+_THIN3 = Region(0.0, 256.0, 3.0, 4.029699754383572e-14)
+SLIVER_GT = one_frame_case(_THIN2, _THIN3)
+SLIVER_PRED = one_frame_case(_THIN3, _THIN2)
+# Finite boxes whose areas overflow: the union is inf - inf = NaN.
+OVERFLOW = one_frame_case(Region(0.0, 0.0, 1e200, 1e200), Region(1.0, 0.0, 1e200, 1e200))
 # An invalid prediction before an invalid ground truth: a trajectory
 # reports the ground truth of frame 3, a record the prediction of frame 2.
 _ok, _bad = Region(0.0, 0.0, 4.0, 4.0), Region(0.0, 0.0, -1.0, 4.0)
@@ -611,6 +620,9 @@ class TestScoringKernel:
     @given(scoring_cases())
     @example(TOUCH_WIDTH)
     @example(TOUCH_HEIGHT)
+    @example(SLIVER_GT)
+    @example(SLIVER_PRED)
+    @example(OVERFLOW)
     @example(ERRORS_SPREAD)
     def test_compute_all_matches_reference_bit_for_bit(self, case):
         a, t, rec = case
@@ -619,6 +631,9 @@ class TestScoringKernel:
     @given(scoring_cases())
     @example(TOUCH_WIDTH)
     @example(TOUCH_HEIGHT)
+    @example(SLIVER_GT)
+    @example(SLIVER_PRED)
+    @example(OVERFLOW)
     @example(ERRORS_SPREAD)
     def test_frame_series_match_reference(self, case):
         a, t, rec = case

@@ -1,8 +1,7 @@
-import contextlib
 import hashlib
 import math
 import os
-import socket
+import pickle
 import subprocess
 import sys
 import threading
@@ -12,7 +11,6 @@ import pytest
 
 from trackbench.errors import (
     ConfigError,
-    HandleBusyError,
     PrematureExitError,
     ProtocolViolationError,
     TrackerTimeoutError,
@@ -20,7 +18,6 @@ from trackbench.errors import (
 from trackbench.geometry import Region, overlap
 from trackbench.io_formats import SequenceData, dumps_measure_table, dumps_record, read_sequence
 from trackbench.runner import (
-    MAX_REPLY_CHARS,
     RunPlan,
     TrackerHandle,
     derive_seed,
@@ -29,6 +26,7 @@ from trackbench.runner import (
     run_unsupervised,
 )
 from trackbench.theoretical import (
+    BUILTINS,
     BuiltinTracker,
     ScriptedTrackerSpec,
     StaticTracker,
@@ -82,26 +80,6 @@ def started(monkeypatch):
 
 def all_exited(procs):
     return all(proc.poll() is not None for proc in procs)
-
-
-@contextlib.contextmanager
-def listening_tracker(kind):
-    """A `trackbench-tracker --listen 0` process; yields (host, port)."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "trackbench.tracker_cli", kind, "--listen", "0"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        banner = proc.stdout.readline().split()
-        assert banner[0] == "listening"
-        yield banner[1], int(banner[2])
-    finally:
-        proc.wait(timeout=10)
-        proc.stdout.close()
-        proc.stderr.close()
-    assert proc.returncode == 0
 
 
 def tree_bytes(root):
@@ -387,53 +365,6 @@ class TestSessionReuse:
 
 
 class TestHandle:
-    def test_one_session_at_a_time(self):
-        seq = static_sequence(4)
-        with listening_tracker("tts") as (host, port):
-            handle = TrackerHandle.from_tcp("tts-tcp", host, port, timeout=10.0)
-            s = handle.open(seq)
-            with pytest.raises(HandleBusyError):
-                handle.open(seq)
-            s.close()
-        # Closing freed the handle, and so does a failed connect: the
-        # endpoint served its one session and left.
-        for _ in range(2):
-            with pytest.raises(PrematureExitError):
-                handle.open(seq)
-
-    def test_racing_opens_of_a_tcp_handle_admit_exactly_one(self):
-        # The endpoint never accepts; connects still complete in its backlog.
-        server = socket.create_server(("127.0.0.1", 0), backlog=16)
-        host, port = server.getsockname()
-        handle = TrackerHandle.from_tcp("t", host, port, timeout=5.0)
-        start = threading.Barrier(8)
-        outcomes = []
-
-        def race():
-            start.wait(timeout=10)
-            try:
-                outcomes.append(handle.open(static_sequence(2)))
-            except HandleBusyError:
-                outcomes.append(None)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        threads = [threading.Thread(target=race) for _ in range(8)]
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-            for session in outcomes:
-                if session is not None:
-                    session.close()
-            server.close()
-        assert len(outcomes) == 8
-        assert sum(session is not None for session in outcomes) == 1
-
     @pytest.mark.parametrize("make", [tts_handle, lambda: stub_handle("ok")],
                              ids=["in-process", "cmd"])
     def test_fresh_tracker_handles_admit_concurrent_sessions(self, make):
@@ -447,6 +378,15 @@ class TestHandle:
                 assert session.initialize(1, seq.frame_paths[0], box) == box
             for session in (first, second):
                 assert session.frame(2, seq.frame_paths[1]) == box
+
+    @pytest.mark.parametrize("handle", [
+        *(TrackerHandle.in_process(kind, BuiltinTracker.parse(kind)) for kind in BUILTINS),
+        scripted_handle(),
+        wob_handle(),
+    ], ids=[*BUILTINS, "noisy", "cmd"])
+    def test_handle_pickles_by_value(self, handle):
+        # A handle holds no lock, so a process pool can send it as it is.
+        assert pickle.loads(pickle.dumps(handle)) == handle
 
     def test_no_transport_rejected(self):
         with pytest.raises(ConfigError):
@@ -516,45 +456,6 @@ class TestChildProcess:
         handle = TrackerHandle.from_command("ghost", "/no/such/binary")
         with pytest.raises(PrematureExitError) as e:
             run_supervised(handle, static_sequence(4))
-        assert e.value.frame == 0
-
-
-class TestTcp:
-    def test_tcp_session_matches_in_process(self, tmp_dataset):
-        seq = read_sequence(os.path.join(tmp_dataset, "bravo"))
-        with listening_tracker("tts") as (host, port):
-            handle = TrackerHandle.from_tcp("tts-tcp", host, port, timeout=10.0)
-            got = run_supervised(handle, seq, tau=0.0, seed=3)
-        local = run_supervised(tts_handle(), seq, tau=0.0, seed=3)
-        assert dumps_record(got) == dumps_record(local)
-
-    def test_endless_reply_line_is_a_protocol_violation(self):
-        server = socket.create_server(("127.0.0.1", 0))
-
-        def flood():
-            conn, _ = server.accept()
-            # The evaluator closes with the flood unread, which may reset.
-            with conn, contextlib.suppress(OSError):
-                conn.makefile("rb").readline()
-                conn.sendall(b"x" * (4 * MAX_REPLY_CHARS))
-                while conn.recv(4096):
-                    pass
-
-        thread = threading.Thread(target=flood)
-        thread.start()
-        try:
-            handle = TrackerHandle.from_tcp("flood", *server.getsockname(), timeout=10.0)
-            with pytest.raises(ProtocolViolationError, match="reply longer") as e:
-                run_unsupervised(handle, static_sequence(3))
-            assert e.value.frame == 0
-        finally:
-            thread.join(timeout=10)
-            server.close()
-
-    def test_refused_connection_is_premature_exit(self):
-        handle = TrackerHandle.from_tcp("nobody", "127.0.0.1", 1, timeout=2.0)
-        with pytest.raises(PrematureExitError) as e:
-            run_unsupervised(handle, static_sequence(3))
         assert e.value.frame == 0
 
 

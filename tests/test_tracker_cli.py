@@ -64,6 +64,42 @@ def test_params_on_a_kind_other_than_scripted_rejected(kind, tmp_dataset, capsys
             cli.parse_tracker_spec(spec)
 
 
+# A scale_noise past the bound can overflow math.exp in
+# ScriptedTracker.update; a non-finite noise value is rejected with it.
+UNSAFE_SCRIPTED = ["scale_noise=1000", "scale_noise=-82.01", "scale_noise=inf",
+                   "center_noise=nan", "loss_prob=-inf"]
+
+
+@pytest.mark.parametrize("params", UNSAFE_SCRIPTED)
+def test_unsafe_scripted_params_are_usage_errors_at_run(params, tmp_dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--dataset", tmp_dataset, "--out", str(out),
+                     "--tracker", f"scripted:{params}"]) == 2
+    err = capsys.readouterr().err
+    assert f"scripted parameter {params.split('=')[0]!r}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("params", UNSAFE_SCRIPTED)
+def test_unsafe_scripted_params_are_usage_errors_at_the_tracker(params, tmp_dataset, capsys):
+    seq_dir = os.path.join(tmp_dataset, "bravo")
+    assert tracker_cli.main(["scripted", "--sequence", seq_dir, "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert f"scripted parameter {params.split('=')[0]!r}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_scale_noise_at_its_bound_runs(tmp_dataset, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main([
+        "run", "--dataset", tmp_dataset, "--out", str(out), "--repetitions", "3",
+        "--tracker", "scripted:name=up,scale_noise=82",
+        "--tracker", "scripted:name=down,scale_noise=-82",
+    ]) == 0
+    rows = read_measure_table(str(out / "measures.tsv")).rows
+    assert len(rows) == 18 and not any(r.error for r in rows)
+
+
 @pytest.mark.parametrize("kind", list(BUILTINS))
 def test_every_builtin_kind_is_accepted_by_both_front_ends(
     kind, tmp_dataset, tmp_path, monkeypatch, capsys
