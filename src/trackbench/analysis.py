@@ -11,6 +11,7 @@ dynamic programming over the sorted values, so the partition is the
 global optimum, not a local one.
 """
 
+import binascii
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,75 @@ __all__ = [
     "SequenceLabels",
     "label_sequences",
 ]
+
+
+# The first 256 draws of np.random.default_rng(0x5EED).standard_normal,
+# as little-endian float64. Reading them from here rather than from
+# numpy.random keeps that subpackage, and the OpenSSL binding it imports
+# through `secrets`, out of every process that clusters up to 16 items.
+_JITTER = np.frombuffer(binascii.a2b_base64("""
+h4cdNWVY1T+0czD14FntPzTJUH0HK/k/Tpr/JZuvkL8kDp1rSBz7vwwWPtXHufA/dNIjMuSl8j92
+augb+RTovxU+xe+HzuO/9nI/3/qg9r93HN2222zTv61PTMgeauS//oH9IX6a4T80DLXwLVPpvzMh
+pMtbrNw/uCj/U52p4z+eGcGeIXbQv1MfimCrRN4/v7m/wsqG9D/HYgA593rlv1yY7xgtGde/nbsI
+s+TF3b9PqrGxsW36P5JhPqNS2tu/QAw8xpjW1r98kpFQgZ7wv0RxUBO/6gDA93CgWDCM/b+zwTL5
+GCnDPwJ11SBQbMm/sRVzq2lDAEAi3l4i60Hjv1FaIA91Z/g//F7jXxE08z/6OaXuOt3xvzhzjc3k
+pe4/v6KCKFDL9D8i5IWUBVinv/wPbXDQyP8/DUfzQNyZ+L9VgrP+2QD4P/T3/mmdzfA/lKWvX+o3
+zT/sDyHSXhmlvzQXQCJLGtq/2Yuk7xo04T9pSKqwDufBv6tptBPG4O2/y0Ec12hc879nu13tjpaZ
+P9mJ+mjGCd0/Xs547Cf06T+mxM4geJ7mv53v29jhxM2/4WN6kuYNBECabdY33pzcP9Gh8/oLcfk/
+UDZLm+AN9j8fGFWEyw7bv78Y+xIFDeK/N3BoUnBA8T9P02eUdQP2v2Rj6gOv2fe/lV3nnHr65r82
+v7eRqMzWP37uZ6b6xANAWXI/OtLX57/OqWWW7aHdP3LNcVaco+g/iEmCdoRX6L9/LbKbcVv2v0Bv
+c2vRMd4/QhHHrTREyb9AMEUgK/HkP+tDxqUj9fG/1BvbDN314z8/YRPs4k+/PxPDIn5KPrK/h43n
+TfRZ679/fyu7qa3xP1JWVWOfteA/0vno8cBZ1z9oWmiar0brv2WuE4lTSec/sd6CKVPO+j/hisHe
+HRjev5197A3D7t6/LLxghGk26D/kJoaeccPev+HXGbsUWPk/zfsHT7gWnz+ToGov3FLxP7VP6Wqe
+sf8/WyY3nkeez78iGAIg/szZv8KACh7Letu/Eyj8T6K1wb9Kx+0lrFbyP+XBrzkdXuG/LxYqau0Z
+8L8vYdYK0C3Dv9ZAqDj6NZe//TkB/yyYyz+YA3D3LrT/P1Cyu06nL/Q/LwOLhZst3D+7Fyv2/f3/
+v4P/SxfGB8Y/WBKvS/h09z9aKJQYJsHiv1zVRy42HeQ/+8a4vASywr/jMa5EeBkEQIj4nxdP+Ny/
+V5R0zkrv+b+lsbufd6Oyv3+zS5Ni2e4//VfiNgVTtr/FD4lTJan0PwbBNJ2BE+e/wWqE3EQB0T+z
+8OnIWQvvv/BlHhJID6A/cK78Li2g8z9HYWXDrOx6v80J8eKyCfG/OOt/inH9xj9WEYqDxeLjv8B8
+VNnJ+ua/OtuMZk5G/D+W6Surc+DZv+8AIt1RYvO/18blDKtF3T/NPw61wzTzP3DNcEPiiRBAdFoy
+2v2R4D/2wpG2qlDzPwV+igexKNE/uxdIcViI2r8YhnFaXvD6vzI7aJEFCfw/BFwcjlvz17+6DUiX
+5d+ev1WtpS+kdPQ/RysPJ3FH1j+liA+xZofrvytMeqed+tQ/p8HJhUms6D9fNLNyCsPYP/79ZY6W
+v/8/uca8MfD19L/UrAFPZNHBP0UFQv70pe8/ADFX+dHMxD9PSbtso4bmv9N7dPkk3QPArS7jEKgE
+BEB0vlsNUznzv2TfQDJcktq/mtFmLWbi7r8RChEExFL9v/RHcWPgUfs/NfZ0Ihx6z78VcrQ90UK+
+vwXjfW0Hec6/pKK6bO+frb9TIbwskUixv4u6gsG7zrK/1EdJDURW8T8UMqcviIndP3RdvHc8fdS/
+vQSTSGrCg78Y88UF1kfTP9Gc0ldtmee/58ZZ2IBA9b86Wy/ORfbIv8IshMyZFri/XetudDFlyD/I
+lG75BzDvv3BZVotW4u4/zgrboUe71T+JkHQNYKzkP2wWsTKb0Oe/XOZL/w+Znj9KQx9lOZ7dv01D
+7cdMjLu/z4j+i8yO2j92zOBnXIDjPwm6ulUU8uG/h7Wt9+DE9D8U8aW+YSf0PxvrzjulD9I/6Qhh
+yb+X3L9JXrb8dj3ZvyQivPBL7eS/1nejvP9B/r/ZGb26VWrQvzI8sqw3Ddo/YuSQ0rnL9j8LJldk
+DpfqvwnM50BF1fa/+2Xxfwo+9L9/WgdaUE7avwkO0QqpYQJASi3f6Z0It7/gPB7gbRPqPxgjMuJv
+5/o/rvgsV7rI2z9c+u1z7vHdP9RREUSSaNo/DoPV5Gc26D8oRTd7T9nuP7zoIzy7krG/NiXLnXnQ
+8L+XJMxg7r/lvy7d54Q+/ZW/HCX+yeTct7+XbqmfcBHxPyUeFk9oxdY/lR7bgWG29L8SvixwiT0G
+QP19h8xrbADAeobboFA07D8rTSwiAqv5P0cJj5gPlOE/z5ypiCZHlb/kP57uwpLkP6ga9dqWQKo/
+YKmxhWzUAMBfl1WgtHnYvyWKiCHtBfu/BOZ/ufu++78ISlD1CKYAwBQsOCzmTt8/RdeTxdme+r/6
+xPqycLXov5F547ui1fK/NId+AM3Szr+DkEWbj3WovztpRPyZqPE/g3hco07JtT+xzliBqi7xP/Ne
+RM3hefq/fnPi0S1dAMD7rHrz3Fzhv4JrNxgFj9w/wYxr/vDhvD+ylwVdBEryP4+toLfGdPS/U1Li
+RhZs2T+Fvf4Ky3flPyk64nsMm/G/+RCrRkv+hb+K9/0tjBjsPwbbTmK6UM4/n09vE8ZT3j8=
+"""), "<f8")
+
+
+def _jitter(n: int) -> np.ndarray:
+    """The first n * n draws of default_rng(0x5EED).standard_normal, as (n, n).
+
+    A generator's first draws do not depend on how many are asked for,
+    so the stored prefix and numpy's generator give the same bits.
+    """
+    if n * n <= _JITTER.size:
+        return _JITTER[: n * n].reshape(n, n)
+    return np.random.default_rng(0x5EED).standard_normal((n, n))
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a NaN-free 1-D array, without loading numpy.ma.
+
+    np.median takes the mean of the middle element or pair, and np.mean
+    sums from 0.0; starting from 0.0 here gives the same bits, signed
+    zeros and infinities included.
+    """
+    v = np.sort(values)
+    m = v.size // 2
+    if v.size % 2:
+        return 0.0 + float(v[m])
+    return (0.0 + float(v[m - 1]) + float(v[m])) / 2
 
 
 @dataclass(frozen=True)
@@ -212,15 +282,14 @@ def affinity_propagation(
         return ClusterAssignment((0,), (0,), True, 0)
 
     if preference is None:
-        preference = float(np.median(S[off_diag]))
+        preference = _median(S[off_diag])
     np.fill_diagonal(S, preference)
 
     # Exact ties (e.g. two identical similarity rows) make the messages
     # oscillate forever; fixed-seed jitter far below data scale breaks
     # them without costing determinism.
     spread = float(S.max() - S.min()) or 1.0
-    jitter = np.random.default_rng(0x5EED).standard_normal((n, n))
-    S += 1e-9 * spread * jitter
+    S += 1e-9 * spread * _jitter(n)
 
     R = np.zeros((n, n))
     A = np.zeros((n, n))

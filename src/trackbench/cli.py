@@ -15,10 +15,10 @@ import os
 import sys
 from datetime import datetime, timezone
 
+from . import __version__
 from .analysis import ar_summary, cluster_measures, label_sequences, pearson_matrix
 from .errors import ClusterDomainError, ConfigError, TrackbenchError
 from .io_formats import (
-    FORMAT_LINE,
     SequenceData,
     format_number,
     is_safe_name,
@@ -31,6 +31,7 @@ from .io_formats import (
     write_cluster_assignment,
     write_correlation_matrix,
     write_label_table,
+    write_manifest,
     write_measure_table,
     write_text,
 )
@@ -156,6 +157,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    import numpy
+
     cfg = _read_config(args.config) if args.config else {"tracker": []}
 
     def pick(flag, key, default):
@@ -187,21 +190,22 @@ def _cmd_run(args) -> int:
     )
 
     write_measure_table(os.path.join(out_dir, "measures.tsv"), table)
-    manifest = [
-        FORMAT_LINE,
-        f"generated={datetime.now(timezone.utc).isoformat()}",
-        f"dataset={os.path.abspath(dataset)}",
-        f"sequences={len(seqs)}",
-        f"trackers={','.join(h.name for h in handles)}",
-        f"mode={mode}",
-        f"repetitions={repetitions}",
-        f"tau={format_number(float(tau))}",
-        f"master_seed={seed}",
-    ]
-    write_text(
-        os.path.join(out_dir, "manifest.txt"),
-        "".join(line + "\n" for line in manifest),
-    )
+    write_manifest(os.path.join(out_dir, "manifest.txt"), [
+        ("generated", datetime.now(timezone.utc).isoformat()),
+        ("trackbench", __version__),
+        ("python", ".".join(map(str, sys.version_info[:3]))),
+        ("numpy", numpy.__version__),
+        ("dataset", os.path.abspath(dataset)),
+        ("sequences", len(seqs)),
+        ("trackers", ",".join(h.name for h in handles)),
+        *(("tracker", spec) for spec in specs),
+        ("mode", mode),
+        ("repetitions", repetitions),
+        ("tau", format_number(float(tau))),
+        ("master_seed", seed),
+        ("timeout", format_number(float(timeout))),
+        ("workers", workers),
+    ])
 
     bad = sum(1 for r in table.rows if r.error is not None)
     print(f"wrote {os.path.join(out_dir, 'measures.tsv')} ({len(table.rows)} rows)")

@@ -64,6 +64,7 @@ __all__ = [
     "write_cluster_assignment",
     "write_ar_summary",
     "write_label_table",
+    "write_manifest",
 ]
 
 FORMAT_LINE = "# format: trackbench/1"
@@ -526,4 +527,17 @@ def write_label_table(path, rows, notes=()) -> None:
     lines.append("sequence\tsize\tmotion\tspeed\tsize_change")
     for sequence, size, motion, speed, size_change in rows:
         lines.append(f"{sequence}\t{size}\t{motion}\t{speed}\t{size_change}")
+    write_text(path, "".join(line + "\n" for line in lines))
+
+
+def write_manifest(path, fields) -> None:
+    """The format line, then one `key=value` line per (key, value) field.
+
+    Backslash, CR and LF in a value are written as \\\\, \\r and \\n, so
+    every value stays on its line and reads back exactly.
+    """
+    lines = [FORMAT_LINE]
+    for key, value in fields:
+        text = str(value).replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
+        lines.append(f"{key}={text}")
     write_text(path, "".join(line + "\n" for line in lines))

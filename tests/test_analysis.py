@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from trackbench import analysis
 from trackbench.analysis import (
     CorrelationMatrix,
     affinity_propagation,
@@ -220,6 +223,60 @@ class TestAffinityPropagation:
         bad[0, 1] = float("nan")
         with pytest.raises(ClusterDomainError):
             affinity_propagation(bad)
+
+
+# Values that stress np.median's arithmetic: signed zeros, infinities,
+# sums that overflow, and subnormals whose halves round.
+MEDIAN_EDGES = [0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324,
+                1.5e-323, 2.2250738585072014e-308, 1.0, -1.0]
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestJitterAndMedian:
+    """The stored jitter and the sort-based median give numpy's bits."""
+
+    def test_table_is_the_generators_first_256_draws(self):
+        assert hexes(analysis._JITTER) == hexes(
+            np.random.default_rng(0x5EED).standard_normal(256))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_table_prefix_is_the_square_draw(self, n):
+        got = analysis._jitter(n)
+        assert got.shape == (n, n)
+        assert hexes(got) == hexes(np.random.default_rng(0x5EED).standard_normal((n, n)))
+
+    @given(st.lists(st.sampled_from(MEDIAN_EDGES) | st.floats(allow_nan=False),
+                    min_size=1, max_size=240))
+    @example([-0.0])
+    @example([-0.0, -0.0])
+    @example([-0.0, 0.0, -0.0])
+    @example([1e308, 1e308])
+    @example([-math.inf, math.inf])
+    @example([5e-324, 5e-324, 1.0])
+    @example([5e-324, 1.5e-323])
+    def test_median_matches_numpy(self, values):
+        x = np.array(values)
+        with np.errstate(all="ignore"):
+            expected = float(np.median(x))
+        assert analysis._median(x).hex() == expected.hex()
+
+    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_clustering_matches_numpy_jitter_and_median(self, monkeypatch, n, seed):
+        # Pairs of identical items give exact ties, which only the jitter
+        # breaks; n = 16 reads the stored table, n = 17 numpy's generator.
+        rng = np.random.default_rng(seed)
+        points = np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n]
+        sim = -np.subtract.outer(points, points) ** 2
+        got = affinity_propagation(sim)
+        monkeypatch.setattr(
+            analysis, "_jitter",
+            lambda n: np.random.default_rng(0x5EED).standard_normal((n, n)))
+        monkeypatch.setattr(analysis, "_median", lambda v: float(np.median(v)))
+        assert got == affinity_propagation(sim)
 
 
 class TestClusterMeasures:

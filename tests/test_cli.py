@@ -1,12 +1,17 @@
 import argparse
 import io
 import os
+import platform
+import re
 import xml.etree.ElementTree as ET
+
+import numpy as np
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import trackbench
 from trackbench import cli
 from trackbench.errors import ConfigError
 from trackbench.io_formats import (
@@ -122,6 +127,20 @@ def pipeline(tmp_path_factory):
     return {"root": root, "data": data, "out": out}
 
 
+def read_manifest(path):
+    """manifest.txt as (key, value) pairs after the format line, escapes undone."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    assert lines[0].startswith("# format:") and lines[-1] == ""
+    escapes = {"\\": "\\", "r": "\r", "n": "\n"}
+    pairs = []
+    for line in lines[1:-1]:
+        assert "\r" not in line
+        key, value = line.split("=", 1)
+        pairs.append((key, re.sub(r"\\(.)", lambda m: escapes[m.group(1)], value)))
+    return pairs
+
+
 def first_raw(pipeline, tracker, suffix):
     base = os.path.join(pipeline["out"], "raw", tracker)
     seq = sorted(os.listdir(base))[0]
@@ -138,6 +157,34 @@ class TestRunPipeline:
         assert manifest.splitlines()[0].startswith("# format:")
         for key in ("generated=", "dataset=", "trackers=", "repetitions=2", "master_seed=11"):
             assert key in manifest
+
+    def test_manifest_records_specs_settings_and_versions(self, pipeline):
+        pairs = read_manifest(os.path.join(pipeline["out"], "manifest.txt"))
+        fields = dict(pairs)
+        assert [v for k, v in pairs if k == "tracker"] == ["tta", "tts", "ttf", "tto", SCRIPTED]
+        assert fields["trackers"] == "tta,tts,ttf,tto,jig"
+        assert fields["timeout"] == "30" and fields["workers"] == "1"
+        assert fields["trackbench"] == trackbench.__version__
+        assert fields["python"] == platform.python_version()
+        assert fields["numpy"] == np.__version__
+
+    def test_manifest_escapes_values_onto_one_line(self, tmp_dataset, tmp_path):
+        # Frame paths may not hold whitespace, so the dataset path gets only a backslash.
+        dataset = str(tmp_path / "back\\slash")
+        os.rename(tmp_dataset, dataset)
+        params = tmp_path / "odd\\dir\rname\nparams.txt"
+        params.write_text("name=odd\n")
+        specs = ["tts", f"scripted:@{params}"]
+        out = str(tmp_path / "out")
+        rc = cli.main(["run", "--dataset", dataset, "--out", out, "--repetitions", "1",
+                       "--timeout", "2.5", "--workers", "2",
+                       *(arg for spec in specs for arg in ("--tracker", spec))])
+        assert rc == 0
+        pairs = read_manifest(os.path.join(out, "manifest.txt"))
+        assert [v for k, v in pairs if k == "tracker"] == specs
+        fields = dict(pairs)
+        assert fields["dataset"] == dataset
+        assert fields["timeout"] == "2.5" and fields["workers"] == "2"
 
     def test_table_shape(self, pipeline):
         table = read_measure_table(os.path.join(pipeline["out"], "measures.tsv"))

@@ -62,6 +62,30 @@ def test_evaluator_loads_no_thread_pool_or_logging():
     assert not unneeded & loaded, sorted(unneeded & loaded)
 
 
+def test_analyze_loads_no_numpy_random_or_masked_arrays(tmp_path):
+    # Clustering's jitter comes from a stored table and its median from a
+    # sort: numpy.random would load secrets and OpenSSL, np.median numpy.ma.
+    from trackbench import cli
+
+    data, out = str(tmp_path / "data"), str(tmp_path / "out")
+    assert cli.main(["synth", "--out", data, "--sequences", "8", "--seed", "3"]) == 0
+    assert cli.main([
+        "run", "--dataset", data, "--out", out, "--tracker", "tta", "--tracker", "tts",
+        "--tracker", "ttf", "--tracker", "tto",
+        "--tracker", "scripted:name=jig,center_noise=2.5,scale_noise=0.05,seed=5",
+        "--repetitions", "2", "--seed", "11",
+    ]) == 0
+    measures = os.path.join(out, "measures.tsv")
+    loaded = loaded_after(
+        "import trackbench.cli as cli\n"
+        f"assert cli.main(['analyze', '--measures', {measures!r}, '--out', {out!r}]) == 0"
+    )
+    assert os.path.exists(os.path.join(out, "clusters.tsv"))
+    assert "numpy" in loaded
+    unneeded = {"numpy.random", "numpy.ma", "secrets", "_hashlib"}
+    assert not unneeded & loaded, sorted(unneeded & loaded)
+
+
 def test_importing_the_cli_builds_no_parser():
     # main builds the argparse tree on its first call and reuses it.
     counts = run_fresh(

@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from trackbench.errors import (
@@ -616,7 +616,14 @@ ERRORS_SPREAD = (
 )
 
 
+# A failing case here is a whole sequence, and shrinking one took minutes
+# before the failure was reported; the explicit examples above are
+# already small, so these tests report the first failing case as found.
+NO_SHRINK = settings(phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
+
+
 class TestScoringKernel:
+    @NO_SHRINK
     @given(scoring_cases())
     @example(TOUCH_WIDTH)
     @example(TOUCH_HEIGHT)
@@ -628,6 +635,7 @@ class TestScoringKernel:
         a, t, rec = case
         assert outcome(compute_all, a, t, rec) == outcome(ref_compute_all, a, t, rec)
 
+    @NO_SHRINK
     @given(scoring_cases())
     @example(TOUCH_WIDTH)
     @example(TOUCH_HEIGHT)
