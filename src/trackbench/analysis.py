@@ -250,12 +250,14 @@ class ClusterAssignment:
         return {e: tuple(members) for e, members in out.items()}
 
 
+_MAX_ITER = 500
+_STABLE_ITER = 25
+
+
 def affinity_propagation(
     similarity: np.ndarray,
     damping: float = 0.5,
     preference: float | np.ndarray | None = None,
-    max_iter: int = 500,
-    stable_iter: int = 25,
 ) -> ClusterAssignment:
     """Exemplar clustering by responsibility/availability message passing.
 
@@ -263,9 +265,9 @@ def affinity_propagation(
     is overwritten with the preference (default: the median of the
     off-diagonal similarities, which favors a moderate cluster count).
     Messages are damped by `damping` in [0.5, 1). The run converges
-    when the exemplar set stays identical for stable_iter consecutive
-    iterations; hitting max_iter first reports converged=False with the
-    current estimate.
+    when the exemplar set stays identical for _STABLE_ITER (25)
+    consecutive iterations; hitting _MAX_ITER (500) first reports
+    converged=False with the current estimate.
     """
     S = np.array(similarity, dtype=np.float64, copy=True)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -298,7 +300,7 @@ def affinity_propagation(
     stable = 0
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         # Responsibilities: how strongly i favors k over the runner-up.
         AS = A + S
         best = np.argmax(AS, axis=1)
@@ -320,7 +322,7 @@ def affinity_propagation(
         current = tuple(int(k) for k in np.flatnonzero(np.diag(A) + np.diag(R) > 0))
         if current == exemplars and current:
             stable += 1
-            if stable >= stable_iter:
+            if stable >= _STABLE_ITER:
                 converged = True
                 break
         else:
@@ -356,10 +358,7 @@ def affinity_propagation(
 
 
 def cluster_measures(
-    table: MeasureTable,
-    damping: float = 0.5,
-    max_iter: int = 500,
-    stable_iter: int = 25,
+    table: MeasureTable, damping: float = 0.5
 ) -> tuple[CorrelationMatrix, ClusterAssignment]:
     """Correlate the measure columns and cluster them by similarity."""
     corr = pearson_matrix(table)
@@ -374,10 +373,7 @@ def cluster_measures(
         raise ClusterDomainError(
             f"cannot cluster, undefined correlations for: {', '.join(undefined)}"
         )
-    assignment = affinity_propagation(
-        sim, damping=damping, max_iter=max_iter, stable_iter=stable_iter
-    )
-    return corr, assignment
+    return corr, affinity_propagation(sim, damping=damping)
 
 
 def kmeans_partition(values, k: int) -> tuple[list[int], list[float], float]:

@@ -4,8 +4,9 @@ Subcommands: synth (generate a dataset), run (evaluate trackers),
 measure (score stored outputs), analyze (dataset-level tables),
 label (sequence properties), plot (SVG diagnostics).
 
-Exit codes: 0 success, 1 evaluation/data error, 2 bad invocation or
-configuration (argparse uses 2 as well).
+Exit codes: 0 success, 1 evaluation/data error, 2 bad invocation,
+configuration or missing input file (argparse uses 2 as well); see
+errors.exit_status.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .analysis import ar_summary, cluster_measures, label_sequences, pearson_matrix
-from .errors import ClusterDomainError, ConfigError, TrackbenchError
+from .errors import ClusterDomainError, ConfigError, TrackbenchError, exit_status
 from .io_formats import (
     SequenceData,
     format_number,
@@ -26,6 +27,7 @@ from .io_formats import (
     read_measure_table,
     read_record,
     read_sequence,
+    read_text,
     read_trajectory,
     write_ar_summary,
     write_cluster_assignment,
@@ -45,15 +47,11 @@ __all__ = ["main", "parse_tracker_spec"]
 
 def _read_params_file(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [
-                line.strip()
-                for line in fh
-                if line.strip() and not line.lstrip().startswith("#")
-            ]
+        lines = read_text(path).split("\n")
     except OSError as e:
         raise ConfigError(f"cannot read scripted params {path!r}: {e}") from e
-    return ",".join(lines)
+    return ",".join(line.strip() for line in lines
+                    if line.strip() and not line.lstrip().startswith("#"))
 
 
 def parse_tracker_spec(spec: str, timeout: float = 30.0) -> TrackerHandle:
@@ -110,8 +108,7 @@ def _read_config(path: str) -> dict:
     """Flat key=value config; `tracker=` may repeat. Flags win over this."""
     out: dict = {"tracker": []}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        lines = read_text(path).split("\n")
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from e
     for i, line in enumerate(lines, start=1):
@@ -484,18 +481,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except TrackbenchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except (TrackbenchError, OSError) as e:
+        return exit_status(e)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@
 Frame numbers attached to errors are 1-based throughout.
 """
 
+import sys
+
 
 class TrackbenchError(Exception):
     """Base class for all toolkit errors."""
@@ -96,3 +98,14 @@ class ClusterDomainError(TrackbenchError):
 
 class ConfigError(TrackbenchError):
     """Invalid configuration or command usage."""
+
+
+def exit_status(e: TrackbenchError | OSError) -> int:
+    """Print one `error:` line for e to stderr; return the exit status.
+
+    2 for a usage error, which includes a missing input file
+    (ConfigError, FileNotFoundError); 1 for any other toolkit or
+    operating-system error.
+    """
+    print(f"error: {e}", file=sys.stderr)
+    return 2 if isinstance(e, (ConfigError, FileNotFoundError)) else 1

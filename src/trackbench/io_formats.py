@@ -44,6 +44,7 @@ __all__ = [
     "parse_region",
     "SequenceData",
     "is_safe_name",
+    "read_text",
     "write_text",
     "read_annotation",
     "read_image_size",
@@ -137,15 +138,20 @@ def is_safe_name(name: str) -> bool:
 
 
 def _read_lines(path) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8", newline=None) as fh:
-            raw = fh.read()
-    except OSError as e:
-        raise ParseError(str(e), str(path)) from e
-    lines = raw.split("\n")
+    lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines
+
+
+def read_text(path) -> str:
+    """Read UTF-8 text, with CRLF and CR newlines read as LF.
+
+    An OSError, such as FileNotFoundError for a missing file, reaches
+    the caller as it is.
+    """
+    with open(path, "r", encoding="utf-8", newline=None) as fh:
+        return fh.read()
 
 
 def write_text(path, text: str) -> None:
@@ -393,8 +399,7 @@ def loads_record(text: str, path=None) -> SupervisedRunRecord:
 
 
 def read_record(path) -> SupervisedRunRecord:
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
-        return loads_record(fh.read(), str(path))
+    return loads_record(read_text(path), str(path))
 
 
 def write_record(path, rec: SupervisedRunRecord) -> None:
@@ -409,9 +414,17 @@ def _table_columns() -> list[str]:
 
 
 def _format_cell(v: float) -> str:
+    """A float TSV cell: NA for NaN, else shortest round-trip form."""
     if math.isnan(v):
         return "NA"
     return repr(float(v))
+
+
+def _dumps_tsv(header, rows, notes=()) -> str:
+    """The format line, a `# ` line per note, then header and rows tab-joined."""
+    lines = [FORMAT_LINE, *(f"# {note}" for note in notes), "\t".join(header)]
+    lines += ["\t".join(cells) for cells in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def dumps_measure_table(table: MeasureTable) -> str:
@@ -420,14 +433,12 @@ def dumps_measure_table(table: MeasureTable) -> str:
     Undefined cells are NA; the error column is empty for clean rows.
     Floats use shortest round-trip form (17 significant digits at most).
     """
-    lines = [FORMAT_LINE, "\t".join(_table_columns())]
-    for row in table.rows:
-        err = "" if row.error is None else row.error.replace("\t", " ").replace("\n", " ")
-        cells = [row.tracker, row.sequence, str(row.run), str(row.frames)]
-        cells += [_format_cell(v) for v in row.values]
-        cells.append(err)
-        lines.append("\t".join(cells))
-    return "".join(line + "\n" for line in lines)
+    return _dumps_tsv(_table_columns(), (
+        [row.tracker, row.sequence, str(row.run), str(row.frames),
+         *map(_format_cell, row.values),
+         "" if row.error is None else row.error.replace("\t", " ").replace("\n", " ")]
+        for row in table.rows
+    ))
 
 
 def loads_measure_table(text: str, path=None) -> MeasureTable:
@@ -472,8 +483,7 @@ def loads_measure_table(text: str, path=None) -> MeasureTable:
 
 
 def read_measure_table(path) -> MeasureTable:
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
-        return loads_measure_table(fh.read(), str(path))
+    return loads_measure_table(read_text(path), str(path))
 
 
 def write_measure_table(path, table: MeasureTable) -> None:
@@ -482,52 +492,33 @@ def write_measure_table(path, table: MeasureTable) -> None:
 
 def write_correlation_matrix(path, labels, values, counts, notes=()) -> None:
     """Write a labeled correlation matrix; undefined cells as NA."""
-    lines = [FORMAT_LINE]
-    lines += [f"# {note}" for note in notes]
-    lines.append("\t".join(["measure"] + list(labels)))
     n = len(labels)
-    for i in range(n):
-        cells = [labels[i]]
-        for j in range(n):
-            v = values[i][j]
-            cells.append("NA" if math.isnan(v) else repr(float(v)))
-        lines.append("\t".join(cells))
-    lines.append("\t".join(["samples"] + [str(int(counts[i][i])) for i in range(n)]))
-    write_text(path, "".join(line + "\n" for line in lines))
+    rows = [[labels[i], *(_format_cell(values[i][j]) for j in range(n))] for i in range(n)]
+    rows.append(["samples", *(str(int(counts[i][i])) for i in range(n))])
+    write_text(path, _dumps_tsv(["measure", *labels], rows, notes))
 
 
 def write_cluster_assignment(path, labels, exemplar_of, converged, iterations,
                              notes=()) -> None:
     """Write one line per item: item label and its exemplar's label."""
-    lines = [FORMAT_LINE]
-    lines.append(f"# converged: {'yes' if converged else 'no (partial result)'}")
-    lines.append(f"# iterations: {iterations}")
-    lines += [f"# {note}" for note in notes]
-    lines.append("item\texemplar")
-    for i, e in enumerate(exemplar_of):
-        lines.append(f"{labels[i]}\t{labels[e]}")
-    write_text(path, "".join(line + "\n" for line in lines))
+    notes = [f"converged: {'yes' if converged else 'no (partial result)'}",
+             f"iterations: {iterations}", *notes]
+    rows = ([labels[i], labels[e]] for i, e in enumerate(exemplar_of))
+    write_text(path, _dumps_tsv(["item", "exemplar"], rows, notes))
 
 
 def write_ar_summary(path, rows, span: float, notes=()) -> None:
     """Write per-tracker accuracy, failure count and reliability."""
-    lines = [FORMAT_LINE, f"# span: {format_number(span)}"]
-    lines += [f"# {note}" for note in notes]
-    lines.append("tracker\taccuracy\trobustness\treliability")
-    for tracker, accuracy, robustness, rel in rows:
-        acc = "NA" if math.isnan(accuracy) else repr(float(accuracy))
-        lines.append(f"{tracker}\t{acc}\t{repr(float(robustness))}\t{repr(float(rel))}")
-    write_text(path, "".join(line + "\n" for line in lines))
+    rows = ([tracker, _format_cell(accuracy), repr(float(robustness)), repr(float(rel))]
+            for tracker, accuracy, robustness, rel in rows)
+    write_text(path, _dumps_tsv(["tracker", "accuracy", "robustness", "reliability"], rows,
+                                [f"span: {format_number(span)}", *notes]))
 
 
 def write_label_table(path, rows, notes=()) -> None:
     """Write per-sequence ordinal property labels."""
-    lines = [FORMAT_LINE]
-    lines += [f"# {note}" for note in notes]
-    lines.append("sequence\tsize\tmotion\tspeed\tsize_change")
-    for sequence, size, motion, speed, size_change in rows:
-        lines.append(f"{sequence}\t{size}\t{motion}\t{speed}\t{size_change}")
-    write_text(path, "".join(line + "\n" for line in lines))
+    write_text(path, _dumps_tsv(["sequence", "size", "motion", "speed", "size_change"],
+                                rows, notes))
 
 
 def write_manifest(path, fields) -> None:

@@ -82,44 +82,23 @@ class _Canvas:
             f'stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
         )
 
-    def polyline(self, points, stroke, width=1.5, cls="data") -> None:
+    def polyline(self, points, stroke) -> None:
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-        attr = f' class="{cls}"' if cls else ""
         self._lines.append(
-            f'<polyline{attr} points="{coords}" fill="none" '
-            f'stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
+            f'<polyline class="data" points="{coords}" fill="none" '
+            f'stroke="{stroke}" stroke-width="1.50"/>'
         )
 
-    def polygon(self, points, fill, cls=None) -> None:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-        attr = f' class="{cls}"' if cls else ""
-        self._lines.append(f'<polygon{attr} points="{coords}" fill="{fill}"/>')
-
-    def circle(self, cx, cy, r, fill, cls=None) -> None:
-        attr = f' class="{cls}"' if cls else ""
+    def circle(self, cx, cy, r, fill) -> None:
         self._lines.append(
-            f'<circle{attr} cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{fill}"/>'
+            f'<circle class="data" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{fill}"/>'
         )
 
-    def rect(self, x, y, w, h, fill, cls=None) -> None:
-        attr = f' class="{cls}"' if cls else ""
-        self._lines.append(
-            f'<rect{attr} x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
-            f'height="{_fmt(h)}" fill="{fill}"/>'
-        )
-
-    def path(self, d: str, stroke, width=1.5, cls=None) -> None:
-        attr = f' class="{cls}"' if cls else ""
-        self._lines.append(
-            f'<path{attr} d="{d}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}"/>'
-        )
-
-    def text(self, x, y, s, anchor="start", fill=_TEXT, cls=None) -> None:
+    def text(self, x, y, s, anchor="start", cls=None) -> None:
         attr = f' class="{cls}"' if cls else ""
         self._lines.append(
             f'<text{attr} x="{_fmt(x)}" y="{_fmt(y)}" {_FONT} '
-            f'text-anchor="{anchor}" fill="{fill}">{_escape(s)}</text>'
+            f'text-anchor="{anchor}" fill="{_TEXT}">{_escape(s)}</text>'
         )
 
     def finish(self) -> str:
@@ -145,8 +124,8 @@ class _Axes:
         return self.bottom - (y - self.ymin) / (self.ymax - self.ymin) * (self.bottom - self.top)
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def _chart(
@@ -157,7 +136,6 @@ def _chart(
     xmax: float,
     ymin: float,
     ymax: float,
-    right_margin: float = 20.0,
 ) -> _Axes:
     if xmax <= xmin:
         xmax = xmin + 1.0
@@ -166,7 +144,7 @@ def _chart(
     ax = _Axes(
         left=56.0,
         top=28.0,
-        right=c.width - right_margin,
+        right=c.width - 20.0,
         bottom=c.height - 44.0,
         xmin=xmin,
         xmax=xmax,
@@ -195,6 +173,14 @@ def _legend(c: _Canvas, ax: _Axes, names) -> None:
         c.text(ax.right - 104, y, name, cls="legend")
 
 
+def _draw(c: _Canvas, pts, color: str) -> None:
+    """A dot for a single point, else a polyline through the points."""
+    if len(pts) == 1:
+        c.circle(pts[0][0], pts[0][1], 2.0, color)
+    else:
+        c.polyline(pts, color)
+
+
 def _segments(series):
     """Split a series with gaps (None) into runs of (index, value)."""
     run = []
@@ -209,13 +195,7 @@ def _segments(series):
         yield run
 
 
-def center_error_plot(
-    series_by_name: dict,
-    cap: float | None = None,
-    width: int = 640,
-    height: int = 400,
-    title: str = "Center error",
-) -> str:
+def center_error_plot(series_by_name: dict, cap: float | None = None) -> str:
     """Per-frame center error curves, clipped at a cap.
 
     A single extreme excursion would otherwise flatten every other
@@ -242,26 +222,17 @@ def center_error_plot(
     clipped = sum(1 for v in finite if v > cap)
 
     n = max(len(series) for series in series_by_name.values())
-    c = _Canvas(width, height, title)
+    c = _Canvas(640, 400, "Center error")
     c.comment(f"capped {clipped} of {len(finite)} points at {cap!r}")
     ax = _chart(c, "frame", "center error", 1.0, float(max(n, 2)), 0.0, cap)
     for i, (name, series) in enumerate(series_by_name.items()):
         for run in _segments(series):
-            pts = [(ax.px(idx + 1), ax.py(min(float(v), cap))) for idx, v in run]
-            if len(pts) == 1:
-                c.circle(pts[0][0], pts[0][1], 2.0, _color(i), cls="data")
-            else:
-                c.polyline(pts, _color(i))
+            _draw(c, [(ax.px(idx + 1), ax.py(min(float(v), cap))) for idx, v in run], _color(i))
     _legend(c, ax, series_by_name)
     return c.finish()
 
 
-def overlap_plot(
-    series_by_name: dict,
-    width: int = 640,
-    height: int = 400,
-    title: str = "Overlap",
-) -> str:
+def overlap_plot(series_by_name: dict) -> str:
     """Per-frame overlap curves on a fixed [0, 1] axis.
 
     None entries (e.g. reinitialization frames) break the polyline
@@ -270,28 +241,19 @@ def overlap_plot(
     if not series_by_name or all(len(s) == 0 for s in series_by_name.values()):
         raise EmptySeriesError("no overlap series to plot")
     n = max(len(series) for series in series_by_name.values())
-    c = _Canvas(width, height, title)
+    c = _Canvas(640, 400, "Overlap")
     ax = _chart(c, "frame", "overlap", 1.0, float(max(n, 2)), 0.0, 1.0)
     for i, (name, series) in enumerate(series_by_name.items()):
         gaps = sum(1 for v in series if v is None)
         if gaps:
             c.comment(f"{name}: {gaps} gap frames not drawn")
         for run in _segments(series):
-            pts = [(ax.px(idx + 1), ax.py(v)) for idx, v in run]
-            if len(pts) == 1:
-                c.circle(pts[0][0], pts[0][1], 2.0, _color(i), cls="data")
-            else:
-                c.polyline(pts, _color(i))
+            _draw(c, [(ax.px(idx + 1), ax.py(v)) for idx, v in run], _color(i))
     _legend(c, ax, series_by_name)
     return c.finish()
 
 
-def threshold_plot(
-    overlaps_by_name: dict,
-    width: int = 480,
-    height: int = 400,
-    title: str = "Overlap threshold curve",
-) -> str:
+def threshold_plot(overlaps_by_name: dict) -> str:
     """Fraction of correctly tracked frames as the threshold sweeps [0, 1].
 
     The exact step curve is drawn vertex by vertex (vertical drops
@@ -299,7 +261,7 @@ def threshold_plot(
     """
     if not overlaps_by_name:
         raise EmptySeriesError("no overlap series to plot")
-    c = _Canvas(width, height, title)
+    c = _Canvas(480, 400, "Overlap threshold curve")
     ax = _chart(c, "overlap threshold", "correct fraction", 0.0, 1.0, 0.0, 1.0)
     for i, (name, phis) in enumerate(overlaps_by_name.items()):
         pts = [(ax.px(t), ax.py(f)) for t, f in threshold_curve(phis)]
@@ -316,13 +278,7 @@ _REF_LABELS = {
 }
 
 
-def ar_plot(
-    points_by_name: dict,
-    reference_points: dict | None = None,
-    width: int = 480,
-    height: int = 440,
-    title: str = "Accuracy vs reliability",
-) -> str:
+def ar_plot(points_by_name: dict, reference_points: dict | None = None) -> str:
     """Accuracy-robustness scatter on unit axes.
 
     Both dicts map a name to (accuracy, reliability); reliability is
@@ -332,10 +288,10 @@ def ar_plot(
     """
     if not points_by_name:
         raise EmptySeriesError("no points to plot")
-    c = _Canvas(width, height, title)
+    c = _Canvas(480, 440, "Accuracy vs reliability")
     ax = _chart(c, "reliability", "accuracy", 0.0, 1.0, 0.0, 1.0)
     for i, (name, (acc, rel)) in enumerate(points_by_name.items()):
-        c.circle(ax.px(rel), ax.py(acc), 4.0, _color(i), cls="data")
+        c.circle(ax.px(rel), ax.py(acc), 4.0, _color(i))
     _legend(c, ax, points_by_name)
     if reference_points:
         shapes = {}
@@ -363,11 +319,10 @@ def ar_plot(
                 )
                 shapes[kind] = "diamond"
             else:
-                c.path(
-                    f"M {_fmt(x - 4)} {_fmt(y - 4)} L {_fmt(x + 4)} {_fmt(y + 4)} "
-                    f"M {_fmt(x - 4)} {_fmt(y + 4)} L {_fmt(x + 4)} {_fmt(y - 4)}",
-                    _FRAME,
-                    cls="ref",
+                c.raw(
+                    f'<path class="ref" d="M {_fmt(x - 4)} {_fmt(y - 4)} L {_fmt(x + 4)} '
+                    f'{_fmt(y + 4)} M {_fmt(x - 4)} {_fmt(y + 4)} L {_fmt(x + 4)} '
+                    f'{_fmt(y - 4)}" fill="none" stroke="{_FRAME}" stroke-width="1.50"/>'
                 )
                 shapes[kind] = "cross"
         base = ax.bottom - 14 - 14 * (len(reference_points) - 1)
@@ -382,13 +337,7 @@ def ar_plot(
     return c.finish()
 
 
-def fragmentation_timeline(
-    records_by_name: dict,
-    n_frames: int,
-    width: int = 640,
-    height: int | None = None,
-    title: str = "Failure timeline",
-) -> str:
+def fragmentation_timeline(records_by_name: dict, n_frames: int) -> str:
     """One row per tracker with a marker at every failure frame.
 
     Each row is annotated with the fragmentation score of its failure
@@ -397,9 +346,7 @@ def fragmentation_timeline(
     """
     if not records_by_name:
         raise EmptySeriesError("no failure sets to plot")
-    rows = len(records_by_name)
-    if height is None:
-        height = 90 + 28 * rows
+    width, height, title = 640, 90 + 28 * len(records_by_name), "Failure timeline"
     c = _Canvas(width, height, title)
     left, right = 56.0, width - 170.0
     top = 36.0
@@ -414,7 +361,7 @@ def fragmentation_timeline(
         y = top + 28.0 * i + 14.0
         c.line(left, y, right, y, stroke=_GRID, width=1.0)
         for f in failures:
-            c.circle(px(float(f)), y, 4.0, _color(i), cls="data")
+            c.circle(px(float(f)), y, 4.0, _color(i))
         try:
             score = f"({fragmentation(failures, n_frames):.2f})"
         except (FragmentationUndefinedError, EmptySeriesError):
@@ -424,13 +371,7 @@ def fragmentation_timeline(
     return c.finish()
 
 
-def survival_curve(
-    scores_by_name: dict,
-    width: int = 480,
-    height: int = 400,
-    title: str = "Per-sequence score survival",
-    ylabel: str = "score",
-) -> str:
+def survival_curve(scores_by_name: dict) -> str:
     """Sorted per-sequence scores against rank, best first.
 
     A tracker that is good everywhere stays high across the whole
@@ -441,14 +382,10 @@ def survival_curve(
     n = max(len(v) for v in scores_by_name.values())
     lo = min(min(v) for v in scores_by_name.values() if v)
     hi = max(max(v) for v in scores_by_name.values() if v)
-    c = _Canvas(width, height, title)
-    ax = _chart(c, "rank", ylabel, 1.0, float(max(n, 2)), min(0.0, lo), max(1.0, hi))
+    c = _Canvas(480, 400, "Per-sequence score survival")
+    ax = _chart(c, "rank", "score", 1.0, float(max(n, 2)), min(0.0, lo), max(1.0, hi))
     for i, (name, scores) in enumerate(scores_by_name.items()):
         ordered = sorted((float(v) for v in scores), reverse=True)
-        pts = [(ax.px(r + 1.0), ax.py(v)) for r, v in enumerate(ordered)]
-        if len(pts) == 1:
-            c.circle(pts[0][0], pts[0][1], 2.0, _color(i), cls="data")
-        else:
-            c.polyline(pts, _color(i))
+        _draw(c, [(ax.px(r + 1.0), ax.py(v)) for r, v in enumerate(ordered)], _color(i))
     _legend(c, ax, scores_by_name)
     return c.finish()

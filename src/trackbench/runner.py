@@ -544,6 +544,9 @@ def execute_plan(
                         ("sequence", [s.annotation.name for s in sequences])):
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate {kind} names in plan: {names}")
+    # Before any unit starts, so a bad path leaves no partial raw/ output.
+    for seq in sequences:
+        _check_paths(seq)
 
     units = [(handle, seq) for handle in trackers for seq in sequences]
 

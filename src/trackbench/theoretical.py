@@ -408,20 +408,12 @@ def sequence_properties(seq: SequenceData, span: float = 30.0) -> tuple[float, f
       size_change tto supervised average overlap (closer to 1 = less
                   size change).
     """
-    from .measures import reliability
+    from .analysis import ar_pair
 
     a = seq.annotation
-    rec_tta = _supervised_tracked_and_failures("tta", seq)
-    rec_tts = _supervised_tracked_and_failures("tts", seq)
-    rec_tto = _supervised_tracked_and_failures("tto", seq)
-
-    def avg(rec):
-        phis = [v for v in score_record(rec, a).overlaps if v is not None]
-        return math.fsum(phis) / len(phis) if phis else float("nan")
-
-    size = avg(rec_tta)
-    motion = reliability(len(rec_tts.failure_frames), len(a), span)
-    size_change = avg(rec_tto)
+    size = ar_pair(_supervised_tracked_and_failures("tta", seq), a, span).accuracy
+    motion = ar_pair(_supervised_tracked_and_failures("tts", seq), a, span).reliability
+    size_change = ar_pair(_supervised_tracked_and_failures("tto", seq), a, span).accuracy
 
     if len(a) < 2:
         speed = 0.0

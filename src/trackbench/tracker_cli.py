@@ -28,7 +28,7 @@ import argparse
 import os
 import sys
 
-from .errors import ConfigError, ParseError, TrackbenchError
+from .errors import ConfigError, ParseError, TrackbenchError, exit_status
 from .io_formats import format_region, parse_region, read_annotation, read_image_size
 from .theoretical import BUILTINS, BuiltinTracker
 
@@ -127,15 +127,8 @@ def main(argv=None) -> int:
         needs, build = BUILTINS[tracker.kind]
         behavior = build(tracker.params, _read_input(args, needs))
         return serve(behavior, sys.stdin, sys.stdout)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except TrackbenchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except (TrackbenchError, OSError) as e:
+        return exit_status(e)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import os
 import platform
@@ -27,6 +28,7 @@ from trackbench.theoretical import (
     StaticTracker,
     parse_scripted_params,
 )
+from trackbench.tracker_cli import main as tracker_main
 from trackbench.tracker_cli import serve
 
 from conftest import moving_sequence
@@ -108,6 +110,19 @@ def test_run_rejects_a_sequence_name_that_escapes_raw(tmp_dataset, tmp_path, cap
     assert rc == 1
     assert "unsafe sequence name" in capsys.readouterr().err
     assert not (out / "escaped").exists()
+
+
+def test_run_checks_frame_paths_before_any_unit_starts(tmp_dataset, tmp_path, capsys):
+    frames = os.path.join(tmp_dataset, "bravo", "frames")
+    os.makedirs(frames)
+    for name in ["a b.jpg"] + ["%08d.jpg" % i for i in range(2, 25)]:
+        open(os.path.join(frames, name), "w").close()
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--dataset", tmp_dataset, "--out", str(out), "--tracker", "tts",
+                   "--repetitions", "1", "--workers", "1"])
+    assert rc == 2
+    assert "frame path contains whitespace" in capsys.readouterr().err
+    assert not (out / "raw").exists()
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +312,68 @@ class TestAnalyzeCommand:
         p = tmp_path / "small.tsv"
         write_measure_table(str(p), small)
         assert cli.main(["analyze", "--measures", str(p), "--out", str(tmp_path)]) == 1
+
+
+class TestExitStatus:
+    """One exit status for a missing input file, whichever reader opens it."""
+
+    MISSING_INPUT = [
+        pytest.param(cli.main, ["measure", "--sequence", "{missing}"], id="measure-sequence"),
+        pytest.param(cli.main, ["measure", "--sequence", "{seq}", "--trajectory", "{missing}"],
+                     id="measure-trajectory"),
+        pytest.param(cli.main, ["measure", "--sequence", "{seq}", "--record", "{missing}"],
+                     id="measure-record"),
+        pytest.param(cli.main, ["analyze", "--measures", "{missing}"], id="analyze-measures"),
+        pytest.param(cli.main, ["plot", "--type", "ar", "--measures", "{missing}"],
+                     id="plot-measures"),
+        pytest.param(cli.main, ["plot", "--type", "overlap", "--sequence", "{seq}",
+                                "--trajectory", "x={missing}"], id="plot-trajectory"),
+        pytest.param(cli.main, ["plot", "--type", "fragmentation", "--sequence", "{seq}",
+                                "--record", "x={missing}"], id="plot-record"),
+        pytest.param(tracker_main, ["ttf", "--groundtruth", "{missing}"],
+                     id="tracker-groundtruth"),
+        pytest.param(tracker_main, ["tto", "--sequence", "{missing}"], id="tracker-sequence"),
+        pytest.param(tracker_main, ["tta", "--meta", "{missing}"], id="tracker-meta"),
+    ]
+
+    @staticmethod
+    def call(main, argv, tmp_dataset, tmp_path):
+        where = {"seq": os.path.join(tmp_dataset, "alpha"), "missing": str(tmp_path / "nope")}
+        return main([arg.format(**where) for arg in argv])
+
+    @pytest.mark.parametrize("main, argv", MISSING_INPUT)
+    def test_missing_input_file_exits_2(self, main, argv, tmp_dataset, tmp_path, capsys):
+        assert self.call(main, argv, tmp_dataset, tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "nope" in err[0]
+
+    def test_directory_as_groundtruth_exits_1(self, tmp_dataset, tmp_path, capsys):
+        argv = ["ttf", "--groundtruth", "{seq}"]
+        assert self.call(tracker_main, argv, tmp_dataset, tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+class TestGoldenReports:
+    # SHA-256 of the pipeline fixture's reports. The correlation and
+    # cluster tables are left out: their numpy reductions may differ in
+    # the last digits between numpy builds.
+    GOLDEN_SHA256 = {
+        "measures.tsv": "1076e1f45c00ff61e2d5ab22b62e037e656196caf7a4817e1721c42828728347",
+        "ar_summary.tsv": "496e354dab197a8d9c2339aa8397d58c0aa00d498c12786f9a6d522cc0093dd4",
+        "labels.tsv": "d872733ce18fedbe055c66a2b968a46d9d2b96b7375615bc92964fb225f28c28",
+    }
+
+    def test_reports_match_golden_digests(self, pipeline, tmp_path):
+        measures = os.path.join(pipeline["out"], "measures.tsv")
+        assert cli.main(["analyze", "--measures", measures, "--out", str(tmp_path)]) == 0
+        assert cli.main(["label", "--dataset", pipeline["data"], "--out", str(tmp_path)]) == 0
+        paths = {"measures.tsv": measures,
+                 "ar_summary.tsv": str(tmp_path / "ar_summary.tsv"),
+                 "labels.tsv": str(tmp_path / "labels.tsv")}
+        for name, path in paths.items():
+            with open(path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == self.GOLDEN_SHA256[name], name
 
 
 class TestLabelCommand:
