@@ -147,11 +147,14 @@ def _read_lines(path) -> list[str]:
 def read_text(path) -> str:
     """Read UTF-8 text, with CRLF and CR newlines read as LF.
 
-    An OSError, such as FileNotFoundError for a missing file, reaches
-    the caller as it is.
+    Other bytes are a ParseError naming the file; an OSError, such as
+    FileNotFoundError for a missing file, reaches the caller as it is.
     """
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8", newline=None) as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e.reason}", path) from None
 
 
 def write_text(path, text: str) -> None:
@@ -240,8 +243,10 @@ def _read_annotation(seq_dir, gt_path=None) -> tuple[SequenceAnnotation, dict | 
             parts = line.split(",")
             if len(parts) != 2:
                 raise ParseError(f"center needs 2 values: {line!r}", center_path, i)
-            centers.append(Point(parse_number(parts[0], center_path, i),
-                                 parse_number(parts[1], center_path, i)))
+            x, y = (parse_number(p, center_path, i) for p in parts)
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"non-finite center coordinate: {line!r}", center_path, i)
+            centers.append(Point(x, y))
         if len(centers) != len(regions):
             raise LengthMismatchError(
                 f"{center_path}: {len(centers)} centers for {len(regions)} regions"
@@ -364,7 +369,8 @@ def dumps_record(rec: SupervisedRunRecord) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def loads_record(text: str, path=None) -> SupervisedRunRecord:
+def _versioned_lines(text: str, path) -> list[str]:
+    """The lines of a versioned file whose first line is FORMAT_LINE."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -372,6 +378,11 @@ def loads_record(text: str, path=None) -> SupervisedRunRecord:
         raise FormatVersionError("missing format header", path, 1)
     if lines[0] != FORMAT_LINE:
         raise FormatVersionError(f"unsupported format: {lines[0]!r}", path, 1)
+    return lines
+
+
+def loads_record(text: str, path=None) -> SupervisedRunRecord:
+    lines = _versioned_lines(text, path)
     if len(lines) < 2 or not lines[1].startswith("tau:"):
         raise ParseError("missing tau line", path, 2)
     tau = parse_number(lines[1][len("tau:"):], path, 2)
@@ -442,13 +453,7 @@ def dumps_measure_table(table: MeasureTable) -> str:
 
 
 def loads_measure_table(text: str, path=None) -> MeasureTable:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or not lines[0].startswith("# format:"):
-        raise FormatVersionError("missing format header", path, 1)
-    if lines[0] != FORMAT_LINE:
-        raise FormatVersionError(f"unsupported format: {lines[0]!r}", path, 1)
+    lines = _versioned_lines(text, path)
     if len(lines) < 2:
         raise ParseError("missing column header", path, 2)
     columns = _table_columns()

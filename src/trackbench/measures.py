@@ -325,8 +325,8 @@ def reliability(failure_count: float, n: int, span: float = 30.0) -> float:
         raise MeasureDomainError(
             f"failure count {failure_count} exceeds sequence length {n}"
         )
-    if span <= 0:
-        raise MeasureDomainError(f"span {span} must be positive")
+    if not 0 < span < math.inf:
+        raise MeasureDomainError(f"span {span} must be positive and finite")
     return math.exp(-span * (failure_count / n))
 
 

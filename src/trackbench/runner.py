@@ -10,11 +10,15 @@ line, LF-terminated. The evaluator speaks first:
 
 Numbers are decimal with `.` as separator; regions use the same
 `x,y,w,h` syntax as dataset files. A tracker may answer with a
-zero-area region to deliberately signal loss. Any reply that does not
-match the expected shape, or that runs past MAX_REPLY_CHARS without a
-newline, is a protocol violation. Frame paths are passed verbatim and
-never opened by the evaluator; paths containing whitespace cannot be
-framed on this protocol and are rejected up front.
+zero-area region to deliberately signal loss. A reply is decoded as
+strict UTF-8 and ends at its LF; a CR just before the LF is dropped, and
+a bare CR does not end a line. A reply that does not match the expected
+shape, is not UTF-8, or holds more than MAX_REPLY_CHARS bytes (4095 plus
+the LF) is a protocol violation. Replies are read on the calling
+thread with `select` on the child's stdout pipe, so `cmd:` trackers
+need a POSIX system. Frame paths are passed verbatim and never opened
+by the evaluator; paths containing whitespace cannot be framed on this
+protocol and are rejected up front.
 
 A child process that ends its hello reply with `runs=many` accepts a
 fresh `hello` after a run's last reply and resets all its state there.
@@ -36,11 +40,12 @@ ground-truth region.
 """
 
 import os
-import queue
 import re
+import select
 import shlex
 import subprocess
 import threading
+import time
 from dataclasses import dataclass, field, replace
 
 # hashlib loads OpenSSL; the builtin module is enough for one digest
@@ -93,8 +98,8 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 
-# A reply line, newline included, holds at most this many characters; a
-# region line is under 100. Past it the run fails instead of buffering.
+# A reply line, LF included, holds at most this many bytes; a region line
+# is under 100. Past it the run fails instead of buffering.
 MAX_REPLY_CHARS = 4096
 
 
@@ -183,10 +188,6 @@ class InProcessSession(_Session):
         pass
 
 
-_EOF = object()
-_OVERFLOW = object()
-
-
 class PipeSession(_Session):
     """Child process spoken to over stdin/stdout.
 
@@ -199,73 +200,59 @@ class PipeSession(_Session):
     def __init__(self, argv: list[str], timeout: float, idle: list | None = None):
         self._timeout = timeout
         self._idle = idle
+        self._pending = b""  # read from stdout, not yet returned as a reply
         try:
             self._proc = subprocess.Popen(
                 argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
-                encoding="utf-8",
-                bufsize=1,
             )
         except OSError as e:
             raise PrematureExitError(f"could not start tracker: {e}", 0) from e
-        self._lines: queue.Queue = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
 
-    def _pump(self) -> None:
-        readline = self._proc.stdout.readline
+    def _send(self, line: str) -> Exception | None:
+        """Write one line; return the error if the child's stdin is gone."""
         try:
-            while line := readline(MAX_REPLY_CHARS):
-                if len(line) == MAX_REPLY_CHARS and not line.endswith("\n"):
-                    self._lines.put(_OVERFLOW)
-                    break
-                self._lines.put(line)
-        finally:
-            self._lines.put(_EOF)
-
-    def _send_only(self, line: str) -> None:
-        try:
-            self._proc.stdin.write(line + "\n")
+            self._proc.stdin.write(line.encode("utf-8") + b"\n")
             self._proc.stdin.flush()
-        except (BrokenPipeError, OSError, ValueError):
-            pass
+        except (OSError, ValueError) as e:
+            return e
+        return None
 
     def _request(self, line: str, frame: int) -> str:
+        if (e := self._send(line)) is not None:
+            raise PrematureExitError(f"tracker stdin closed: {e}", frame)
+        fd = self._proc.stdout.fileno()
+        deadline = time.monotonic() + self._timeout
+        while (end := self._pending.find(b"\n", 0, MAX_REPLY_CHARS)) < 0:
+            if len(self._pending) >= MAX_REPLY_CHARS:
+                # A flooding child blocks on its full stdout and never reads quit.
+                self._proc.kill()
+                raise ProtocolViolationError(f"reply longer than {MAX_REPLY_CHARS} bytes", frame)
+            if not select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+                raise TrackerTimeoutError(f"no reply within {self._timeout}s", frame)
+            chunk = os.read(fd, 65536)
+            if not chunk and not self._pending:
+                # stdout closes before the child is reaped; poll() alone could
+                # still read None for a child that has exited.
+                try:
+                    code = self._proc.wait(timeout=min(5.0, self._timeout))
+                except subprocess.TimeoutExpired:
+                    code = None
+                raise PrematureExitError(f"tracker exited (status {code})", frame)
+            self._pending += chunk or b"\n"  # ends a last line, as readline did
+        reply, self._pending = self._pending[:end], self._pending[end + 1:]
         try:
-            self._proc.stdin.write(line + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError, ValueError) as e:
-            raise PrematureExitError(f"tracker stdin closed: {e}", frame) from None
-        try:
-            reply = self._lines.get(timeout=self._timeout)
-        except queue.Empty:
-            raise TrackerTimeoutError(
-                f"no reply within {self._timeout}s", frame
-            ) from None
-        if reply is _EOF:
-            # stdout closes before the child is reaped; poll() alone could
-            # still read None for a child that has exited.
-            try:
-                code = self._proc.wait(timeout=min(5.0, self._timeout))
-            except subprocess.TimeoutExpired:
-                code = None
-            raise PrematureExitError(f"tracker exited (status {code})", frame)
-        if reply is _OVERFLOW:
-            # Nothing drains its stdout any more, so it would never read quit.
-            self._proc.kill()
-            raise ProtocolViolationError(
-                f"reply longer than {MAX_REPLY_CHARS} characters", frame
-            )
-        return reply.rstrip("\n")
+            return reply.decode("utf-8").removesuffix("\r")
+        except UnicodeDecodeError:
+            raise ProtocolViolationError("reply is not UTF-8", frame) from None
 
     def close(self) -> None:
         if self._idle and self in self._idle:
             return
         if self._proc.poll() is None:
-            self._send_only("quit")
+            self._send("quit")
             try:
                 self._proc.wait(timeout=min(5.0, self._timeout))
             except subprocess.TimeoutExpired:
@@ -280,7 +267,8 @@ class PipeSession(_Session):
     def quit(self) -> None:
         # An unread line would answer the next run's hello.
         if (self._idle is not None and self._runs_many
-                and self._proc.poll() is None and self._lines.empty()):
+                and self._proc.poll() is None and not self._pending
+                and not select.select([self._proc.stdout], [], [], 0)[0]):
             self._idle.append(self)
         else:
             self.close()
@@ -310,6 +298,10 @@ class TrackerHandle:
     factory: object = None
     command: tuple[str, ...] | None = None
     _idle: list | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not 0 < self.timeout < float("inf"):
+            raise ConfigError(f"tracker {self.name!r}: timeout must be positive and finite")
 
     @classmethod
     def in_process(cls, name: str, factory, timeout: float = 30.0) -> "TrackerHandle":

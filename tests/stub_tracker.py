@@ -11,6 +11,14 @@ scripted misbehavior selected by argv[1]:
   badhello  mangles the handshake reply
   zerocopy  reports a zero-area region on every frame request
   flood     answers the 2nd frame request with megabytes and no newline
+  notutf8   answers the 2nd frame request with bytes that are not UTF-8
+  long      answers the 2nd frame request with one 5000-byte line, LF
+            included, in a single write
+  stray     follows its reply to the 2nd frame request with a second
+            state line, in the same write
+  crlf      well-behaved, but ends every reply with CR LF
+  partial   answers the 2nd frame request with a state line without LF,
+            then exits
 
 Options may follow the mode:
 
@@ -23,6 +31,7 @@ Deliberately self-contained: no package imports, so it behaves like a
 foreign executable.
 """
 
+import os
 import sys
 import time
 
@@ -34,6 +43,12 @@ def main() -> int:
     if options.get("runs") == "many":
         hello += " runs=many"
     at = int(options.get("at", "0"))
+    end = "\r\n" if mode == "crlf" else "\n"
+
+    def reply(text):
+        sys.stdout.write(text + end)
+        sys.stdout.flush()
+
     held = "0,0,0,0"
     runs = 0
     frames_seen = 0
@@ -47,17 +62,29 @@ def main() -> int:
             runs += 1
             frames_seen = 0
             if mode == "badhello":
-                print("hi there", flush=True)
+                reply("hi there")
             else:
-                print(hello, flush=True)
+                reply(hello)
         elif cmd == "initialize":
             held = parts[-1]
-            print(f"state {held}", flush=True)
+            reply(f"state {held}")
         elif cmd == "frame":
             frames_seen += 1
             if frames_seen == 2 and at in (0, runs):
                 if mode == "garbage":
-                    print("banana banana banana", flush=True)
+                    reply("banana banana banana")
+                    continue
+                if mode == "notutf8":
+                    os.write(1, b"state \xff\xfe\n")
+                    continue
+                if mode == "long":
+                    os.write(1, b"state " + b"1" * 4993 + b"\n")
+                    continue
+                if mode == "partial":
+                    os.write(1, f"state {held}".encode())
+                    return 0
+                if mode == "stray":
+                    reply(f"state {held}\nstate {held}")
                     continue
                 if mode == "slow":
                     time.sleep(5.0)
@@ -68,10 +95,7 @@ def main() -> int:
                         sys.stdout.write("x" * (1 << 20))
                         sys.stdout.flush()
                     return 1
-            if mode == "zerocopy":
-                print("state 0,0,0,0", flush=True)
-            else:
-                print(f"state {held}", flush=True)
+            reply("state 0,0,0,0" if mode == "zerocopy" else f"state {held}")
         elif cmd == "quit":
             return 0
     return 0

@@ -302,6 +302,16 @@ class TestAnalyzeCommand:
         ar = open(os.path.join(rep, "ar_summary.tsv")).read()
         assert "tracker\taccuracy\trobustness\treliability" in ar
 
+    @pytest.mark.parametrize("span", ["inf", "nan"])
+    def test_non_finite_span_is_one_error_line(self, pipeline, tmp_path, capsys, span):
+        measures = os.path.join(pipeline["out"], "measures.tsv")
+        rc = cli.main(["analyze", "--measures", measures, "--out", str(tmp_path),
+                       "--span", span])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: span {span} must be positive and finite"]
+        assert not (tmp_path / "ar_summary.tsv").exists()
+
     def test_missing_file_is_usage_error(self, tmp_path):
         rc = cli.main(["analyze", "--measures", str(tmp_path / "nope.tsv")])
         assert rc == 2
@@ -346,6 +356,21 @@ class TestExitStatus:
         assert self.call(main, argv, tmp_dataset, tmp_path) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "nope" in err[0]
+
+    @pytest.mark.parametrize("main, argv", [
+        pytest.param(cli.main, ["measure", "--sequence", "{seq}", "--trajectory", "{bad}"],
+                     id="measure-trajectory"),
+        pytest.param(tracker_main, ["ttf", "--groundtruth", "{bad}"],
+                     id="tracker-groundtruth"),
+    ])
+    def test_input_file_that_is_not_utf8_exits_1(self, main, argv, tmp_dataset, tmp_path,
+                                                  capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe1,2,3,4\n")
+        where = {"seq": os.path.join(tmp_dataset, "alpha"), "bad": str(bad)}
+        assert main([arg.format(**where) for arg in argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: not UTF-8 text: invalid start byte"]
 
     def test_directory_as_groundtruth_exits_1(self, tmp_dataset, tmp_path, capsys):
         argv = ["ttf", "--groundtruth", "{seq}"]

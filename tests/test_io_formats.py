@@ -168,6 +168,16 @@ class TestSequenceDir:
         with pytest.raises(LengthMismatchError):
             read_annotation(str(d))
 
+    @pytest.mark.parametrize("bad", ["nan,nan", "inf,20", "3,-inf"])
+    def test_non_finite_center_rejected_naming_file_and_line(self, tmp_path, bad):
+        d = tmp_path / "bad"
+        d.mkdir()
+        (d / "groundtruth.txt").write_text("0,0,2,2\n1,1,2,2\n")
+        (d / "center.txt").write_text(f"1,1\n{bad}\n")
+        with pytest.raises(ParseError, match="non-finite center") as e:
+            read_annotation(str(d))
+        assert (e.value.path, e.value.line) == (str(d / "center.txt"), 2)
+
     def test_frame_images_must_match_annotation(self, tmp_path):
         d = tmp_path / "seq"
         d.mkdir()

@@ -266,8 +266,11 @@ class TestReliability:
             reliability(1, 0)
         with pytest.raises(MeasureDomainError):
             reliability(-1, 10)
-        with pytest.raises(MeasureDomainError):
-            reliability(1, 10, span=0.0)
+        for span in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(MeasureDomainError, match="positive and finite"):
+                reliability(1, 10, span=span)
+            with pytest.raises(MeasureDomainError):
+                reliability(0, 10, span=span)
 
     def test_more_failures_than_frames_rejected(self):
         assert reliability(1, 1) == math.exp(-30.0)

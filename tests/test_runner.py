@@ -311,6 +311,15 @@ class TestSessionReuse:
         assert repr(after.values) == repr(first.values)
         assert all_exited(started)
 
+    def test_a_line_left_unread_after_the_last_reply_is_not_parked(self, started):
+        # The stray line follows the reply to frame 3, the last frame.
+        handle = stub_handle("stray", "runs=many", "deterministic=0")
+        table = execute_plan(RunPlan(repetitions=2, mode="unsupervised"), [handle],
+                             [static_sequence(3)])
+        assert [r.error for r in table.rows] == [None, None]
+        assert len(started) == 2
+        assert all_exited(started)
+
     def test_no_process_outlives_a_plan_that_raises(self, tmp_dataset, tmp_path, started):
         seqs = [read_sequence(os.path.join(tmp_dataset, n)) for n in ("alpha", "bravo")]
         out = tmp_path / "out"
@@ -392,6 +401,13 @@ class TestHandle:
         with pytest.raises(ConfigError):
             TrackerHandle(name="empty").open(static_sequence(3))
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.inf, math.nan])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        for make in (lambda: stub_handle("ok", timeout=timeout),
+                     lambda: TrackerHandle.in_process("tts", BuiltinTracker("tts"), timeout)):
+            with pytest.raises(ConfigError, match="timeout"):
+                make()
+
     def test_empty_command_rejected(self):
         with pytest.raises(ConfigError):
             TrackerHandle.from_command("x", "")
@@ -434,6 +450,43 @@ class TestChildProcess:
         assert time.monotonic() - t0 < 5.0  # half the per-frame timeout
         assert e.value.frame == 3
         assert all_exited(started)
+
+    def test_reply_that_is_not_utf8_is_a_protocol_violation_at_its_frame(self, started):
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolViolationError, match="not UTF-8") as e:
+            run_supervised(stub_handle("notutf8", timeout=10.0), static_sequence(8))
+        assert time.monotonic() - t0 < 1.0
+        assert e.value.frame == 3
+        assert all_exited(started)
+
+    def test_long_reply_is_rejected_even_when_its_lf_arrives_with_it(self, started):
+        with pytest.raises(ProtocolViolationError, match="reply longer than 4096 bytes") as e:
+            run_supervised(stub_handle("long"), static_sequence(8))
+        assert e.value.frame == 3
+        assert all_exited(started)
+
+    def test_a_last_reply_without_lf_is_read_before_the_exit(self):
+        # The reply to frame 3 has no LF; the child exits after it.
+        box = static_sequence(3).annotation.regions[0]
+        assert run_unsupervised(stub_handle("partial"), static_sequence(3)).regions == (box,) * 3
+        with pytest.raises(PrematureExitError) as e:
+            run_unsupervised(stub_handle("partial"), static_sequence(4))
+        assert e.value.frame == 4
+
+    def test_crlf_replies_are_accepted(self):
+        seq = moving_sequence(12)
+        with stub_handle("crlf").open(seq) as session:
+            reply = session._request("hello version=1 seed=0", 0)
+        assert reply == "hello name=stub deterministic=1"
+        child = run_supervised(stub_handle("crlf"), seq, tau=0.0, seed=7)
+        local = run_supervised(tts_handle(), seq, tau=0.0, seed=7)
+        assert dumps_record(child) == dumps_record(local)
+
+    def test_a_child_session_starts_no_thread(self):
+        before = threading.active_count()
+        with stub_handle("ok").open(static_sequence(3)) as session:
+            session.handshake(0)
+            assert threading.active_count() == before
 
     def test_mangled_handshake_is_rejected_at_frame_zero(self):
         seq = static_sequence(8)
