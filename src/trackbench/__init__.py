@@ -23,8 +23,11 @@ _HOMES = {
         "MeasureDomainError", "FragmentationUndefinedError",
     ),
     "geometry": ("Point", "Region", "overlap", "region_center", "region_size"),
+    "dataset": (
+        "SequenceAnnotation", "SequenceData", "read_sequence", "write_sequence",
+    ),
     "trajectory": (
-        "SequenceAnnotation", "Trajectory", "Tracked", "Failure", "Init",
+        "Trajectory", "Tracked", "Failure", "Init",
         "SupervisedRunRecord", "MeasureRow", "MeasureTable",
     ),
     "measures": (
@@ -48,7 +51,6 @@ _HOMES = {
         "sequence_properties", "theoretical_ar_points",
     ),
     "io_formats": (
-        "SequenceData", "read_sequence", "write_sequence",
         "read_trajectory", "write_trajectory", "read_record", "write_record",
         "read_measure_table", "write_measure_table",
     ),

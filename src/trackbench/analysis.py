@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import SequenceAnnotation
 from .errors import ClusterDomainError, ConfigError, InsufficientSamplesError
 from .measures import MEASURES, measure_keys, reliability
-from .trajectory import MeasureTable, SequenceAnnotation, SupervisedRunRecord, score_record
+from .trajectory import MeasureTable, SupervisedRunRecord, score_record
 
 __all__ = [
     "ARPair",

@@ -18,16 +18,19 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .analysis import ar_summary, cluster_measures, label_sequences, pearson_matrix
-from .errors import ClusterDomainError, ConfigError, TrackbenchError, exit_status
-from .io_formats import (
+from .dataset import (
     SequenceData,
     format_number,
     is_safe_name,
     list_sequences,
-    read_measure_table,
-    read_record,
     read_sequence,
     read_text,
+    write_text,
+)
+from .errors import ClusterDomainError, ConfigError, TrackbenchError, exit_status
+from .io_formats import (
+    read_measure_table,
+    read_record,
     read_trajectory,
     write_ar_summary,
     write_cluster_assignment,
@@ -35,7 +38,6 @@ from .io_formats import (
     write_label_table,
     write_manifest,
     write_measure_table,
-    write_text,
 )
 from .measures import compute_all, measure_keys
 from .runner import RunPlan, TrackerHandle, execute_plan
@@ -238,10 +240,17 @@ def _cmd_measure(args) -> int:
 
 def _cmd_analyze(args) -> int:
     table = read_measure_table(args.measures)
-    os.makedirs(args.out, exist_ok=True)
     clean = sum(1 for r in table.rows if r.error is None)
-
+    # Every report is computed before the first is written, so a rejected
+    # argument leaves --out as it was.
     corr = pearson_matrix(table)
+    rows = ar_summary(table, span=args.span)
+    try:
+        clustering = cluster_measures(table, damping=args.damping)
+    except ClusterDomainError as e:
+        clustering, skipped = None, e
+
+    os.makedirs(args.out, exist_ok=True)
     write_correlation_matrix(
         os.path.join(args.out, "correlation.tsv"),
         corr.labels,
@@ -251,7 +260,6 @@ def _cmd_analyze(args) -> int:
     )
     print(f"wrote {os.path.join(args.out, 'correlation.tsv')}")
 
-    rows = ar_summary(table, span=args.span)
     write_ar_summary(
         os.path.join(args.out, "ar_summary.tsv"),
         rows,
@@ -260,11 +268,10 @@ def _cmd_analyze(args) -> int:
     )
     print(f"wrote {os.path.join(args.out, 'ar_summary.tsv')}")
 
-    try:
-        corr, assignment = cluster_measures(table, damping=args.damping)
-    except ClusterDomainError as e:
-        print(f"error: clustering skipped: {e}", file=sys.stderr)
+    if clustering is None:
+        print(f"error: clustering skipped: {skipped}", file=sys.stderr)
         return 1
+    corr, assignment = clustering
     groups = assignment.groups()
     notes = [
         f"clusters: {len(groups)}",

@@ -21,9 +21,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import mul
 
+from .dataset import SequenceAnnotation
 from .errors import EmptySeriesError, FragmentationUndefinedError, MeasureDomainError
 from .trajectory import (
-    SequenceAnnotation,
     SupervisedRunRecord,
     Trajectory,
     score_record,

@@ -58,6 +58,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from .dataset import SequenceData, format_region, parse_region
 from .errors import (
     ConfigError,
     ParseError,
@@ -68,13 +69,7 @@ from .errors import (
     TrackerTimeoutError,
 )
 from .geometry import Region, iou, is_valid_region, validate_region
-from .io_formats import (
-    SequenceData,
-    format_region,
-    parse_region,
-    write_record,
-    write_trajectory,
-)
+from .io_formats import write_record, write_trajectory
 from .measures import compute_all
 from .trajectory import (
     Failure,

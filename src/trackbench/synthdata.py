@@ -13,11 +13,11 @@ from failure counts at the dataset level.
 import math
 import random
 
-from .io_formats import SequenceData, write_sequence
+from .dataset import SequenceAnnotation, SequenceData, write_sequence
 from .geometry import Region
 from .runner import RunPlan, TrackerHandle, execute_plan
 from .theoretical import BuiltinTracker, ScriptedTrackerSpec
-from .trajectory import MeasureTable, SequenceAnnotation
+from .trajectory import MeasureTable
 
 __all__ = [
     "ARCHETYPES",

@@ -36,10 +36,9 @@ import math
 import random
 from dataclasses import dataclass
 
+from .dataset import SequenceAnnotation, SequenceData
 from .errors import ConfigError, DegenerateAnnotationError
 from .geometry import Region, region_size
-from .io_formats import SequenceData
-from .trajectory import SequenceAnnotation, Tracked, Trajectory, score_record
 
 __all__ = [
     "THEORETICAL_KINDS",
@@ -358,12 +357,14 @@ class BuiltinTracker:
 
 def theoretical_trajectory(
     kind: str, a: SequenceAnnotation, image_size: tuple[float, float] | None = None
-) -> Trajectory:
+) -> "Trajectory":
     """Single-initialization trajectory of a theoretical tracker.
 
     Computed directly from the annotation; equals what the stateful
     behavior reports under an unsupervised run.
     """
+    from .trajectory import Trajectory
+
     n = len(a)
     if kind == "tta":
         if image_size is None:
@@ -447,6 +448,7 @@ def theoretical_ar_points(
     overlap 0.
     """
     from .measures import reliability
+    from .trajectory import Tracked, score_record
 
     sums = {k: [0.0, 0.0, 0] for k in THEORETICAL_KINDS}
     for seq in seqs:

@@ -20,19 +20,22 @@ runner expands placeholders for those paths in command specs, e.g.:
         --tracker 'cmd:ttf:trackbench-tracker ttf --groundtruth {groundtruth}'
 
 Every (tracker, sequence) unit of a run starts one of these processes,
-so this module imports only what serving needs: no numpy, measures,
-runner, analysis or cli (tests/test_imports.py holds it to that).
+so this module imports only what serving needs: the dataset layer and
+the behaviors, and no numpy, trajectory, io_formats, measures, runner,
+analysis or cli (tests/test_imports.py holds it to that). For the same
+reason the process ends in os._exit once its output is flushed, without
+interpreter teardown (see run).
 """
 
 import argparse
 import os
 import sys
 
+from .dataset import format_region, parse_region, read_annotation, read_image_size
 from .errors import ConfigError, ParseError, TrackbenchError, exit_status
-from .io_formats import format_region, parse_region, read_annotation, read_image_size
 from .theoretical import BUILTINS, BuiltinTracker
 
-__all__ = ["main", "serve"]
+__all__ = ["main", "run", "serve"]
 
 
 def _read_input(args, needs: str | None):
@@ -131,5 +134,25 @@ def main(argv=None) -> int:
         return exit_status(e)
 
 
+def run() -> None:
+    """Entry point of the process: main, then exit without teardown.
+
+    Teardown would only free memory that the operating system reclaims
+    at exit anyway, and it is on the runner's path: the runner waits
+    for the exit after `quit`. What output is still buffered is
+    flushed first; a failed flush exits 120, as at interpreter exit.
+    """
+    try:
+        status = main()
+    except SystemExit as e:  # argparse: usage errors and --help
+        status = e.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        status = 120
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

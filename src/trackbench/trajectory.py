@@ -1,24 +1,25 @@
-"""Data model for annotated sequences, trajectories and supervised runs.
+"""Run model and scoring: trajectories, supervised runs, measure rows.
 
 Frame numbers are 1-based everywhere they are exposed (failure frames,
 error messages); plain Python indices into the underlying tuples stay
-0-based. A sequence annotation optionally carries an explicit per-frame
-center channel; when absent, centers derive from the region geometry.
+0-based. The ground truth a run is scored against is a
+dataset.SequenceAnnotation.
 """
 
 from dataclasses import dataclass, field
-from math import sqrt as _sqrt
+from math import inf as _INF, sqrt as _sqrt
 from typing import NamedTuple
 
+from .dataset import SequenceAnnotation
 from .errors import (
     DegenerateAnnotationError,
     LengthMismatchError,
     MalformedRecordError,
+    MeasureDomainError,
 )
-from .geometry import Point, Region, region_center, validate_region
+from .geometry import Region, validate_region
 
 __all__ = [
-    "SequenceAnnotation",
     "Trajectory",
     "Tracked",
     "Failure",
@@ -31,36 +32,6 @@ __all__ = [
     "score_trajectory",
     "score_record",
 ]
-
-
-@dataclass(frozen=True)
-class SequenceAnnotation:
-    """Ground truth for one sequence: per-frame regions, optional centers."""
-
-    name: str
-    regions: tuple[Region, ...]
-    centers: tuple[Point, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(self.regions))
-        if self.centers is not None:
-            object.__setattr__(self, "centers", tuple(self.centers))
-        if len(self.regions) < 1:
-            raise LengthMismatchError(f"sequence {self.name!r} has no frames")
-        if self.centers is not None and len(self.centers) != len(self.regions):
-            raise LengthMismatchError(
-                f"sequence {self.name!r}: {len(self.centers)} centers"
-                f" for {len(self.regions)} regions"
-            )
-
-    def __len__(self) -> int:
-        return len(self.regions)
-
-    def center(self, index: int) -> Point:
-        """Center for 0-based frame index: explicit if present, else derived."""
-        if self.centers is not None:
-            return self.centers[index]
-        return region_center(self.regions[index])
 
 
 @dataclass(frozen=True)
@@ -217,7 +188,10 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
     frame. A Failure scores overlap 0 and no center error; an Init is
     excluded from every series. A scored pair that fails the inline
     finiteness and sign check goes to invalid(gt, pred), which raises
-    the caller's error if a region is invalid and returns if not.
+    the caller's error if a region is invalid and returns if not. A
+    center distance whose square overflows the float range raises
+    MeasureDomainError for the first such frame, after the loop, so any
+    invalid region is reported first.
 
     The overlap is geometry.iou inlined operation for operation, with
     min(a, b) as `b if b < a else a` and max(a, b) as `b if b > a else a`
@@ -227,7 +201,7 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
     overlaps: list[float | None] = []
     errors: list[float | None] = []
     normalized: list[float | None] = []
-    degenerate = None
+    degenerate = overflow = None
     centers = a.centers
     for i, (gt, f) in enumerate(zip(a.regions, frames)):
         if f.__class__ is not Region:
@@ -275,7 +249,11 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
             cx, cy = gx + gw / 2.0, gy + gh / 2.0
         else:
             cx, cy = centers[i].x, centers[i].y
-        d = ((cx - (px + pw / 2.0)) ** 2 + (cy - (py + ph / 2.0)) ** 2) ** 0.5
+        try:
+            d = ((cx - (px + pw / 2.0)) ** 2 + (cy - (py + ph / 2.0)) ** 2) ** 0.5
+        except OverflowError:
+            overflow = overflow or i + 1
+            d = _INF
         errors.append(d)
         size = _sqrt(gw * gh)
         if size > 0:
@@ -284,6 +262,8 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
             normalized.append(None)
             if degenerate is None:
                 degenerate = i + 1
+    if overflow is not None:
+        raise MeasureDomainError(f"frame {overflow}: center error overflows the float range")
     return FrameSeries(overlaps, errors, normalized, degenerate)
 
 

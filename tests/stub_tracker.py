@@ -10,6 +10,8 @@ scripted misbehavior selected by argv[1]:
   exit      exits silently before answering the 2nd frame request
   badhello  mangles the handshake reply
   zerocopy  reports a zero-area region on every frame request
+  huge      reports 0,0,1e200,1e200 on every frame request: a valid
+            region whose center distance to any target overflows
   flood     answers the 2nd frame request with megabytes and no newline
   notutf8   answers the 2nd frame request with bytes that are not UTF-8
   long      answers the 2nd frame request with one 5000-byte line, LF
@@ -34,6 +36,9 @@ foreign executable.
 import os
 import sys
 import time
+
+# Modes that answer every frame request with one fixed region.
+FIXED = {"zerocopy": "0,0,0,0", "huge": "0,0,1e200,1e200"}
 
 
 def main() -> int:
@@ -95,7 +100,7 @@ def main() -> int:
                         sys.stdout.write("x" * (1 << 20))
                         sys.stdout.flush()
                     return 1
-            reply("state 0,0,0,0" if mode == "zerocopy" else f"state {held}")
+            reply(f"state {FIXED.get(mode, held)}")
         elif cmd == "quit":
             return 0
     return 0

@@ -19,12 +19,13 @@ from trackbench.analysis import (
     cluster_measures,
     kmeans_partition,
 )
+from trackbench.dataset import SequenceAnnotation, SequenceData, format_region
 from trackbench.errors import (
     ProtocolViolationError,
     TrackerTimeoutError,
 )
 from trackbench.geometry import Region, overlap
-from trackbench.io_formats import SequenceData, dumps_record, format_region
+from trackbench.io_formats import dumps_record
 from trackbench.measures import (
     auc,
     average_overlap,
@@ -40,7 +41,6 @@ from trackbench.measures import (
 from trackbench.runner import TrackerHandle, run_supervised, run_unsupervised
 from trackbench.synthdata import corpus_table, make_dataset, write_dataset
 from trackbench.theoretical import BuiltinTracker
-from trackbench.trajectory import SequenceAnnotation
 
 from conftest import STUB
 

@@ -4,6 +4,8 @@ import io
 import os
 import platform
 import re
+import shlex
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -14,10 +16,10 @@ from hypothesis import strategies as st
 
 import trackbench
 from trackbench import cli
+from trackbench.dataset import format_region
 from trackbench.errors import ConfigError
 from trackbench.io_formats import (
     dumps_measure_table,
-    format_region,
     loads_measure_table,
     read_measure_table,
     write_measure_table,
@@ -31,7 +33,7 @@ from trackbench.theoretical import (
 from trackbench.tracker_cli import main as tracker_main
 from trackbench.tracker_cli import serve
 
-from conftest import moving_sequence
+from conftest import STUB, moving_sequence
 
 SCRIPTED = "scripted:name=jig,center_noise=2.5,scale_noise=0.05,seed=5"
 
@@ -312,6 +314,25 @@ class TestAnalyzeCommand:
         assert err == [f"error: span {span} must be positive and finite"]
         assert not (tmp_path / "ar_summary.tsv").exists()
 
+    @pytest.mark.parametrize("flag, value, status", [("--span", "inf", 1), ("--damping", "1", 2)])
+    def test_a_rejected_argument_writes_nothing(self, pipeline, tmp_path, capsys, flag, value,
+                                                status):
+        # --out holds the reports of another table, so any write would show.
+        measures = os.path.join(pipeline["out"], "measures.tsv")
+        table = read_measure_table(measures)
+        other = str(tmp_path / "other.tsv")
+        write_measure_table(other, type(table)(rows=[r for r in table.rows if r.tracker != "tta"]))
+        out = tmp_path / "reports"
+        assert cli.main(["analyze", "--measures", other, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["ar_summary.tsv", "clusters.tsv", "correlation.tsv"]
+        capsys.readouterr()
+        assert cli.main(["analyze", "--measures", measures, "--out", str(out), flag, value]) == status
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_missing_file_is_usage_error(self, tmp_path):
         rc = cli.main(["analyze", "--measures", str(tmp_path / "nope.tsv")])
         assert rc == 2
@@ -377,6 +398,35 @@ class TestExitStatus:
         assert self.call(tracker_main, argv, tmp_dataset, tmp_path) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+class TestOverflowingRegions:
+    """A valid region whose center distance overflows is a measure error, not a crash."""
+
+    OVERFLOW = "center error overflows the float range"
+
+    def test_run_gives_the_tracker_an_error_row(self, tmp_dataset, tmp_path):
+        huge = f"cmd:huge:{shlex.quote(sys.executable)} {shlex.quote(STUB)} huge"
+        tables = {}
+        for name, specs in (("alone", ["tts"]), ("mixed", ["tts", huge])):
+            out = tmp_path / name
+            argv = ["run", "--dataset", tmp_dataset, "--out", str(out), "--repetitions", "1"]
+            assert cli.main(argv + [a for s in specs for a in ("--tracker", s)]) == 0
+            tables[name] = read_measure_table(str(out / "measures.tsv"))
+        rows = tables["mixed"].rows
+        assert [(r.tracker, r.error) for r in rows if r.tracker == "huge"] == [
+            ("huge", f"measure error: frame 2: {self.OVERFLOW}")] * 3
+        tts = type(tables["alone"])(rows=[r for r in rows if r.tracker == "tts"])
+        assert dumps_measure_table(tts) == dumps_measure_table(tables["alone"])
+
+    def test_measure_prints_one_error_line(self, tmp_dataset, tmp_path, capsys):
+        traj = tmp_path / "far.traj"
+        traj.write_text("1e160,0,1,1\n" + "40,30,24,18\n" * 19)
+        seq = os.path.join(tmp_dataset, "alpha")
+        assert cli.main(["measure", "--sequence", seq, "--trajectory", str(traj)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: frame 1: {self.OVERFLOW}"]
+        assert captured.out == ""
 
 
 class TestGoldenReports:

@@ -42,10 +42,30 @@ def test_tracker_process_imports_only_what_it_serves_with():
     loaded = loaded_after("import trackbench.tracker_cli")
     heavy = {
         "numpy", "trackbench.runner", "trackbench.analysis", "trackbench.cli",
-        "trackbench.measures", "concurrent.futures",
+        "trackbench.measures", "trackbench.trajectory", "trackbench.io_formats",
+        "concurrent.futures",
     }
     assert "trackbench.tracker_cli" in loaded
     assert not heavy & loaded, sorted(heavy & loaded)
+
+
+def test_tracker_process_started_as_a_module_loads_only_its_layers():
+    # The process ends in os._exit, so it cannot report sys.modules;
+    # -X importtime lists every module it imports on stderr instead.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "trackbench.tracker_cli", "tts"],
+        input="hello version=1 seed=0\nquit\n", env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith("hello name=tts "), proc
+    loaded = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {m for m in loaded if m.split(".")[0] == "trackbench"} == {
+        "trackbench", "trackbench.errors", "trackbench.geometry", "trackbench.dataset",
+        "trackbench.theoretical",
+    }
+    assert "numpy" not in loaded
 
 
 def test_evaluator_loads_no_openssl_or_socket():

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trackbench import io_formats
+from trackbench import dataset
+from trackbench.dataset import (
+    SequenceAnnotation,
+    format_number,
+    format_region,
+    list_sequences,
+    parse_number,
+    parse_region,
+    read_annotation,
+    read_sequence,
+    write_sequence,
+)
 from trackbench.errors import (
     FormatVersionError,
     LengthMismatchError,
@@ -18,21 +29,13 @@ from trackbench.io_formats import (
     FORMAT_LINE,
     dumps_measure_table,
     dumps_record,
-    format_number,
-    format_region,
-    list_sequences,
     loads_measure_table,
     loads_record,
-    parse_number,
-    parse_region,
-    read_annotation,
     read_measure_table,
     read_record,
-    read_sequence,
     read_trajectory,
     write_measure_table,
     write_record,
-    write_sequence,
     write_trajectory,
 )
 from trackbench.trajectory import (
@@ -40,7 +43,6 @@ from trackbench.trajectory import (
     Init,
     MeasureRow,
     MeasureTable,
-    SequenceAnnotation,
     SupervisedRunRecord,
     Tracked,
     Trajectory,
@@ -123,13 +125,13 @@ class TestSequenceDir:
         d = tmp_path / "demo"
         write_sequence(str(d), a, image_size=(320.0, 240.0))
         reads = Counter()
-        read_lines = io_formats._read_lines
+        read_lines = dataset._read_lines
 
         def counted(path):
             reads[os.path.basename(path)] += 1
             return read_lines(path)
 
-        monkeypatch.setattr(io_formats, "_read_lines", counted)
+        monkeypatch.setattr(dataset, "_read_lines", counted)
         seq = read_sequence(str(d))
         assert (seq.annotation, seq.image_size) == (a, (320.0, 240.0))
         assert reads == {"groundtruth.txt": 1, "center.txt": 1, "sequence.meta": 1}

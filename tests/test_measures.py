@@ -5,6 +5,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from trackbench.dataset import SequenceAnnotation
 from trackbench.errors import (
     DegenerateAnnotationError,
     EmptySeriesError,
@@ -41,7 +42,6 @@ from trackbench.trajectory import (
     Failure,
     FrameSeries,
     Init,
-    SequenceAnnotation,
     SupervisedRunRecord,
     Tracked,
     Trajectory,
@@ -407,7 +407,11 @@ def ref_overlap_series(a, t):
 def ref_center_error(a, i, pred, normalized):
     g = a.center(i)
     p = region_center(pred)
-    d = ((g.x - p.x) ** 2 + (g.y - p.y) ** 2) ** 0.5
+    try:
+        d = ((g.x - p.x) ** 2 + (g.y - p.y) ** 2) ** 0.5
+    except OverflowError:
+        raise MeasureDomainError(
+            f"frame {i + 1}: center error overflows the float range") from None
     if normalized:
         s = region_size(a.regions[i])
         if s <= 0:
@@ -609,6 +613,17 @@ SLIVER_GT = one_frame_case(_THIN2, _THIN3)
 SLIVER_PRED = one_frame_case(_THIN3, _THIN2)
 # Finite boxes whose areas overflow: the union is inf - inf = NaN.
 OVERFLOW = one_frame_case(Region(0.0, 0.0, 1e200, 1e200), Region(1.0, 0.0, 1e200, 1e200))
+# A finite box with a finite area whose center distance to the ground
+# truth squares past the float range.
+_far, _unit = Region(1e160, 0.0, 1.0, 1.0), Region(0.0, 0.0, 1.0, 1.0)
+FAR = one_frame_case(_unit, _far)
+# That box, then an invalid region: the reference scores every overlap,
+# and so checks every region, before any center error.
+FAR_THEN_INVALID = (
+    SequenceAnnotation(name="seq", regions=(_unit, Region(math.nan, 0.0, 1.0, 1.0))),
+    Trajectory(regions=(_far, _unit)),
+    SupervisedRunRecord([Tracked(_far), Tracked(Region(0.0, 0.0, -1.0, 1.0))], tau=0.0),
+)
 # An invalid prediction before an invalid ground truth: a trajectory
 # reports the ground truth of frame 3, a record the prediction of frame 2.
 _ok, _bad = Region(0.0, 0.0, 4.0, 4.0), Region(0.0, 0.0, -1.0, 4.0)
@@ -633,6 +648,8 @@ class TestScoringKernel:
     @example(SLIVER_GT)
     @example(SLIVER_PRED)
     @example(OVERFLOW)
+    @example(FAR)
+    @example(FAR_THEN_INVALID)
     @example(ERRORS_SPREAD)
     def test_compute_all_matches_reference_bit_for_bit(self, case):
         a, t, rec = case
@@ -645,6 +662,8 @@ class TestScoringKernel:
     @example(SLIVER_GT)
     @example(SLIVER_PRED)
     @example(OVERFLOW)
+    @example(FAR)
+    @example(FAR_THEN_INVALID)
     @example(ERRORS_SPREAD)
     def test_frame_series_match_reference(self, case):
         a, t, rec = case

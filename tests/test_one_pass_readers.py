@@ -14,19 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackbench import io_formats
-from trackbench.errors import FormatVersionError, ParseError, TrackbenchError
-from trackbench.geometry import Region
-from trackbench.io_formats import (
-    FORMAT_LINE,
+from trackbench import dataset, io_formats
+from trackbench.dataset import (
     _read_lines,
     format_region,
-    loads_record,
     parse_number,
     parse_region,
     read_annotation,
-    read_trajectory,
 )
+from trackbench.errors import FormatVersionError, ParseError, TrackbenchError
+from trackbench.geometry import Region
+from trackbench.io_formats import FORMAT_LINE, loads_record, read_trajectory
 from trackbench.trajectory import (
     Failure,
     Init,
@@ -237,6 +235,9 @@ class TestOnePassRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("per-line parse_region ran on valid input")
 
+        # read_annotation and read_trajectory fall back to the dataset
+        # module's parse_region, loads_record to io_formats' binding.
+        monkeypatch.setattr(dataset, "parse_region", refuse)
         monkeypatch.setattr(io_formats, "parse_region", refuse)
 
     def test_valid_files_take_the_one_pass_route(self, tmp_path, no_per_line_parse):
@@ -255,6 +256,6 @@ class TestOnePassRoute:
     ])
     def test_one_bad_text_makes_the_whole_pass_decline(self, text):
         good = ["1,2,3,4"] * 3
-        assert io_formats._parse_regions(good) == [Region(1, 2, 3, 4)] * 3
-        assert io_formats._parse_regions(good[:1] + [text] + good[1:]) is None
-        assert io_formats._parse_regions([]) is None
+        assert dataset._parse_regions(good) == [Region(1, 2, 3, 4)] * 3
+        assert dataset._parse_regions(good[:1] + [text] + good[1:]) is None
+        assert dataset._parse_regions([]) is None

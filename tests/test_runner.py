@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from trackbench.dataset import SequenceData, read_sequence
 from trackbench.errors import (
     ConfigError,
     PrematureExitError,
@@ -16,7 +17,7 @@ from trackbench.errors import (
     TrackerTimeoutError,
 )
 from trackbench.geometry import Region, overlap
-from trackbench.io_formats import SequenceData, dumps_measure_table, dumps_record, read_sequence
+from trackbench.io_formats import dumps_measure_table, dumps_record
 from trackbench.runner import (
     RunPlan,
     TrackerHandle,

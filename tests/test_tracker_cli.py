@@ -8,20 +8,16 @@ tests hold the two to the same kinds, inputs and parameter rules.
 import io
 import os
 import pickle
+import subprocess
 import sys
 
 import pytest
 
 from trackbench import cli, tracker_cli
+from trackbench.dataset import SequenceAnnotation, format_region, read_sequence, write_sequence
 from trackbench.errors import ConfigError
 from trackbench.geometry import Point
-from trackbench.io_formats import (
-    dumps_record,
-    format_region,
-    read_measure_table,
-    read_sequence,
-    write_sequence,
-)
+from trackbench.io_formats import dumps_record, read_measure_table
 from trackbench.runner import TrackerHandle, run_supervised, run_unsupervised
 from trackbench.theoretical import (
     BUILTINS,
@@ -29,7 +25,6 @@ from trackbench.theoretical import (
     BuiltinTracker,
     theoretical_trajectory,
 )
-from trackbench.trajectory import SequenceAnnotation
 
 from conftest import moving_sequence
 
@@ -164,3 +159,70 @@ def test_groundtruth_flag_reads_the_center_file_beside_it(tmp_path):
         format_region(r) for r in t_local.regions
     ]
     assert t_local != theoretical_trajectory("tto", base)
+
+
+def serve_child(argv, text):
+    """Run `python -m trackbench.tracker_cli` on stdin text; the completed process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracker_cli.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "trackbench.tracker_cli", *argv], input=text,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+
+
+RUN = "hello version=1 seed=0\ninitialize f1 10,40,20,16\nframe f2\nframe f3\n"
+REPLIES = ["hello name=tts deterministic=1 runs=many"] + ["state 10,40,20,16"] * 3
+
+
+class TestChildProcess:
+    """The process ends in os._exit; every reply and message is out by then."""
+
+    @pytest.mark.parametrize("end", ["quit\n", ""], ids=["quit", "end-of-input"])
+    def test_a_run_exits_0_with_every_reply(self, end):
+        proc = serve_child(["tts"], RUN + end)
+        assert (proc.returncode, proc.stdout.splitlines(), proc.stderr) == (0, REPLIES, "")
+
+    def test_a_protocol_error_replies_then_exits_2(self):
+        proc = serve_child(["tts"], "hello version=1 seed=0\nframe f1\nframe f2\n")
+        assert proc.returncode == 2
+        assert proc.stdout.splitlines() == [
+            REPLIES[0], "error frame before the run's first initialize"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ttf"], "error: tracker 'ttf' needs --groundtruth or --sequence"),
+        (["nosuch"], "invalid choice: 'nosuch'"),
+    ], ids=["config", "argparse"])
+    def test_a_usage_error_exits_2(self, argv, message):
+        proc = serve_child(argv, RUN)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert message in proc.stderr
+
+
+class Flushed(io.StringIO):
+    def __init__(self, events, name, fail=False):
+        super().__init__()
+        self.events, self.name, self.fail = events, name, fail
+
+    def flush(self):
+        if self.fail:
+            raise BrokenPipeError
+        self.events.append(f"flush {self.name}")
+
+
+def exits_with(status):
+    raise SystemExit(status)
+
+
+@pytest.mark.parametrize("main, fail, status", [
+    (lambda: 3, False, 3),
+    (lambda: exits_with(2), False, 2),
+    (lambda: 0, True, 120),
+], ids=["returned", "system-exit", "failed-flush"])
+def test_run_flushes_then_exits_without_teardown(monkeypatch, main, fail, status):
+    events = []
+    monkeypatch.setattr(tracker_cli, "main", main)
+    monkeypatch.setattr(sys, "stdout", Flushed(events, "stdout", fail))
+    monkeypatch.setattr(sys, "stderr", Flushed(events, "stderr"))
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(f"exit {code}"))
+    tracker_cli.run()
+    assert events == ([] if fail else ["flush stdout", "flush stderr"]) + [f"exit {status}"]

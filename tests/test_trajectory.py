@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trackbench.dataset import SequenceAnnotation
 from trackbench.errors import (
     DegenerateAnnotationError,
     InvalidRegionError,
@@ -15,7 +16,6 @@ from trackbench.trajectory import (
     Failure,
     Init,
     MeasureRow,
-    SequenceAnnotation,
     SupervisedRunRecord,
     Tracked,
     Trajectory,
