@@ -358,11 +358,8 @@ def affinity_propagation(
     )
 
 
-def cluster_measures(
-    table: MeasureTable, damping: float = 0.5
-) -> tuple[CorrelationMatrix, ClusterAssignment]:
-    """Correlate the measure columns and cluster them by similarity."""
-    corr = pearson_matrix(table)
+def cluster_measures(corr: CorrelationMatrix, damping: float = 0.5) -> ClusterAssignment:
+    """Cluster the measure columns of the given correlation matrix by similarity."""
     sim = measure_similarity(corr)
     n = sim.shape[0]
     undefined = [
@@ -374,7 +371,7 @@ def cluster_measures(
         raise ClusterDomainError(
             f"cannot cluster, undefined correlations for: {', '.join(undefined)}"
         )
-    return corr, affinity_propagation(sim, damping=damping)
+    return affinity_propagation(sim, damping=damping)
 
 
 def kmeans_partition(values, k: int) -> tuple[list[int], list[float], float]:

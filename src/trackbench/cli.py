@@ -246,9 +246,9 @@ def _cmd_analyze(args) -> int:
     corr = pearson_matrix(table)
     rows = ar_summary(table, span=args.span)
     try:
-        clustering = cluster_measures(table, damping=args.damping)
+        assignment = cluster_measures(corr, damping=args.damping)
     except ClusterDomainError as e:
-        clustering, skipped = None, e
+        assignment, skipped = None, e
 
     os.makedirs(args.out, exist_ok=True)
     write_correlation_matrix(
@@ -268,10 +268,9 @@ def _cmd_analyze(args) -> int:
     )
     print(f"wrote {os.path.join(args.out, 'ar_summary.tsv')}")
 
-    if clustering is None:
+    if assignment is None:
         print(f"error: clustering skipped: {skipped}", file=sys.stderr)
         return 1
-    corr, assignment = clustering
     groups = assignment.groups()
     notes = [
         f"clusters: {len(groups)}",

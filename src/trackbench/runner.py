@@ -518,12 +518,13 @@ def execute_plan(
     The unit of work is one (tracker, sequence) pair. Its repetitions
     run in order and collapse to a single run when the pair's first
     handshake declares the tracker deterministic. Run errors become
-    rows with the error field set, never aborts. `workers` threads take
-    units from one shared iterator; sessions wait on child pipes, which
-    releases the GIL. Any other exception stops the threads from taking
-    new units, and the first one raised reaches the caller once every
-    thread has finished its unit. Rows are sorted by (tracker, sequence,
-    run) so the result does not depend on scheduling.
+    rows with the error field set, never aborts. `workers` workers, the
+    calling thread one of them, take units from one shared iterator;
+    sessions wait on child pipes, which releases the GIL. Any other
+    exception, or an interrupt anywhere on the calling thread, stops
+    every worker from taking new units; once each has finished its unit,
+    the first one raised reaches the caller. Rows are sorted by (tracker,
+    sequence, run) so the result does not depend on scheduling.
     """
     # Names key the rows and the raw/<tracker>/<sequence>/ directories,
     # which units on different threads write at the same time.
@@ -531,39 +532,46 @@ def execute_plan(
                         ("sequence", [s.annotation.name for s in sequences])):
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate {kind} names in plan: {names}")
-    # Before any unit starts, so a bad path leaves no partial raw/ output.
+    # Before any unit starts, so a bad value leaves no partial raw/ output.
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     for seq in sequences:
         _check_paths(seq)
 
     units = [(handle, seq) for handle in trackers for seq in sequences]
-
+    todo = iter(units)
+    lock = threading.Lock()
+    # Each worker releases it as it ends. The calling thread waits on it, as
+    # a Thread.join cut short by an interrupt can mark a live thread stopped.
+    ended = threading.Semaphore(0)
     results: list[list[MeasureRow]] = []
-    if workers > 1 and len(units) > 1:
-        todo = iter(units)
-        lock = threading.Lock()
-        failures: list[BaseException] = []
+    failures: list[BaseException] = []
 
-        def work() -> None:
+    def work(others=()) -> None:
+        try:
+            for t in others:
+                t.start()
             while True:
                 with lock:
                     unit = None if failures else next(todo, None)
                 if unit is None:
-                    return
-                try:
-                    results.append(_run_pair(plan, *unit, master_seed, out_dir))
-                except BaseException as e:
-                    with lock:
-                        failures.append(e)
+                    break
+                results.append(_run_pair(plan, *unit, master_seed, out_dir))
+            for _ in others:
+                ended.acquire()
+        except BaseException as e:
+            with lock:
+                failures.append(e)
+        finally:
+            ended.release()
 
-        threads = [threading.Thread(target=work) for _ in range(min(workers, len(units)))]
-        for t in threads:
-            t.start()
-        for t in threads:
+    threads = [threading.Thread(target=work) for _ in range(min(workers, len(units)) - 1)]
+    work(threads)
+    for t in threads:
+        if t.is_alive():
             t.join()
-        if failures:
-            raise failures[0]
-    else:
-        results = [_run_pair(plan, *unit, master_seed, out_dir) for unit in units]
+    if failures:
+        raise failures[0]
     rows = sorted((row for unit_rows in results for row in unit_rows),
                   key=lambda r: (r.tracker, r.sequence, r.run))
     return MeasureTable(rows=tuple(rows))

@@ -188,8 +188,8 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
     frame. A Failure scores overlap 0 and no center error; an Init is
     excluded from every series. A scored pair that fails the inline
     finiteness and sign check goes to invalid(gt, pred), which raises
-    the caller's error if a region is invalid and returns if not. A
-    center distance whose square overflows the float range raises
+    the caller's error if a region is invalid and returns if not. Finite
+    boxes give an infinite center distance only by overflow, which raises
     MeasureDomainError for the first such frame, after the loop, so any
     invalid region is reported first.
 
@@ -201,7 +201,7 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
     overlaps: list[float | None] = []
     errors: list[float | None] = []
     normalized: list[float | None] = []
-    degenerate = overflow = None
+    degenerate = None
     centers = a.centers
     for i, (gt, f) in enumerate(zip(a.regions, frames)):
         if f.__class__ is not Region:
@@ -252,7 +252,6 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
         try:
             d = ((cx - (px + pw / 2.0)) ** 2 + (cy - (py + ph / 2.0)) ** 2) ** 0.5
         except OverflowError:
-            overflow = overflow or i + 1
             d = _INF
         errors.append(d)
         size = _sqrt(gw * gh)
@@ -262,8 +261,9 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
             normalized.append(None)
             if degenerate is None:
                 degenerate = i + 1
-    if overflow is not None:
-        raise MeasureDomainError(f"frame {overflow}: center error overflows the float range")
+    if _INF in errors:
+        frame = errors.index(_INF) + 1
+        raise MeasureDomainError(f"frame {frame}: center error overflows the float range")
     return FrameSeries(overlaps, errors, normalized, degenerate)
 
 

@@ -12,6 +12,8 @@ scripted misbehavior selected by argv[1]:
   zerocopy  reports a zero-area region on every frame request
   huge      reports 0,0,1e200,1e200 on every frame request: a valid
             region whose center distance to any target overflows
+  wide      reports 1.7e308,0,1.7e308,4 on every frame request: a valid
+            region whose center itself overflows
   flood     answers the 2nd frame request with megabytes and no newline
   notutf8   answers the 2nd frame request with bytes that are not UTF-8
   long      answers the 2nd frame request with one 5000-byte line, LF
@@ -38,7 +40,7 @@ import sys
 import time
 
 # Modes that answer every frame request with one fixed region.
-FIXED = {"zerocopy": "0,0,0,0", "huge": "0,0,1e200,1e200"}
+FIXED = {"zerocopy": "0,0,0,0", "huge": "0,0,1e200,1e200", "wide": "1.7e308,0,1.7e308,4"}
 
 
 def main() -> int:

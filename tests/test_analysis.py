@@ -290,12 +290,12 @@ class TestClusterMeasures:
                 vals[j] = float("nan")
             rows.append(row("t", f"s{i}", vals, run=i))
         with pytest.raises(ClusterDomainError) as e:
-            cluster_measures(MeasureTable(rows=tuple(rows)))
+            cluster_measures(pearson_matrix(MeasureTable(rows=tuple(rows))))
         assert "failures" in str(e.value)
         assert "sup_avg_overlap" in str(e.value)
 
     def test_full_table_clusters(self):
-        corr, assignment = cluster_measures(random_table(8, rows=60))
+        assignment = cluster_measures(pearson_matrix(random_table(8, rows=60)))
         assert len(assignment.exemplar_of) == 16
         assert len(assignment.exemplars) >= 1
         members = set()

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import trackbench
-from trackbench import cli
+from trackbench import analysis, cli
 from trackbench.dataset import format_region
 from trackbench.errors import ConfigError
 from trackbench.io_formats import (
@@ -124,6 +124,24 @@ def test_run_checks_frame_paths_before_any_unit_starts(tmp_dataset, tmp_path, ca
                    "--repetitions", "1", "--workers", "1"])
     assert rc == 2
     assert "frame path contains whitespace" in capsys.readouterr().err
+    assert not (out / "raw").exists()
+
+
+@pytest.mark.parametrize("flags, config, value", [
+    (["--workers", "0"], None, "0"),
+    (["--workers=-3"], None, "-3"),
+    ([], "workers=0\n", "0"),
+])
+def test_run_rejects_fewer_than_one_worker(tmp_dataset, tmp_path, capsys, flags, config, value):
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        flags = ["--config", str(tmp_path / "run.cfg")]
+    rc = cli.main(["run", "--dataset", tmp_dataset, "--out", str(out), "--tracker", "tts",
+                   "--repetitions", "1", *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: workers must be at least 1, got {value}"]
     assert not (out / "raw").exists()
 
 
@@ -333,6 +351,21 @@ class TestAnalyzeCommand:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_one_correlation_matrix_per_analyze(self, pipeline, tmp_path, monkeypatch):
+        calls = []
+        pearson = analysis.pearson_matrix
+
+        def counting(table):
+            calls.append(table)
+            return pearson(table)
+
+        # Both names: cli's own binding and the one analysis resolves.
+        monkeypatch.setattr(analysis, "pearson_matrix", counting)
+        monkeypatch.setattr(cli, "pearson_matrix", counting)
+        measures = os.path.join(pipeline["out"], "measures.tsv")
+        assert cli.main(["analyze", "--measures", measures, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_missing_file_is_usage_error(self, tmp_path):
         rc = cli.main(["analyze", "--measures", str(tmp_path / "nope.tsv")])
         assert rc == 2
@@ -405,8 +438,9 @@ class TestOverflowingRegions:
 
     OVERFLOW = "center error overflows the float range"
 
-    def test_run_gives_the_tracker_an_error_row(self, tmp_dataset, tmp_path):
-        huge = f"cmd:huge:{shlex.quote(sys.executable)} {shlex.quote(STUB)} huge"
+    @pytest.mark.parametrize("mode", ["huge", "wide"])
+    def test_run_gives_the_tracker_an_error_row(self, tmp_dataset, tmp_path, mode):
+        huge = f"cmd:huge:{shlex.quote(sys.executable)} {shlex.quote(STUB)} {mode}"
         tables = {}
         for name, specs in (("alone", ["tts"]), ("mixed", ["tts", huge])):
             out = tmp_path / name
@@ -419,9 +453,10 @@ class TestOverflowingRegions:
         tts = type(tables["alone"])(rows=[r for r in rows if r.tracker == "tts"])
         assert dumps_measure_table(tts) == dumps_measure_table(tables["alone"])
 
-    def test_measure_prints_one_error_line(self, tmp_dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("box", ["1e160,0,1,1", "1.7e308,0,1.7e308,4"])
+    def test_measure_prints_one_error_line(self, tmp_dataset, tmp_path, capsys, box):
         traj = tmp_path / "far.traj"
-        traj.write_text("1e160,0,1,1\n" + "40,30,24,18\n" * 19)
+        traj.write_text(box + "\n" + "40,30,24,18\n" * 19)
         seq = os.path.join(tmp_dataset, "alpha")
         assert cli.main(["measure", "--sequence", seq, "--trajectory", str(traj)]) == 1
         captured = capsys.readouterr()

@@ -410,8 +410,9 @@ def ref_center_error(a, i, pred, normalized):
     try:
         d = ((g.x - p.x) ** 2 + (g.y - p.y) ** 2) ** 0.5
     except OverflowError:
-        raise MeasureDomainError(
-            f"frame {i + 1}: center error overflows the float range") from None
+        d = math.inf
+    if d == math.inf:
+        raise MeasureDomainError(f"frame {i + 1}: center error overflows the float range")
     if normalized:
         s = region_size(a.regions[i])
         if s <= 0:
@@ -624,6 +625,9 @@ FAR_THEN_INVALID = (
     Trajectory(regions=(_far, _unit)),
     SupervisedRunRecord([Tracked(_far), Tracked(Region(0.0, 0.0, -1.0, 1.0))], tau=0.0),
 )
+# A valid box whose center itself overflows: the distance is infinite
+# without an OverflowError.
+WIDE = one_frame_case(Region(0.0, 0.0, 4.0, 4.0), Region(1.7e308, 0.0, 1.7e308, 4.0))
 # An invalid prediction before an invalid ground truth: a trajectory
 # reports the ground truth of frame 3, a record the prediction of frame 2.
 _ok, _bad = Region(0.0, 0.0, 4.0, 4.0), Region(0.0, 0.0, -1.0, 4.0)
@@ -649,6 +653,7 @@ class TestScoringKernel:
     @example(SLIVER_PRED)
     @example(OVERFLOW)
     @example(FAR)
+    @example(WIDE)
     @example(FAR_THEN_INVALID)
     @example(ERRORS_SPREAD)
     def test_compute_all_matches_reference_bit_for_bit(self, case):
@@ -663,6 +668,7 @@ class TestScoringKernel:
     @example(SLIVER_PRED)
     @example(OVERFLOW)
     @example(FAR)
+    @example(WIDE)
     @example(FAR_THEN_INVALID)
     @example(ERRORS_SPREAD)
     def test_frame_series_match_reference(self, case):

@@ -1,7 +1,9 @@
+import _thread
 import hashlib
 import math
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -255,6 +257,49 @@ class TestRunPlan:
                          seqs, workers=3)
         assert threading.active_count() == before
 
+    def test_an_interrupt_stops_new_units_and_every_thread(self):
+        interrupted = threading.Event()
+        starts = []  # (sequence, whether the interrupt came first), per unit
+
+        def factory(seq):
+            name = seq.annotation.name
+            starts.append((name, interrupted.is_set()))
+            return Interrupter(5 if name == "s1" else None, interrupted)
+
+        seqs = [static_sequence(30, name=f"s{i}") for i in range(6)]
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            execute_plan(RunPlan(repetitions=1, mode="unsupervised"),
+                         [TrackerHandle.in_process("t", factory)], seqs, workers=2)
+        assert threading.active_count() == before
+        assert ("s1", False) in starts and len(starts) < len(seqs)
+        assert not any(late for _, late in starts), starts
+
+    def test_an_interrupt_while_waiting_for_a_worker_waits_for_its_unit(self):
+        # The unit on the main thread takes about 30 ms; the worker's unit
+        # signals the main thread, by then waiting, on frame 10 of 30.
+        frames = []
+
+        class Signalling(StaticTracker):
+            def update(self, frame_path):
+                if threading.current_thread() is threading.main_thread():
+                    time.sleep(0.001)  # so that the worker takes the other unit
+                else:
+                    time.sleep(0.01)
+                    frames.append(frame_path)
+                    if len(frames) == 9:
+                        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                return super().update(frame_path)
+
+        seqs = [static_sequence(30, name=f"s{i}") for i in range(2)]
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            execute_plan(RunPlan(repetitions=1, mode="unsupervised"),
+                         [TrackerHandle.in_process("t", lambda seq: Signalling())], seqs,
+                         workers=2)
+        assert threading.active_count() == before
+        assert len(frames) == 29
+
     def test_rows_sorted_by_tracker_sequence_run(self):
         table = execute_plan(
             RunPlan(repetitions=2, mode="unsupervised"),
@@ -276,6 +321,23 @@ class TestRunPlan:
         d = out / "raw" / "tts" / "alpha"
         assert (d / "run_00.traj").exists()
         assert (d / "run_00.record").exists()
+
+
+class Interrupter(StaticTracker):
+    """tts that sleeps 2 ms a frame, so that units on two threads overlap,
+    and interrupts the main thread on frame `at`."""
+
+    def __init__(self, at, interrupted):
+        self._at = at
+        self._interrupted = interrupted
+
+    def update(self, frame_path):
+        region = super().update(frame_path)
+        time.sleep(0.002)
+        if self._frame == self._at:
+            self._interrupted.set()
+            _thread.interrupt_main()
+        return region
 
 
 class TestSessionReuse:
