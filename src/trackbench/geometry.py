@@ -3,7 +3,8 @@
 Regions are (x, y, width, height) boxes with the origin at the top-left
 corner, treated as closed real intervals on both axes. Two boxes that
 merely touch along an edge have zero intersection area. All overlap
-computations are exact area ratios, never pixel approximations.
+computations are exact area ratios, never pixel approximations, and go
+through one kernel on plain coordinates, box_overlap.
 """
 
 import math
@@ -17,6 +18,7 @@ __all__ = [
     "ClassificationScores",
     "is_valid_region",
     "validate_region",
+    "box_overlap",
     "iou",
     "overlap",
     "classify",
@@ -106,33 +108,50 @@ def validate_region(r: Region, frame: int | None = None) -> None:
     raise InvalidRegionError(f"negative region extent in {r}", frame)
 
 
-def _intersection_area(a: Region, b: Region) -> float:
-    iw = min(a.x + a.width, b.x + b.width) - max(a.x, b.x)
+def box_overlap(gx, gy, gw, gh, px, py, pw, ph) -> tuple[float, float]:
+    """Intersection area and IoU of two valid boxes given by coordinates.
+
+    iou, overlap, classify and the scoring pass in trajectory all call
+    it. min(a, b) is written `b if b < a else a` and max(a, b)
+    `b if b > a else a`: what the builtins return, ties and signed zeros
+    included, without a call. Equal boxes overlap exactly, since (x+w)-x
+    can absorb a tiny extent. When the union overflows (inf, or NaN from
+    inf - inf) the ratio is taken of the coordinates scaled by 2**-600,
+    which no finite box overflows and which leaves the ratio unchanged.
+    """
+    ga, pa = gw * gh, pw * ph
+    if gx == px and gy == py and gw == pw and gh == ph:
+        return ga, (1.0 if ga > 0 else 0.0)
+    ge, pe = gx + gw, px + pw
+    iw = (pe if pe < ge else ge) - (px if px > gx else gx)
     if iw <= 0:
-        return 0.0
-    ih = min(a.y + a.height, b.y + b.height) - max(a.y, b.y)
+        return 0.0, 0.0
+    ge, pe = gy + gh, py + ph
+    ih = (pe if pe < ge else ge) - (py if py > gy else gy)
     if ih <= 0:
-        return 0.0
+        return 0.0, 0.0
     # (y+h)-y can exceed h by an ulp of y; no box is smaller than its
     # intersection with another.
-    return min(iw * ih, a.area, b.area)
+    inter = iw * ih
+    if ga < inter:
+        inter = ga
+    if pa < inter:
+        inter = pa
+    union = ga + pa - inter
+    if union <= 0:
+        return inter, 0.0
+    if union - union != 0.0:
+        k = 2.0 ** -600
+        return inter, box_overlap(gx * k, gy * k, gw * k, gh * k,
+                                  px * k, py * k, pw * k, ph * k)[1]
+    q = inter / union
+    return inter, (q if q < 1.0 else 1.0)
 
 
 def iou(gt: Region, pred: Region) -> float:
-    """overlap without its checks, for regions the caller has validated.
-
-    trajectory._score_frames inlines this arithmetic for whole runs;
-    change both together.
-    """
-    if gt == pred:
-        return 1.0 if gt.area > 0 else 0.0
-    inter = _intersection_area(gt, pred)
-    union = gt.area + pred.area - inter
-    if union <= 0:
-        return 0.0
-    # Finite boxes whose areas overflow to inf make the union NaN
-    # (inf - inf); the clamp keeps the ratio in range.
-    return min(1.0, inter / union)
+    """overlap without its checks, for regions the caller has validated."""
+    return box_overlap(gt.x, gt.y, gt.width, gt.height,
+                       pred.x, pred.y, pred.width, pred.height)[1]
 
 
 def overlap(gt: Region, pred: Region) -> float:
@@ -160,7 +179,8 @@ def classify(gt: Region, pred: Region) -> ClassificationScores:
         # Same reason as overlap: (x+w)-x absorbs tiny extents, which
         # would misreport a perfect prediction as a miss.
         return ClassificationScores(tp=gt.area, fp=0.0, fn=0.0)
-    inter = _intersection_area(gt, pred)
+    inter = box_overlap(gt.x, gt.y, gt.width, gt.height,
+                        pred.x, pred.y, pred.width, pred.height)[0]
     return ClassificationScores(tp=inter, fp=pred.area - inter, fn=gt.area - inter)
 
 

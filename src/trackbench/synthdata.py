@@ -199,7 +199,6 @@ def corpus_table(
     seqs=None,
     repetitions: int = 3,
     master_seed: int = 7,
-    workers: int = 1,
 ) -> MeasureTable:
     """Run the scripted corpus over a dataset and collect the measures."""
     if seqs is None:
@@ -209,4 +208,4 @@ def corpus_table(
         for spec in corpus_trackers()
     ]
     plan = RunPlan(repetitions=repetitions, mode="both")
-    return execute_plan(plan, handles, seqs, master_seed=master_seed, workers=workers)
+    return execute_plan(plan, handles, seqs, master_seed=master_seed)

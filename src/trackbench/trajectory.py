@@ -17,7 +17,7 @@ from .errors import (
     MalformedRecordError,
     MeasureDomainError,
 )
-from .geometry import Region, validate_region
+from .geometry import Region, box_overlap, validate_region
 
 __all__ = [
     "Trajectory",
@@ -189,14 +189,9 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
     excluded from every series. A scored pair that fails the inline
     finiteness and sign check goes to invalid(gt, pred), which raises
     the caller's error if a region is invalid and returns if not. Finite
-    boxes give an infinite center distance only by overflow, which raises
+    boxes give a non-finite center distance only by overflow, which raises
     MeasureDomainError for the first such frame, after the loop, so any
-    invalid region is reported first.
-
-    The overlap is geometry.iou inlined operation for operation, with
-    min(a, b) as `b if b < a else a` and max(a, b) as `b if b > a else a`
-    (the area clamp as two such steps), so ties and signed zeros come
-    out bit-identical; change both together.
+    invalid region is reported first. The overlap is geometry.box_overlap.
     """
     overlaps: list[float | None] = []
     errors: list[float | None] = []
@@ -220,31 +215,7 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
         if not (total - total == 0.0 and gw >= 0.0 and gh >= 0.0
                 and pw >= 0.0 and ph >= 0.0):
             invalid(gt, f)
-        if gx == px and gy == py and gw == pw and gh == ph:
-            overlaps.append(1.0 if gw * gh > 0 else 0.0)
-        else:
-            ga, pa = gw * gh, pw * ph
-            ge, pe = gx + gw, px + pw
-            iw = (pe if pe < ge else ge) - (px if px > gx else gx)
-            if iw <= 0:
-                inter = 0.0
-            else:
-                ge, pe = gy + gh, py + ph
-                ih = (pe if pe < ge else ge) - (py if py > gy else gy)
-                if ih <= 0:
-                    inter = 0.0
-                else:
-                    inter = iw * ih
-                    if ga < inter:
-                        inter = ga
-                    if pa < inter:
-                        inter = pa
-            union = ga + pa - inter
-            if union <= 0:
-                overlaps.append(0.0)
-            else:
-                q = inter / union
-                overlaps.append(q if q < 1.0 else 1.0)
+        overlaps.append(box_overlap(gx, gy, gw, gh, px, py, pw, ph)[1])
         if centers is None:
             cx, cy = gx + gw / 2.0, gy + gh / 2.0
         else:
@@ -252,6 +223,8 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
         try:
             d = ((cx - (px + pw / 2.0)) ** 2 + (cy - (py + ph / 2.0)) ** 2) ** 0.5
         except OverflowError:
+            d = _INF
+        if d != d:  # both centers overflow: inf - inf
             d = _INF
         errors.append(d)
         size = _sqrt(gw * gh)

@@ -152,14 +152,15 @@ def pipeline(tmp_path_factory):
     data = str(root / "data")
     out = str(root / "out")
     assert cli.main(["synth", "--out", data, "--sequences", "8", "--seed", "3"]) == 0
-    rc = cli.main([
-        "run", "--dataset", data, "--out", out,
-        "--tracker", "tta", "--tracker", "tts", "--tracker", "ttf",
-        "--tracker", "tto", "--tracker", SCRIPTED,
-        "--repetitions", "2", "--seed", "11",
-    ])
-    assert rc == 0
+    assert cli.main(pipeline_run(data, out)) == 0
     return {"root": root, "data": data, "out": out}
+
+
+def pipeline_run(data, out, *flags):
+    """argv of the pipeline fixture's run."""
+    trackers = [a for spec in ("tta", "tts", "ttf", "tto", SCRIPTED) for a in ("--tracker", spec)]
+    return ["run", "--dataset", data, "--out", out, *trackers,
+            "--repetitions", "2", "--seed", "11", *flags]
 
 
 def read_manifest(path):
@@ -484,6 +485,28 @@ class TestGoldenReports:
         for name, path in paths.items():
             with open(path, "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == self.GOLDEN_SHA256[name], name
+
+    # The pipeline fixture's run at tau 0.3, where failures and
+    # reinitializations turn on overlap values other than 0: SHA-256 of
+    # measures.tsv, and one over every file under raw/ (each relative
+    # path, its length and its bytes, in path order).
+    TAU_SHA256 = {
+        "measures.tsv": "48564c6eeed30255cf9f06cd7069cfeb615b571f3bdb9ca719b85a2def23ed67",
+        "raw": "8cec2042c33cd33e7f71f990d839be02d07c58f7b12be9a7ce3d2df5f73dacb4",
+    }
+
+    def test_run_at_tau_matches_golden_digests(self, pipeline, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(pipeline_run(pipeline["data"], str(out), "--tau", "0.3")) == 0
+        raw = hashlib.sha256()
+        paths = sorted(p.relative_to(out / "raw").as_posix()
+                       for p in (out / "raw").rglob("*") if p.is_file())
+        for rel in paths:
+            data = (out / "raw" / rel).read_bytes()
+            raw.update(f"{rel}\0{len(data)}\0".encode() + data)
+        assert len(paths) == 96
+        assert {"measures.tsv": hashlib.sha256((out / "measures.tsv").read_bytes()).hexdigest(),
+                "raw": raw.hexdigest()} == self.TAU_SHA256
 
 
 class TestLabelCommand:

@@ -56,6 +56,15 @@ finite_regions = st.builds(
 )
 
 
+# Values in the range of finite_regions, none below 1e-100 in magnitude
+# but zero: then no intersection area underflows, neither of a pair as
+# drawn nor of that pair scaled by BIG and shrunk again by the kernel. An
+# area that underflows rounds differently at the two scales.
+coarse = st.floats(-1e3, 1e3).filter(lambda v: v == 0 or abs(v) >= 1e-100)
+coarse_regions = st.builds(Region, coarse, coarse, coarse.map(abs), coarse.map(abs))
+BIG = 2.0 ** 520
+
+
 class TestOverlap:
     def test_half_shifted_boxes(self):
         assert overlap(Region(0, 0, 2, 2), Region(1, 0, 2, 2)) == pytest.approx(1 / 3)
@@ -95,6 +104,15 @@ class TestOverlap:
     def test_range(self, a, b):
         v = overlap(a, b)
         assert 0.0 <= v <= 1.0
+
+    @given(coarse_regions, coarse_regions)
+    # A quarter of a box, scaled until both areas overflow.
+    @example(Region(0.0, 0.0, 4.0, 4.0), Region(1.0, 1.0, 2.0, 2.0))
+    def test_scaling_by_a_power_of_two_keeps_the_overlap(self, a, b):
+        # A power-of-two scale is exact, so the ratio is the same even
+        # when the scaled areas overflow.
+        up = [Region(r.x * BIG, r.y * BIG, r.width * BIG, r.height * BIG) for r in (a, b)]
+        assert overlap(*up) == overlap(a, b)
 
     @given(finite_regions)
     def test_self_overlap(self, r):

@@ -15,7 +15,14 @@ from trackbench.errors import (
     MalformedRecordError,
     MeasureDomainError,
 )
-from trackbench.geometry import Point, Region, overlap, region_center, region_size
+from trackbench.geometry import (
+    Point,
+    Region,
+    is_valid_region,
+    overlap,
+    region_center,
+    region_size,
+)
 from trackbench.measures import (
     MEASURES,
     auc,
@@ -397,6 +404,25 @@ class TestFrameScores:
         assert average_precision(a, t) == 0.0
 
 
+# The overlap with builtin min and max, as geometry computed it before
+# box_overlap wrote them as conditional expressions; an overflowing union
+# is scaled down as box_overlap scales it.
+def ref_iou(gt, pred):
+    if gt == pred:
+        return 1.0 if gt.area > 0 else 0.0
+    iw = min(gt.x + gt.width, pred.x + pred.width) - max(gt.x, pred.x)
+    ih = min(gt.y + gt.height, pred.y + pred.height) - max(gt.y, pred.y)
+    inter = 0.0 if iw <= 0 or ih <= 0 else min(iw * ih, gt.area, pred.area)
+    union = gt.area + pred.area - inter
+    if union <= 0:
+        return 0.0
+    if not math.isfinite(union):
+        k = 2.0 ** -600
+        return ref_iou(*(Region(r.x * k, r.y * k, r.width * k, r.height * k)
+                         for r in (gt, pred)))
+    return min(1.0, inter / union)
+
+
 # Reference series: per-frame loops built on geometry.overlap and
 # region_center, as the series were computed before the one-pass kernel.
 def ref_overlap_series(a, t):
@@ -411,7 +437,7 @@ def ref_center_error(a, i, pred, normalized):
         d = ((g.x - p.x) ** 2 + (g.y - p.y) ** 2) ** 0.5
     except OverflowError:
         d = math.inf
-    if d == math.inf:
+    if not d < math.inf:
         raise MeasureDomainError(f"frame {i + 1}: center error overflows the float range")
     if normalized:
         s = region_size(a.regions[i])
@@ -612,8 +638,14 @@ _THIN2 = Region(0.0, 256.0, 2.0, 4.029699754383572e-14)
 _THIN3 = Region(0.0, 256.0, 3.0, 4.029699754383572e-14)
 SLIVER_GT = one_frame_case(_THIN2, _THIN3)
 SLIVER_PRED = one_frame_case(_THIN3, _THIN2)
+# Ties of signed zeros and of equal ends, in max, in min and in the area
+# clamp, between boxes that are not equal.
+TIE = one_frame_case(Region(-0.0, 0.0, 2.0, 1.0), Region(0.0, 0.0, 2.0, 3.0))
 # Finite boxes whose areas overflow: the union is inf - inf = NaN.
 OVERFLOW = one_frame_case(Region(0.0, 0.0, 1e200, 1e200), Region(1.0, 0.0, 1e200, 1e200))
+# Such boxes, one a quarter of the other.
+QUARTER = one_frame_case(Region(0.0, 0.0, 1e200, 1e200),
+                         Region(2.5e199, 2.5e199, 5e199, 5e199))
 # A finite box with a finite area whose center distance to the ground
 # truth squares past the float range.
 _far, _unit = Region(1e160, 0.0, 1.0, 1.0), Region(0.0, 0.0, 1.0, 1.0)
@@ -628,6 +660,14 @@ FAR_THEN_INVALID = (
 # A valid box whose center itself overflows: the distance is infinite
 # without an OverflowError.
 WIDE = one_frame_case(Region(0.0, 0.0, 4.0, 4.0), Region(1.7e308, 0.0, 1.7e308, 4.0))
+# That box as ground truth and prediction: both centers overflow, and the
+# distance is inf - inf = NaN.
+_wide = Region(1.7e308, 0.0, 1.7e308, 4.0)
+TWIN_WIDE = (
+    SequenceAnnotation(name="seq", regions=(_wide,) * 3),
+    Trajectory(regions=(_wide,) * 3),
+    SupervisedRunRecord([Init(_wide), Tracked(_wide), Tracked(_wide)], tau=0.0),
+)
 # An invalid prediction before an invalid ground truth: a trajectory
 # reports the ground truth of frame 3, a record the prediction of frame 2.
 _ok, _bad = Region(0.0, 0.0, 4.0, 4.0), Region(0.0, 0.0, -1.0, 4.0)
@@ -654,6 +694,7 @@ class TestScoringKernel:
     @example(OVERFLOW)
     @example(FAR)
     @example(WIDE)
+    @example(TWIN_WIDE)
     @example(FAR_THEN_INVALID)
     @example(ERRORS_SPREAD)
     def test_compute_all_matches_reference_bit_for_bit(self, case):
@@ -669,6 +710,7 @@ class TestScoringKernel:
     @example(OVERFLOW)
     @example(FAR)
     @example(WIDE)
+    @example(TWIN_WIDE)
     @example(FAR_THEN_INVALID)
     @example(ERRORS_SPREAD)
     def test_frame_series_match_reference(self, case):
@@ -685,6 +727,25 @@ class TestScoringKernel:
             if isinstance(got, list):
                 assert (outcome(score(*args).normalized_errors)
                         == outcome(ref_errors, *args, True))
+
+    @NO_SHRINK
+    @given(scoring_cases())
+    @example(TOUCH_WIDTH)
+    @example(TOUCH_HEIGHT)
+    @example(SLIVER_GT)
+    @example(SLIVER_PRED)
+    @example(TIE)
+    @example(OVERFLOW)
+    @example(QUARTER)
+    def test_overlap_matches_builtin_formula_bit_for_bit(self, case):
+        a, t, rec = case
+        pairs = [] if t is None else list(zip(a.regions, t.regions))
+        if rec is not None:
+            pairs += [(g, f.region) for g, f in zip(a.regions, rec.frames)
+                      if isinstance(f, Tracked)]
+        for g, p in pairs:
+            if is_valid_region(g) and is_valid_region(p):
+                assert overlap(g, p).hex() == ref_iou(g, p).hex()
 
     @pytest.mark.parametrize("mode", ["unsupervised", "supervised", "both"])
     @pytest.mark.parametrize(
