@@ -19,7 +19,6 @@ __all__ = [
     "is_valid_region",
     "validate_region",
     "box_overlap",
-    "iou",
     "overlap",
     "classify",
     "f_measure",
@@ -111,17 +110,18 @@ def validate_region(r: Region, frame: int | None = None) -> None:
 def box_overlap(gx, gy, gw, gh, px, py, pw, ph) -> tuple[float, float]:
     """Intersection area and IoU of two valid boxes given by coordinates.
 
-    iou, overlap, classify and the scoring pass in trajectory all call
-    it. min(a, b) is written `b if b < a else a` and max(a, b)
+    overlap, classify and the scoring pass in trajectory all call it.
+    min(a, b) is written `b if b < a else a` and max(a, b)
     `b if b > a else a`: what the builtins return, ties and signed zeros
     included, without a call. Equal boxes overlap exactly, since (x+w)-x
-    can absorb a tiny extent. When the union overflows (inf, or NaN from
-    inf - inf) the ratio is taken of the coordinates scaled by 2**-600,
-    which no finite box overflows and which leaves the ratio unchanged.
+    can absorb a tiny extent. The IoU is the one the same formula gives
+    with an unbounded exponent range: when the intersection area
+    underflows or the union overflows (inf, or NaN from inf - inf),
+    _rescaled_iou takes the ratio at a scale where both are normal.
     """
     ga, pa = gw * gh, pw * ph
     if gx == px and gy == py and gw == pw and gh == ph:
-        return ga, (1.0 if ga > 0 else 0.0)
+        return ga, (1.0 if gw > 0 and gh > 0 else 0.0)
     ge, pe = gx + gw, px + pw
     iw = (pe if pe < ge else ge) - (px if px > gx else gx)
     if iw <= 0:
@@ -138,20 +138,50 @@ def box_overlap(gx, gy, gw, gh, px, py, pw, ph) -> tuple[float, float]:
     if pa < inter:
         inter = pa
     union = ga + pa - inter
-    if union <= 0:
-        return inter, 0.0
-    if union - union != 0.0:
-        k = 2.0 ** -600
-        return inter, box_overlap(gx * k, gy * k, gw * k, gh * k,
-                                  px * k, py * k, pw * k, ph * k)[1]
+    if inter < 2.0 ** -1022 or union - union != 0.0:
+        return inter, _rescaled_iou(gx, gy, gw, gh, px, py, pw, ph, iw, ih)
     q = inter / union
     return inter, (q if q < 1.0 else 1.0)
 
 
-def iou(gt: Region, pred: Region) -> float:
-    """overlap without its checks, for regions the caller has validated."""
-    return box_overlap(gt.x, gt.y, gt.width, gt.height,
-                       pred.x, pred.y, pred.width, pred.height)[1]
+def _frexp_span(length: float, g: float, gw: float, p: float, pw: float) -> tuple[float, int]:
+    """frexp of an intersection extent; of half of it if both far edges overflowed."""
+    if length < _INF:
+        return math.frexp(length)
+    ge, pe = g / 2 + gw / 2, p / 2 + pw / 2
+    m, e = math.frexp((pe if pe < ge else ge) - (p if p > g else g) / 2)
+    return m, e + 1
+
+
+def _rescaled_iou(gx, gy, gw, gh, px, py, pw, ph, iw, ih) -> float:
+    """IoU of two overlapping boxes whose intersection or union area
+    leaves the normal float range.
+
+    Each area is the product of its two extents' frexp mantissas, which
+    rounds as the area would with an unbounded exponent, times a power
+    of two. One more power of two puts the intersection and the union
+    either side of 1, where both are normal; scaling by it is exact, so
+    the ratio is the unbounded one. A ratio below 2**-1076 rounds to 0.
+    """
+    frexp = math.frexp
+    areas = [(ma * mb, ea + eb) for (ma, ea), (mb, eb) in (
+        (_frexp_span(iw, gx, gw, px, pw), _frexp_span(ih, gy, gh, py, ph)),
+        (frexp(gw), frexp(gh)),
+        (frexp(pw), frexp(ph)),
+    )]
+    ei = areas[0][1]
+    eu = max(areas[1][1], areas[2][1])
+    # inter < 2**ei and union >= 2**(eu - 2), so the ratio < 2**(ei - eu + 2).
+    if eu - ei > 1077:
+        return 0.0
+    s = -((ei + eu) // 2)
+    inter, ga, pa = (math.ldexp(m, e + s) for m, e in areas)
+    if ga < inter:
+        inter = ga
+    if pa < inter:
+        inter = pa
+    q = inter / (ga + pa - inter)
+    return q if q < 1.0 else 1.0
 
 
 def overlap(gt: Region, pred: Region) -> float:
@@ -168,7 +198,8 @@ def overlap(gt: Region, pred: Region) -> float:
     """
     validate_region(gt)
     validate_region(pred)
-    return iou(gt, pred)
+    return box_overlap(gt.x, gt.y, gt.width, gt.height,
+                       pred.x, pred.y, pred.width, pred.height)[1]
 
 
 def classify(gt: Region, pred: Region) -> ClassificationScores:

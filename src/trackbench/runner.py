@@ -68,7 +68,7 @@ from .errors import (
     TrackbenchError,
     TrackerTimeoutError,
 )
-from .geometry import Region, iou, is_valid_region, validate_region
+from .geometry import Region, is_valid_region, overlap
 from .io_formats import write_record, write_trajectory
 from .measures import compute_all
 from .trajectory import (
@@ -123,39 +123,7 @@ def _parse_hello_line(line: str) -> dict[str, str]:
     return fields
 
 
-class _Session:
-    """One evaluation conversation with a tracker."""
-
-    _runs_many = False  # the last hello reply carried runs=many
-
-    def _request(self, line: str, frame: int) -> str:
-        raise NotImplementedError
-
-    def handshake(self, seed: int) -> tuple[str, bool]:
-        reply = self._request(f"hello version={PROTOCOL_VERSION} seed={seed}", 0)
-        fields = _parse_hello_line(reply)
-        self._runs_many = fields.get("runs") == "many"
-        return fields["name"], fields["deterministic"] == "1"
-
-    def initialize(self, frame: int, path: str, region: Region) -> Region:
-        reply = self._request(f"initialize {path} {format_region(region)}", frame)
-        return _parse_state_line(reply, frame)
-
-    def frame(self, frame: int, path: str) -> Region:
-        reply = self._request(f"frame {path}", frame)
-        return _parse_state_line(reply, frame)
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-class InProcessSession(_Session):
+class InProcessSession:
     """Drives a TrackerBehavior object directly; no timeouts apply."""
 
     def __init__(self, behavior):
@@ -179,11 +147,19 @@ class InProcessSession(_Session):
     def frame(self, frame: int, path: str) -> Region:
         return self._checked(self._behavior.update(path), frame)
 
-    def quit(self) -> None:
+    def close(self) -> None:
+        pass
+
+    quit = close
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
         pass
 
 
-class PipeSession(_Session):
+class PipeSession:
     """Child process spoken to over stdin/stdout.
 
     `idle` is the slot of a pair-scoped TrackerHandle, or None. A clean
@@ -196,6 +172,7 @@ class PipeSession(_Session):
         self._timeout = timeout
         self._idle = idle
         self._pending = b""  # read from stdout, not yet returned as a reply
+        self._runs_many = False  # the last hello reply carried runs=many
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -243,6 +220,20 @@ class PipeSession(_Session):
         except UnicodeDecodeError:
             raise ProtocolViolationError("reply is not UTF-8", frame) from None
 
+    def handshake(self, seed: int) -> tuple[str, bool]:
+        reply = self._request(f"hello version={PROTOCOL_VERSION} seed={seed}", 0)
+        fields = _parse_hello_line(reply)
+        self._runs_many = fields.get("runs") == "many"
+        return fields["name"], fields["deterministic"] == "1"
+
+    def initialize(self, frame: int, path: str, region: Region) -> Region:
+        reply = self._request(f"initialize {path} {format_region(region)}", frame)
+        return _parse_state_line(reply, frame)
+
+    def frame(self, frame: int, path: str) -> Region:
+        reply = self._request(f"frame {path}", frame)
+        return _parse_state_line(reply, frame)
+
     def close(self) -> None:
         if self._idle and self in self._idle:
             return
@@ -267,6 +258,12 @@ class PipeSession(_Session):
             self._idle.append(self)
         else:
             self.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 _PLACEHOLDERS = ("{groundtruth}", "{meta}", "{sequence}", "{frames}")
@@ -327,7 +324,7 @@ class TrackerHandle:
             argv.append(token)
         return argv
 
-    def open(self, seq: SequenceData) -> _Session:
+    def open(self, seq: SequenceData) -> InProcessSession | PipeSession:
         if self.factory is not None:
             return InProcessSession(self.factory(seq))
         if self.command is None:
@@ -407,8 +404,7 @@ def run_supervised(
                 init_pending = False
                 continue
             state = session.frame(t, seq.frame_paths[t - 1])
-            validate_region(gt)  # the session has checked `state`
-            if iou(gt, state) <= tau:
+            if overlap(gt, state) <= tau:
                 frames.append(Failure())
                 init_pending = True
             else:
@@ -445,9 +441,16 @@ class RunPlan:
             raise ConfigError(f"tau {self.tau} outside [0, 1]")
 
 
+_RUN_FILE = re.compile(r"run_\d{2,}\.(?:traj|record)")
+
+
 def _raw_dir(out_dir: str, tracker: str, sequence: str) -> str:
+    """Create raw/<tracker>/<sequence>/ and remove the run files left in it."""
     d = os.path.join(out_dir, "raw", tracker, sequence)
     os.makedirs(d, exist_ok=True)
+    for name in os.listdir(d):
+        if _RUN_FILE.fullmatch(name):
+            os.remove(os.path.join(d, name))
     return d
 
 
@@ -463,6 +466,7 @@ def _run_pair(
     hello: dict = {}  # this pair's first handshake decides the collapse
     # The unit's runs=many child waits here between runs.
     handle = replace(handle, _idle=[])
+    raw = None  # raw/<tracker>/<sequence>/, prepared before the first write
     try:
         for rep in range(plan.repetitions):
             trajectory = None
@@ -483,11 +487,12 @@ def _run_pair(
                 values = (float("nan"),) * 16
                 error = error or f"measure error: {e}"
             if out_dir is not None:
-                d = _raw_dir(out_dir, handle.name, a.name)
+                if raw is None:
+                    raw = _raw_dir(out_dir, handle.name, a.name)
                 if trajectory is not None:
-                    write_trajectory(os.path.join(d, "run_%02d.traj" % rep), trajectory)
+                    write_trajectory(os.path.join(raw, "run_%02d.traj" % rep), trajectory)
                 if record is not None:
-                    write_record(os.path.join(d, "run_%02d.record" % rep), record)
+                    write_record(os.path.join(raw, "run_%02d.record" % rep), record)
             rows.append(
                 MeasureRow(
                     tracker=handle.name,

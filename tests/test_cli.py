@@ -250,6 +250,21 @@ class TestRunPipeline:
         b = open(os.path.join(out3, "measures.tsv"), "rb").read()
         assert a == b
 
+    def test_a_reused_out_keeps_only_the_new_runs(self, tmp_dataset, tmp_path):
+        out = str(tmp_path / "out")
+        run = ["run", "--dataset", tmp_dataset, "--out", out, "--tracker", SCRIPTED,
+               "--seed", "2"]
+        assert cli.main([*run, "--tracker", "tts", "--repetitions", "3"]) == 0
+        notes = os.path.join(out, "raw", "jig", "alpha", "notes.txt")
+        open(notes, "w").close()
+        assert cli.main([*run, "--repetitions", "1"]) == 0
+        runs = ["run_00.record", "run_00.traj"]
+        for seq in ("alpha", "bravo", "charlie"):
+            left = sorted(os.listdir(os.path.join(out, "raw", "jig", seq)))
+            assert left == (["notes.txt", *runs] if seq == "alpha" else runs), seq
+        # A tracker the second run left out keeps its directory.
+        assert sorted(os.listdir(os.path.join(out, "raw", "tts", "alpha"))) == runs
+
     def test_config_file_with_flag_precedence(self, pipeline, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfgout = tmp_path / "cfgout"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -405,22 +406,32 @@ class TestFrameScores:
 
 
 # The overlap with builtin min and max, as geometry computed it before
-# box_overlap wrote them as conditional expressions; an overflowing union
-# is scaled down as box_overlap scales it.
+# box_overlap wrote them as conditional expressions, on the pair scaled by
+# the first power of two that keeps every coordinate exact and finite and
+# brings the intersection and the union into the normal range. Any such
+# scale gives the same ratio; where none exists the ratio underflows to 0.
 def ref_iou(gt, pred):
     if gt == pred:
-        return 1.0 if gt.area > 0 else 0.0
-    iw = min(gt.x + gt.width, pred.x + pred.width) - max(gt.x, pred.x)
-    ih = min(gt.y + gt.height, pred.y + pred.height) - max(gt.y, pred.y)
-    inter = 0.0 if iw <= 0 or ih <= 0 else min(iw * ih, gt.area, pred.area)
-    union = gt.area + pred.area - inter
-    if union <= 0:
-        return 0.0
-    if not math.isfinite(union):
-        k = 2.0 ** -600
-        return ref_iou(*(Region(r.x * k, r.y * k, r.width * k, r.height * k)
-                         for r in (gt, pred)))
-    return min(1.0, inter / union)
+        return 1.0 if gt.width > 0 and gt.height > 0 else 0.0
+    for k in (0, *(sign * e for e in range(8, 1100, 8) for sign in (-1, 1))):
+        try:
+            g, p = (Region(*(math.ldexp(v, k) for v in (r.x, r.y, r.width, r.height)))
+                    for r in (gt, pred))
+        except OverflowError:
+            continue
+        scaled = (g.x, g.y, g.width, g.height, p.x, p.y, p.width, p.height)
+        original = (gt.x, gt.y, gt.width, gt.height, pred.x, pred.y, pred.width, pred.height)
+        if any(math.ldexp(v, -k) != w for v, w in zip(scaled, original)):
+            continue
+        iw = min(g.x + g.width, p.x + p.width) - max(g.x, p.x)
+        ih = min(g.y + g.height, p.y + p.height) - max(g.y, p.y)
+        if iw <= 0 or ih <= 0:
+            return 0.0
+        inter = min(iw * ih, g.area, p.area)
+        union = g.area + p.area - inter
+        if inter >= sys.float_info.min and union < math.inf:
+            return min(1.0, inter / union)
+    return 0.0
 
 
 # Reference series: per-frame loops built on geometry.overlap and
@@ -646,6 +657,11 @@ OVERFLOW = one_frame_case(Region(0.0, 0.0, 1e200, 1e200), Region(1.0, 0.0, 1e200
 # Such boxes, one a quarter of the other.
 QUARTER = one_frame_case(Region(0.0, 0.0, 1e200, 1e200),
                          Region(2.5e199, 2.5e199, 5e199, 5e199))
+# Boxes whose right edges both overflow, overlapping by a third.
+EDGES = one_frame_case(Region(1e308, 0.0, 1e308, 1.0), Region(1.5e308, 0.0, 1e308, 1.0))
+# Boxes that overlap but whose intersection area underflows to 0.
+UNDERFLOW = one_frame_case(Region(0.0, 0.0, 1.0, 1.43e-171),
+                           Region(0.0, 0.0, 1.43e-171, 1.0))
 # A finite box with a finite area whose center distance to the ground
 # truth squares past the float range.
 _far, _unit = Region(1e160, 0.0, 1.0, 1.0), Region(0.0, 0.0, 1.0, 1.0)
@@ -737,6 +753,8 @@ class TestScoringKernel:
     @example(TIE)
     @example(OVERFLOW)
     @example(QUARTER)
+    @example(EDGES)
+    @example(UNDERFLOW)
     def test_overlap_matches_builtin_formula_bit_for_bit(self, case):
         a, t, rec = case
         pairs = [] if t is None else list(zip(a.regions, t.regions))

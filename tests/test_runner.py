@@ -81,6 +81,19 @@ def started(monkeypatch):
     return procs
 
 
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises KeyboardInterrupt for the test's duration.
+
+    A shell starts a background job with SIGINT ignored, and Python then
+    installs no handler, so neither interrupt_main nor a real SIGINT
+    would reach the code under test.
+    """
+    old = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, old)
+
+
 def all_exited(procs):
     return all(proc.poll() is not None for proc in procs)
 
@@ -257,7 +270,7 @@ class TestRunPlan:
                          seqs, workers=3)
         assert threading.active_count() == before
 
-    def test_an_interrupt_stops_new_units_and_every_thread(self):
+    def test_an_interrupt_stops_new_units_and_every_thread(self, sigint_raises):
         interrupted = threading.Event()
         starts = []  # (sequence, whether the interrupt came first), per unit
 
@@ -275,7 +288,7 @@ class TestRunPlan:
         assert ("s1", False) in starts and len(starts) < len(seqs)
         assert not any(late for _, late in starts), starts
 
-    def test_an_interrupt_while_waiting_for_a_worker_waits_for_its_unit(self):
+    def test_an_interrupt_while_waiting_for_a_worker_waits_for_its_unit(self, sigint_raises):
         # The unit on the main thread takes about 30 ms; the worker's unit
         # signals the main thread, by then waiting, on frame 10 of 30.
         frames = []
