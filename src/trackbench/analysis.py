@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SequenceAnnotation
 from .errors import ClusterDomainError, ConfigError, InsufficientSamplesError
 from .measures import MEASURES, measure_keys, reliability
+from .sequences import SequenceAnnotation
 from .trajectory import MeasureTable, SupervisedRunRecord, score_record
 
 __all__ = [

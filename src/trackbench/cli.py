@@ -18,15 +18,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .analysis import ar_summary, cluster_measures, label_sequences, pearson_matrix
-from .dataset import (
-    SequenceData,
-    format_number,
-    is_safe_name,
-    list_sequences,
-    read_sequence,
-    read_text,
-    write_text,
-)
+from .dataset import format_number, is_safe_name, read_text, write_text
 from .errors import ClusterDomainError, ConfigError, TrackbenchError, exit_status
 from .io_formats import (
     read_measure_table,
@@ -41,6 +33,7 @@ from .io_formats import (
 )
 from .measures import compute_all, measure_keys
 from .runner import RunPlan, TrackerHandle, execute_plan
+from .sequences import SequenceData, list_sequences, read_sequence
 from .theoretical import BUILTINS, BuiltinTracker, theoretical_ar_points
 from .trajectory import MeasureRow, MeasureTable, score_record, score_trajectory
 

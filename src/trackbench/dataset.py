@@ -11,16 +11,18 @@ Dataset layout: one directory per sequence holding `groundtruth.txt`
 optional `frames/` with the image files, and `sequence.meta` with
 `key=value` lines (name, width, height). Region files parse in one
 pass, and line by line with parse_region only to report an error with
-its file and line. A tracker process needs only this layer, so it
-imports neither trajectory nor io_formats, which build on it.
+its file and line. A tracker process needs only this layer: the
+ground truth and the frame size, read into plain values. The
+sequence types and the whole-directory readers and writers are in
+sequences, which builds on it.
 """
 
 import math
 import os
-from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import LengthMismatchError, ParseError
-from .geometry import Point, Region, region_center
+from .geometry import Point, Region
 
 __all__ = [
     "format_number",
@@ -30,16 +32,11 @@ __all__ = [
     "is_safe_name",
     "read_text",
     "write_text",
-    "SequenceAnnotation",
-    "SequenceData",
-    "read_annotation",
+    "read_groundtruth",
     "read_image_size",
-    "read_sequence",
-    "write_sequence",
-    "list_sequences",
 ]
 
-_FRAME_EXTENSIONS = (".jpg", ".jpeg", ".png", ".bmp", ".ppm", ".pgm", ".tif", ".tiff")
+_new = tuple.__new__
 
 
 def format_number(v: float) -> str:
@@ -60,9 +57,16 @@ def parse_number(text: str, path=None, line=None) -> float:
 
 
 def format_region(r: Region) -> str:
-    return ",".join(
-        format_number(v) for v in (r.x, r.y, r.width, r.height)
-    )
+    """format_number of each coordinate, joined with commas.
+
+    Float repr writes an integral value below 1e16 as `<digits>.0` and
+    -0.0 as `-0.0`; no other repr ends in `.0` or is `-0`. NaN and the
+    infinities go through format_number.
+    """
+    text = ("%r,%r,%r,%r," % r).replace(".0,", ",").replace("-0,", "0,")
+    if "n" in text:
+        return ",".join(map(format_number, r))
+    return text[:-1]
 
 
 def parse_region(text: str, path=None, line=None) -> Region:
@@ -91,7 +95,7 @@ def _parse_regions(texts: list[str]) -> list[Region] | None:
         return None
     if not all(map(math.isfinite, v)) or min(v[2::4]) < 0 or min(v[3::4]) < 0:
         return None
-    return list(map(Region, v[0::4], v[1::4], v[2::4], v[3::4]))
+    return list(map(_new, repeat(Region), zip(v[0::4], v[1::4], v[2::4], v[3::4])))
 
 
 _UNSAFE_NAME_CHARS = ("/", "\\", "\t", "\r", "\n")
@@ -132,68 +136,6 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-@dataclass(frozen=True)
-class SequenceAnnotation:
-    """Ground truth for one sequence: per-frame regions, optional centers.
-
-    When centers is None, a frame's center derives from its region.
-    """
-
-    name: str
-    regions: tuple[Region, ...]
-    centers: tuple[Point, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(self.regions))
-        if self.centers is not None:
-            object.__setattr__(self, "centers", tuple(self.centers))
-        if len(self.regions) < 1:
-            raise LengthMismatchError(f"sequence {self.name!r} has no frames")
-        if self.centers is not None and len(self.centers) != len(self.regions):
-            raise LengthMismatchError(
-                f"sequence {self.name!r}: {len(self.centers)} centers"
-                f" for {len(self.regions)} regions"
-            )
-
-    def __len__(self) -> int:
-        return len(self.regions)
-
-    def center(self, index: int) -> Point:
-        """Center for 0-based frame index: explicit if present, else derived."""
-        if self.centers is not None:
-            return self.centers[index]
-        return region_center(self.regions[index])
-
-
-@dataclass(frozen=True)
-class SequenceData:
-    """A loaded sequence: annotation plus what the runner needs.
-
-    image_size is (width, height) from sequence.meta, or None when the
-    meta file is absent. frame_paths always has one entry per frame;
-    when no frames/ directory exists the paths are synthesized names
-    that trackers receive verbatim but nobody opens.
-    """
-
-    annotation: SequenceAnnotation
-    image_size: tuple[float, float] | None
-    frame_paths: tuple[str, ...]
-    root: str | None = None
-
-    def __len__(self) -> int:
-        return len(self.annotation)
-
-    @classmethod
-    def synthetic(cls, annotation, image_size=None, root=None) -> "SequenceData":
-        base = root if root is not None else annotation.name
-        paths = tuple(
-            os.path.join(base, "frames", "%08d.jpg" % (i + 1))
-            for i in range(len(annotation))
-        )
-        return cls(annotation=annotation, image_size=image_size,
-                   frame_paths=paths, root=root)
-
-
 def _read_regions(path, what: str) -> list[Region]:
     """The regions of a file holding one region per line, at least one."""
     lines = _read_lines(path)
@@ -221,52 +163,33 @@ def _read_meta(path) -> dict[str, str]:
     return meta
 
 
-def read_annotation(seq_dir, gt_path=None) -> SequenceAnnotation:
-    """Read groundtruth.txt (and center.txt if present) from a sequence dir.
+def read_groundtruth(seq_dir, gt_path=None) -> tuple[tuple[Region, ...], tuple | None]:
+    """The regions of groundtruth.txt and the Points of center.txt.
 
-    gt_path names a ground truth file to read in place of the
-    directory's groundtruth.txt; center.txt and sequence.meta still
-    come from seq_dir.
+    gt_path names a ground truth file to read in place of seq_dir's
+    groundtruth.txt. The centers are None when seq_dir has no
+    center.txt.
     """
-    return _read_annotation(seq_dir, gt_path)[0]
-
-
-def _read_annotation(seq_dir, gt_path=None) -> tuple[SequenceAnnotation, dict | None]:
-    """read_annotation, plus sequence.meta's key=value pairs (None if absent)."""
     if gt_path is None:
         gt_path = os.path.join(seq_dir, "groundtruth.txt")
-    regions = _read_regions(gt_path, "ground truth")
-
-    centers = None
+    regions = tuple(_read_regions(gt_path, "ground truth"))
     center_path = os.path.join(seq_dir, "center.txt")
-    if os.path.exists(center_path):
-        centers = []
-        for i, line in enumerate(_read_lines(center_path), start=1):
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"center needs 2 values: {line!r}", center_path, i)
-            x, y = (parse_number(p, center_path, i) for p in parts)
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ParseError(f"non-finite center coordinate: {line!r}", center_path, i)
-            centers.append(Point(x, y))
-        if len(centers) != len(regions):
-            raise LengthMismatchError(
-                f"{center_path}: {len(centers)} centers for {len(regions)} regions"
-            )
-
-    name = os.path.basename(os.path.normpath(seq_dir))
-    source = seq_dir
-    meta_path = os.path.join(seq_dir, "sequence.meta")
-    meta = _read_meta(meta_path) if os.path.exists(meta_path) else None
-    if meta is not None:
-        name, source = meta.get("name", name), meta_path
-    if not is_safe_name(name):
-        raise ParseError(f"unsafe sequence name {name!r}", source)
-    return SequenceAnnotation(
-        name=name,
-        regions=tuple(regions),
-        centers=tuple(centers) if centers is not None else None,
-    ), meta
+    if not os.path.exists(center_path):
+        return regions, None
+    centers = []
+    for i, line in enumerate(_read_lines(center_path), start=1):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"center needs 2 values: {line!r}", center_path, i)
+        x, y = (parse_number(p, center_path, i) for p in parts)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"non-finite center coordinate: {line!r}", center_path, i)
+        centers.append(Point(x, y))
+    if len(centers) != len(regions):
+        raise LengthMismatchError(
+            f"{center_path}: {len(centers)} centers for {len(regions)} regions"
+        )
+    return regions, tuple(centers)
 
 
 def read_image_size(meta_path) -> tuple[float, float] | None:
@@ -281,64 +204,3 @@ def _image_size(meta: dict[str, str], meta_path) -> tuple[float, float] | None:
         parse_number(meta["width"], meta_path),
         parse_number(meta["height"], meta_path),
     )
-
-
-def read_sequence(seq_dir) -> SequenceData:
-    """Load a sequence directory into a SequenceData bundle."""
-    annotation, meta = _read_annotation(seq_dir)
-    meta_path = os.path.join(seq_dir, "sequence.meta")
-    image_size = None if meta is None else _image_size(meta, meta_path)
-
-    frames_dir = os.path.join(seq_dir, "frames")
-    if not os.path.isdir(frames_dir):
-        return SequenceData.synthetic(annotation, image_size, root=str(seq_dir))
-    names = sorted(
-        f for f in os.listdir(frames_dir)
-        if f.lower().endswith(_FRAME_EXTENSIONS)
-    )
-    if len(names) != len(annotation):
-        raise LengthMismatchError(
-            f"{frames_dir}: {len(names)} frame images for"
-            f" {len(annotation)} annotated frames"
-        )
-    paths = tuple(os.path.join(frames_dir, f) for f in names)
-    return SequenceData(
-        annotation=annotation,
-        image_size=image_size,
-        frame_paths=paths,
-        root=str(seq_dir),
-    )
-
-
-def write_sequence(seq_dir, annotation: SequenceAnnotation,
-                   image_size: tuple[float, float] | None = None) -> None:
-    """Write a sequence directory: ground truth, optional centers, meta."""
-    os.makedirs(seq_dir, exist_ok=True)
-    write_text(
-        os.path.join(seq_dir, "groundtruth.txt"),
-        "".join(format_region(r) + "\n" for r in annotation.regions),
-    )
-    if annotation.centers is not None:
-        write_text(
-            os.path.join(seq_dir, "center.txt"),
-            "".join(
-                f"{format_number(c.x)},{format_number(c.y)}\n"
-                for c in annotation.centers
-            ),
-        )
-    meta = [f"name={annotation.name}"]
-    if image_size is not None:
-        meta.append(f"width={format_number(image_size[0])}")
-        meta.append(f"height={format_number(image_size[1])}")
-    write_text(os.path.join(seq_dir, "sequence.meta"),
-               "".join(m + "\n" for m in meta))
-
-
-def list_sequences(root) -> list[str]:
-    """Sorted sequence directories under a dataset root."""
-    out = []
-    for name in sorted(os.listdir(root)):
-        d = os.path.join(root, name)
-        if os.path.isdir(d) and os.path.exists(os.path.join(d, "groundtruth.txt")):
-            out.append(d)
-    return out

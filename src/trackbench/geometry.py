@@ -8,7 +8,7 @@ through one kernel on plain coordinates, box_overlap.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidRegionError
 
@@ -28,24 +28,38 @@ __all__ = [
 ]
 
 _INF = math.inf
-# Frozen fields are stored once each, by the hand-written __init__ methods.
-_set = object.__setattr__
+_new = tuple.__new__
+_eq = tuple.__eq__
 
 
-@dataclass(frozen=True, init=False)
-class Point:
+class _FloatTuple(tuple):
+    """Named floats, equal only to a value of the same class (never to a
+    plain tuple). _make, and so _replace, coerce as construction does."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and _eq(self, other)
+
+    def __ne__(self, other):
+        return not (other.__class__ is self.__class__ and _eq(self, other))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Point(_FloatTuple, namedtuple("Point", "x y")):
     """A 2-D point."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __init__(self, x: float, y: float) -> None:
-        _set(self, "x", float(x))
-        _set(self, "y", float(y))
+    def __new__(cls, x: float, y: float) -> "Point":
+        return _new(cls, (float(x), float(y)))
 
 
-@dataclass(frozen=True, init=False)
-class Region:
+class Region(_FloatTuple, namedtuple("Region", "x y width height")):
     """Axis-aligned box: top-left corner plus non-negative extent.
 
     Construction only coerces to float. Finiteness and sign are checked
@@ -54,24 +68,17 @@ class Region:
     reports an invalid region through validate_region with its frame.
     """
 
-    x: float
-    y: float
-    width: float
-    height: float
+    __slots__ = ()
 
-    def __init__(self, x: float, y: float, width: float, height: float) -> None:
-        _set(self, "x", float(x))
-        _set(self, "y", float(y))
-        _set(self, "width", float(width))
-        _set(self, "height", float(height))
+    def __new__(cls, x: float, y: float, width: float, height: float) -> "Region":
+        return _new(cls, (float(x), float(y), float(width), float(height)))
 
     @property
     def area(self) -> float:
         return self.width * self.height
 
 
-@dataclass(frozen=True)
-class ClassificationScores:
+class ClassificationScores(namedtuple("ClassificationScores", "tp fp fn")):
     """Per-frame area decomposition against the ground truth.
 
     tp is the area claimed by both prediction and ground truth, fp the
@@ -79,17 +86,13 @@ class ClassificationScores:
     prediction missed. All three are non-negative areas, not counts.
     """
 
-    tp: float
-    fp: float
-    fn: float
+    __slots__ = ()
 
 
 def is_valid_region(r: Region) -> bool:
     """True when r is finite with non-negative extent; False for NaN too."""
-    return (
-        -_INF < r.x < _INF and -_INF < r.y < _INF
-        and 0.0 <= r.width < _INF and 0.0 <= r.height < _INF
-    )
+    x, y, w, h = r
+    return -_INF < x < _INF and -_INF < y < _INF and 0.0 <= w < _INF and 0.0 <= h < _INF
 
 
 def validate_region(r: Region, frame: int | None = None) -> None:
@@ -101,7 +104,7 @@ def validate_region(r: Region, frame: int | None = None) -> None:
     """
     if is_valid_region(r):
         return
-    for v in (r.x, r.y, r.width, r.height):
+    for v in r:
         if not math.isfinite(v):
             raise InvalidRegionError(f"non-finite region coordinate in {r}", frame)
     raise InvalidRegionError(f"negative region extent in {r}", frame)
@@ -198,8 +201,9 @@ def overlap(gt: Region, pred: Region) -> float:
     """
     validate_region(gt)
     validate_region(pred)
-    return box_overlap(gt.x, gt.y, gt.width, gt.height,
-                       pred.x, pred.y, pred.width, pred.height)[1]
+    gx, gy, gw, gh = gt
+    px, py, pw, ph = pred
+    return box_overlap(gx, gy, gw, gh, px, py, pw, ph)[1]
 
 
 def classify(gt: Region, pred: Region) -> ClassificationScores:
@@ -210,8 +214,7 @@ def classify(gt: Region, pred: Region) -> ClassificationScores:
         # Same reason as overlap: (x+w)-x absorbs tiny extents, which
         # would misreport a perfect prediction as a miss.
         return ClassificationScores(tp=gt.area, fp=0.0, fn=0.0)
-    inter = box_overlap(gt.x, gt.y, gt.width, gt.height,
-                        pred.x, pred.y, pred.width, pred.height)[0]
+    inter = box_overlap(*gt, *pred)[0]
     return ClassificationScores(tp=inter, fp=pred.area - inter, fn=gt.area - inter)
 
 
@@ -233,7 +236,8 @@ def precision(s: ClassificationScores) -> float:
 
 def region_center(r: Region) -> Point:
     """Geometric center of a region."""
-    return Point(r.x + r.width / 2.0, r.y + r.height / 2.0)
+    x, y, w, h = r
+    return Point(x + w / 2.0, y + h / 2.0)
 
 
 def region_size(r: Region) -> float:

@@ -13,20 +13,18 @@ write-only artifacts with `#`-prefixed metadata comments.
 import math
 
 from .dataset import (
-    SequenceData,
     _parse_regions,
     _read_regions,
     format_number,
     format_region,
-    list_sequences,
     parse_number,
     parse_region,
-    read_sequence,
     read_text,
     write_text,
 )
 from .errors import FormatVersionError, ParseError
 from .measures import measure_keys
+from .sequences import SequenceData, list_sequences, read_sequence
 from .trajectory import (
     Failure,
     Init,
@@ -37,7 +35,7 @@ from .trajectory import (
     Trajectory,
 )
 
-# SequenceData, read_sequence and list_sequences are dataset's, also
+# SequenceData, read_sequence and list_sequences are sequences', also
 # exported here for callers that import them from this module.
 __all__ = [
     "FORMAT_LINE",

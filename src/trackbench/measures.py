@@ -21,8 +21,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import mul
 
-from .dataset import SequenceAnnotation
 from .errors import EmptySeriesError, FragmentationUndefinedError, MeasureDomainError
+from .sequences import SequenceAnnotation
 from .trajectory import (
     SupervisedRunRecord,
     Trajectory,

@@ -58,7 +58,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .dataset import SequenceData, format_region, parse_region
+from .dataset import format_region, parse_region
 from .errors import (
     ConfigError,
     ParseError,
@@ -71,6 +71,7 @@ from .errors import (
 from .geometry import Region, is_valid_region, overlap
 from .io_formats import write_record, write_trajectory
 from .measures import compute_all
+from .sequences import SequenceData
 from .trajectory import (
     Failure,
     Init,

@@ -13,9 +13,9 @@ from failure counts at the dataset level.
 import math
 import random
 
-from .dataset import SequenceAnnotation, SequenceData, write_sequence
 from .geometry import Region
 from .runner import RunPlan, TrackerHandle, execute_plan
+from .sequences import SequenceAnnotation, SequenceData, write_sequence
 from .theoretical import BuiltinTracker, ScriptedTrackerSpec
 from .trajectory import MeasureTable
 

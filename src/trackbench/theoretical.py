@@ -26,19 +26,20 @@ standalone executable counterparts, so both modes produce identical
 output.
 
 BUILTINS, the one registry of these behaviors, maps each kind to the
-SequenceData field it is built from and to its constructor. Both
-`trackbench run --tracker` and `trackbench-tracker` parse a spec into
-a BuiltinTracker value, and both reject parameters on a kind other
-than scripted.
+input it is built from (the ground truth's regions and centers, or the
+frame size) and to its constructor. Both `trackbench run --tracker`
+and `trackbench-tracker` parse a spec into a BuiltinTracker value, and
+both reject parameters on a kind other than scripted. A tracker process
+imports this module, so it holds no dataclass; the sequence types it
+is built from are in sequences.
 """
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .dataset import SequenceAnnotation, SequenceData
 from .errors import ConfigError, DegenerateAnnotationError
-from .geometry import Region, region_size
+from .geometry import Region, region_center, region_size
 
 __all__ = [
     "THEORETICAL_KINDS",
@@ -67,7 +68,7 @@ class TrackerBehavior:
 
     name = "tracker"
     deterministic = True
-    _length = math.inf  # frames of its annotation; _advance raises ValueError past them
+    _length = math.inf  # frames of its ground truth; _advance raises ValueError past them
 
     def begin(self, seed: int) -> None:
         """Reset all run state; called once before the first frame."""
@@ -138,9 +139,9 @@ class SelfFailingTracker(TrackerBehavior):
 
     name = "ttf"
 
-    def __init__(self, annotation: SequenceAnnotation):
-        self._annotation = annotation
-        self._length = len(annotation)
+    def __init__(self, regions: tuple[Region, ...]):
+        self._regions = regions
+        self._length = len(regions)
 
     def initialize(self, frame_path: str, region: Region) -> Region:
         self._advance()
@@ -148,8 +149,8 @@ class SelfFailingTracker(TrackerBehavior):
 
     def update(self, frame_path: str) -> Region:
         t = self._advance()
-        if t == len(self._annotation):
-            return self._annotation.regions[t - 1]
+        if t == self._length:
+            return self._regions[t - 1]
         return _ZERO_REGION
 
 
@@ -163,18 +164,19 @@ class CenterOracleTracker(TrackerBehavior):
 
     name = "tto"
 
-    def __init__(self, annotation: SequenceAnnotation):
-        self._annotation = annotation
-        self._length = len(annotation)
+    def __init__(self, regions: tuple[Region, ...], centers=None):
+        """centers: the annotated centers, or None to use the regions' own."""
+        self._centers = tuple(map(region_center, regions)) if centers is None else centers
+        self._length = len(regions)
 
     def begin(self, seed: int) -> None:
         super().begin(seed)
         self._size = None
 
     def _report(self, t: int) -> Region:
-        c = self._annotation.center(t - 1)
+        cx, cy = self._centers[t - 1]
         w, h = self._size
-        return Region(c.x - w / 2.0, c.y - h / 2.0, w, h)
+        return Region(cx - w / 2.0, cy - h / 2.0, w, h)
 
     def initialize(self, frame_path: str, region: Region) -> Region:
         t = self._advance()
@@ -186,8 +188,11 @@ class CenterOracleTracker(TrackerBehavior):
         return self._report(self._advance())
 
 
-@dataclass(frozen=True)
-class ScriptedTrackerSpec:
+class ScriptedTrackerSpec(namedtuple(
+    "ScriptedTrackerSpec",
+    "name center_noise scale_noise drift_onset drift_velocity loss_prob seed",
+    defaults=("scripted", 0.0, 0.0, None, (0.0, 0.0), 0.0, 0),
+)):
     """Parameters of a ground-truth-perturbing scripted tracker.
 
     center_noise: gaussian sigma in pixels added to the reported center.
@@ -201,13 +206,7 @@ class ScriptedTrackerSpec:
     seed: spec-level seed mixed with the per-run seed from the handshake.
     """
 
-    name: str = "scripted"
-    center_noise: float = 0.0
-    scale_noise: float = 0.0
-    drift_onset: int | None = None
-    drift_velocity: tuple[float, float] = (0.0, 0.0)
-    loss_prob: float = 0.0
-    seed: int = 0
+    __slots__ = ()
 
 
 # random.gauss never exceeds sqrt(-2 ln 2**-53) < 8.58 in magnitude, so
@@ -262,10 +261,10 @@ def parse_scripted_params(text: str) -> ScriptedTrackerSpec:
 class ScriptedTracker(TrackerBehavior):
     """Stateful realization of a ScriptedTrackerSpec against one sequence."""
 
-    def __init__(self, spec: ScriptedTrackerSpec, annotation: SequenceAnnotation):
+    def __init__(self, spec: ScriptedTrackerSpec, regions: tuple[Region, ...]):
         self._spec = spec
-        self._annotation = annotation
-        self._length = len(annotation)
+        self._regions = regions
+        self._length = len(regions)
         self.name = spec.name
 
     @property
@@ -287,55 +286,55 @@ class ScriptedTracker(TrackerBehavior):
     def update(self, frame_path: str) -> Region:
         t = self._advance()
         self._since_init += 1
-        s = self._spec
+        _, noise, scale, onset, (vx, vy), loss, _ = self._spec
+        rng = self._rng
         # Fixed draw order keeps runs reproducible whatever the params.
-        loss_draw = self._rng.random()
-        nx = self._rng.gauss(0.0, 1.0)
-        ny = self._rng.gauss(0.0, 1.0)
-        sw = self._rng.gauss(0.0, 1.0)
-        sh = self._rng.gauss(0.0, 1.0)
-        base = self._annotation.regions[t - 1]
-        drift_steps = 0
-        if s.drift_onset is not None:
-            drift_steps = max(0, self._since_init - s.drift_onset)
-        cx = base.x + base.width / 2.0 + nx * s.center_noise + drift_steps * s.drift_velocity[0]
-        cy = base.y + base.height / 2.0 + ny * s.center_noise + drift_steps * s.drift_velocity[1]
-        if s.loss_prob > 0.0 and loss_draw < s.loss_prob:
+        loss_draw = rng.random()
+        nx = rng.gauss(0.0, 1.0)
+        ny = rng.gauss(0.0, 1.0)
+        sw = rng.gauss(0.0, 1.0)
+        sh = rng.gauss(0.0, 1.0)
+        base = self._regions[t - 1]
+        x, y, w, h = base
+        drift_steps = 0 if onset is None else max(0, self._since_init - onset)
+        cx = x + w / 2.0 + nx * noise + drift_steps * vx
+        cy = y + h / 2.0 + ny * noise + drift_steps * vy
+        if loss > 0.0 and loss_draw < loss:
             # Loss signal: zero area at the perturbed center, so the report
             # says "lost here" rather than teleporting to the origin.
             return Region(cx, cy, 0.0, 0.0)
-        if s.center_noise == 0.0 and s.scale_noise == 0.0 and drift_steps == 0:
+        if noise == 0.0 and scale == 0.0 and drift_steps == 0:
             return base
-        w = base.width * math.exp(sw * s.scale_noise)
-        h = base.height * math.exp(sh * s.scale_noise)
+        w *= math.exp(sw * scale)
+        h *= math.exp(sh * scale)
         return Region(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
-# kind -> (the SequenceData field its behavior is built from, or None;
-#          constructor(scripted parameters or None, that field's value))
+# kind -> (the input its behavior is built from: "groundtruth", the
+#          ground truth's (regions, centers), "image_size" or None;
+#          constructor(scripted parameters or None, that input))
 BUILTINS = {
     "tta": ("image_size", lambda params, image_size: FullFrameTracker(image_size)),
     "tts": (None, lambda params, _: StaticTracker()),
-    "ttf": ("annotation", lambda params, annotation: SelfFailingTracker(annotation)),
-    "tto": ("annotation", lambda params, annotation: CenterOracleTracker(annotation)),
-    "scripted": ("annotation", ScriptedTracker),
+    "ttf": ("groundtruth", lambda params, gt: SelfFailingTracker(gt[0])),
+    "tto": ("groundtruth", lambda params, gt: CenterOracleTracker(*gt)),
+    "scripted": ("groundtruth", lambda params, gt: ScriptedTracker(params, gt[0])),
 }
 
 
-@dataclass(frozen=True)
-class BuiltinTracker:
+class BuiltinTracker(namedtuple("BuiltinTracker", "kind params")):
     """A built-in tracker spec: a BUILTINS kind, plus parameters for scripted.
 
     Calling it with a SequenceData builds the behavior, so it is a
     TrackerHandle.in_process factory that pickles and compares by value.
     """
 
-    kind: str
-    params: ScriptedTrackerSpec | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in BUILTINS:
-            raise ConfigError(f"unknown tracker kind {self.kind!r}")
+    def __new__(cls, kind: str, params: ScriptedTrackerSpec | None = None) -> "BuiltinTracker":
+        if kind not in BUILTINS:
+            raise ConfigError(f"unknown tracker kind {kind!r}")
+        return tuple.__new__(cls, (kind, params))
 
     @classmethod
     def parse(cls, kind: str, params: str | None = None) -> "BuiltinTracker":
@@ -350,13 +349,15 @@ class BuiltinTracker:
     def name(self) -> str:
         return self.kind if self.params is None else self.params.name
 
-    def __call__(self, seq: SequenceData) -> TrackerBehavior:
+    def __call__(self, seq: "SequenceData") -> TrackerBehavior:
         needs, build = BUILTINS[self.kind]
-        return build(self.params, None if needs is None else getattr(seq, needs))
+        if needs == "groundtruth":
+            return build(self.params, (seq.annotation.regions, seq.annotation.centers))
+        return build(self.params, None if needs is None else seq.image_size)
 
 
 def theoretical_trajectory(
-    kind: str, a: SequenceAnnotation, image_size: tuple[float, float] | None = None
+    kind: str, a: "SequenceAnnotation", image_size: tuple[float, float] | None = None
 ) -> "Trajectory":
     """Single-initialization trajectory of a theoretical tracker.
 
@@ -388,14 +389,16 @@ def theoretical_trajectory(
     raise ConfigError(f"unknown theoretical tracker kind: {kind!r}")
 
 
-def _supervised_tracked_and_failures(kind: str, seq: SequenceData):
+def _supervised_tracked_and_failures(kind: str, seq: "SequenceData"):
     from . import runner
 
     handle = runner.TrackerHandle.in_process(kind, BuiltinTracker(kind))
     return runner.run_supervised(handle, seq, tau=0.0, seed=0)
 
 
-def sequence_properties(seq: SequenceData, span: float = 30.0) -> tuple[float, float, float, float]:
+def sequence_properties(
+    seq: "SequenceData", span: float = 30.0
+) -> tuple[float, float, float, float]:
     """Scalar sequence properties probed by the theoretical trackers.
 
     Returns (size, motion, speed, size_change):
@@ -434,7 +437,7 @@ def sequence_properties(seq: SequenceData, span: float = 30.0) -> tuple[float, f
 
 
 def theoretical_ar_points(
-    seqs: list[SequenceData], span: float = 30.0
+    seqs: "list[SequenceData]", span: float = 30.0
 ) -> dict[str, tuple[float, float]]:
     """Reference (accuracy, reliability) per theoretical tracker.
 

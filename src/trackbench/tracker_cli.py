@@ -21,36 +21,80 @@ runner expands placeholders for those paths in command specs, e.g.:
 
 Every (tracker, sequence) unit of a run starts one of these processes,
 so this module imports only what serving needs: the dataset layer and
-the behaviors, and no numpy, trajectory, io_formats, measures, runner,
-analysis or cli (tests/test_imports.py holds it to that). For the same
-reason the process ends in os._exit once its output is flushed, without
-interpreter teardown (see run).
+the behaviors, and no numpy, dataclasses, argparse, trajectory,
+io_formats, measures, runner, analysis or cli (tests/test_imports.py
+holds it to that). main parses its arguments by hand for the same
+reason, and the process ends in os._exit once its output is flushed,
+without interpreter teardown (see run).
 """
 
-import argparse
 import os
 import sys
 
-from .dataset import format_region, parse_region, read_annotation, read_image_size
+from .dataset import format_region, parse_region, read_groundtruth, read_image_size
 from .errors import ConfigError, ParseError, TrackbenchError, exit_status
 from .theoretical import BUILTINS, BuiltinTracker
 
 __all__ = ["main", "run", "serve"]
 
+_KINDS = "{%s}" % ",".join(BUILTINS)
+_HELP = f"""usage: trackbench-tracker {_KINDS} [--groundtruth FILE] [--sequence DIR]
+                          [--meta FILE] [--params TEXT]
 
-def _read_input(args, needs: str | None):
-    """The value of the SequenceData field `needs` names, from the flags."""
-    if needs == "annotation":
-        if args.groundtruth:
-            gt_path = os.path.abspath(args.groundtruth)
-            return read_annotation(os.path.dirname(gt_path), gt_path)
-        if args.sequence:
-            return read_annotation(args.sequence)
-        raise ConfigError(f"tracker {args.kind!r} needs --groundtruth or --sequence")
+Serve a built-in tracker over the line protocol.
+
+options (each also as --flag=value):
+  --groundtruth FILE  ground truth file of the sequence
+  --sequence DIR      sequence directory (alternative to the above)
+  --meta FILE         sequence.meta path (frame size for tta)
+  --params TEXT       scripted parameters, key=value,...
+  -h, --help          show this help and exit
+"""
+
+
+def _parse_args(argv: list[str]) -> tuple[str, dict] | None:
+    """(kind, {flag name: value or None}) from argv; None for -h/--help.
+
+    A usage error is a ConfigError.
+    """
+    kind, flags = None, dict.fromkeys(("groundtruth", "sequence", "meta", "params"))
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None
+        if arg.startswith("-") and arg != "-":
+            flag, eq, value = arg.partition("=")
+            if not flag.startswith("--") or flag[2:] not in flags:
+                raise ConfigError(f"unrecognized argument {arg!r}")
+            if not eq:
+                value = next(args, None)
+                if value is None or (value.startswith("-") and value != "-"):
+                    raise ConfigError(f"argument {flag} expects a value")
+            flags[flag[2:]] = value
+        elif kind is None:
+            kind = arg
+        else:
+            raise ConfigError(f"unrecognized argument {arg!r}")
+    if kind is None:
+        raise ConfigError(f"the tracker kind is required, one of {_KINDS}")
+    if kind not in BUILTINS:
+        raise ConfigError(f"invalid choice: {kind!r} (choose from {_KINDS})")
+    return kind, flags
+
+
+def _read_input(kind: str, flags: dict, needs: str | None):
+    """The input BUILTINS says kind is built from, read as the flags say."""
+    if needs == "groundtruth":
+        if flags["groundtruth"]:
+            gt_path = os.path.abspath(flags["groundtruth"])
+            return read_groundtruth(os.path.dirname(gt_path), gt_path)
+        if flags["sequence"]:
+            return read_groundtruth(flags["sequence"])
+        raise ConfigError(f"tracker {kind!r} needs --groundtruth or --sequence")
     if needs == "image_size":
-        meta_path = args.meta
-        if meta_path is None and args.sequence:
-            candidate = os.path.join(args.sequence, "sequence.meta")
+        meta_path = flags["meta"]
+        if meta_path is None and flags["sequence"]:
+            candidate = os.path.join(flags["sequence"], "sequence.meta")
             meta_path = candidate if os.path.exists(candidate) else None
         return None if meta_path is None else read_image_size(meta_path)
     return None
@@ -115,20 +159,20 @@ def serve(behavior, rfile, wfile) -> int:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(
-        prog="trackbench-tracker",
-        description="Serve a built-in tracker over the line protocol.",
-    )
-    p.add_argument("kind", choices=tuple(BUILTINS))
-    p.add_argument("--groundtruth", help="ground truth file of the sequence")
-    p.add_argument("--sequence", help="sequence directory (alternative to the above)")
-    p.add_argument("--meta", help="sequence.meta path (frame size for tta)")
-    p.add_argument("--params", help="scripted parameters, key=value,...")
-    args = p.parse_args(argv)
+    """Parse argv (default sys.argv[1:]), then serve on stdin and stdout.
+
+    Returns 0 after quit, end of input or -h/--help, and exit_status's
+    code, after one `error:` line on stderr, for a usage or input error.
+    """
     try:
-        tracker = BuiltinTracker.parse(args.kind, args.params)
-        needs, build = BUILTINS[tracker.kind]
-        behavior = build(tracker.params, _read_input(args, needs))
+        parsed = _parse_args(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            sys.stdout.write(_HELP)
+            return 0
+        kind, flags = parsed
+        tracker = BuiltinTracker.parse(kind, flags["params"])
+        needs, build = BUILTINS[kind]
+        behavior = build(tracker.params, _read_input(kind, flags, needs))
         return serve(behavior, sys.stdin, sys.stdout)
     except (TrackbenchError, OSError) as e:
         return exit_status(e)
@@ -144,7 +188,7 @@ def run() -> None:
     """
     try:
         status = main()
-    except SystemExit as e:  # argparse: usage errors and --help
+    except SystemExit as e:
         status = e.code
     try:
         sys.stdout.flush()

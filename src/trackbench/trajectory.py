@@ -3,14 +3,13 @@
 Frame numbers are 1-based everywhere they are exposed (failure frames,
 error messages); plain Python indices into the underlying tuples stay
 0-based. The ground truth a run is scored against is a
-dataset.SequenceAnnotation.
+sequences.SequenceAnnotation.
 """
 
 from dataclasses import dataclass, field
 from math import inf as _INF, sqrt as _sqrt
 from typing import NamedTuple
 
-from .dataset import SequenceAnnotation
 from .errors import (
     DegenerateAnnotationError,
     LengthMismatchError,
@@ -18,6 +17,7 @@ from .errors import (
     MeasureDomainError,
 )
 from .geometry import Region, box_overlap, validate_region
+from .sequences import SequenceAnnotation
 
 __all__ = [
     "Trajectory",
@@ -207,8 +207,8 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
                 errors.append(None)
                 normalized.append(None)
                 continue
-        gx, gy, gw, gh = gt.x, gt.y, gt.width, gt.height
-        px, py, pw, ph = f.x, f.y, f.width, f.height
+        gx, gy, gw, gh = gt
+        px, py, pw, ph = f
         # NaN or an infinity makes the sum NaN or infinite; a sum of
         # finite values that overflows only costs the exact check.
         total = gx + gy + gw + gh + px + py + pw + ph
@@ -219,7 +219,7 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
         if centers is None:
             cx, cy = gx + gw / 2.0, gy + gh / 2.0
         else:
-            cx, cy = centers[i].x, centers[i].y
+            cx, cy = centers[i]
         try:
             d = ((cx - (px + pw / 2.0)) ** 2 + (cy - (py + ph / 2.0)) ** 2) ** 0.5
         except OverflowError:

@@ -20,7 +20,7 @@ from trackbench.analysis import (
     kmeans_partition,
     pearson_matrix,
 )
-from trackbench.dataset import SequenceAnnotation, SequenceData, format_region
+from trackbench.dataset import format_region
 from trackbench.errors import (
     ProtocolViolationError,
     TrackerTimeoutError,
@@ -40,6 +40,7 @@ from trackbench.measures import (
     reliability,
 )
 from trackbench.runner import TrackerHandle, run_supervised, run_unsupervised
+from trackbench.sequences import SequenceAnnotation, SequenceData
 from trackbench.synthdata import corpus_table, make_dataset, write_dataset
 from trackbench.theoretical import BuiltinTracker
 

@@ -1,15 +1,17 @@
-"""The benchmark's trace hooks still find every name they patch.
+"""The benchmark still finds every name it uses.
 
-bench/spans.py replaces attributes of trackbench's modules by name, so
-renaming one of them breaks a traced benchmark run; this test breaks
-first. Installing the hooks and undoing them must leave every module as
-it was.
+bench/spans.py replaces attributes of trackbench's modules by name, and
+bench/workloads.py builds its datasets through names of its own, so
+renaming or reshaping one of them breaks a benchmark run; these tests
+break first. Installing the hooks and undoing them must leave every
+module as it was.
 """
 
+import dataclasses
 import importlib.util
 import os
 
-from trackbench import analysis, cli, io_formats, measures, plots, runner, theoretical
+from trackbench import analysis, cli, io_formats, measures, plots, runner, synthdata, theoretical
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 OWNERS = (analysis, cli, io_formats, measures, plots, runner, theoretical, runner.TrackerHandle)
@@ -42,3 +44,15 @@ def test_install_then_undo_restores_every_hooked_attribute():
     assert ("trackbench.cli", "execute_plan") in hooked
     assert ("trackbench.analysis", "pearson_matrix") in hooked
     assert changed(before, attributes()) == []
+
+
+def test_the_workloads_can_trim_write_and_load_a_synthetic_dataset(tmp_path):
+    # bench/workloads.py make_data: dataclasses.replace on an annotation,
+    # then io_formats' SequenceData, read_sequence and list_sequences.
+    seq = synthdata.make_dataset(n_sequences=1, seed=1)[0]
+    short = dataclasses.replace(seq.annotation, regions=seq.annotation.regions[:5])
+    assert len(short) == 5 and short.name == seq.annotation.name
+    trimmed = io_formats.SequenceData.synthetic(short, image_size=seq.image_size)
+    synthdata.write_dataset(str(tmp_path), [trimmed])
+    loaded = [io_formats.read_sequence(d) for d in io_formats.list_sequences(str(tmp_path))]
+    assert [(s.annotation, s.image_size) for s in loaded] == [(short, seq.image_size)]

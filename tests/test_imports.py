@@ -49,23 +49,44 @@ def test_tracker_process_imports_only_what_it_serves_with():
     assert not heavy & loaded, sorted(heavy & loaded)
 
 
-def test_tracker_process_started_as_a_module_loads_only_its_layers():
-    # The process ends in os._exit, so it cannot report sys.modules;
-    # -X importtime lists every module it imports on stderr instead.
+def served_imports(argv: list[str]) -> set[str]:
+    """Modules a `python -m trackbench.tracker_cli` process loads to serve one run.
+
+    The process ends in os._exit, so it cannot report sys.modules;
+    -X importtime lists every module it imports on stderr instead.
+    """
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "trackbench.tracker_cli", "tts"],
-        input="hello version=1 seed=0\nquit\n", env=env, capture_output=True,
-        text=True, timeout=60,
+        [sys.executable, "-X", "importtime", "-m", "trackbench.tracker_cli", *argv],
+        input="hello version=1 seed=0\ninitialize f1 10,40,20,16\nframe f2\nquit\n",
+        env=env, capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == 0 and proc.stdout.startswith("hello name=tts "), proc
-    loaded = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
-              if line.startswith("import time:")}
+    assert proc.returncode == 0 and proc.stdout.startswith(f"hello name={argv[0]} "), proc
+    assert len(proc.stdout.splitlines()) == 3, proc
+    return {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_tracker_process_started_as_a_module_loads_only_its_layers():
+    loaded = served_imports(["tts"])
     assert {m for m in loaded if m.split(".")[0] == "trackbench"} == {
         "trackbench", "trackbench.errors", "trackbench.geometry", "trackbench.dataset",
         "trackbench.theoretical",
     }
     assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("kind", ["tto", "scripted"])
+def test_tracker_process_builds_no_dataclass_and_no_argparse_parser(kind, tmp_dataset):
+    # dataclasses pulls in inspect (and with it ast and dis), argparse
+    # pulls in gettext; neither is needed to serve a run.
+    seq_dir = os.path.join(tmp_dataset, "bravo")
+    argv = (["tto", "--sequence", seq_dir] if kind == "tto" else
+            ["scripted", "--groundtruth", os.path.join(seq_dir, "groundtruth.txt"),
+             "--params=center_noise=1.5,scale_noise=0.03,seed=9"])
+    loaded = served_imports(argv)
+    unneeded = {"dataclasses", "inspect", "argparse", "gettext"}
+    assert not unneeded & loaded, sorted(unneeded & loaded)
 
 
 def test_evaluator_loads_no_openssl_or_socket():

@@ -7,17 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trackbench import dataset
-from trackbench.dataset import (
-    SequenceAnnotation,
-    format_number,
-    format_region,
-    list_sequences,
-    parse_number,
-    parse_region,
-    read_annotation,
-    read_sequence,
-    write_sequence,
-)
+from trackbench.dataset import format_number, format_region, parse_number, parse_region
 from trackbench.errors import (
     FormatVersionError,
     LengthMismatchError,
@@ -37,6 +27,13 @@ from trackbench.io_formats import (
     write_measure_table,
     write_record,
     write_trajectory,
+)
+from trackbench.sequences import (
+    SequenceAnnotation,
+    list_sequences,
+    read_annotation,
+    read_sequence,
+    write_sequence,
 )
 from trackbench.trajectory import (
     Failure,
@@ -100,6 +97,21 @@ class TestRegions:
     @given(regions)
     def test_round_trip_is_bit_exact(self, r):
         assert parse_region(format_region(r)) == r
+
+    # Integral values either side of 1e16 and 2**53, signed zeros,
+    # subnormals, the infinities and NaN.
+    coordinates = (st.floats(width=64) | st.integers(-2**60, 2**60).map(float)
+                   | st.sampled_from([-0.0, 1e16, -1e16, 2.0 ** 53, 9999999999999998.0,
+                                      5e-324, -10.0, 100.0, math.nan, math.inf]))
+
+    @given(st.tuples(coordinates, coordinates, coordinates, coordinates))
+    def test_a_region_is_the_format_number_of_each_coordinate(self, values):
+        r = Region(*values)
+        if any(map(math.isnan, values)):
+            with pytest.raises(ParseError, match="NaN"):
+                format_region(r)
+        else:
+            assert format_region(r) == ",".join(map(format_number, values))
 
 
 class TestSequenceDir:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 
@@ -6,7 +5,6 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from trackbench.dataset import SequenceAnnotation
 from trackbench.errors import (
     DegenerateAnnotationError,
     EmptySeriesError,
@@ -46,6 +44,7 @@ from trackbench.measures import (
     threshold_curve,
     tracking_length,
 )
+from trackbench.sequences import SequenceAnnotation
 from trackbench.trajectory import (
     Failure,
     FrameSeries,
@@ -611,8 +610,8 @@ def scoring_cases(draw):
             frames.append(Tracked(draw(st.just(g) | boxes | touching(g))))
 
     def spoiled(r):
-        return dataclasses.replace(r, **{draw(st.sampled_from(["x", "y", "width", "height"])):
-                                         draw(st.sampled_from(BAD_VALUES))})
+        return r._replace(**{draw(st.sampled_from(["x", "y", "width", "height"])):
+                              draw(st.sampled_from(BAD_VALUES))})
 
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
         k = draw(st.integers(0, n - 1))

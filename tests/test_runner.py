@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from trackbench.dataset import SequenceData, read_sequence
 from trackbench.errors import (
     ConfigError,
     PrematureExitError,
@@ -28,6 +27,7 @@ from trackbench.runner import (
     run_supervised,
     run_unsupervised,
 )
+from trackbench.sequences import SequenceData, read_sequence
 from trackbench.theoretical import (
     BUILTINS,
     BuiltinTracker,

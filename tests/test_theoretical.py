@@ -111,8 +111,8 @@ class TestScriptedTracker:
 
     def test_determinism_flag(self):
         a = static_sequence(3).annotation
-        assert ScriptedTracker(ScriptedTrackerSpec(), a).deterministic
-        assert not ScriptedTracker(ScriptedTrackerSpec(center_noise=1.0), a).deterministic
+        assert ScriptedTracker(ScriptedTrackerSpec(), a.regions).deterministic
+        assert not ScriptedTracker(ScriptedTrackerSpec(center_noise=1.0), a.regions).deterministic
 
     def test_drift_displaces_late_frames(self):
         seq = static_sequence(30)

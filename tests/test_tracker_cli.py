@@ -14,11 +14,12 @@ import sys
 import pytest
 
 from trackbench import cli, tracker_cli
-from trackbench.dataset import SequenceAnnotation, format_region, read_sequence, write_sequence
+from trackbench.dataset import format_region
 from trackbench.errors import ConfigError
 from trackbench.geometry import Point
 from trackbench.io_formats import dumps_record, read_measure_table
 from trackbench.runner import TrackerHandle, run_supervised, run_unsupervised
+from trackbench.sequences import SequenceAnnotation, read_sequence, write_sequence
 from trackbench.theoretical import (
     BUILTINS,
     THEORETICAL_KINDS,
@@ -161,6 +162,24 @@ def test_groundtruth_flag_reads_the_center_file_beside_it(tmp_path):
     assert t_local != theoretical_trajectory("tto", base)
 
 
+def test_a_flag_and_its_value_may_be_one_argument(tmp_dataset, monkeypatch, capsys):
+    seq_dir = os.path.join(tmp_dataset, "charlie")
+    gt_path = os.path.join(seq_dir, "groundtruth.txt")
+    params = "center_noise=1.5,scale_noise=0.03,seed=9"
+    session = "hello version=1 seed=4\ninitialize f1 100,80,20,16\nframe f2\nframe f3\nquit\n"
+    replies = []
+    for argv in (["scripted", "--groundtruth", gt_path, "--params", params],
+                 ["scripted", f"--groundtruth={gt_path}", f"--params={params}"],
+                 [f"--params={params}", "--sequence", seq_dir, "scripted"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+        assert tracker_cli.main(argv) == 0, capsys.readouterr().err
+        replies.append(capsys.readouterr().out)
+    # The noise parameters reached the tracker: it declares itself stochastic.
+    assert replies[0].startswith("hello name=scripted deterministic=0 ")
+    assert len(replies[0].splitlines()) == 4
+    assert replies[1] == replies[0] and replies[2] == replies[0]
+
+
 def serve_child(argv, text):
     """Run `python -m trackbench.tracker_cli` on stdin text; the completed process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(tracker_cli.__file__)))
@@ -196,6 +215,28 @@ class TestChildProcess:
         proc = serve_child(argv, RUN)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tts", "--bogus", "x"], "error: unrecognized argument '--bogus'"),
+        (["tts", "--ground", "x"], "error: unrecognized argument '--ground'"),
+        (["tts", "--meta"], "error: argument --meta expects a value"),
+        (["tts", "--meta", "--params", "x"], "error: argument --meta expects a value"),
+        (["tts", "extra"], "error: unrecognized argument 'extra'"),
+        ([], "error: the tracker kind is required"),
+    ], ids=["unknown-flag", "abbreviated-flag", "missing-value", "flag-as-value",
+            "extra-positional", "no-kind"])
+    def test_a_bad_argument_exits_2_with_one_stderr_line(self, argv, message):
+        proc = serve_child(argv, RUN)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(message), proc
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exits_0(self, flag):
+        proc = serve_child(["tts", flag], RUN)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: trackbench-tracker {tta,tts,ttf,tto,scripted} ")
+        for name in ("--groundtruth", "--sequence", "--meta", "--params"):
+            assert name in proc.stdout
 
 
 class Flushed(io.StringIO):

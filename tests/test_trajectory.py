@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trackbench.dataset import SequenceAnnotation
 from trackbench.errors import (
     DegenerateAnnotationError,
     InvalidRegionError,
@@ -12,6 +11,7 @@ from trackbench.errors import (
     MalformedRecordError,
 )
 from trackbench.geometry import Point, Region
+from trackbench.sequences import SequenceAnnotation
 from trackbench.trajectory import (
     Failure,
     Init,
