@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ClusterDomainError, ConfigError, InsufficientSamplesError
 from .measures import MEASURES, measure_keys, reliability
-from .sequences import SequenceAnnotation
 from .trajectory import MeasureTable, SupervisedRunRecord, score_record
 
 __all__ = [
@@ -117,7 +116,7 @@ class ARPair:
     reliability: float
 
 
-def ar_pair(rec: SupervisedRunRecord, a: SequenceAnnotation, span: float = 30.0) -> ARPair:
+def ar_pair(rec: SupervisedRunRecord, a: "SequenceAnnotation", span: float = 30.0) -> ARPair:
     """Accuracy (supervised average overlap), failure count, reliability.
 
     Follows the supervised averaging convention: Failure frames count
@@ -443,10 +442,15 @@ _ORDINAL_NAMES = {
 }
 
 
-def kmeans_labels(values, k: int) -> list[str]:
-    """Ordinal labels from the optimal 1-D partition, ascending."""
+def kmeans_labels(values, k: int, names=None) -> list[str]:
+    """Ordinal labels from the optimal 1-D partition, ascending.
+
+    names holds one label per level, lowest first; by default they are
+    low/high, low/medium/high or level_1..level_k.
+    """
     assignment, _, _ = kmeans_partition(values, k)
-    names = _ORDINAL_NAMES.get(k, tuple(f"level_{i + 1}" for i in range(k)))
+    if names is None:
+        names = _ORDINAL_NAMES.get(k, tuple(f"level_{i + 1}" for i in range(k)))
     return [names[c] for c in assignment]
 
 
@@ -480,22 +484,10 @@ def label_sequences(seqs, span: float = 30.0, k: int = 3) -> SequenceLabels:
             f"labeling needs at least 3 sequences, got {len(seqs)}"
         )
     scalars = [sequence_properties(seq, span=span) for seq in seqs]
-    size_vals = [s[0] for s in scalars]
-    motion_vals = [-s[1] for s in scalars]       # high reliability = low motion
-    speed_vals = [s[2] for s in scalars]
-    change_vals = [-s[3] for s in scalars]       # high tto overlap = low size change
-
-    ordinal = _ORDINAL_NAMES.get(k, tuple(f"level_{i + 1}" for i in range(k)))
-    size_names = _SIZE_NAMES if k == 3 else ordinal
-
-    def column(vals, names):
-        assignment, _, _ = kmeans_partition(vals, k)
-        return [names[c] for c in assignment]
-
-    size_l = column(size_vals, size_names)
-    motion_l = column(motion_vals, ordinal)
-    speed_l = column(speed_vals, ordinal)
-    change_l = column(change_vals, ordinal)
+    size_l = kmeans_labels([s[0] for s in scalars], k, _SIZE_NAMES if k == 3 else None)
+    motion_l = kmeans_labels([-s[1] for s in scalars], k)  # high reliability = low motion
+    speed_l = kmeans_labels([s[2] for s in scalars], k)
+    change_l = kmeans_labels([-s[3] for s in scalars], k)  # high tto overlap = low size change
     rows = tuple(
         (seq.annotation.name, size_l[i], motion_l[i], speed_l[i], change_l[i])
         for i, seq in enumerate(seqs)

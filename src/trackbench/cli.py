@@ -21,8 +21,12 @@ from .analysis import ar_summary, cluster_measures, label_sequences, pearson_mat
 from .dataset import format_number, is_safe_name, read_text, write_text
 from .errors import ClusterDomainError, ConfigError, TrackbenchError, exit_status
 from .io_formats import (
+    SequenceData,
+    dumps_measure_table,
+    list_sequences,
     read_measure_table,
     read_record,
+    read_sequence,
     read_trajectory,
     write_ar_summary,
     write_cluster_assignment,
@@ -33,7 +37,6 @@ from .io_formats import (
 )
 from .measures import compute_all, measure_keys
 from .runner import RunPlan, TrackerHandle, execute_plan
-from .sequences import SequenceData, list_sequences, read_sequence
 from .theoretical import BUILTINS, BuiltinTracker, theoretical_ar_points
 from .trajectory import MeasureRow, MeasureTable, score_record, score_trajectory
 
@@ -176,7 +179,6 @@ def _cmd_run(args) -> int:
     seqs = _load_dataset(dataset)
 
     plan = RunPlan(repetitions=repetitions, mode=mode, tau=tau)
-    os.makedirs(out_dir, exist_ok=True)
     table = execute_plan(
         plan, handles, seqs, master_seed=seed, workers=workers, out_dir=out_dir
     )
@@ -225,8 +227,6 @@ def _cmd_measure(args) -> int:
         write_measure_table(args.out, table)
         print(f"wrote {args.out}")
     else:
-        from .io_formats import dumps_measure_table
-
         sys.stdout.write(dumps_measure_table(table))
     return 0
 

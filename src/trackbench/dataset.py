@@ -14,7 +14,7 @@ pass, and line by line with parse_region only to report an error with
 its file and line. A tracker process needs only this layer: the
 ground truth and the frame size, read into plain values. The
 sequence types and the whole-directory readers and writers are in
-sequences, which builds on it.
+io_formats, which builds on it.
 """
 
 import math

@@ -22,12 +22,13 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import EmptySeriesError, FragmentationUndefinedError, MeasureDomainError
-from .sequences import SequenceAnnotation
+from .geometry import classify, f_measure, precision
 from .trajectory import (
     SupervisedRunRecord,
     Trajectory,
     score_record,
     score_trajectory,
+    validate_pair,
 )
 
 __all__ = [
@@ -286,22 +287,16 @@ def mota_single(phis, tau: float) -> float:
     return (n - misses) / n
 
 
-def average_f_measure(a: SequenceAnnotation, t: Trajectory) -> float:
+def average_f_measure(a: "SequenceAnnotation", t: Trajectory) -> float:
     """Mean per-frame F-measure of a trajectory against the annotation."""
-    from .geometry import classify, f_measure
-    from .trajectory import validate_pair
-
     validate_pair(a, t)
     return math.fsum(
         f_measure(classify(g, p)) for g, p in zip(a.regions, t.regions)
     ) / len(a)
 
 
-def average_precision(a: SequenceAnnotation, t: Trajectory) -> float:
+def average_precision(a: "SequenceAnnotation", t: Trajectory) -> float:
     """Mean per-frame precision of a trajectory against the annotation."""
-    from .geometry import classify, precision
-    from .trajectory import validate_pair
-
     validate_pair(a, t)
     return math.fsum(
         precision(classify(g, p)) for g, p in zip(a.regions, t.regions)
@@ -362,7 +357,7 @@ def _overlap_measures(phis: list[float]) -> list[float]:
     ]
 
 
-def unsupervised_measures(a: SequenceAnnotation, t: Trajectory) -> list[float]:
+def unsupervised_measures(a: "SequenceAnnotation", t: Trajectory) -> list[float]:
     """Measures 1-9 from a single-initialization trajectory."""
     scores = score_trajectory(a, t)
     phis = scores.overlaps
@@ -378,7 +373,7 @@ def unsupervised_measures(a: SequenceAnnotation, t: Trajectory) -> list[float]:
     ]
 
 
-def supervised_measures(rec: SupervisedRunRecord, a: SequenceAnnotation) -> list[float]:
+def supervised_measures(rec: SupervisedRunRecord, a: "SequenceAnnotation") -> list[float]:
     """Measures 10-16 from a supervised run record.
 
     Center-error entries are NaN when the run has no Tracked frames.
@@ -393,7 +388,7 @@ def supervised_measures(rec: SupervisedRunRecord, a: SequenceAnnotation) -> list
 
 
 def compute_all(
-    a: SequenceAnnotation,
+    a: "SequenceAnnotation",
     trajectory: Trajectory | None = None,
     record: SupervisedRunRecord | None = None,
 ) -> tuple[float, ...]:

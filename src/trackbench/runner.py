@@ -69,9 +69,8 @@ from .errors import (
     TrackerTimeoutError,
 )
 from .geometry import Region, is_valid_region, overlap
-from .io_formats import write_record, write_trajectory
+from .io_formats import SequenceData, write_record, write_trajectory
 from .measures import compute_all
-from .sequences import SequenceData
 from .trajectory import (
     Failure,
     Init,

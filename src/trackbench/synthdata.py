@@ -11,11 +11,12 @@ from failure counts at the dataset level.
 """
 
 import math
+import os
 import random
 
 from .geometry import Region
+from .io_formats import SequenceAnnotation, SequenceData, write_sequence
 from .runner import RunPlan, TrackerHandle, execute_plan
-from .sequences import SequenceAnnotation, SequenceData, write_sequence
 from .theoretical import BuiltinTracker, ScriptedTrackerSpec
 from .trajectory import MeasureTable
 
@@ -153,8 +154,6 @@ def write_dataset(root: str, seqs) -> list[SequenceData]:
     Returns the re-rooted SequenceData list (frame paths under each
     sequence directory, so command trackers can receive them).
     """
-    import os
-
     out = []
     for seq in seqs:
         seq_dir = os.path.join(root, seq.annotation.name)

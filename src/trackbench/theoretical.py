@@ -31,7 +31,7 @@ frame size) and to its constructor. Both `trackbench run --tracker`
 and `trackbench-tracker` parse a spec into a BuiltinTracker value, and
 both reject parameters on a kind other than scripted. A tracker process
 imports this module, so it holds no dataclass; the sequence types it
-is built from are in sequences.
+is built from are in io_formats.
 """
 
 import math

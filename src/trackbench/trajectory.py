@@ -2,8 +2,8 @@
 
 Frame numbers are 1-based everywhere they are exposed (failure frames,
 error messages); plain Python indices into the underlying tuples stay
-0-based. The ground truth a run is scored against is a
-sequences.SequenceAnnotation.
+0-based. The ground truth a run is scored against is an
+io_formats.SequenceAnnotation.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +17,6 @@ from .errors import (
     MeasureDomainError,
 )
 from .geometry import Region, box_overlap, validate_region
-from .sequences import SequenceAnnotation
 
 __all__ = [
     "Trajectory",
@@ -139,7 +138,7 @@ class MeasureTable:
         return len(self.rows)
 
 
-def validate_pair(a: SequenceAnnotation, t: Trajectory) -> None:
+def validate_pair(a: "SequenceAnnotation", t: Trajectory) -> None:
     """Check that a trajectory can be scored against an annotation.
 
     Raises LengthMismatchError on differing lengths and
@@ -181,7 +180,7 @@ class FrameSeries(NamedTuple):
         return self.normalized
 
 
-def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
+def _score_frames(a: "SequenceAnnotation", frames, invalid) -> FrameSeries:
     """Score one run in one pass over local floats.
 
     frames holds a trajectory Region or a supervised FrameRecord per
@@ -240,7 +239,7 @@ def _score_frames(a: SequenceAnnotation, frames, invalid) -> FrameSeries:
     return FrameSeries(overlaps, errors, normalized, degenerate)
 
 
-def score_trajectory(a: SequenceAnnotation, t: Trajectory) -> FrameSeries:
+def score_trajectory(a: "SequenceAnnotation", t: Trajectory) -> FrameSeries:
     """Every per-frame series of a trajectory.
 
     Errors are validate_pair's: the first invalid ground-truth region,
@@ -256,7 +255,7 @@ def _invalid_tracked(gt: Region, pred: Region) -> None:
     validate_region(pred)
 
 
-def score_record(rec: SupervisedRunRecord, a: SequenceAnnotation) -> FrameSeries:
+def score_record(rec: SupervisedRunRecord, a: "SequenceAnnotation") -> FrameSeries:
     """Every per-frame series of a supervised run.
 
     The record's structure was checked when it was built. The regions of

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from trackbench.geometry import Region
-from trackbench.sequences import SequenceAnnotation, SequenceData
+from trackbench.io_formats import SequenceAnnotation, SequenceData, write_sequence
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -36,8 +36,6 @@ def moving_sequence(n, step=6.0, box=(10.0, 40.0, 20.0, 16.0), name="moving"):
 @pytest.fixture
 def tmp_dataset(tmp_path):
     """Small on-disk dataset: one static, one moving, one growing sequence."""
-    from trackbench.sequences import write_sequence
-
     seqs = {
         "alpha": static_sequence(20, name="alpha"),
         "bravo": moving_sequence(24, name="bravo"),

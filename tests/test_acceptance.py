@@ -26,7 +26,7 @@ from trackbench.errors import (
     TrackerTimeoutError,
 )
 from trackbench.geometry import Region, overlap
-from trackbench.io_formats import dumps_record
+from trackbench.io_formats import SequenceAnnotation, SequenceData, dumps_record
 from trackbench.measures import (
     auc,
     average_overlap,
@@ -40,7 +40,6 @@ from trackbench.measures import (
     reliability,
 )
 from trackbench.runner import TrackerHandle, run_supervised, run_unsupervised
-from trackbench.sequences import SequenceAnnotation, SequenceData
 from trackbench.synthdata import corpus_table, make_dataset, write_dataset
 from trackbench.theoretical import BuiltinTracker
 

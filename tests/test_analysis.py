@@ -366,6 +366,9 @@ class TestKmeansPartition:
         assert kmeans_labels([1.0, 4.0, 7.0, 10.0], 4) == [
             "level_1", "level_2", "level_3", "level_4",
         ]
+        assert kmeans_labels([10.0, 1.0, 5.0], 3, ("small", "medium", "large")) == [
+            "large", "small", "medium",
+        ]
 
 
 class TestLabelSequences:

@@ -124,7 +124,7 @@ def test_run_checks_frame_paths_before_any_unit_starts(tmp_dataset, tmp_path, ca
                    "--repetitions", "1", "--workers", "1"])
     assert rc == 2
     assert "frame path contains whitespace" in capsys.readouterr().err
-    assert not (out / "raw").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, config, value", [
@@ -142,7 +142,7 @@ def test_run_rejects_fewer_than_one_worker(tmp_dataset, tmp_path, capsys, flags,
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: workers must be at least 1, got {value}"]
-    assert not (out / "raw").exists()
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ the test process itself has long since imported everything.
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -155,17 +156,34 @@ def test_bare_package_import_loads_no_numpy():
     assert "numpy" not in loaded
 
 
-def test_every_exported_name_is_defined_by_its_module():
+def package_sources() -> list[tuple[str, str]]:
+    """(file name, source) of each module in the package."""
     package = os.path.dirname(os.path.abspath(trackbench.__file__))
-    missing = []
+    sources = []
     for filename in sorted(os.listdir(package)):
         if filename.endswith(".py"):
-            name = filename[:-3]
-            module = importlib.import_module(
-                "trackbench" if name == "__init__" else f"trackbench.{name}")
-            missing += [f"{filename}: {n}" for n in getattr(module, "__all__", ())
-                        if not hasattr(module, n)]
-    assert missing == []
+            with open(os.path.join(package, filename), encoding="utf-8") as fh:
+                sources.append((filename, fh.read()))
+    return sources
+
+
+def test_every_exported_name_is_defined_by_its_module():
+    # One home per name: a class or function exported from a module that
+    # only imported it would give that name a second import path.
+    misplaced = []
+    for filename, _ in package_sources():
+        name = filename[:-3]
+        module = importlib.import_module(
+            "trackbench" if name == "__init__" else f"trackbench.{name}")
+        for n in getattr(module, "__all__", ()):
+            if not hasattr(module, n):
+                misplaced.append(f"{filename}: {n} is missing")
+                continue
+            obj = getattr(module, n)
+            if ((inspect.isclass(obj) or inspect.isfunction(obj))
+                    and obj.__module__ != module.__name__):
+                misplaced.append(f"{filename}: {n} is {obj.__module__}'s")
+    assert misplaced == []
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -194,14 +212,60 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
 
 
 def test_no_module_imports_what_it_does_not_use():
-    package = os.path.dirname(os.path.abspath(trackbench.__file__))
-    unused = []
-    for filename in sorted(os.listdir(package)):
-        if filename.endswith(".py"):
-            with open(os.path.join(package, filename), encoding="utf-8") as fh:
-                unused += [f"{filename}:{line}: {name}"
-                           for line, name in unused_imports(fh.read())]
+    unused = [f"{filename}:{line}: {name}" for filename, source in package_sources()
+              for line, name in unused_imports(source)]
     assert unused == []
+
+
+def redundant_local_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each import inside a function from a module that
+    the file also imports from at top level; such an import defers nothing.
+
+    `from . import x` counts as importing module `.x`, so a function may
+    still load a submodule that the top level does not.
+    """
+    def modules(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        prefix = "." * node.level
+        if node.module is None:
+            return [prefix + alias.name for alias in node.names]
+        return [prefix + node.module]
+
+    def imports(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+    tree = ast.parse(source)
+    local = {n for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for n in imports(f)}
+    top = {m for n in imports(tree) if n not in local for m in modules(n)}
+    return sorted((n.lineno, m) for n in local for m in modules(n) if m in top)
+
+
+def test_no_function_imports_from_a_module_imported_at_top_level():
+    redundant = [f"{filename}:{line}: {module}" for filename, source in package_sources()
+                 for line, module in redundant_local_imports(source)]
+    assert redundant == []
+
+
+def test_redundant_local_import_check_sees_each_kind_of_import():
+    source = (
+        "import os\n"
+        "from . import a\n"
+        "from .b import c\n"
+        "try:\n"
+        "    import json\n"
+        "except ImportError:\n"
+        "    json = None\n"
+        "def f():\n"
+        "    import os.path, json\n"
+        "    from . import plots\n"
+        "    from .b import d\n"
+        "    from ..b import e\n"
+        "    def g():\n"
+        "        import os\n"
+    )
+    assert redundant_local_imports(source) == [(9, "json"), (11, ".b"), (14, "os")]
 
 
 def test_unused_import_check_sees_each_kind_of_use():

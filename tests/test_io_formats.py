@@ -17,23 +17,21 @@ from trackbench.errors import (
 from trackbench.geometry import Point, Region
 from trackbench.io_formats import (
     FORMAT_LINE,
+    SequenceAnnotation,
     dumps_measure_table,
     dumps_record,
+    list_sequences,
     loads_measure_table,
     loads_record,
+    read_annotation,
     read_measure_table,
     read_record,
+    read_sequence,
     read_trajectory,
     write_measure_table,
     write_record,
-    write_trajectory,
-)
-from trackbench.sequences import (
-    SequenceAnnotation,
-    list_sequences,
-    read_annotation,
-    read_sequence,
     write_sequence,
+    write_trajectory,
 )
 from trackbench.trajectory import (
     Failure,

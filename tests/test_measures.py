@@ -22,6 +22,7 @@ from trackbench.geometry import (
     region_center,
     region_size,
 )
+from trackbench.io_formats import SequenceAnnotation
 from trackbench.measures import (
     MEASURES,
     auc,
@@ -44,7 +45,6 @@ from trackbench.measures import (
     threshold_curve,
     tracking_length,
 )
-from trackbench.sequences import SequenceAnnotation
 from trackbench.trajectory import (
     Failure,
     FrameSeries,

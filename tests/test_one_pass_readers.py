@@ -18,8 +18,7 @@ from trackbench import dataset, io_formats
 from trackbench.dataset import _read_lines, format_region, parse_number, parse_region
 from trackbench.errors import FormatVersionError, ParseError, TrackbenchError
 from trackbench.geometry import Region
-from trackbench.io_formats import FORMAT_LINE, loads_record, read_trajectory
-from trackbench.sequences import read_annotation
+from trackbench.io_formats import FORMAT_LINE, loads_record, read_annotation, read_trajectory
 from trackbench.trajectory import (
     Failure,
     Init,

@@ -18,7 +18,7 @@ from trackbench.errors import (
     TrackerTimeoutError,
 )
 from trackbench.geometry import Region, overlap
-from trackbench.io_formats import dumps_measure_table, dumps_record
+from trackbench.io_formats import SequenceData, dumps_measure_table, dumps_record, read_sequence
 from trackbench.runner import (
     RunPlan,
     TrackerHandle,
@@ -27,7 +27,6 @@ from trackbench.runner import (
     run_supervised,
     run_unsupervised,
 )
-from trackbench.sequences import SequenceData, read_sequence
 from trackbench.theoretical import (
     BUILTINS,
     BuiltinTracker,

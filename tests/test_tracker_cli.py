@@ -17,9 +17,14 @@ from trackbench import cli, tracker_cli
 from trackbench.dataset import format_region
 from trackbench.errors import ConfigError
 from trackbench.geometry import Point
-from trackbench.io_formats import dumps_record, read_measure_table
+from trackbench.io_formats import (
+    SequenceAnnotation,
+    dumps_record,
+    read_measure_table,
+    read_sequence,
+    write_sequence,
+)
 from trackbench.runner import TrackerHandle, run_supervised, run_unsupervised
-from trackbench.sequences import SequenceAnnotation, read_sequence, write_sequence
 from trackbench.theoretical import (
     BUILTINS,
     THEORETICAL_KINDS,

@@ -11,7 +11,7 @@ from trackbench.errors import (
     MalformedRecordError,
 )
 from trackbench.geometry import Point, Region
-from trackbench.sequences import SequenceAnnotation
+from trackbench.io_formats import SequenceAnnotation
 from trackbench.trajectory import (
     Failure,
     Init,
