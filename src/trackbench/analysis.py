@@ -1,4 +1,4 @@
-"""Dataset-level analysis: A-R pairs, measure correlation, clustering.
+"""Dataset-level analysis: A-R summaries, measure correlation, clustering.
 
 Correlation between measure columns is Pearson's rho over
 pairwise-complete rows. Before clustering, lower-is-better columns are
@@ -19,11 +19,9 @@ import numpy as np
 
 from .errors import ClusterDomainError, ConfigError, InsufficientSamplesError
 from .measures import MEASURES, measure_keys, reliability
-from .trajectory import MeasureTable, SupervisedRunRecord, score_record
+from .trajectory import MeasureTable
 
 __all__ = [
-    "ARPair",
-    "ar_pair",
     "ar_summary",
     "CorrelationMatrix",
     "pearson_matrix",
@@ -105,31 +103,6 @@ def _median(values: np.ndarray) -> float:
     if v.size % 2:
         return 0.0 + float(v[m])
     return (0.0 + float(v[m - 1]) + float(v[m])) / 2
-
-
-@dataclass(frozen=True)
-class ARPair:
-    """Accuracy-robustness summary of one supervised run."""
-
-    accuracy: float
-    robustness: float
-    reliability: float
-
-
-def ar_pair(rec: SupervisedRunRecord, a: "SequenceAnnotation", span: float = 30.0) -> ARPair:
-    """Accuracy (supervised average overlap), failure count, reliability.
-
-    Follows the supervised averaging convention: Failure frames count
-    as overlap 0, Init frames are excluded.
-    """
-    phis = [v for v in score_record(rec, a).overlaps if v is not None]
-    accuracy = math.fsum(phis) / len(phis) if phis else float("nan")
-    failures = len(rec.failure_frames)
-    return ARPair(
-        accuracy=accuracy,
-        robustness=float(failures),
-        reliability=reliability(failures, len(a), span),
-    )
 
 
 def ar_summary(table: MeasureTable, span: float = 30.0) -> list[tuple[str, float, float, float]]:

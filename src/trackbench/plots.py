@@ -270,11 +270,28 @@ def threshold_plot(overlaps_by_name: dict) -> str:
     return c.finish()
 
 
-_REF_LABELS = {
-    "tta": "always whole frame",
-    "tts": "never moves",
-    "ttf": "fails every other frame",
-    "tto": "perfect center, fixed size",
+def _cross(x: float, y: float) -> tuple[str, str]:
+    return "path", (
+        f'd="M {_fmt(x - 4)} {_fmt(y - 4)} L {_fmt(x + 4)} {_fmt(y + 4)} '
+        f'M {_fmt(x - 4)} {_fmt(y + 4)} L {_fmt(x + 4)} {_fmt(y - 4)}"'
+    )
+
+
+def _polygon(*points: tuple[float, float]) -> tuple[str, str]:
+    return "polygon", 'points="' + " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points) + '"'
+
+
+# Reference tracker kind -> (legend label, shape name, builder of the
+# hollow marker at (x, y): its SVG tag and geometry attributes). Any
+# other kind is drawn as a cross labelled with its own name.
+_REF_MARKERS = {
+    "tta": ("always whole frame", "square", lambda x, y: (
+        "rect", f'x="{_fmt(x - 4)}" y="{_fmt(y - 4)}" width="8" height="8"')),
+    "tts": ("never moves", "triangle", lambda x, y: _polygon(
+        (x, y - 5), (x - 5, y + 4), (x + 5, y + 4))),
+    "ttf": ("fails every other frame", "diamond", lambda x, y: _polygon(
+        (x, y - 5), (x + 5, y), (x, y + 5), (x - 5, y))),
+    "tto": ("perfect center, fixed size", "cross", _cross),
 }
 
 
@@ -294,46 +311,16 @@ def ar_plot(points_by_name: dict, reference_points: dict | None = None) -> str:
         c.circle(ax.px(rel), ax.py(acc), 4.0, _color(i))
     _legend(c, ax, points_by_name)
     if reference_points:
-        shapes = {}
+        legend = []
         for kind, (acc, rel) in reference_points.items():
-            x, y = ax.px(rel), ax.py(acc)
-            if kind == "tta":
-                c.raw(
-                    f'<rect class="ref" x="{_fmt(x - 4)}" y="{_fmt(y - 4)}" width="8" '
-                    f'height="8" fill="none" stroke="{_FRAME}" stroke-width="1.50"/>'
-                )
-                shapes[kind] = "square"
-            elif kind == "tts":
-                c.raw(
-                    f'<polygon class="ref" points="{_fmt(x)},{_fmt(y - 5)} '
-                    f'{_fmt(x - 5)},{_fmt(y + 4)} {_fmt(x + 5)},{_fmt(y + 4)}" '
-                    f'fill="none" stroke="{_FRAME}" stroke-width="1.50"/>'
-                )
-                shapes[kind] = "triangle"
-            elif kind == "ttf":
-                c.raw(
-                    f'<polygon class="ref" points="{_fmt(x)},{_fmt(y - 5)} '
-                    f'{_fmt(x + 5)},{_fmt(y)} {_fmt(x)},{_fmt(y + 5)} '
-                    f'{_fmt(x - 5)},{_fmt(y)}" fill="none" stroke="{_FRAME}" '
-                    f'stroke-width="1.50"/>'
-                )
-                shapes[kind] = "diamond"
-            else:
-                c.raw(
-                    f'<path class="ref" d="M {_fmt(x - 4)} {_fmt(y - 4)} L {_fmt(x + 4)} '
-                    f'{_fmt(y + 4)} M {_fmt(x - 4)} {_fmt(y + 4)} L {_fmt(x + 4)} '
-                    f'{_fmt(y - 4)}" fill="none" stroke="{_FRAME}" stroke-width="1.50"/>'
-                )
-                shapes[kind] = "cross"
-        base = ax.bottom - 14 - 14 * (len(reference_points) - 1)
-        for j, kind in enumerate(reference_points):
-            label = _REF_LABELS.get(kind, kind)
-            c.text(
-                ax.left + 8,
-                base + 14 * j,
-                f"{shapes[kind]}: {label}",
-                cls="legend",
-            )
+            label, shape, marker = _REF_MARKERS.get(kind, (kind, "cross", _cross))
+            tag, geometry = marker(ax.px(rel), ax.py(acc))
+            c.raw(f'<{tag} class="ref" {geometry} fill="none" stroke="{_FRAME}" '
+                  f'stroke-width="1.50"/>')
+            legend.append(f"{shape}: {label}")
+        base = ax.bottom - 14 * len(legend)
+        for j, text in enumerate(legend):
+            c.text(ax.left + 8, base + 14 * j, text, cls="legend")
     return c.finish()
 
 

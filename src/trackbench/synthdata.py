@@ -14,6 +14,7 @@ import math
 import os
 import random
 
+from .errors import ConfigError
 from .geometry import Region
 from .io_formats import SequenceAnnotation, SequenceData, write_sequence
 from .runner import RunPlan, TrackerHandle, execute_plan
@@ -133,6 +134,8 @@ def make_dataset(
     Archetypes are cycled so any n_sequences >= len(ARCHETYPES) covers
     all of them; lengths vary in [60, 120]. Same seed, same dataset.
     """
+    if n_sequences < 1:
+        raise ConfigError(f"need at least 1 sequence, got {n_sequences}")
     rng = random.Random(seed)
     seqs = []
     for i in range(n_sequences):

@@ -389,11 +389,35 @@ def theoretical_trajectory(
     raise ConfigError(f"unknown theoretical tracker kind: {kind!r}")
 
 
-def _supervised_tracked_and_failures(kind: str, seq: "SequenceData"):
-    from . import runner
+def _probe(kind: str, seq: "SequenceData", span: float) -> tuple[float, float, float]:
+    """One supervised run of a theoretical tracker at tau 0, seed 0, scored once.
 
-    handle = runner.TrackerHandle.in_process(kind, BuiltinTracker(kind))
-    return runner.run_supervised(handle, seq, tau=0.0, seed=0)
+    Returns (supervised accuracy, tracked accuracy, reliability). The
+    supervised accuracy averages overlap with Failure frames as 0 and
+    Init frames excluded, as for evaluated trackers. The tracked accuracy
+    averages Tracked frames only; ttf has none on odd-length sequences,
+    and its accuracy there is 1.0 by construction (every region it
+    reports on a tracked frame is the ground truth).
+    """
+    from .measures import reliability
+    from .runner import TrackerHandle, run_supervised
+    from .trajectory import Tracked, score_record
+
+    a = seq.annotation
+    handle = TrackerHandle.in_process(kind, BuiltinTracker(kind))
+    rec = run_supervised(handle, seq, tau=0.0, seed=0)
+    phis = score_record(rec, a).overlaps
+    scored = [v for v in phis if v is not None]
+    tracked = [v for v, fr in zip(phis, rec.frames) if isinstance(fr, Tracked)]
+    if tracked:
+        tracked_acc = math.fsum(tracked) / len(tracked)
+    else:
+        tracked_acc = 1.0 if kind == "ttf" else float("nan")
+    return (
+        math.fsum(scored) / len(scored) if scored else float("nan"),
+        tracked_acc,
+        reliability(len(rec.failure_frames), len(a), span),
+    )
 
 
 def sequence_properties(
@@ -412,12 +436,10 @@ def sequence_properties(
       size_change tto supervised average overlap (closer to 1 = less
                   size change).
     """
-    from .analysis import ar_pair
-
     a = seq.annotation
-    size = ar_pair(_supervised_tracked_and_failures("tta", seq), a, span).accuracy
-    motion = ar_pair(_supervised_tracked_and_failures("tts", seq), a, span).reliability
-    size_change = ar_pair(_supervised_tracked_and_failures("tto", seq), a, span).accuracy
+    size = _probe("tta", seq, span)[0]
+    motion = _probe("tts", seq, span)[2]
+    size_change = _probe("tto", seq, span)[0]
 
     if len(a) < 2:
         speed = 0.0
@@ -444,32 +466,16 @@ def theoretical_ar_points(
     Reference accuracy averages overlap over Tracked frames only: it
     describes how well each tracker tracks when it is tracking, which
     is what the interpretation corners of the accuracy-reliability
-    plot need. ttf has no Tracked frames on odd-length sequences; its
-    accuracy is 1.0 by construction (every region it reports on a
-    tracked frame is the ground truth). This differs deliberately from
-    ar_pair on evaluated trackers, where failure frames count as
-    overlap 0.
+    plot need. This differs deliberately from the supervised accuracy
+    of evaluated trackers, where failure frames count as overlap 0.
     """
-    from .measures import reliability
-    from .trajectory import Tracked, score_record
-
-    sums = {k: [0.0, 0.0, 0] for k in THEORETICAL_KINDS}
+    if not seqs:
+        return {}
+    sums = {k: [0.0, 0.0] for k in THEORETICAL_KINDS}
     for seq in seqs:
-        a = seq.annotation
         for kind in THEORETICAL_KINDS:
-            rec = _supervised_tracked_and_failures(kind, seq)
-            phis = score_record(rec, a).overlaps
-            tracked = [v for v, fr in zip(phis, rec.frames) if isinstance(fr, Tracked)]
-            if tracked:
-                acc = math.fsum(tracked) / len(tracked)
-            elif kind == "ttf":
-                acc = 1.0
-            else:
-                acc = float("nan")
-            rel = reliability(len(rec.failure_frames), len(a), span)
+            _, acc, rel = _probe(kind, seq, span)
             sums[kind][0] += acc
             sums[kind][1] += rel
-            sums[kind][2] += 1
-    return {
-        k: (acc / n, rel / n) for k, (acc, rel, n) in sums.items() if n > 0
-    }
+    n = len(seqs)
+    return {k: (acc / n, rel / n) for k, (acc, rel) in sums.items()}

@@ -10,7 +10,6 @@ from trackbench import analysis
 from trackbench.analysis import (
     CorrelationMatrix,
     affinity_propagation,
-    ar_pair,
     ar_summary,
     cluster_measures,
     kmeans_labels,
@@ -24,18 +23,10 @@ from trackbench.errors import (
     ConfigError,
     InsufficientSamplesError,
 )
-from trackbench.geometry import Region
 from trackbench.measures import MEASURES
-from trackbench.trajectory import (
-    Failure,
-    Init,
-    MeasureRow,
-    MeasureTable,
-    SupervisedRunRecord,
-    Tracked,
-)
+from trackbench.trajectory import MeasureRow, MeasureTable
 
-from conftest import make_annotation, make_sequence, moving_sequence, static_sequence
+from conftest import make_sequence, moving_sequence, static_sequence
 
 
 def row(tracker, sequence, values, run=0, frames=100, error=None):
@@ -46,16 +37,6 @@ def row(tracker, sequence, values, run=0, frames=100, error=None):
 
 
 class TestArPair:
-    def test_supervised_averaging_convention(self):
-        a = make_annotation([(0.0, 0.0, 2.0, 2.0)] * 4)
-        r = Region(0.0, 0.0, 2.0, 2.0)
-        rec = SupervisedRunRecord([Init(r), Tracked(r), Failure(), Init(r)], tau=0.0)
-        pair = ar_pair(rec, a, span=30.0)
-        # two scored frames: overlap 1 and failure 0
-        assert pair.accuracy == 0.5
-        assert pair.robustness == 1.0
-        assert abs(pair.reliability - math.exp(-30.0 * 1 / 4)) < 1e-15
-
     def test_per_tracker_summary(self):
         clean = [float(i) for i in range(16)]
         v_a1 = clean.copy(); v_a1[14] = 0.8; v_a1[15] = 2.0

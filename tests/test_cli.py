@@ -449,6 +449,15 @@ class TestExitStatus:
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_synth_of_no_sequences_exits_2_and_creates_nothing(tmp_path, capsys, count):
+    out = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(out), "--sequences", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 class TestOverflowingRegions:
     """A valid region whose center distance overflows is a measure error, not a crash."""
 
@@ -481,22 +490,28 @@ class TestOverflowingRegions:
 
 
 class TestGoldenReports:
-    # SHA-256 of the pipeline fixture's reports. The correlation and
-    # cluster tables are left out: their numpy reductions may differ in
-    # the last digits between numpy builds.
+    # SHA-256 of the pipeline fixture's reports, and of its A-R plot with
+    # the reference trackers' points. The correlation and cluster tables
+    # are left out: their numpy reductions may differ in the last digits
+    # between numpy builds.
     GOLDEN_SHA256 = {
         "measures.tsv": "1076e1f45c00ff61e2d5ab22b62e037e656196caf7a4817e1721c42828728347",
         "ar_summary.tsv": "496e354dab197a8d9c2339aa8397d58c0aa00d498c12786f9a6d522cc0093dd4",
         "labels.tsv": "d872733ce18fedbe055c66a2b968a46d9d2b96b7375615bc92964fb225f28c28",
+        "ar.svg": "1eac64e66d03bf5b5784d418a16a173957e3f074db13f8098ec6707ba4880827",
     }
 
     def test_reports_match_golden_digests(self, pipeline, tmp_path):
         measures = os.path.join(pipeline["out"], "measures.tsv")
+        ar_svg = str(tmp_path / "ar.svg")
         assert cli.main(["analyze", "--measures", measures, "--out", str(tmp_path)]) == 0
         assert cli.main(["label", "--dataset", pipeline["data"], "--out", str(tmp_path)]) == 0
+        assert cli.main(["plot", "--type", "ar", "--measures", measures,
+                         "--dataset", pipeline["data"], "--out", ar_svg]) == 0
         paths = {"measures.tsv": measures,
                  "ar_summary.tsv": str(tmp_path / "ar_summary.tsv"),
-                 "labels.tsv": str(tmp_path / "labels.tsv")}
+                 "labels.tsv": str(tmp_path / "labels.tsv"),
+                 "ar.svg": ar_svg}
         for name, path in paths.items():
             with open(path, "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == self.GOLDEN_SHA256[name], name

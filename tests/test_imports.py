@@ -248,6 +248,64 @@ def test_no_function_imports_from_a_module_imported_at_top_level():
     assert redundant == []
 
 
+def import_cycle(sources: list[tuple[str, str]]) -> list[str]:
+    """A cycle of modules in the graph of relative imports, or [].
+
+    Every `from . import x` and `from .x import y` is an edge, at top
+    level or inside a function alike: a deferred import still ties the
+    two modules together.
+    """
+    names = {filename[:-3] for filename, _ in sources}
+    graph = {}
+    for filename, source in sources:
+        targets = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is not None:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets.update(alias.name for alias in node.names)
+        graph[filename[:-3]] = sorted(targets & names)
+
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        path.append(module)
+        for target in graph[module]:
+            cycle = visit(target)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        cycle = visit(module)
+        if cycle:
+            return cycle
+    return []
+
+
+def test_no_import_cycle_between_modules():
+    assert import_cycle(package_sources()) == []
+
+
+def test_import_cycle_check_sees_function_local_imports():
+    sources = [
+        ("a.py", "from .b import f\n"),
+        ("b.py", "from . import c\n"),
+        ("c.py", "import os\ndef g():\n    from .a import h\n"),
+        ("d.py", "from .a import f\n"),
+    ]
+    assert import_cycle(sources) == ["a", "b", "c", "a"]
+    sources[2] = ("c.py", "import a\ndef g():\n    from .. import a\n")
+    assert import_cycle(sources) == []
+
+
 def test_redundant_local_import_check_sees_each_kind_of_import():
     source = (
         "import os\n"

@@ -316,6 +316,9 @@ class TestSupervisedSeries:
         scores = score_record(rec, a)
         assert scores.overlaps == [None, 1.0, 0.0, None]
         assert scores.center_errors == [None, 0.0, None, None]
+        sup = supervised_measures(rec, a)
+        assert sup[5] == 0.5  # two scored frames: overlap 1 and failure 0
+        assert sup[6] == 1.0
 
     def test_length_mismatch(self):
         a = make_annotation([(0, 0, 2, 2)] * 3)
