@@ -31,7 +31,6 @@ __all__ = [
     "cluster_measures",
     "kmeans_partition",
     "kmeans_labels",
-    "SequenceLabels",
     "label_sequences",
 ]
 
@@ -155,9 +154,6 @@ class CorrelationMatrix:
     values: np.ndarray
     counts: np.ndarray
 
-    def defined(self, i: int, j: int) -> bool:
-        return not math.isnan(self.values[i, j])
-
 
 def pearson_matrix(table: MeasureTable) -> CorrelationMatrix:
     """Correlation of the 16 measure columns over clean rows.
@@ -215,12 +211,6 @@ class ClusterAssignment:
     exemplars: tuple[int, ...]
     converged: bool
     iterations: int
-
-    def groups(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {e: [] for e in self.exemplars}
-        for i, e in enumerate(self.exemplar_of):
-            out[e].append(i)
-        return {e: tuple(members) for e, members in out.items()}
 
 
 _MAX_ITER = 500
@@ -427,19 +417,11 @@ def kmeans_labels(values, k: int, names=None) -> list[str]:
     return [names[c] for c in assignment]
 
 
-@dataclass(frozen=True)
-class SequenceLabels:
-    """Ordinal property labels per sequence plus the raw scalars."""
-
-    rows: tuple[tuple[str, str, str, str, str], ...]
-    scalars: tuple[tuple[float, float, float, float], ...]
-
-
 _SIZE_NAMES = ("small", "medium", "large")
 
 
-def label_sequences(seqs, span: float = 30.0, k: int = 3) -> SequenceLabels:
-    """Label each sequence's size, motion, speed and size change.
+def label_sequences(seqs, span: float = 30.0, k: int = 3) -> tuple[tuple[str, ...], ...]:
+    """One (name, size, motion, speed, size_change) label row per sequence.
 
     Scalars come from sequence_properties; each column is partitioned
     by exact 1-D k-means into k ordinal levels. Polarity is aligned so
@@ -461,8 +443,7 @@ def label_sequences(seqs, span: float = 30.0, k: int = 3) -> SequenceLabels:
     motion_l = kmeans_labels([-s[1] for s in scalars], k)  # high reliability = low motion
     speed_l = kmeans_labels([s[2] for s in scalars], k)
     change_l = kmeans_labels([-s[3] for s in scalars], k)  # high tto overlap = low size change
-    rows = tuple(
+    return tuple(
         (seq.annotation.name, size_l[i], motion_l[i], speed_l[i], change_l[i])
         for i, seq in enumerate(seqs)
     )
-    return SequenceLabels(rows=rows, scalars=tuple(scalars))

@@ -209,6 +209,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    if not is_safe_name(args.name):
+        raise ConfigError(f"unsafe tracker name {args.name!r}")
     annotation = read_sequence(args.sequence).annotation
     trajectory = read_trajectory(args.trajectory) if args.trajectory else None
     record = read_record(args.record) if args.record else None
@@ -231,6 +233,12 @@ def _cmd_measure(args) -> int:
     return 0
 
 
+def _report(write, out_dir: str, name: str, *result) -> None:
+    path = os.path.join(out_dir, name)
+    write(path, *result)
+    print(f"wrote {path}")
+
+
 def _cmd_analyze(args) -> int:
     table = read_measure_table(args.measures)
     clean = sum(1 for r in table.rows if r.error is None)
@@ -244,58 +252,24 @@ def _cmd_analyze(args) -> int:
         assignment, skipped = None, e
 
     os.makedirs(args.out, exist_ok=True)
-    write_correlation_matrix(
-        os.path.join(args.out, "correlation.tsv"),
-        corr.labels,
-        corr.values,
-        corr.counts,
-        notes=(f"clean rows: {clean}", "cells: pairwise complete Pearson rho"),
-    )
-    print(f"wrote {os.path.join(args.out, 'correlation.tsv')}")
-
-    write_ar_summary(
-        os.path.join(args.out, "ar_summary.tsv"),
-        rows,
-        span=args.span,
-        notes=("accuracy: mean supervised overlap; robustness: mean failures",),
-    )
-    print(f"wrote {os.path.join(args.out, 'ar_summary.tsv')}")
-
+    _report(write_correlation_matrix, args.out, "correlation.tsv", corr, clean)
+    _report(write_ar_summary, args.out, "ar_summary.tsv", rows, args.span)
     if assignment is None:
+        # An earlier analysis's clusters would sit beside reports they do not match.
+        stale = os.path.join(args.out, "clusters.tsv")
+        if os.path.exists(stale):
+            os.remove(stale)
         print(f"error: clustering skipped: {skipped}", file=sys.stderr)
         return 1
-    groups = assignment.groups()
-    notes = [
-        f"clusters: {len(groups)}",
-        "similarity: correlation with lower-is-better columns sign-flipped",
-    ]
-    write_cluster_assignment(
-        os.path.join(args.out, "clusters.tsv"),
-        corr.labels,
-        assignment.exemplar_of,
-        assignment.converged,
-        assignment.iterations,
-        notes=notes,
-    )
-    print(f"wrote {os.path.join(args.out, 'clusters.tsv')}")
+    _report(write_cluster_assignment, args.out, "clusters.tsv", corr.labels, assignment)
     return 0
 
 
 def _cmd_label(args) -> int:
     seqs = _load_dataset(args.dataset)
-    labels = label_sequences(seqs, span=args.span, k=args.levels)
+    rows = label_sequences(seqs, span=args.span, k=args.levels)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "labels.tsv")
-    write_label_table(
-        path,
-        labels.rows,
-        notes=(
-            f"levels: {args.levels}",
-            "motion and size_change probes fall as the property grows; "
-            "their scales are flipped so labels read as the property",
-        ),
-    )
-    print(f"wrote {path}")
+    _report(write_label_table, args.out, "labels.tsv", rows, args.levels)
     return 0
 
 

@@ -9,7 +9,8 @@ parsers reject other versions and trailing garbage. Trajectories and
 records parse in one pass, and line by line with parse_region only to
 report an error with its file and line. Analysis outputs (correlation
 matrices, cluster assignments, A-R summaries, label tables) are
-write-only artifacts with `#`-prefixed metadata comments.
+write-only artifacts: each writer takes an analysis result and writes
+the whole file, its `#`-prefixed notes included.
 """
 
 import math
@@ -367,33 +368,41 @@ def write_measure_table(path, table: MeasureTable) -> None:
     write_text(path, dumps_measure_table(table))
 
 
-def write_correlation_matrix(path, labels, values, counts, notes=()) -> None:
-    """Write a labeled correlation matrix; undefined cells as NA."""
-    n = len(labels)
-    rows = [[labels[i], *(_format_cell(values[i][j]) for j in range(n))] for i in range(n)]
-    rows.append(["samples", *(str(int(counts[i][i])) for i in range(n))])
+def write_correlation_matrix(path, corr, clean: int) -> None:
+    """Write a CorrelationMatrix over `clean` rows; undefined cells as NA."""
+    labels, n = corr.labels, len(corr.labels)
+    rows = [[labels[i], *(_format_cell(corr.values[i][j]) for j in range(n))]
+            for i in range(n)]
+    rows.append(["samples", *(str(int(corr.counts[i][i])) for i in range(n))])
+    notes = (f"clean rows: {clean}", "cells: pairwise complete Pearson rho")
     write_text(path, _dumps_tsv(["measure", *labels], rows, notes))
 
 
-def write_cluster_assignment(path, labels, exemplar_of, converged, iterations,
-                             notes=()) -> None:
-    """Write one line per item: item label and its exemplar's label."""
-    notes = [f"converged: {'yes' if converged else 'no (partial result)'}",
-             f"iterations: {iterations}", *notes]
-    rows = ([labels[i], labels[e]] for i, e in enumerate(exemplar_of))
+def write_cluster_assignment(path, labels, assignment) -> None:
+    """Write a ClusterAssignment: one line per item label and its exemplar's label."""
+    notes = (f"converged: {'yes' if assignment.converged else 'no (partial result)'}",
+             f"iterations: {assignment.iterations}",
+             f"clusters: {len(assignment.exemplars)}",
+             "similarity: correlation with lower-is-better columns sign-flipped")
+    rows = ([labels[i], labels[e]] for i, e in enumerate(assignment.exemplar_of))
     write_text(path, _dumps_tsv(["item", "exemplar"], rows, notes))
 
 
-def write_ar_summary(path, rows, span: float, notes=()) -> None:
+def write_ar_summary(path, rows, span: float) -> None:
     """Write per-tracker accuracy, failure count and reliability."""
     rows = ([tracker, _format_cell(accuracy), repr(float(robustness)), repr(float(rel))]
             for tracker, accuracy, robustness, rel in rows)
+    notes = (f"span: {format_number(span)}",
+             "accuracy: mean supervised overlap; robustness: mean failures")
     write_text(path, _dumps_tsv(["tracker", "accuracy", "robustness", "reliability"], rows,
-                                [f"span: {format_number(span)}", *notes]))
+                                notes))
 
 
-def write_label_table(path, rows, notes=()) -> None:
-    """Write per-sequence ordinal property labels."""
+def write_label_table(path, rows, levels: int) -> None:
+    """Write per-sequence ordinal property labels at `levels` levels."""
+    notes = (f"levels: {levels}",
+             "motion and size_change probes fall as the property grows; "
+             "their scales are flipped so labels read as the property")
     write_text(path, _dumps_tsv(["sequence", "size", "motion", "speed", "size_change"],
                                 rows, notes))
 

@@ -58,7 +58,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .dataset import format_region, parse_region
+from .dataset import format_region, is_safe_name, parse_region
 from .errors import (
     ConfigError,
     ParseError,
@@ -532,11 +532,15 @@ def execute_plan(
     sequence, run) so the result does not depend on scheduling.
     """
     # Names key the rows and the raw/<tracker>/<sequence>/ directories,
-    # which units on different threads write at the same time.
+    # which units on different threads write at the same time, so each
+    # must be unique and fit a directory and a TSV cell.
     for kind, names in (("tracker", [h.name for h in trackers]),
                         ("sequence", [s.annotation.name for s in sequences])):
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate {kind} names in plan: {names}")
+        for name in names:
+            if not is_safe_name(name):
+                raise ConfigError(f"unsafe {kind} name {name!r} in plan")
     # Before any unit starts, so a bad value leaves no partial raw/ output.
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")

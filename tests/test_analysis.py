@@ -95,7 +95,7 @@ class TestPearsonMatrix:
                     if not (math.isnan(v[i]) or math.isnan(v[j]))
                 ]
                 assert corr.counts[i, j] == len(pairs)
-                if corr.defined(i, j):
+                if not math.isnan(corr.values[i, j]):
                     want = two_pass_pearson([p[0] for p in pairs], [p[1] for p in pairs])
                     assert abs(corr.values[i, j] - want) < 1e-12
 
@@ -125,8 +125,8 @@ class TestPearsonMatrix:
             vals[6] = 7.0
             rows.append(row("t", f"s{i}", vals, run=i))
         corr = pearson_matrix(MeasureTable(rows=tuple(rows)))
-        assert not corr.defined(6, 0)
-        assert not corr.defined(6, 6)
+        assert math.isnan(corr.values[6, 0])
+        assert math.isnan(corr.values[6, 6])
         assert corr.counts[6, 0] == 10
 
     def test_too_few_paired_samples_is_undefined(self):
@@ -139,7 +139,7 @@ class TestPearsonMatrix:
             rows.append(row("t", f"s{i}", vals, run=i))
         corr = pearson_matrix(MeasureTable(rows=tuple(rows)))
         assert corr.counts[2, 0] == 2
-        assert not corr.defined(2, 0)
+        assert math.isnan(corr.values[2, 0])
 
 
 class TestPolarityAlignment:
@@ -171,8 +171,9 @@ class TestAffinityPropagation:
         sim = gaussian_blob_similarity([0.0, 0.1, 0.2, 10.0, 10.1, 10.2])
         got = affinity_propagation(sim)
         assert got.converged
-        groups = sorted(tuple(sorted(m)) for m in got.groups().values())
-        assert groups == [(0, 1, 2), (3, 4, 5)]
+        of = got.exemplar_of
+        assert of[0] == of[1] == of[2] != of[3] == of[4] == of[5]
+        assert set(of) == set(got.exemplars)
         for e in got.exemplars:
             assert got.exemplar_of[e] == e
 
@@ -279,10 +280,7 @@ class TestClusterMeasures:
         assignment = cluster_measures(pearson_matrix(random_table(8, rows=60)))
         assert len(assignment.exemplar_of) == 16
         assert len(assignment.exemplars) >= 1
-        members = set()
-        for g in assignment.groups().values():
-            members.update(g)
-        assert members == set(range(16))
+        assert set(assignment.exemplar_of) == set(assignment.exemplars)
 
 
 def brute_force_wcss(values, k):
@@ -366,14 +364,13 @@ class TestLabelSequences:
             ),
         ]
         got = label_sequences(seqs, k=2)
-        byname = {r[0]: r[1:] for r in got.rows}
+        byname = {r[0]: r[1:] for r in got}
         size, motion, speed, change = byname["bravo"]
         assert (motion, speed, change) == ("high", "high", "low")
         size, motion, speed, change = byname["alpha"]
         assert (motion, speed, change) == ("low", "low", "low")
         size, motion, speed, change = byname["charlie"]
         assert (size, motion, change) == ("high", "low", "high")
-        assert len(got.scalars) == 3
 
     def test_identical_columns_rejected(self):
         seqs = [static_sequence(10, name=f"s{i}") for i in range(4)]

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import io
 import os
@@ -321,6 +322,18 @@ class TestMeasureCommand:
         seq, _ = first_raw(pipeline, "tts", ".traj")
         assert cli.main(["measure", "--sequence", seq]) == 2
 
+    def test_unsafe_name_is_usage_error(self, pipeline, tmp_path, capsys):
+        # A tab would split the tracker cell, so analyze could not read the table.
+        seq, traj = first_raw(pipeline, "tts", ".traj")
+        dest = tmp_path / "m.tsv"
+        rc = cli.main(["measure", "--sequence", seq, "--trajectory", traj,
+                       "--name", "a\tb", "--out", str(dest)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: unsafe tracker name 'a\\tb'"]
+        assert not dest.exists()
+
 
 class TestAnalyzeCommand:
     def test_reports_written(self, pipeline, tmp_path):
@@ -366,6 +379,23 @@ class TestAnalyzeCommand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_skipped_clustering_removes_stale_clusters(self, pipeline, tmp_path, capsys):
+        measures = os.path.join(pipeline["out"], "measures.tsv")
+        table = read_measure_table(measures)
+        constant = str(tmp_path / "constant.tsv")
+        write_measure_table(constant, type(table)(rows=[
+            dataclasses.replace(r, values=(1.0, *r.values[1:])) for r in table.rows]))
+        out, fresh = tmp_path / "reports", tmp_path / "fresh"
+        assert cli.main(["analyze", "--measures", measures, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["analyze", "--measures", constant, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: clustering skipped: ")
+        assert cli.main(["analyze", "--measures", constant, "--out", str(fresh)]) == 1
+        want = {p.name: p.read_bytes() for p in fresh.iterdir()}
+        assert sorted(want) == ["ar_summary.tsv", "correlation.tsv"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == want
 
     def test_one_correlation_matrix_per_analyze(self, pipeline, tmp_path, monkeypatch):
         calls = []
@@ -515,6 +545,49 @@ class TestGoldenReports:
         for name, path in paths.items():
             with open(path, "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == self.GOLDEN_SHA256[name], name
+
+    # Every report's notes and column header, which the digests above
+    # leave out for correlation.tsv and clusters.tsv.
+    HEADERS = {
+        "correlation.tsv": [
+            "# format: trackbench/1",
+            "# clean rows: 48",
+            "# cells: pairwise complete Pearson rho",
+            "measure\tavg_center_error\tavg_norm_center_error\trmse\tp_0.1\tp_0.5\t"
+            "len_0.1\tlen_0.5\tavg_overlap\tcotps\tsup_avg_center_error\t"
+            "sup_avg_norm_center_error\tsup_rmse\tsup_p_0.1\tsup_p_0.5\tsup_avg_overlap\t"
+            "failures",
+        ],
+        "clusters.tsv": [
+            "# format: trackbench/1",
+            "# converged: yes",
+            "# iterations: 32",
+            "# clusters: 3",
+            "# similarity: correlation with lower-is-better columns sign-flipped",
+            "item\texemplar",
+        ],
+        "ar_summary.tsv": [
+            "# format: trackbench/1",
+            "# span: 30",
+            "# accuracy: mean supervised overlap; robustness: mean failures",
+            "tracker\taccuracy\trobustness\treliability",
+        ],
+        "labels.tsv": [
+            "# format: trackbench/1",
+            "# levels: 3",
+            "# motion and size_change probes fall as the property grows; "
+            "their scales are flipped so labels read as the property",
+            "sequence\tsize\tmotion\tspeed\tsize_change",
+        ],
+    }
+
+    def test_report_headers(self, pipeline, tmp_path):
+        measures = os.path.join(pipeline["out"], "measures.tsv")
+        assert cli.main(["analyze", "--measures", measures, "--out", str(tmp_path)]) == 0
+        assert cli.main(["label", "--dataset", pipeline["data"], "--out", str(tmp_path)]) == 0
+        for name, want in self.HEADERS.items():
+            lines = (tmp_path / name).read_text().split("\n")
+            assert lines[:len(want)] == want, name
 
     # The pipeline fixture's run at tau 0.3, where failures and
     # reinitializations turn on overlap values other than 0: SHA-256 of

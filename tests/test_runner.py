@@ -197,6 +197,22 @@ class TestRunPlan:
             execute_plan(RunPlan(), [tts_handle()],
                          [static_sequence(3, name="s"), moving_sequence(4, name="s")])
 
+    @pytest.mark.parametrize("tracker, sequence", [
+        ("../../escaped", "static"),
+        ("a\tb", "static"),
+        ("tts", ".."),
+        ("tts", "a\nb"),
+    ])
+    def test_unsafe_names_rejected_before_any_unit(self, tmp_path, tracker, sequence):
+        # At "../../escaped" a unit would write beside out_dir, not under raw/;
+        # a tab or newline would split the name's measures.tsv cell.
+        handle = TrackerHandle.in_process(tracker, BuiltinTracker("tts"))
+        out = tmp_path / "apiout"
+        with pytest.raises(ConfigError, match="unsafe"):
+            execute_plan(RunPlan(repetitions=1), [handle], [static_sequence(3, name=sequence)],
+                         out_dir=str(out))
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_trackers_collapse_repetitions(self):
         table = execute_plan(
             RunPlan(repetitions=5, mode="supervised"),
