@@ -203,11 +203,12 @@ class ClusterAssignment:
     """Affinity propagation outcome.
 
     exemplar_of maps each item to its exemplar's index (exemplars map
-    to themselves). converged is False when the exemplar set did not
-    stay stable; the assignment is then the current partial estimate.
+    to themselves), or to None for an item left out of the clustering.
+    converged is False when the exemplar set did not stay stable; the
+    assignment is then the current partial estimate.
     """
 
-    exemplar_of: tuple[int, ...]
+    exemplar_of: tuple[int | None, ...]
     exemplars: tuple[int, ...]
     converged: bool
     iterations: int
@@ -321,19 +322,28 @@ def affinity_propagation(
 
 
 def cluster_measures(corr: CorrelationMatrix, damping: float = 0.5) -> ClusterAssignment:
-    """Cluster the measure columns of the given correlation matrix by similarity."""
+    """Cluster the measure columns of the given correlation matrix by similarity.
+
+    A measure whose correlation is undefined against every other one (a
+    constant column, say) is left out: its exemplar_of entry is None.
+    Any undefined correlation among the rest raises ClusterDomainError.
+    """
     sim = measure_similarity(corr)
     n = sim.shape[0]
-    undefined = [
-        corr.labels[i]
-        for i in range(n)
-        if any(math.isnan(sim[i, j]) for j in range(n) if j != i)
-    ]
-    if undefined:
+    defined = ~np.isnan(sim)
+    np.fill_diagonal(defined, False)
+    kept = np.flatnonzero(defined.any(axis=1))
+    undefined = [corr.labels[i] for i in kept if defined[i, kept].sum() < kept.size - 1]
+    if undefined or kept.size == 0:
         raise ClusterDomainError(
-            f"cannot cluster, undefined correlations for: {', '.join(undefined)}"
+            f"cannot cluster, undefined correlations for: {', '.join(undefined or corr.labels)}"
         )
-    return affinity_propagation(sim, damping=damping)
+    got = affinity_propagation(sim[np.ix_(kept, kept)], damping=damping)
+    exemplar_of = [None] * n
+    for i, e in zip(kept, got.exemplar_of):
+        exemplar_of[i] = int(kept[e])
+    return ClusterAssignment(tuple(exemplar_of), tuple(int(kept[e]) for e in got.exemplars),
+                             got.converged, got.iterations)
 
 
 def kmeans_partition(values, k: int) -> tuple[list[int], list[float], float]:

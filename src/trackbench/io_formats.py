@@ -308,7 +308,8 @@ def _dumps_tsv(header, rows, notes=()) -> str:
     """The format line, a `# ` line per note, then header and rows tab-joined."""
     lines = [FORMAT_LINE, *(f"# {note}" for note in notes), "\t".join(header)]
     lines += ["\t".join(cells) for cells in rows]
-    return "".join(line + "\n" for line in lines)
+    lines.append("")  # one join, no LF-terminated copy of each line
+    return "\n".join(lines)
 
 
 def dumps_measure_table(table: MeasureTable) -> str:
@@ -379,12 +380,17 @@ def write_correlation_matrix(path, corr, clean: int) -> None:
 
 
 def write_cluster_assignment(path, labels, assignment) -> None:
-    """Write a ClusterAssignment: one line per item label and its exemplar's label."""
-    notes = (f"converged: {'yes' if assignment.converged else 'no (partial result)'}",
+    """Write a ClusterAssignment: item and exemplar labels, NA for an item left out."""
+    notes = [f"converged: {'yes' if assignment.converged else 'no (partial result)'}",
              f"iterations: {assignment.iterations}",
              f"clusters: {len(assignment.exemplars)}",
-             "similarity: correlation with lower-is-better columns sign-flipped")
-    rows = ([labels[i], labels[e]] for i, e in enumerate(assignment.exemplar_of))
+             "similarity: correlation with lower-is-better columns sign-flipped"]
+    dropped = [labels[i] for i, e in enumerate(assignment.exemplar_of) if e is None]
+    if dropped:
+        notes.append(f"dropped, correlation undefined against every other item: "
+                     f"{', '.join(dropped)}")
+    rows = ([labels[i], "NA" if e is None else labels[e]]
+            for i, e in enumerate(assignment.exemplar_of))
     write_text(path, _dumps_tsv(["item", "exemplar"], rows, notes))
 
 

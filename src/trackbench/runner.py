@@ -348,6 +348,35 @@ def _check_paths(seq: SequenceData) -> None:
         raise ConfigError(f"frame path contains whitespace: {bad!r}")
 
 
+def _drive(handle: TrackerHandle, seq: SequenceData, seed: int, hello: dict | None,
+           tau: float | None) -> list:
+    """The session loop of both protocols; returns one entry per frame.
+
+    With tau None every entry is the reported region. Otherwise entries
+    are Init, Tracked or Failure as run_supervised describes.
+    """
+    _check_paths(seq)
+    entries = []
+    with handle.open(seq) as session:
+        _, deterministic = session.handshake(seed)
+        if hello is not None:
+            hello.setdefault("deterministic", deterministic)
+        init = True  # frame 1 initializes
+        for t, (path, gt) in enumerate(zip(seq.frame_paths, seq.annotation.regions), 1):
+            if init:
+                state = session.initialize(t, path, gt)
+                init = False
+                entries.append(state if tau is None else Init(gt))
+            elif tau is None:
+                entries.append(session.frame(t, path))
+            else:
+                state = session.frame(t, path)
+                init = overlap(gt, state) <= tau
+                entries.append(Failure() if init else Tracked(state))
+        session.quit()
+    return entries
+
+
 def run_unsupervised(
     handle: TrackerHandle, seq: SequenceData, seed: int = 0, hello: dict | None = None
 ) -> Trajectory:
@@ -357,17 +386,7 @@ def run_unsupervised(
     If given, `hello["deterministic"]` is set from the handshake reply
     unless an earlier handshake already set it.
     """
-    _check_paths(seq)
-    a = seq.annotation
-    with handle.open(seq) as session:
-        _, deterministic = session.handshake(seed)
-        if hello is not None:
-            hello.setdefault("deterministic", deterministic)
-        regions = [session.initialize(1, seq.frame_paths[0], a.regions[0])]
-        for t in range(2, len(a) + 1):
-            regions.append(session.frame(t, seq.frame_paths[t - 1]))
-        session.quit()
-    return Trajectory(regions=tuple(regions))
+    return Trajectory(regions=tuple(_drive(handle, seq, seed, hello, None)))
 
 
 def run_supervised(
@@ -388,29 +407,7 @@ def run_supervised(
     """
     if not (0.0 <= tau <= 1.0):
         raise ConfigError(f"tau {tau} outside [0, 1]")
-    _check_paths(seq)
-    a = seq.annotation
-    frames: list = []
-    with handle.open(seq) as session:
-        _, deterministic = session.handshake(seed)
-        if hello is not None:
-            hello.setdefault("deterministic", deterministic)
-        init_pending = True
-        for t in range(1, len(a) + 1):
-            gt = a.regions[t - 1]
-            if init_pending:
-                session.initialize(t, seq.frame_paths[t - 1], gt)
-                frames.append(Init(gt))
-                init_pending = False
-                continue
-            state = session.frame(t, seq.frame_paths[t - 1])
-            if overlap(gt, state) <= tau:
-                frames.append(Failure())
-                init_pending = True
-            else:
-                frames.append(Tracked(state))
-        session.quit()
-    return SupervisedRunRecord(frames, tau=tau)
+    return SupervisedRunRecord(_drive(handle, seq, seed, hello, tau), tau=tau)
 
 
 def derive_seed(master_seed: int, tracker: str, sequence: str, rep: int, mode: str) -> int:
@@ -444,34 +441,16 @@ class RunPlan:
 _RUN_FILE = re.compile(r"run_\d{2,}\.(?:traj|record)")
 
 
-def _raw_dir(out_dir: str, tracker: str, sequence: str) -> str:
-    """Create raw/<tracker>/<sequence>/ and remove the run files left in it."""
-    d = os.path.join(out_dir, "raw", tracker, sequence)
-    os.makedirs(d, exist_ok=True)
-    for name in os.listdir(d):
-        if _RUN_FILE.fullmatch(name):
-            os.remove(os.path.join(d, name))
-    return d
-
-
-def _run_pair(
-    plan: RunPlan,
-    handle: TrackerHandle,
-    seq: SequenceData,
-    master_seed: int,
-    out_dir: str | None,
-) -> list[MeasureRow]:
-    rows = []
+def _run_pair(plan: RunPlan, handle: TrackerHandle, seq: SequenceData, master_seed: int) -> list:
+    """Run one unit; returns (row, trajectory or None, record or None) per run."""
+    runs = []
     a = seq.annotation
     hello: dict = {}  # this pair's first handshake decides the collapse
     # The unit's runs=many child waits here between runs.
     handle = replace(handle, _idle=[])
-    raw = None  # raw/<tracker>/<sequence>/, prepared before the first write
     try:
         for rep in range(plan.repetitions):
-            trajectory = None
-            record = None
-            error = None
+            trajectory = record = error = None
             try:
                 if plan.mode in ("unsupervised", "both"):
                     seed = derive_seed(master_seed, handle.name, a.name, rep, "unsupervised")
@@ -486,28 +465,29 @@ def _run_pair(
             except TrackbenchError as e:
                 values = (float("nan"),) * 16
                 error = error or f"measure error: {e}"
-            if out_dir is not None:
-                if raw is None:
-                    raw = _raw_dir(out_dir, handle.name, a.name)
-                if trajectory is not None:
-                    write_trajectory(os.path.join(raw, "run_%02d.traj" % rep), trajectory)
-                if record is not None:
-                    write_record(os.path.join(raw, "run_%02d.record" % rep), record)
-            rows.append(
-                MeasureRow(
-                    tracker=handle.name,
-                    sequence=a.name,
-                    run=rep,
-                    frames=len(a),
-                    values=values,
-                    error=error,
-                )
-            )
+            row = MeasureRow(tracker=handle.name, sequence=a.name, run=rep, frames=len(a),
+                             values=values, error=error)
+            runs.append((row, trajectory, record))
             if hello.get("deterministic"):
                 break
     finally:
         handle.close_idle()
-    return rows
+    return runs
+
+
+def _write_runs(out_dir: str, runs) -> None:
+    """Write a unit's runs to raw/<tracker>/<sequence>/, removing stale run files first."""
+    d = os.path.join(out_dir, "raw", runs[0][0].tracker, runs[0][0].sequence)
+    os.makedirs(d, exist_ok=True)
+    for name in os.listdir(d):
+        if _RUN_FILE.fullmatch(name):
+            os.remove(os.path.join(d, name))
+    for row, trajectory, record in runs:
+        stem = os.path.join(d, "run_%02d" % row.run)
+        if trajectory is not None:
+            write_trajectory(stem + ".traj", trajectory)
+        if record is not None:
+            write_record(stem + ".record", record)
 
 
 def execute_plan(
@@ -529,7 +509,9 @@ def execute_plan(
     exception, or an interrupt anywhere on the calling thread, stops
     every worker from taking new units; once each has finished its unit,
     the first one raised reaches the caller. Rows are sorted by (tracker,
-    sequence, run) so the result does not depend on scheduling.
+    sequence, run) so the result does not depend on scheduling. With
+    `out_dir`, a unit's run files are written once all its runs are done;
+    a unit that raises writes none.
     """
     # Names key the rows and the raw/<tracker>/<sequence>/ directories,
     # which units on different threads write at the same time, so each
@@ -553,7 +535,7 @@ def execute_plan(
     # Each worker releases it as it ends. The calling thread waits on it, as
     # a Thread.join cut short by an interrupt can mark a live thread stopped.
     ended = threading.Semaphore(0)
-    results: list[list[MeasureRow]] = []
+    rows: list[MeasureRow] = []
     failures: list[BaseException] = []
 
     def work(others=()) -> None:
@@ -565,7 +547,11 @@ def execute_plan(
                     unit = None if failures else next(todo, None)
                 if unit is None:
                     break
-                results.append(_run_pair(plan, *unit, master_seed, out_dir))
+                runs = _run_pair(plan, *unit, master_seed)
+                if out_dir is not None:
+                    _write_runs(out_dir, runs)
+                rows.extend([row for row, _, _ in runs])
+                del runs  # not held while the next unit runs
             for _ in others:
                 ended.acquire()
         except BaseException as e:
@@ -581,6 +567,5 @@ def execute_plan(
             t.join()
     if failures:
         raise failures[0]
-    rows = sorted((row for unit_rows in results for row in unit_rows),
-                  key=lambda r: (r.tracker, r.sequence, r.run))
+    rows.sort(key=lambda r: (r.tracker, r.sequence, r.run))
     return MeasureTable(rows=tuple(rows))

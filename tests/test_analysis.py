@@ -261,20 +261,56 @@ class TestJitterAndMedian:
         assert got == affinity_propagation(sim)
 
 
+def gappy_table(gaps, rows=12):
+    """Random rows where gaps(i, vals) may blank or fix values of row i."""
+    out = []
+    rng = np.random.default_rng(7)
+    for i in range(rows):
+        vals = list(rng.normal(size=16))
+        gaps(i, vals)
+        out.append(row("t", f"s{i}", vals, run=i))
+    return MeasureTable(rows=tuple(out))
+
+
 class TestClusterMeasures:
     def test_undefined_columns_are_reported(self):
-        # supervised half entirely NaN: no record was produced
-        rows = []
-        rng = np.random.default_rng(7)
-        for i in range(12):
-            vals = list(rng.normal(size=16))
-            for j in range(9, 16):
-                vals[j] = float("nan")
-            rows.append(row("t", f"s{i}", vals, run=i))
+        # rmse and failures never share a row; each pairs with the other 14.
+        def gaps(i, vals):
+            vals[2 if i % 2 else 15] = float("nan")
+
         with pytest.raises(ClusterDomainError) as e:
-            cluster_measures(pearson_matrix(MeasureTable(rows=tuple(rows))))
-        assert "failures" in str(e.value)
-        assert "sup_avg_overlap" in str(e.value)
+            cluster_measures(pearson_matrix(gappy_table(gaps)))
+        assert str(e.value) == "cannot cluster, undefined correlations for: rmse, failures"
+
+    def test_a_column_with_no_defined_correlation_is_dropped(self):
+        def constant(i, vals):
+            vals[15] = 0.0
+
+        table = gappy_table(constant)
+        got = cluster_measures(pearson_matrix(table))
+        assert got.exemplar_of[15] is None
+        assert None not in got.exemplar_of[:15] and 15 not in got.exemplars
+        # The other 15 cluster as they would without the column.
+        alone = affinity_propagation(measure_similarity(pearson_matrix(table))[:15, :15])
+        assert got.exemplar_of[:15] == alone.exemplar_of
+        assert (got.exemplars, got.converged) == (alone.exemplars, alone.converged)
+
+    def test_every_column_without_a_correlation_is_dropped(self):
+        # The supervised half entirely NaN: no record was produced.
+        def unsupervised_only(i, vals):
+            vals[9:] = [float("nan")] * 7
+
+        got = cluster_measures(pearson_matrix(gappy_table(unsupervised_only)))
+        assert got.exemplar_of[9:] == (None,) * 7
+        assert None not in got.exemplar_of[:9]
+
+    def test_nothing_to_cluster_names_every_measure(self):
+        def all_constant(i, vals):
+            vals[:] = [1.0] * 16
+
+        with pytest.raises(ClusterDomainError) as e:
+            cluster_measures(pearson_matrix(gappy_table(all_constant)))
+        assert str(e.value).endswith(": " + ", ".join(m.key for m in MEASURES))
 
     def test_full_table_clusters(self):
         assignment = cluster_measures(pearson_matrix(random_table(8, rows=60)))

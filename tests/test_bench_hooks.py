@@ -11,6 +11,8 @@ import dataclasses
 import importlib.util
 import os
 
+import pytest
+
 from trackbench import analysis, cli, io_formats, measures, plots, runner, synthdata, theoretical
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
@@ -56,3 +58,26 @@ def test_the_workloads_can_trim_write_and_load_a_synthetic_dataset(tmp_path):
     synthdata.write_dataset(str(tmp_path), [trimmed])
     loaded = [io_formats.read_sequence(d) for d in io_formats.list_sequences(str(tmp_path))]
     assert [(s.annotation, s.image_size) for s in loaded] == [(short, seq.image_size)]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_traced_run_counts_every_session_score_and_file(tmp_dataset, tmp_path, workers):
+    # The exact counts a traced benchmark run checks: each row is one
+    # unsupervised and one supervised session and one compute_all call,
+    # and every file but manifest.txt goes through a hooked writer.
+    spans = load_spans()
+    rec = spans.Recorder()
+    out = str(tmp_path / "out")
+    undo = spans.install(rec)
+    try:
+        assert cli.main(["run", "--dataset", tmp_dataset, "--out", out, "--tracker", "tts",
+                         "--tracker", "scripted:name=noisy,center_noise=2,seed=3",
+                         "--repetitions", "3", "--seed", "1", "--workers", workers]) == 0
+    finally:
+        undo()
+    rows = len(io_formats.read_measure_table(os.path.join(out, "measures.tsv")).rows)
+    on_disk = sum(len(files) for _, _, files in os.walk(out)) - 1  # manifest.txt
+    assert rows == 3 + 3 * 3
+    assert rec.counts["runner.sessions"] == 2 * rows
+    assert rec.counts["io_formats.files_written"] == on_disk == 2 * rows + 1
+    assert rec.counts["measures.compute_all_calls"] == rows

@@ -383,19 +383,42 @@ class TestAnalyzeCommand:
     def test_skipped_clustering_removes_stale_clusters(self, pipeline, tmp_path, capsys):
         measures = os.path.join(pipeline["out"], "measures.tsv")
         table = read_measure_table(measures)
-        constant = str(tmp_path / "constant.tsv")
-        write_measure_table(constant, type(table)(rows=[
-            dataclasses.replace(r, values=(1.0, *r.values[1:])) for r in table.rows]))
+        # The two center-error columns never share a row, so their
+        # correlation is undefined; each still pairs with the other 14.
+        nan = float("nan")
+        gappy = str(tmp_path / "gappy.tsv")
+        write_measure_table(gappy, type(table)(rows=[
+            dataclasses.replace(r, values=(nan, *r.values[1:]) if i % 2
+                                else (r.values[0], nan, *r.values[2:]))
+            for i, r in enumerate(table.rows)]))
         out, fresh = tmp_path / "reports", tmp_path / "fresh"
         assert cli.main(["analyze", "--measures", measures, "--out", str(out)]) == 0
         capsys.readouterr()
-        assert cli.main(["analyze", "--measures", constant, "--out", str(out)]) == 1
+        assert cli.main(["analyze", "--measures", gappy, "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: clustering skipped: ")
-        assert cli.main(["analyze", "--measures", constant, "--out", str(fresh)]) == 1
+        assert cli.main(["analyze", "--measures", gappy, "--out", str(fresh)]) == 1
         want = {p.name: p.read_bytes() for p in fresh.iterdir()}
         assert sorted(want) == ["ar_summary.tsv", "correlation.tsv"]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == want
+
+    def test_a_constant_column_is_dropped_and_the_rest_cluster(self, pipeline, tmp_path,
+                                                               capsys):
+        measures = os.path.join(pipeline["out"], "measures.tsv")
+        table = read_measure_table(measures)
+        constant = str(tmp_path / "constant.tsv")
+        write_measure_table(constant, type(table)(rows=[
+            dataclasses.replace(r, values=(*r.values[:15], 0.0)) for r in table.rows]))
+        out = tmp_path / "reports"
+        assert cli.main(["analyze", "--measures", constant, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        lines = (out / "clusters.tsv").read_text().splitlines()
+        notes = [line for line in lines if line.startswith("# dropped")]
+        assert notes == ["# dropped, correlation undefined against every other item: failures"]
+        items = dict(line.split("\t") for line in lines if not line.startswith("#"))
+        del items["item"]
+        assert len(items) == 16 and items.pop("failures") == "NA"
+        assert set(items.values()) <= set(items)
 
     def test_one_correlation_matrix_per_analyze(self, pipeline, tmp_path, monkeypatch):
         calls = []

@@ -34,6 +34,7 @@ from trackbench.theoretical import (
     StaticTracker,
     parse_scripted_params,
 )
+from trackbench.trajectory import Init, Tracked
 
 from conftest import STUB, make_sequence, moving_sequence, static_sequence
 
@@ -139,8 +140,6 @@ class TestSupervisedProtocol:
     def test_first_frame_is_init_with_ground_truth(self):
         seq = static_sequence(5)
         rec = run_supervised(tts_handle(), seq, tau=0.0, seed=0)
-        from trackbench.trajectory import Init
-
         assert isinstance(rec.frames[0], Init)
         assert rec.frames[0].region == seq.annotation.regions[0]
 
@@ -163,6 +162,36 @@ class TestSupervisedProtocol:
             run_supervised(tts_handle(), seq)
         with pytest.raises(ConfigError):
             run_unsupervised(tts_handle(), seq)
+
+
+QUIET = "name=quiet,center_noise=0.5,scale_noise=0.01,seed=4"
+
+
+def tracker_cli_handle(kind, *args):
+    return TrackerHandle.from_command(
+        f"cmd-{kind}", [sys.executable, "-m", "trackbench.tracker_cli", kind, *args], timeout=20.0)
+
+
+class TestOneLoop:
+    # Trackers that never fail at tau 0 on the static and growing sequences.
+    @pytest.mark.parametrize("make", [
+        tts_handle,
+        lambda: scripted_handle(parse_scripted_params(QUIET)),
+        lambda: tracker_cli_handle("tts"),
+        lambda: tracker_cli_handle("scripted", "--groundtruth", "{groundtruth}",
+                                   "--params", QUIET),
+    ], ids=["tts", "scripted", "cmd-tts", "cmd-scripted"])
+    @pytest.mark.parametrize("name", ["alpha", "charlie"])
+    def test_a_run_without_failures_is_the_same_run_under_both_protocols(
+        self, tmp_dataset, make, name
+    ):
+        seq = read_sequence(os.path.join(tmp_dataset, name))
+        handle = make()
+        trajectory = run_unsupervised(handle, seq, seed=5)
+        record = run_supervised(handle, seq, tau=0.0, seed=5)
+        want = (Init(seq.annotation.regions[0]), *map(Tracked, trajectory.regions[1:]))
+        assert record.frames == want
+        assert len(want) == len(seq.annotation)
 
 
 class TestSeeds:
@@ -337,6 +366,25 @@ class TestRunPlan:
         )
         keys = [(r.tracker, r.sequence, r.run) for r in table.rows]
         assert keys == sorted(keys)
+
+    def test_a_unit_that_raises_writes_no_run_file(self, tmp_path):
+        scripted = BuiltinTracker("scripted", NOISY)
+        opened = []
+
+        def factory(seq):
+            opened.append(seq.annotation.name)
+            if opened.count("s1") == 2:
+                raise ValueError("no second run on s1")
+            return scripted(seq)
+
+        out = tmp_path / "out"
+        seqs = [static_sequence(5, name="s0"), static_sequence(5, name="s1")]
+        with pytest.raises(ValueError, match="^no second run on s1$"):
+            execute_plan(RunPlan(repetitions=2, mode="unsupervised"),
+                         [TrackerHandle.in_process("t", factory)], seqs, out_dir=str(out))
+        raw = out / "raw" / "t"
+        assert sorted(p.name for p in (raw / "s0").iterdir()) == ["run_00.traj", "run_01.traj"]
+        assert not list(raw.glob("s1/run_*"))
 
     def test_raw_artifacts_written(self, tmp_path):
         out = tmp_path / "out"
