@@ -221,13 +221,12 @@ _STABLE_ITER = 25
 def affinity_propagation(
     similarity: np.ndarray,
     damping: float = 0.5,
-    preference: float | np.ndarray | None = None,
 ) -> ClusterAssignment:
     """Exemplar clustering by responsibility/availability message passing.
 
     similarity[i, k] scores how well k would represent i; the diagonal
-    is overwritten with the preference (default: the median of the
-    off-diagonal similarities, which favors a moderate cluster count).
+    is overwritten with the preference, the median of the off-diagonal
+    similarities, which favors a moderate cluster count.
     Messages are damped by `damping` in [0.5, 1). The run converges
     when the exemplar set stays identical for _STABLE_ITER (25)
     consecutive iterations; hitting _MAX_ITER (500) first reports
@@ -247,9 +246,7 @@ def affinity_propagation(
     if n == 1:
         return ClusterAssignment((0,), (0,), True, 0)
 
-    if preference is None:
-        preference = _median(S[off_diag])
-    np.fill_diagonal(S, preference)
+    np.fill_diagonal(S, _median(S[off_diag]))
 
     # Exact ties (e.g. two identical similarity rows) make the messages
     # oscillate forever; fixed-seed jitter far below data scale breaks

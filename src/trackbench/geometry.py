@@ -1,4 +1,4 @@
-"""Axis-aligned region geometry: overlap, area classification, centers.
+"""Axis-aligned region geometry: validity, overlap, centers.
 
 Regions are (x, y, width, height) boxes with the origin at the top-left
 corner, treated as closed real intervals on both axes. Two boxes that
@@ -15,14 +15,10 @@ from .errors import InvalidRegionError
 __all__ = [
     "Region",
     "Point",
-    "ClassificationScores",
     "is_valid_region",
     "validate_region",
     "box_overlap",
     "overlap",
-    "classify",
-    "f_measure",
-    "precision",
     "region_center",
     "region_size",
 ]
@@ -73,21 +69,6 @@ class Region(_FloatTuple, namedtuple("Region", "x y width height")):
     def __new__(cls, x: float, y: float, width: float, height: float) -> "Region":
         return _new(cls, (float(x), float(y), float(width), float(height)))
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-
-class ClassificationScores(namedtuple("ClassificationScores", "tp fp fn")):
-    """Per-frame area decomposition against the ground truth.
-
-    tp is the area claimed by both prediction and ground truth, fp the
-    predicted area outside the ground truth, fn the ground-truth area the
-    prediction missed. All three are non-negative areas, not counts.
-    """
-
-    __slots__ = ()
-
 
 def is_valid_region(r: Region) -> bool:
     """True when r is finite with non-negative extent; False for NaN too."""
@@ -110,10 +91,10 @@ def validate_region(r: Region, frame: int | None = None) -> None:
     raise InvalidRegionError(f"negative region extent in {r}", frame)
 
 
-def box_overlap(gx, gy, gw, gh, px, py, pw, ph) -> tuple[float, float]:
-    """Intersection area and IoU of two valid boxes given by coordinates.
+def box_overlap(gx, gy, gw, gh, px, py, pw, ph) -> float:
+    """IoU of two valid boxes given by coordinates.
 
-    overlap, classify and the scoring pass in trajectory all call it.
+    overlap and the scoring pass in trajectory call it.
     min(a, b) is written `b if b < a else a` and max(a, b)
     `b if b > a else a`: what the builtins return, ties and signed zeros
     included, without a call. Equal boxes overlap exactly, since (x+w)-x
@@ -124,15 +105,15 @@ def box_overlap(gx, gy, gw, gh, px, py, pw, ph) -> tuple[float, float]:
     """
     ga, pa = gw * gh, pw * ph
     if gx == px and gy == py and gw == pw and gh == ph:
-        return ga, (1.0 if gw > 0 and gh > 0 else 0.0)
+        return 1.0 if gw > 0 and gh > 0 else 0.0
     ge, pe = gx + gw, px + pw
     iw = (pe if pe < ge else ge) - (px if px > gx else gx)
     if iw <= 0:
-        return 0.0, 0.0
+        return 0.0
     ge, pe = gy + gh, py + ph
     ih = (pe if pe < ge else ge) - (py if py > gy else gy)
     if ih <= 0:
-        return 0.0, 0.0
+        return 0.0
     # (y+h)-y can exceed h by an ulp of y; no box is smaller than its
     # intersection with another.
     inter = iw * ih
@@ -142,9 +123,9 @@ def box_overlap(gx, gy, gw, gh, px, py, pw, ph) -> tuple[float, float]:
         inter = pa
     union = ga + pa - inter
     if inter < 2.0 ** -1022 or union - union != 0.0:
-        return inter, _rescaled_iou(gx, gy, gw, gh, px, py, pw, ph, iw, ih)
+        return _rescaled_iou(gx, gy, gw, gh, px, py, pw, ph, iw, ih)
     q = inter / union
-    return inter, (q if q < 1.0 else 1.0)
+    return q if q < 1.0 else 1.0
 
 
 def _frexp_span(length: float, g: float, gw: float, p: float, pw: float) -> tuple[float, int]:
@@ -203,35 +184,7 @@ def overlap(gt: Region, pred: Region) -> float:
     validate_region(pred)
     gx, gy, gw, gh = gt
     px, py, pw, ph = pred
-    return box_overlap(gx, gy, gw, gh, px, py, pw, ph)[1]
-
-
-def classify(gt: Region, pred: Region) -> ClassificationScores:
-    """Decompose prediction vs ground truth into tp/fp/fn areas."""
-    validate_region(gt)
-    validate_region(pred)
-    if gt == pred:
-        # Same reason as overlap: (x+w)-x absorbs tiny extents, which
-        # would misreport a perfect prediction as a miss.
-        return ClassificationScores(tp=gt.area, fp=0.0, fn=0.0)
-    inter = box_overlap(*gt, *pred)[0]
-    return ClassificationScores(tp=inter, fp=pred.area - inter, fn=gt.area - inter)
-
-
-def f_measure(s: ClassificationScores) -> float:
-    """Balanced F-measure 2*tp / (2*tp + fn + fp); 0 when the denominator is 0."""
-    denom = 2.0 * s.tp + s.fn + s.fp
-    if denom <= 0:
-        return 0.0
-    return 2.0 * s.tp / denom
-
-
-def precision(s: ClassificationScores) -> float:
-    """Precision tp / (tp + fp); 0 when nothing was predicted."""
-    denom = s.tp + s.fp
-    if denom <= 0:
-        return 0.0
-    return s.tp / denom
+    return box_overlap(gx, gy, gw, gh, px, py, pw, ph)
 
 
 def region_center(r: Region) -> Point:

@@ -47,7 +47,6 @@ from .trajectory import (
 __all__ = [
     "SequenceAnnotation",
     "SequenceData",
-    "read_annotation",
     "read_sequence",
     "write_sequence",
     "list_sequences",
@@ -134,14 +133,12 @@ class SequenceData:
                    frame_paths=paths, root=root)
 
 
-def read_annotation(seq_dir) -> SequenceAnnotation:
-    """Read groundtruth.txt (and center.txt if present) from a sequence dir,
-    named by its sequence.meta or else by the directory."""
-    return _read_annotation(seq_dir)[0]
+def read_sequence(seq_dir) -> SequenceData:
+    """Load a sequence directory into a SequenceData bundle.
 
-
-def _read_annotation(seq_dir) -> tuple[SequenceAnnotation, dict | None]:
-    """read_annotation, plus sequence.meta's key=value pairs (None if absent)."""
+    The annotation comes from groundtruth.txt (and center.txt if
+    present) and is named by sequence.meta, or else by the directory.
+    """
     regions, centers = read_groundtruth(seq_dir)
     name = os.path.basename(os.path.normpath(seq_dir))
     source = seq_dir
@@ -151,13 +148,7 @@ def _read_annotation(seq_dir) -> tuple[SequenceAnnotation, dict | None]:
         name, source = meta.get("name", name), meta_path
     if not is_safe_name(name):
         raise ParseError(f"unsafe sequence name {name!r}", source)
-    return SequenceAnnotation(name, regions, centers), meta
-
-
-def read_sequence(seq_dir) -> SequenceData:
-    """Load a sequence directory into a SequenceData bundle."""
-    annotation, meta = _read_annotation(seq_dir)
-    meta_path = os.path.join(seq_dir, "sequence.meta")
+    annotation = SequenceAnnotation(name, regions, centers)
     image_size = None if meta is None else _image_size(meta, meta_path)
 
     frames_dir = os.path.join(seq_dir, "frames")

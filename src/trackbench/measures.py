@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import EmptySeriesError, FragmentationUndefinedError, MeasureDomainError
-from .geometry import classify, f_measure, precision
-from .trajectory import (
-    SupervisedRunRecord,
-    Trajectory,
-    score_record,
-    score_trajectory,
-    validate_pair,
-)
+from .trajectory import SupervisedRunRecord, Trajectory, score_record, score_trajectory
 
 __all__ = [
     "MeasureId",
@@ -40,7 +33,6 @@ __all__ = [
     "average_overlap",
     "correct_fraction",
     "tracking_length",
-    "failure_rate",
     "fragmentation",
     "cotps_closed_form",
     "cotps_original",
@@ -48,8 +40,6 @@ __all__ = [
     "threshold_curve",
     "motp_single",
     "mota_single",
-    "average_f_measure",
-    "average_precision",
     "reliability",
     "unsupervised_measures",
     "supervised_measures",
@@ -145,11 +135,6 @@ def _leading(phis: list[float], tau: float) -> int:
 def tracking_length(phis, tau: float) -> int:
     """Number of leading frames with overlap strictly above tau."""
     return _leading(_check_overlaps(phis), tau)
-
-
-def failure_rate(rec: SupervisedRunRecord) -> int:
-    """Number of failures in a supervised run record."""
-    return len(rec.failure_frames)
 
 
 def fragmentation(failures, n: int) -> float:
@@ -285,22 +270,6 @@ def mota_single(phis, tau: float) -> float:
     n = len(phis)
     misses = sum(1 for p in phis if p <= tau)
     return (n - misses) / n
-
-
-def average_f_measure(a: "SequenceAnnotation", t: Trajectory) -> float:
-    """Mean per-frame F-measure of a trajectory against the annotation."""
-    validate_pair(a, t)
-    return math.fsum(
-        f_measure(classify(g, p)) for g, p in zip(a.regions, t.regions)
-    ) / len(a)
-
-
-def average_precision(a: "SequenceAnnotation", t: Trajectory) -> float:
-    """Mean per-frame precision of a trajectory against the annotation."""
-    validate_pair(a, t)
-    return math.fsum(
-        precision(classify(g, p)) for g, p in zip(a.regions, t.regions)
-    ) / len(a)
 
 
 def reliability(failure_count: float, n: int, span: float = 30.0) -> float:

@@ -11,7 +11,7 @@ class="data" so tools can find them without guessing at styling.
 import math
 from dataclasses import dataclass
 
-from .errors import EmptySeriesError, FragmentationUndefinedError
+from .errors import EmptySeriesError, FragmentationUndefinedError, MeasureDomainError
 from .measures import fragmentation, threshold_curve
 
 __all__ = [
@@ -201,7 +201,8 @@ def center_error_plot(series_by_name: dict, cap: float | None = None) -> str:
     A single extreme excursion would otherwise flatten every other
     curve, so values above the cap (default: 99th percentile over all
     finite values) are drawn at the cap and the clip is recorded in an
-    XML comment.
+    XML comment. A cap at or below 0 falls back to the largest value; a
+    non-finite cap is rejected.
     """
     finite = [
         float(v)
@@ -217,6 +218,8 @@ def center_error_plot(series_by_name: dict, cap: float | None = None) -> str:
         lo = int(math.floor(rank))
         hi = min(lo + 1, len(s) - 1)
         cap = s[lo] + (rank - lo) * (s[hi] - s[lo])
+    if not math.isfinite(cap):
+        raise MeasureDomainError(f"cap {cap} must be finite")
     if cap <= 0:
         cap = max(finite) if max(finite) > 0 else 1.0
     clipped = sum(1 for v in finite if v > cap)

@@ -302,7 +302,10 @@ class TrackerHandle:
 
     @classmethod
     def from_command(cls, name: str, command, timeout: float = 30.0) -> "TrackerHandle":
-        argv = tuple(shlex.split(command) if isinstance(command, str) else command)
+        try:
+            argv = tuple(shlex.split(command) if isinstance(command, str) else command)
+        except ValueError as e:
+            raise ConfigError(f"tracker {name!r}: bad command line: {e}") from None
         if not argv:
             raise ConfigError(f"tracker {name!r}: empty command")
         return cls(name=name, timeout=timeout, command=argv)

@@ -6,7 +6,7 @@ sequence labeling and the accuracy-robustness reference points have
 real contrast to work with. The tracker corpus spans the
 accuracy x robustness grid: accuracy is driven by report noise,
 robustness by the loss probability, and the two vary independently
-across the six specs so that accuracy-style measures stay decorrelated
+across the seven specs so that accuracy-style measures stay decorrelated
 from failure counts at the dataset level.
 """
 
@@ -17,16 +17,13 @@ import random
 from .errors import ConfigError
 from .geometry import Region
 from .io_formats import SequenceAnnotation, SequenceData, write_sequence
-from .runner import RunPlan, TrackerHandle, execute_plan
-from .theoretical import BuiltinTracker, ScriptedTrackerSpec
-from .trajectory import MeasureTable
+from .theoretical import ScriptedTrackerSpec
 
 __all__ = [
     "ARCHETYPES",
     "make_dataset",
     "write_dataset",
     "corpus_trackers",
-    "corpus_table",
 ]
 
 ARCHETYPES = (
@@ -195,19 +192,3 @@ def corpus_trackers() -> tuple[ScriptedTrackerSpec, ...]:
                             loss_prob=0.035, drift_onset=10,
                             drift_velocity=(0.65, 0.35), seed=16),
     )
-
-
-def corpus_table(
-    seqs=None,
-    repetitions: int = 3,
-    master_seed: int = 7,
-) -> MeasureTable:
-    """Run the scripted corpus over a dataset and collect the measures."""
-    if seqs is None:
-        seqs = make_dataset()
-    handles = [
-        TrackerHandle.in_process(spec.name, BuiltinTracker("scripted", spec))
-        for spec in corpus_trackers()
-    ]
-    plan = RunPlan(repetitions=repetitions, mode="both")
-    return execute_plan(plan, handles, seqs, master_seed=master_seed)

@@ -397,15 +397,19 @@ def _probe(kind: str, seq: "SequenceData", span: float) -> tuple[float, float, f
     Init frames excluded, as for evaluated trackers. The tracked accuracy
     averages Tracked frames only; ttf has none on odd-length sequences,
     and its accuracy there is 1.0 by construction (every region it
-    reports on a tracked frame is the ground truth).
+    reports on a tracked frame is the ground truth). The run is driven in
+    process on frame paths synthesized from the frame numbers, so where
+    the dataset sits, spaces in its path included, does not matter.
     """
+    from .io_formats import SequenceData
     from .measures import reliability
     from .runner import TrackerHandle, run_supervised
     from .trajectory import Tracked, score_record
 
     a = seq.annotation
     handle = TrackerHandle.in_process(kind, BuiltinTracker(kind))
-    rec = run_supervised(handle, seq, tau=0.0, seed=0)
+    probe_seq = SequenceData.synthetic(a, seq.image_size, root="")
+    rec = run_supervised(handle, probe_seq, tau=0.0, seed=0)
     phis = score_record(rec, a).overlaps
     scored = [v for v in phis if v is not None]
     tracked = [v for v, fr in zip(phis, rec.frames) if isinstance(fr, Tracked)]

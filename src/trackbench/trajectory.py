@@ -214,7 +214,7 @@ def _score_frames(a: "SequenceAnnotation", frames, invalid) -> FrameSeries:
         if not (total - total == 0.0 and gw >= 0.0 and gh >= 0.0
                 and pw >= 0.0 and ph >= 0.0):
             invalid(gt, f)
-        overlaps.append(box_overlap(gx, gy, gw, gh, px, py, pw, ph)[1])
+        overlaps.append(box_overlap(gx, gy, gw, gh, px, py, pw, ph))
         if centers is None:
             cx, cy = gx + gw / 2.0, gy + gh / 2.0
         else:

@@ -39,8 +39,14 @@ from trackbench.measures import (
     motp_single,
     reliability,
 )
-from trackbench.runner import TrackerHandle, run_supervised, run_unsupervised
-from trackbench.synthdata import corpus_table, make_dataset, write_dataset
+from trackbench.runner import (
+    RunPlan,
+    TrackerHandle,
+    execute_plan,
+    run_supervised,
+    run_unsupervised,
+)
+from trackbench.synthdata import corpus_trackers, make_dataset, write_dataset
 from trackbench.theoretical import BuiltinTracker
 
 from conftest import STUB
@@ -237,7 +243,11 @@ def test_07_measure_correlation_structure_on_the_corpus():
     average overlap stays below 0.5. All inside 60 s."""
     start = time.monotonic()
     seqs = make_dataset(n_sequences=12, seed=2024)
-    table = corpus_table(seqs, repetitions=5, master_seed=7)
+    handles = [
+        TrackerHandle.in_process(spec.name, BuiltinTracker("scripted", spec))
+        for spec in corpus_trackers()
+    ]
+    table = execute_plan(RunPlan(repetitions=5, mode="both"), handles, seqs, master_seed=7)
     assert sum(1 for r in table.rows if r.error is not None) == 0
 
     corr = pearson_matrix(table)
@@ -327,7 +337,7 @@ def test_08_exact_partitions_and_exemplar_choices():
             for size in range(1, n + 1)
             for combo in itertools.combinations(range(n), size)
         )
-        got = affinity_propagation(S, preference=pref)
+        got = affinity_propagation(S)
         if abs(net(set(got.exemplars)) - optimum) < 1e-9:
             matched += 1
     assert matched >= 190, f"{matched}/200 instances matched the exemplar oracle"

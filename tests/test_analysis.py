@@ -187,11 +187,6 @@ class TestAffinityPropagation:
         b = affinity_propagation(sim)
         assert a == b
 
-    def test_preference_controls_cluster_count(self):
-        sim = gaussian_blob_similarity([0.0, 0.1, 0.2, 10.0, 10.1, 10.2])
-        many = affinity_propagation(sim, preference=0.0)
-        assert len(many.exemplars) > 2
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             affinity_propagation(np.zeros((2, 3)))

@@ -297,6 +297,21 @@ class TestRunPipeline:
         rc = cli.main(["run", "--dataset", pipeline["data"], "--tracker", "warp"])
         assert rc == 2
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_unbalanced_quote_in_a_command_is_one_error_line(self, tmp_dataset, tmp_path,
+                                                             capsys, via_config):
+        spec = "cmd:x:python3 'unterminated"
+        flags = ["--tracker", spec]
+        if via_config:
+            (tmp_path / "run.cfg").write_text(f"tracker={spec}\n")
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--dataset", tmp_dataset, "--out", str(out), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: tracker 'x': bad command line: No closing quotation"]
+        assert not out.exists()
+
 
 class TestMeasureCommand:
     def test_stdout_table(self, pipeline, capsys):
@@ -660,6 +675,23 @@ class TestLabelCommand:
             shutil.copytree(os.path.join(pipeline["data"], n), small / n)
         assert cli.main(["label", "--dataset", str(small), "--out", str(tmp_path)]) == 1
 
+    def test_spaces_in_the_dataset_path_change_no_byte(self, pipeline, tmp_path):
+        # The reference trackers run in process, so no frame path leaves it.
+        import shutil
+
+        measures = os.path.join(pipeline["out"], "measures.tsv")
+        outputs = []
+        for where, prefix in (("plain", ""), ("my data", "seq ")):
+            data = tmp_path / where
+            for n in sorted(os.listdir(pipeline["data"])):
+                shutil.copytree(os.path.join(pipeline["data"], n), data / (prefix + n))
+            rep = tmp_path / (where + " out")
+            assert cli.main(["label", "--dataset", str(data), "--out", str(rep)]) == 0
+            assert cli.main(["plot", "--type", "ar", "--measures", measures,
+                             "--dataset", str(data), "--out", str(rep / "ar.svg")]) == 0
+            outputs.append([(rep / f).read_bytes() for f in ("labels.tsv", "ar.svg")])
+        assert outputs[0] == outputs[1]
+
 
 class TestPlotCommand:
     def plot(self, args, dest):
@@ -699,6 +731,16 @@ class TestPlotCommand:
              "--measures", os.path.join(pipeline["out"], "measures.tsv")],
             str(tmp_path / "survival.svg"),
         )
+
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-inf"])
+    def test_non_finite_cap_is_one_error_line(self, pipeline, tmp_path, capsys, cap):
+        seq, traj = first_raw(pipeline, "tto", ".traj")
+        dest = tmp_path / "center_error.svg"
+        rc = cli.main(["plot", "--type", "center_error", "--sequence", seq,
+                       "--trajectory", f"probe={traj}", f"--cap={cap}", "--out", str(dest)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: cap {cap} must be finite"]
+        assert not dest.exists()
 
     def test_missing_inputs_are_usage_errors(self, pipeline):
         assert cli.main(["plot", "--type", "overlap"]) == 2

@@ -7,13 +7,9 @@ from hypothesis import example, given, strategies as st
 
 from trackbench.errors import InvalidRegionError
 from trackbench.geometry import (
-    ClassificationScores,
     Point,
     Region,
-    classify,
-    f_measure,
     overlap,
-    precision,
     region_center,
     region_size,
     validate_region,
@@ -119,51 +115,9 @@ class TestOverlap:
         expected = 1.0 if r.width > 0 and r.height > 0 else 0.0
         assert overlap(r, r) == expected
 
-    @given(finite_regions, finite_regions)
-    # A height below an ulp of y: (y+h)-y made the intersection larger
-    # than either box, so overlap read 1.0 (not 2/3) and fn went negative.
-    @example(Region(0.0, 256.0, 2.0, 4.029699754383572e-14),
-             Region(0.0, 256.0, 3.0, 4.029699754383572e-14))
-    def test_consistency_with_classification(self, a, b):
-        s = classify(a, b)
-        denom = s.tp + s.fp + s.fn
-        if denom > 0 and a.area + b.area > 0:
-            assert abs(overlap(a, b) - s.tp / denom) < 1e-12
-
     @given(grid_regions(), grid_regions())
     def test_rasterization_oracle(self, a, b):
         assert abs(overlap(a, b) - raster_overlap(a, b)) < 1e-12
-
-
-class TestClassification:
-    def test_half_shifted_decomposition(self):
-        s = classify(Region(0, 0, 2, 2), Region(1, 0, 2, 2))
-        assert (s.tp, s.fp, s.fn) == (2.0, 2.0, 2.0)
-        assert f_measure(s) == pytest.approx(0.5)
-        assert precision(s) == pytest.approx(0.5)
-
-    def test_perfect_prediction(self):
-        s = classify(Region(0, 0, 3, 3), Region(0, 0, 3, 3))
-        assert (s.tp, s.fp, s.fn) == (9.0, 0.0, 0.0)
-        assert f_measure(s) == 1.0
-        assert precision(s) == 1.0
-
-    def test_empty_prediction(self):
-        s = classify(Region(0, 0, 3, 3), Region(10, 10, 0, 0))
-        assert s.tp == 0.0 and s.fp == 0.0 and s.fn == 9.0
-        assert f_measure(s) == 0.0
-
-    @given(finite_regions, finite_regions)
-    @example(Region(0.0, 256.0, 2.0, 4.029699754383572e-14),
-             Region(0.0, 256.0, 3.0, 4.029699754383572e-14))
-    def test_parts_are_non_negative_and_within_each_box(self, a, b):
-        s = classify(a, b)
-        assert min(s.tp, s.fp, s.fn) >= 0.0
-        assert s.tp <= min(a.area, b.area)
-
-    def test_degenerate_scores(self):
-        assert f_measure(ClassificationScores(0.0, 0.0, 0.0)) == 0.0
-        assert precision(ClassificationScores(0.0, 0.0, 0.0)) == 0.0
 
 
 class TestRegionHelpers:
@@ -263,4 +217,3 @@ class TestValueSemantics:
         assert Point(1, 2)._replace(y=5) == Point(1, 5)
         made = Region._make([1, 2, 3, True])
         assert made == Region(1, 2, 3, 1) and type(made.height) is float
-        assert r.area == 12.0

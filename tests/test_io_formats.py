@@ -23,7 +23,6 @@ from trackbench.io_formats import (
     list_sequences,
     loads_measure_table,
     loads_record,
-    read_annotation,
     read_measure_table,
     read_record,
     read_sequence,
@@ -150,7 +149,7 @@ class TestSequenceDir:
         d = tmp_path / "fallback"
         d.mkdir()
         (d / "groundtruth.txt").write_text("0,0,2,2\n")
-        a = read_annotation(str(d))
+        a = read_sequence(str(d)).annotation
         assert a.name == "fallback"
 
     @pytest.mark.parametrize("name", ["../../escaped", "a\tb", ""],
@@ -169,7 +168,7 @@ class TestSequenceDir:
         d.mkdir()
         (d / "groundtruth.txt").write_text("0,0,2,2\n\n1,1,2,2\n")
         with pytest.raises(ParseError) as e:
-            read_annotation(str(d))
+            read_sequence(str(d)).annotation
         assert e.value.line == 2
 
     def test_center_count_must_match(self, tmp_path):
@@ -178,7 +177,7 @@ class TestSequenceDir:
         (d / "groundtruth.txt").write_text("0,0,2,2\n1,1,2,2\n")
         (d / "center.txt").write_text("1,1\n")
         with pytest.raises(LengthMismatchError):
-            read_annotation(str(d))
+            read_sequence(str(d)).annotation
 
     @pytest.mark.parametrize("bad", ["nan,nan", "inf,20", "3,-inf"])
     def test_non_finite_center_rejected_naming_file_and_line(self, tmp_path, bad):
@@ -187,7 +186,7 @@ class TestSequenceDir:
         (d / "groundtruth.txt").write_text("0,0,2,2\n1,1,2,2\n")
         (d / "center.txt").write_text(f"1,1\n{bad}\n")
         with pytest.raises(ParseError, match="non-finite center") as e:
-            read_annotation(str(d))
+            read_sequence(str(d)).annotation
         assert (e.value.path, e.value.line) == (str(d / "center.txt"), 2)
 
     def test_frame_images_must_match_annotation(self, tmp_path):

@@ -27,14 +27,11 @@ from trackbench.measures import (
     MEASURES,
     auc,
     average_center_error,
-    average_f_measure,
     average_overlap,
-    average_precision,
     compute_all,
     correct_fraction,
     cotps_closed_form,
     cotps_original,
-    failure_rate,
     fragmentation,
     measure_keys,
     mota_single,
@@ -351,10 +348,9 @@ class TestSupervisedSeries:
 
     def test_failure_rate_validates(self):
         r = Region(0, 0, 2, 2)
-        assert failure_rate(SupervisedRunRecord([Init(r), Failure(), Init(r)], tau=0.0)) == 1
-        # A malformed record is rejected when it is built, before failure_rate sees it.
+        # A malformed record is rejected when it is built, before it is scored.
         with pytest.raises(MalformedRecordError):
-            failure_rate(SupervisedRunRecord([Init(r), Failure(), Tracked(r)], tau=0.0))
+            SupervisedRunRecord([Init(r), Failure(), Tracked(r)], tau=0.0)
 
 
 class TestComputeAll:
@@ -392,21 +388,6 @@ class TestComputeAll:
         assert [m.supervised for m in MEASURES] == [False] * 9 + [True] * 7
 
 
-class TestFrameScores:
-    def test_identical_trajectory_scores_one(self):
-        boxes = [(5.0, 6.0, 10.0, 8.0), (7.0, 6.0, 12.0, 9.0)]
-        a = make_annotation(boxes)
-        t = Trajectory(regions=tuple(Region(*b) for b in boxes))
-        assert average_f_measure(a, t) == 1.0
-        assert average_precision(a, t) == 1.0
-
-    def test_disjoint_trajectory_scores_zero(self):
-        a = make_annotation([(0.0, 0.0, 4.0, 4.0)])
-        t = Trajectory(regions=(Region(50.0, 50.0, 4.0, 4.0),))
-        assert average_f_measure(a, t) == 0.0
-        assert average_precision(a, t) == 0.0
-
-
 # The overlap with builtin min and max, as geometry computed it before
 # box_overlap wrote them as conditional expressions, on the pair scaled by
 # the first power of two that keeps every coordinate exact and finite and
@@ -429,8 +410,9 @@ def ref_iou(gt, pred):
         ih = min(g.y + g.height, p.y + p.height) - max(g.y, p.y)
         if iw <= 0 or ih <= 0:
             return 0.0
-        inter = min(iw * ih, g.area, p.area)
-        union = g.area + p.area - inter
+        ga, pa = g.width * g.height, p.width * p.height
+        inter = min(iw * ih, ga, pa)
+        union = ga + pa - inter
         if inter >= sys.float_info.min and union < math.inf:
             return min(1.0, inter / union)
     return 0.0
@@ -546,7 +528,7 @@ def ref_compute_all(a, t, rec):
             correct_fraction(phis, 0.1) if phis else nan,
             correct_fraction(phis, 0.5) if phis else nan,
             average_overlap(phis) if phis else nan,
-            float(failure_rate(rec)),
+            float(len(rec.failure_frames)),
         ]
     return values
 

@@ -1,6 +1,6 @@
 """The one-pass region readers against the per-line loops they replace.
 
-read_annotation, read_trajectory and loads_record parse a whole file
+read_sequence, read_trajectory and loads_record parse a whole file
 in one pass and fall back to a per-line loop over parse_region only to
 report an error. The reference functions below are those per-line loops
 as they were before the one-pass route existed. For every drawn file the
@@ -18,7 +18,7 @@ from trackbench import dataset, io_formats
 from trackbench.dataset import _read_lines, format_region, parse_number, parse_region
 from trackbench.errors import FormatVersionError, ParseError, TrackbenchError
 from trackbench.geometry import Region
-from trackbench.io_formats import FORMAT_LINE, loads_record, read_annotation, read_trajectory
+from trackbench.io_formats import FORMAT_LINE, loads_record, read_sequence, read_trajectory
 from trackbench.trajectory import (
     Failure,
     Init,
@@ -154,7 +154,7 @@ class TestRegionFiles:
         os.makedirs(seq_dir, exist_ok=True)
         gt_path = os.path.join(seq_dir, "groundtruth.txt")
         write(gt_path, file_text(lines, trailing))
-        got = outcome(lambda d: read_annotation(d).regions, seq_dir,
+        got = outcome(lambda d: read_sequence(d).annotation.regions, seq_dir,
                       fingerprint=regions_bits)
         assert got == outcome(reference_ground_truth, gt_path, fingerprint=regions_bits)
 
@@ -229,14 +229,14 @@ class TestOnePassRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("per-line parse_region ran on valid input")
 
-        # read_annotation and read_trajectory fall back to the dataset
+        # read_sequence and read_trajectory fall back to the dataset
         # module's parse_region, loads_record to io_formats' binding.
         monkeypatch.setattr(dataset, "parse_region", refuse)
         monkeypatch.setattr(io_formats, "parse_region", refuse)
 
     def test_valid_files_take_the_one_pass_route(self, tmp_path, no_per_line_parse):
         (tmp_path / "groundtruth.txt").write_text("0,0,2,2\n-0.0,1.5,0,1e300\n")
-        assert read_annotation(str(tmp_path)).regions == (
+        assert read_sequence(str(tmp_path)).annotation.regions == (
             Region(0, 0, 2, 2), Region(-0.0, 1.5, 0, 1e300))
         (tmp_path / "t.traj").write_text("1,2,3,4\n")
         assert read_trajectory(str(tmp_path / "t.traj")).regions == (Region(1, 2, 3, 4),)
