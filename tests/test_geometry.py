@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from trackbench.errors import InvalidRegionError
 from trackbench.geometry import (
     Point,
     Region,
+    box_overlap,
     overlap,
     region_center,
     region_size,
@@ -114,6 +116,26 @@ class TestOverlap:
     def test_self_overlap(self, r):
         expected = 1.0 if r.width > 0 and r.height > 0 else 0.0
         assert overlap(r, r) == expected
+
+    @given(finite_regions, finite_regions)
+    # A height below an ulp of y: (y+h)-y made the intersection larger
+    # than either box, so the overlap read 1.0, not 2/3.
+    @example(Region(0.0, 256.0, 2.0, 4.029699754383572e-14),
+             Region(0.0, 256.0, 3.0, 4.029699754383572e-14))
+    def test_bounded_by_the_area_ratio(self, a, b):
+        # The intersection is no larger than the smaller box and the union
+        # no smaller than the larger one.
+        areas = sorted((a.width * a.height, b.width * b.height))
+        if areas[0] >= sys.float_info.min:
+            assert overlap(a, b) <= areas[0] / areas[1] * (1.0 + 1e-12)
+
+    @given(finite_regions, finite_regions)
+    @example(Region(0.0, 256.0, 2.0, 4.029699754383572e-14),
+             Region(0.0, 256.0, 3.0, 4.029699754383572e-14))
+    @example(Region(0.0, 0.0, 1e200, 1e200), Region(1.0, 0.0, 1e200, 1e200))
+    def test_kernel_is_the_overlap_of_valid_boxes(self, a, b):
+        # The scoring pass calls box_overlap on plain coordinates.
+        assert box_overlap(*a, *b) == overlap(a, b)
 
     @given(grid_regions(), grid_regions())
     def test_rasterization_oracle(self, a, b):

@@ -41,6 +41,7 @@ from trackbench.measures import (
     supervised_measures,
     threshold_curve,
     tracking_length,
+    unsupervised_measures,
 )
 from trackbench.trajectory import (
     Failure,
@@ -386,6 +387,25 @@ class TestComputeAll:
         assert len(keys) == 16 and len(set(keys)) == 16
         assert [m.index for m in MEASURES] == list(range(1, 17))
         assert [m.supervised for m in MEASURES] == [False] * 9 + [True] * 7
+
+
+class TestFrameScores:
+    def test_identical_trajectory_scores_one(self):
+        boxes = [(5.0, 6.0, 10.0, 8.0), (7.0, 6.0, 12.0, 9.0)]
+        a = make_annotation(boxes)
+        t = Trajectory(regions=tuple(Region(*b) for b in boxes))
+        assert score_trajectory(a, t).overlaps == [1.0, 1.0]
+        assert unsupervised_measures(a, t) == [0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 1.0, 0.0]
+
+    def test_disjoint_trajectory_scores_zero(self):
+        a = make_annotation([(0.0, 0.0, 4.0, 4.0)])
+        t = Trajectory(regions=(Region(50.0, 50.0, 4.0, 4.0),))
+        assert score_trajectory(a, t).overlaps == [0.0]
+        values = unsupervised_measures(a, t)
+        assert values[0] == pytest.approx(50.0 * math.sqrt(2.0))
+        # No overlap: p_0.1, p_0.5, both tracking lengths and the average
+        # overlap are 0, and CoTPS is 1 - 0 - (1 - 1) * 1.
+        assert values[3:] == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
 
 # The overlap with builtin min and max, as geometry computed it before
