@@ -28,6 +28,7 @@ __all__ = [
     "format_number",
     "parse_number",
     "format_region",
+    "format_regions",
     "parse_region",
     "is_safe_name",
     "read_text",
@@ -56,17 +57,32 @@ def parse_number(text: str, path=None, line=None) -> float:
         raise ParseError(f"not a number: {text!r}", path, line) from None
 
 
-def format_region(r: Region) -> str:
-    """format_number of each coordinate, joined with commas.
+# A region's line before _region_text: each coordinate's repr and a comma.
+_REGION_LINE = "%r,%r,%r,%r,\n"
+
+
+def _region_text(text: str) -> str:
+    """format_region of every _REGION_LINE in text, in one pass.
 
     Float repr writes an integral value below 1e16 as `<digits>.0` and
-    -0.0 as `-0.0`; no other repr ends in `.0` or is `-0`. NaN and the
-    infinities go through format_number.
+    -0.0 as `-0.0`; no other repr ends in `.0` or is `-0`, and the
+    infinities' reprs are their format_number text. A line may carry a
+    prefix without `0` or `n`, such as `T:`, before its coordinates, or
+    be only a prefix and a comma (`F:,`).
     """
-    text = ("%r,%r,%r,%r," % r).replace(".0,", ",").replace("-0,", "0,")
-    if "n" in text:
-        return ",".join(map(format_number, r))
-    return text[:-1]
+    if "nan" in text:
+        raise ParseError("cannot serialize NaN as a number")
+    return text.replace(".0,", ",").replace("-0,", "0,").replace(",\n", "\n")
+
+
+def format_region(r: Region) -> str:
+    """format_number of each coordinate, joined with commas."""
+    return _region_text(_REGION_LINE % r)[:-1]
+
+
+def format_regions(regions) -> str:
+    """format_region of each region, one per LF-terminated line."""
+    return _region_text("".join(map(_REGION_LINE.__mod__, regions)))
 
 
 def parse_region(text: str, path=None, line=None) -> Region:

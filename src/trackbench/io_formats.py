@@ -18,12 +18,14 @@ import os
 from dataclasses import dataclass
 
 from .dataset import (
+    _REGION_LINE,
     _image_size,
     _parse_regions,
     _read_meta,
     _read_regions,
+    _region_text,
     format_number,
-    format_region,
+    format_regions,
     is_safe_name,
     parse_number,
     parse_region,
@@ -176,10 +178,7 @@ def write_sequence(seq_dir, annotation: SequenceAnnotation,
                    image_size: tuple[float, float] | None = None) -> None:
     """Write a sequence directory: ground truth, optional centers, meta."""
     os.makedirs(seq_dir, exist_ok=True)
-    write_text(
-        os.path.join(seq_dir, "groundtruth.txt"),
-        "".join(format_region(r) + "\n" for r in annotation.regions),
-    )
+    write_text(os.path.join(seq_dir, "groundtruth.txt"), format_regions(annotation.regions))
     if annotation.centers is not None:
         write_text(
             os.path.join(seq_dir, "center.txt"),
@@ -215,7 +214,11 @@ def read_trajectory(path) -> Trajectory:
 
 
 def write_trajectory(path, t: Trajectory) -> None:
-    write_text(path, "".join(format_region(r) + "\n" for r in t.regions))
+    write_text(path, format_regions(t.regions))
+
+
+_TRACKED_LINE = "T:" + _REGION_LINE
+_INIT_LINE = "I:" + _REGION_LINE
 
 
 def dumps_record(rec: SupervisedRunRecord) -> str:
@@ -225,15 +228,13 @@ def dumps_record(rec: SupervisedRunRecord) -> str:
     then one line per frame tagged `T:` (tracked, with region), `F:`
     (failure, no payload) or `I:` (init, with the GT region used).
     """
-    lines = [FORMAT_LINE, f"tau:{format_number(rec.tau)}"]
-    for fr in rec.frames:
-        if isinstance(fr, Tracked):
-            lines.append("T:" + format_region(fr.region))
-        elif isinstance(fr, Failure):
-            lines.append("F:")
-        else:
-            lines.append("I:" + format_region(fr.region))
-    return "".join(line + "\n" for line in lines)
+    text = _region_text("".join([
+        _TRACKED_LINE % fr.region if isinstance(fr, Tracked)
+        else "F:,\n" if isinstance(fr, Failure)
+        else _INIT_LINE % fr.region
+        for fr in rec.frames
+    ]))
+    return f"{FORMAT_LINE}\ntau:{format_number(rec.tau)}\n{text}"
 
 
 def _versioned_lines(text: str, path) -> list[str]:

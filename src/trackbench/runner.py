@@ -61,6 +61,7 @@ except ImportError:
 from .dataset import format_region, is_safe_name, parse_region
 from .errors import (
     ConfigError,
+    InvalidRegionError,
     ParseError,
     PrematureExitError,
     ProtocolViolationError,
@@ -68,7 +69,7 @@ from .errors import (
     TrackbenchError,
     TrackerTimeoutError,
 )
-from .geometry import Region, is_valid_region, overlap
+from .geometry import Region, box_overlap, is_valid_region
 from .io_formats import SequenceData, write_record, write_trajectory
 from .measures import compute_all
 from .trajectory import (
@@ -351,12 +352,29 @@ def _check_paths(seq: SequenceData) -> None:
         raise ConfigError(f"frame path contains whitespace: {bad!r}")
 
 
+def _check_groundtruth(seq: SequenceData) -> None:
+    a = seq.annotation
+    if not all(map(is_valid_region, a.regions)):
+        t, r = next((t, r) for t, r in enumerate(a.regions, 1) if not is_valid_region(r))
+        raise InvalidRegionError(f"invalid ground truth of sequence {a.name!r}: {r}", t)
+
+
+def _check_out_dir(out_dir: str) -> None:
+    """Raise ConfigError when out_dir or its nearest existing ancestor is not a directory."""
+    d = os.path.abspath(out_dir)
+    while not os.path.lexists(d):
+        d = os.path.dirname(d)
+    if not os.path.isdir(d):
+        raise ConfigError(f"output directory {out_dir!r}: {d!r} is not a directory")
+
+
 def _drive(handle: TrackerHandle, seq: SequenceData, seed: int, hello: dict | None,
            tau: float | None) -> list:
     """The session loop of both protocols; returns one entry per frame.
 
     With tau None every entry is the reported region. Otherwise entries
-    are Init, Tracked or Failure as run_supervised describes.
+    are Init, Tracked or Failure as run_supervised describes. Sessions
+    and run_supervised have checked every region the loop scores.
     """
     _check_paths(seq)
     entries = []
@@ -374,7 +392,7 @@ def _drive(handle: TrackerHandle, seq: SequenceData, seed: int, hello: dict | No
                 entries.append(session.frame(t, path))
             else:
                 state = session.frame(t, path)
-                init = overlap(gt, state) <= tau
+                init = box_overlap(*gt, *state) <= tau
                 entries.append(Failure() if init else Tracked(state))
         session.quit()
     return entries
@@ -407,9 +425,12 @@ def run_supervised(
     carrying its ground-truth region. A failure on the final frame is
     recorded with no subsequent Init. Init entries store the
     ground-truth region bit-exactly. `hello` is as in run_unsupervised.
+    An invalid ground-truth region raises InvalidRegionError before the
+    tracker starts.
     """
     if not (0.0 <= tau <= 1.0):
         raise ConfigError(f"tau {tau} outside [0, 1]")
+    _check_groundtruth(seq)
     return SupervisedRunRecord(_drive(handle, seq, seed, hello, tau), tau=tau)
 
 
@@ -514,7 +535,10 @@ def execute_plan(
     the first one raised reaches the caller. Rows are sorted by (tracker,
     sequence, run) so the result does not depend on scheduling. With
     `out_dir`, a unit's run files are written once all its runs are done;
-    a unit that raises writes none.
+    a unit that raises writes none. Before any unit starts, a duplicate
+    or unsafe name, a frame path holding whitespace or an `out_dir` that
+    cannot be a directory raises ConfigError, and an invalid
+    ground-truth region InvalidRegionError.
     """
     # Names key the rows and the raw/<tracker>/<sequence>/ directories,
     # which units on different threads write at the same time, so each
@@ -529,8 +553,11 @@ def execute_plan(
     # Before any unit starts, so a bad value leaves no partial raw/ output.
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+    if out_dir is not None:
+        _check_out_dir(out_dir)
     for seq in sequences:
         _check_paths(seq)
+        _check_groundtruth(seq)
 
     units = [(handle, seq) for handle in trackers for seq in sequences]
     todo = iter(units)

@@ -60,6 +60,10 @@ __all__ = [
 
 THEORETICAL_KINDS = ("tta", "tts", "ttf", "tto")
 
+_new = tuple.__new__
+_cos, _sin, _exp, _log, _sqrt = math.cos, math.sin, math.exp, math.log, math.sqrt
+_TWOPI = 2.0 * math.pi  # random.gauss's constant
+
 _ZERO_REGION = Region(0.0, 0.0, 0.0, 0.0)
 
 
@@ -209,8 +213,9 @@ class ScriptedTrackerSpec(namedtuple(
     __slots__ = ()
 
 
-# random.gauss never exceeds sqrt(-2 ln 2**-53) < 8.58 in magnitude, so
-# exp(gauss * scale_noise) stays below math.exp's overflow at 709.78.
+# ScriptedTracker.update's inline Box-Muller draw never exceeds
+# sqrt(-2 ln 2**-53) < 8.58 in magnitude (1 - random() >= 2**-53), so
+# exp(draw * scale_noise) stays below math.exp's overflow at 709.78.
 MAX_SCALE_NOISE = 82.0
 
 
@@ -275,7 +280,7 @@ class ScriptedTracker(TrackerBehavior):
     def begin(self, seed: int) -> None:
         super().begin(seed)
         mixed = ((self._spec.seed * 0x9E3779B97F4A7C15) ^ seed) & 0xFFFFFFFFFFFFFFFF
-        self._rng = random.Random(mixed)
+        self._random = random.Random(mixed).random
         self._since_init = 0
 
     def initialize(self, frame_path: str, region: Region) -> Region:
@@ -287,27 +292,35 @@ class ScriptedTracker(TrackerBehavior):
         t = self._advance()
         self._since_init += 1
         _, noise, scale, onset, (vx, vy), loss, _ = self._spec
-        rng = self._rng
-        # Fixed draw order keeps runs reproducible whatever the params.
-        loss_draw = rng.random()
-        nx = rng.gauss(0.0, 1.0)
-        ny = rng.gauss(0.0, 1.0)
-        sw = rng.gauss(0.0, 1.0)
-        sh = rng.gauss(0.0, 1.0)
+        # Fixed draw order keeps runs reproducible whatever the params:
+        # one uniform for loss, then four standard normals as two
+        # Box-Muller pairs, cos then sin, in random.gauss(0.0, 1.0)'s
+        # arithmetic, so the stream is the one four gauss calls give.
+        draw = self._random
+        loss_draw = draw()
+        a = draw() * _TWOPI
+        r = _sqrt(-2.0 * _log(1.0 - draw()))
+        nx = 0.0 + _cos(a) * r
+        ny = 0.0 + _sin(a) * r
+        a = draw() * _TWOPI
+        r = _sqrt(-2.0 * _log(1.0 - draw()))
+        sw = 0.0 + _cos(a) * r
+        sh = 0.0 + _sin(a) * r
         base = self._regions[t - 1]
         x, y, w, h = base
         drift_steps = 0 if onset is None else max(0, self._since_init - onset)
         cx = x + w / 2.0 + nx * noise + drift_steps * vx
         cy = y + h / 2.0 + ny * noise + drift_steps * vy
+        # Every value below is a float, so Region's coercion is skipped.
         if loss > 0.0 and loss_draw < loss:
             # Loss signal: zero area at the perturbed center, so the report
             # says "lost here" rather than teleporting to the origin.
-            return Region(cx, cy, 0.0, 0.0)
+            return _new(Region, (cx, cy, 0.0, 0.0))
         if noise == 0.0 and scale == 0.0 and drift_steps == 0:
             return base
-        w *= math.exp(sw * scale)
-        h *= math.exp(sh * scale)
-        return Region(cx - w / 2.0, cy - h / 2.0, w, h)
+        w *= _exp(sw * scale)
+        h *= _exp(sh * scale)
+        return _new(Region, (cx - w / 2.0, cy - h / 2.0, w, h))
 
 
 # kind -> (the input its behavior is built from: "groundtruth", the

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import trackbench
-from trackbench import analysis, cli
+from trackbench import analysis, cli, runner
 from trackbench.dataset import format_region
 from trackbench.errors import ConfigError
 from trackbench.io_formats import (
@@ -265,6 +265,21 @@ class TestRunPipeline:
             assert left == (["notes.txt", *runs] if seq == "alpha" else runs), seq
         # A tracker the second run left out keeps its directory.
         assert sorted(os.listdir(os.path.join(out, "raw", "tts", "alpha"))) == runs
+
+    def test_out_naming_a_file_is_a_usage_error_before_any_tracker_starts(
+            self, tmp_dataset, tmp_path, capsys, monkeypatch):
+        opened = []
+        monkeypatch.setattr(runner.TrackerHandle, "open", lambda handle, seq: opened.append(seq))
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        for out in (afile, afile / "sub"):
+            rc = cli.main(["run", "--dataset", tmp_dataset, "--out", str(out),
+                           "--tracker", "tts"])
+            assert rc == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].endswith("is not a directory"), err
+        assert opened == []
+        assert afile.read_text() == "kept\n"
 
     def test_config_file_with_flag_precedence(self, pipeline, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -285,6 +285,73 @@ class TestRecordFile:
         assert loads_record(dumps_record(rec)) == rec
 
 
+# Signed zeros, integral values either side of 1e16 and 2**53, the
+# smallest subnormal, huge and negative coordinates.
+EDGE_REGIONS = (
+    Region(-0.0, 0.0, 1.0, 2.0),
+    Region(9999999999999998.0, 1e16, 1.0000000000000002e16, 2.0 ** 53),
+    Region(5e-324, 1e300, 3.25, 0.0),
+    Region(-12.0, -0.5, 1e-7, 100.0),
+    Region(-1e16, -9999999999999998.0, 10.0, 1e15),
+)
+
+
+def per_region(regions):
+    """The lines format_number gives each coordinate of each region."""
+    return [",".join(map(format_number, r)) for r in regions]
+
+
+class TestOnePassWriters:
+    """The artifact writers format a whole file at once; each line must be
+    what format_number gives its region's coordinates."""
+
+    def test_trajectory_lines(self, tmp_path):
+        p = tmp_path / "t.traj"
+        for regions in (EDGE_REGIONS, EDGE_REGIONS[:1], EDGE_REGIONS[2:3]):
+            write_trajectory(str(p), Trajectory(regions))
+            assert p.read_bytes().decode().split("\n") == per_region(regions) + [""]
+
+    coordinate = TestRegions.coordinates.filter(lambda v: not math.isnan(v))
+
+    @given(st.lists(st.tuples(coordinate, coordinate, coordinate, coordinate),
+                    min_size=1, max_size=12))
+    def test_generated_lines(self, rows):
+        regions = [Region(*v) for v in rows]
+        assert dataset.format_regions(regions) == "".join(t + "\n" for t in per_region(regions))
+        frames = [Init(regions[0])] + [Tracked(r) for r in regions[1:]] + [Failure()]
+        lines = dumps_record(SupervisedRunRecord(frames, tau=0.5)).split("\n")
+        assert lines[2:] == ["I:" + t for t in per_region(regions[:1])] + [
+            "T:" + t for t in per_region(regions[1:])] + ["F:", ""]
+
+    def test_record_lines(self):
+        e = EDGE_REGIONS
+        frames = (Init(e[0]), Tracked(e[1]), Failure(), Init(e[2]), Tracked(e[3]),
+                  Tracked(e[4]), Failure())
+        text = dumps_record(SupervisedRunRecord(frames, tau=0.0))
+        t = per_region(e)
+        assert text.split("\n") == [FORMAT_LINE, "tau:0", "I:" + t[0], "T:" + t[1], "F:",
+                                    "I:" + t[2], "T:" + t[3], "T:" + t[4], "F:", ""]
+
+    def test_one_frame_record(self):
+        text = dumps_record(SupervisedRunRecord((Init(Region(-0.0, 2.0, 3.5, 1e16)),), tau=1.0))
+        assert text == FORMAT_LINE + "\ntau:1\nI:0,2,3.5,1e+16\n"
+
+    def test_infinities_are_written_as_inf(self, tmp_path):
+        r = Region(math.inf, -math.inf, 1.0, math.inf)
+        p = tmp_path / "t.traj"
+        write_trajectory(str(p), Trajectory((r, Region(-0.0, 1.0, 2.0, 3.0))))
+        assert p.read_text() == "inf,-inf,1,inf\n0,1,2,3\n"
+        text = dumps_record(SupervisedRunRecord((Init(Region(0, 0, 1, 1)), Tracked(r)), tau=0.0))
+        assert text.endswith("\nI:0,0,1,1\nT:inf,-inf,1,inf\n")
+
+    def test_nan_raises(self, tmp_path):
+        r = Region(1.0, math.nan, 2.0, 3.0)
+        with pytest.raises(ParseError, match="NaN"):
+            write_trajectory(str(tmp_path / "t.traj"), Trajectory((Region(0, 0, 1, 1), r)))
+        with pytest.raises(ParseError, match="NaN"):
+            dumps_record(SupervisedRunRecord((Init(Region(0, 0, 1, 1)), Tracked(r)), tau=0.0))
+
+
 def sample_table():
     vals = tuple(float(i) / 7.0 for i in range(16))
     nanvals = tuple(float("nan") if i % 3 == 0 else -1.5 * i for i in range(16))

@@ -11,8 +11,10 @@ import time
 
 import pytest
 
+from trackbench import geometry, runner
 from trackbench.errors import (
     ConfigError,
+    InvalidRegionError,
     PrematureExitError,
     ProtocolViolationError,
     TrackerTimeoutError,
@@ -170,6 +172,42 @@ QUIET = "name=quiet,center_noise=0.5,scale_noise=0.01,seed=4"
 def tracker_cli_handle(kind, *args):
     return TrackerHandle.from_command(
         f"cmd-{kind}", [sys.executable, "-m", "trackbench.tracker_cli", kind, *args], timeout=20.0)
+
+
+class TestValidationBudget:
+    """A supervised run checks each region once: the ground truth before
+    the session, each report as the session returns it."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        seen = []
+
+        def counted(fn):
+            def check(r, *args):
+                seen.append(r)
+                return fn(r, *args)
+            return check
+
+        for module in (geometry, runner):
+            for name in ("is_valid_region", "validate_region"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        return seen
+
+    @pytest.mark.parametrize("tau", [0.0, 0.6])
+    def test_at_most_one_check_per_ground_truth_and_reported_region(self, checks, tau):
+        seq = moving_sequence(30, step=4.0)
+        rec = run_supervised(scripted_handle(), seq, tau=tau, seed=4)
+        assert tau == 0.0 or rec.failure_frames
+        assert 0 < len(checks) <= 2 * len(seq)
+
+    def test_invalid_ground_truth_raises_before_the_tracker_starts(self):
+        opened = []
+        handle = TrackerHandle.in_process("tts", lambda seq: opened.append(seq) or StaticTracker())
+        seq = make_sequence([(0.0, 0.0, 4.0, 4.0), (0.0, 0.0, 4.0, math.inf)], name="s")
+        with pytest.raises(InvalidRegionError, match="^frame 2: invalid ground truth of sequence 's': Region"):
+            run_supervised(handle, seq)
+        assert opened == []
 
 
 class TestOneLoop:
@@ -385,6 +423,33 @@ class TestRunPlan:
         raw = out / "raw" / "t"
         assert sorted(p.name for p in (raw / "s0").iterdir()) == ["run_00.traj", "run_01.traj"]
         assert not list(raw.glob("s1/run_*"))
+
+    @pytest.mark.parametrize("mode", ["unsupervised", "supervised", "both"])
+    @pytest.mark.parametrize("frame", [1, 3])
+    def test_invalid_ground_truth_is_rejected_before_any_unit(self, tmp_path, mode, frame):
+        boxes = [(0.0, 0.0, 4.0, 4.0)] * 4
+        boxes[frame - 1] = (0.0, 0.0, -1.0, 4.0)
+        seqs = [static_sequence(4, name="good"), make_sequence(boxes, name="bad")]
+        opened = []
+        handle = TrackerHandle.in_process("tts", lambda seq: opened.append(seq) or StaticTracker())
+        out = tmp_path / "out"
+        with pytest.raises(InvalidRegionError,
+                           match=f"^frame {frame}: invalid ground truth of sequence 'bad': "):
+            execute_plan(RunPlan(repetitions=1, mode=mode), [handle], seqs, out_dir=str(out))
+        assert opened == []
+        assert not (out / "raw").exists()
+
+    def test_out_dir_that_is_a_file_is_rejected_before_any_unit(self, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        opened = []
+        handle = TrackerHandle.in_process("tts", lambda seq: opened.append(seq) or StaticTracker())
+        for out in (afile, afile / "sub"):
+            with pytest.raises(ConfigError, match="is not a directory"):
+                execute_plan(RunPlan(repetitions=1), [handle], [static_sequence(3)],
+                             out_dir=str(out))
+        assert opened == []
+        assert afile.read_text() == "kept\n"
 
     def test_raw_artifacts_written(self, tmp_path):
         out = tmp_path / "out"

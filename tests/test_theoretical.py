@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 
 from trackbench.errors import ConfigError
 from trackbench.geometry import Region
 from trackbench.runner import TrackerHandle, run_supervised, run_unsupervised
+from trackbench.synthdata import corpus_trackers
 from trackbench.theoretical import (
     THEORETICAL_KINDS,
     BuiltinTracker,
@@ -130,6 +132,64 @@ class TestScriptedTracker:
         for r in t.regions[1:]:
             assert r.width == 0.0 and r.height == 0.0
             assert abs(r.x - 52.0) < 10.0 and abs(r.y - 39.0) < 10.0
+
+
+def gauss_reference_run(spec, regions, seed):
+    """A scripted tracker's unsupervised frames, drawn with rng.gauss.
+
+    Each tracked frame takes one rng.random() for the loss, then four
+    rng.gauss(0.0, 1.0) calls, as a child tracker in another language
+    would reproduce the stream.
+    """
+    _, noise, scale, onset, (vx, vy), loss, _ = spec
+    rng = random.Random(((spec.seed * 0x9E3779B97F4A7C15) ^ seed) & 0xFFFFFFFFFFFFFFFF)
+    out = [regions[0]]
+    for since_init, base in enumerate(regions[1:], 1):
+        loss_draw = rng.random()
+        nx, ny, sw, sh = (rng.gauss(0.0, 1.0) for _ in range(4))
+        x, y, w, h = base
+        steps = 0 if onset is None else max(0, since_init - onset)
+        cx = x + w / 2.0 + nx * noise + steps * vx
+        cy = y + h / 2.0 + ny * noise + steps * vy
+        if loss > 0.0 and loss_draw < loss:
+            out.append(Region(cx, cy, 0.0, 0.0))
+        elif noise == 0.0 and scale == 0.0 and steps == 0:
+            out.append(base)
+        else:
+            w *= math.exp(sw * scale)
+            h *= math.exp(sh * scale)
+            out.append(Region(cx - w / 2.0, cy - h / 2.0, w, h))
+    return out
+
+
+def hexes(regions):
+    return [tuple(map(float.hex, r)) for r in regions]
+
+
+class TestScriptedDraws:
+    """The inline Box-Muller draws are random.gauss's, bit for bit."""
+
+    specs = corpus_trackers() + (
+        ScriptedTrackerSpec(name="lossy", center_noise=3.0, scale_noise=0.2,
+                            loss_prob=0.4, drift_onset=2, drift_velocity=(-1.5, 0.5),
+                            seed=7),
+    )
+
+    @pytest.mark.parametrize("spec", specs, ids=lambda s: s.name)
+    def test_every_region_equals_the_gauss_reference(self, spec):
+        regions = moving_sequence(40, step=3.5).annotation.regions
+        tracker = ScriptedTracker(spec, regions)
+        for seed in range(60):
+            tracker.begin(seed)
+            got = [tracker.initialize("f", regions[0])]
+            got += [tracker.update("f") for _ in regions[1:]]
+            assert hexes(got) == hexes(gauss_reference_run(spec, regions, seed)), seed
+
+    def test_the_lossy_spec_reports_losses(self):
+        # So the loss branch above is compared, not skipped.
+        regions = moving_sequence(40).annotation.regions
+        got = gauss_reference_run(self.specs[-1], regions, 3)
+        assert any(r.width == 0.0 for r in got[1:])
 
 
 class TestSequenceProperties:
