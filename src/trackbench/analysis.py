@@ -23,6 +23,7 @@ from .trajectory import MeasureTable
 
 __all__ = [
     "ar_summary",
+    "survival_scores",
     "CorrelationMatrix",
     "pearson_matrix",
     "measure_similarity",
@@ -140,6 +141,32 @@ def ar_summary(table: MeasureTable, span: float = 30.0) -> list[tuple[str, float
             )
         )
     return out
+
+
+def survival_scores(table: MeasureTable) -> dict[str, list[float]]:
+    """Per tracker, the mean average overlap of each sequence, in sequence-name order.
+
+    Uses the supervised average overlap when any clean row defines it,
+    the unsupervised one otherwise; error rows and NaN cells are skipped.
+    """
+    keys = measure_keys()
+    sup_idx = keys.index("sup_avg_overlap")
+    uns_idx = keys.index("avg_overlap")
+    use_sup = any(
+        r.error is None and not math.isnan(r.values[sup_idx]) for r in table.rows
+    )
+    idx = sup_idx if use_sup else uns_idx
+    per: dict = {}
+    for r in table.rows:
+        if r.error is not None or math.isnan(r.values[idx]):
+            continue
+        per.setdefault(r.tracker, {}).setdefault(r.sequence, []).append(
+            r.values[idx]
+        )
+    return {
+        tracker: [sum(v) / len(v) for _, v in sorted(by_seq.items())]
+        for tracker, by_seq in sorted(per.items())
+    }
 
 
 @dataclass(frozen=True)

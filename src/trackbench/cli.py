@@ -11,13 +11,12 @@ errors.exit_status.
 
 import argparse
 import functools
-import math
 import os
 import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .analysis import ar_summary, cluster_measures, label_sequences, pearson_matrix
+from .analysis import ar_summary, cluster_measures, label_sequences, pearson_matrix, survival_scores
 from .dataset import format_number, is_safe_name, read_text, write_text
 from .errors import ClusterDomainError, ConfigError, TrackbenchError, exit_status
 from .io_formats import (
@@ -35,7 +34,7 @@ from .io_formats import (
     write_manifest,
     write_measure_table,
 )
-from .measures import compute_all, measure_keys
+from .measures import compute_all
 from .runner import RunPlan, TrackerHandle, execute_plan
 from .theoretical import BUILTINS, BuiltinTracker, theoretical_ar_points
 from .trajectory import MeasureRow, MeasureTable, score_record, score_trajectory
@@ -43,13 +42,14 @@ from .trajectory import MeasureRow, MeasureTable, score_record, score_trajectory
 __all__ = ["main", "parse_tracker_spec"]
 
 
-def _read_params_file(path: str) -> str:
+def _settings_lines(path: str, what: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of every line that is neither blank nor a # comment."""
     try:
         lines = read_text(path).split("\n")
     except OSError as e:
-        raise ConfigError(f"cannot read scripted params {path!r}: {e}") from e
-    return ",".join(line.strip() for line in lines
-                    if line.strip() and not line.lstrip().startswith("#"))
+        raise ConfigError(f"cannot read {what} {path!r}: {e}") from e
+    return [(i, line.strip()) for i, line in enumerate(lines, start=1)
+            if line.strip() and not line.lstrip().startswith("#")]
 
 
 def parse_tracker_spec(spec: str, timeout: float = 30.0) -> TrackerHandle:
@@ -67,52 +67,45 @@ def parse_tracker_spec(spec: str, timeout: float = 30.0) -> TrackerHandle:
     a TSV cell, so empty names, `.`, `..` and names containing `/`,
     `\\`, a tab, CR or LF are rejected.
     """
-    handle = _parse_tracker_spec(spec.strip(), timeout)
+    text = spec.strip()
+    kind, colon, body = text.partition(":")
+    if kind in BUILTINS:
+        if kind == "scripted" and body.startswith("@"):
+            body = ",".join(line for _, line in _settings_lines(body[1:], "scripted params"))
+        tracker = BuiltinTracker.parse(kind, body if colon else None)
+        handle = TrackerHandle.in_process(tracker.name, tracker, timeout=timeout)
+    elif kind == "cmd":
+        if ":" not in body:
+            raise ConfigError(f"cmd tracker needs cmd:<name>:<command>, got {text!r}")
+        name, command = body.split(":", 1)
+        if not name or not command.strip():
+            raise ConfigError(f"cmd tracker needs a name and a command, got {text!r}")
+        handle = TrackerHandle.from_command(name, command, timeout=timeout)
+    else:
+        raise ConfigError(f"unrecognized tracker spec {text!r}")
     if not is_safe_name(handle.name):
         raise ConfigError(f"unsafe tracker name {handle.name!r} in {spec!r}")
     return handle
 
 
-def _parse_tracker_spec(spec: str, timeout: float) -> TrackerHandle:
-    kind, colon, body = spec.partition(":")
-    if kind in BUILTINS:
-        if kind == "scripted" and body.startswith("@"):
-            body = _read_params_file(body[1:])
-        tracker = BuiltinTracker.parse(kind, body if colon else None)
-        return TrackerHandle.in_process(tracker.name, tracker, timeout=timeout)
-    if kind == "cmd":
-        if ":" not in body:
-            raise ConfigError(f"cmd tracker needs cmd:<name>:<command>, got {spec!r}")
-        name, command = body.split(":", 1)
-        if not name or not command.strip():
-            raise ConfigError(f"cmd tracker needs a name and a command, got {spec!r}")
-        return TrackerHandle.from_command(name, command, timeout=timeout)
-    raise ConfigError(f"unrecognized tracker spec {spec!r}")
-
-
-_CONFIG_SCALARS = {
-    "dataset": str,
-    "out": str,
-    "mode": str,
-    "repetitions": int,
-    "tau": float,
-    "seed": int,
-    "workers": int,
-    "timeout": float,
+# Each `run` setting once: (type, default, help) for both its flag and its
+# config key. Flags default to None so that a config line can fill them in.
+_RUN_SETTINGS = {
+    "dataset": (str, None, "dataset root (one directory per sequence)"),
+    "out": (str, "out", "output directory"),
+    "mode": (str, "both", "supervised, unsupervised or both"),
+    "repetitions": (int, 30, "runs per pair"),
+    "tau": (float, 0.0, "failure threshold"),
+    "seed": (int, 0, "master seed"),
+    "workers": (int, 1, "(tracker, sequence) units run in parallel"),
+    "timeout": (float, 30.0, "per-reply timeout in seconds"),
 }
 
 
 def _read_config(path: str) -> dict:
     """Flat key=value config; `tracker=` may repeat. Flags win over this."""
     out: dict = {"tracker": []}
-    try:
-        lines = read_text(path).split("\n")
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path!r}: {e}") from e
-    for i, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for i, line in _settings_lines(path, "config"):
         if "=" not in line:
             raise ConfigError(f"{path}:{i}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
@@ -120,9 +113,9 @@ def _read_config(path: str) -> dict:
         value = value.strip()
         if key == "tracker":
             out["tracker"].append(value)
-        elif key in _CONFIG_SCALARS:
+        elif key in _RUN_SETTINGS:
             try:
-                out[key] = _CONFIG_SCALARS[key](value)
+                out[key] = _RUN_SETTINGS[key][0](value)
             except ValueError:
                 raise ConfigError(f"{path}:{i}: bad value for {key}: {value!r}") from None
         else:
@@ -154,55 +147,48 @@ def _cmd_synth(args) -> int:
 def _cmd_run(args) -> int:
     import numpy
 
-    cfg = _read_config(args.config) if args.config else {"tracker": []}
+    # Defaults, then config lines, then flags.
+    settings = {key: default for key, (_, default, _) in _RUN_SETTINGS.items()}
+    settings["tracker"] = []
+    if args.config:
+        settings.update(_read_config(args.config))
+    for key in settings:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    run = argparse.Namespace(**settings)
 
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return cfg.get(key, default)
-
-    dataset = pick(args.dataset, "dataset", None)
-    if not dataset:
+    if not run.dataset:
         raise ConfigError("run needs --dataset (or dataset= in the config)")
-    out_dir = pick(args.out, "out", "out")
-    mode = pick(args.mode, "mode", "both")
-    repetitions = pick(args.repetitions, "repetitions", 30)
-    tau = pick(args.tau, "tau", 0.0)
-    seed = pick(args.seed, "seed", 0)
-    workers = pick(args.workers, "workers", 1)
-    timeout = pick(args.timeout, "timeout", 30.0)
-
-    specs = args.tracker if args.tracker else cfg["tracker"]
-    if not specs:
+    if not run.tracker:
         raise ConfigError("run needs at least one --tracker (or tracker= in the config)")
-    handles = [parse_tracker_spec(s, timeout=timeout) for s in specs]
-    seqs = _load_dataset(dataset)
+    handles = [parse_tracker_spec(spec, timeout=run.timeout) for spec in run.tracker]
+    seqs = _load_dataset(run.dataset)
 
-    plan = RunPlan(repetitions=repetitions, mode=mode, tau=tau)
+    plan = RunPlan(repetitions=run.repetitions, mode=run.mode, tau=run.tau)
     table = execute_plan(
-        plan, handles, seqs, master_seed=seed, workers=workers, out_dir=out_dir
+        plan, handles, seqs, master_seed=run.seed, workers=run.workers, out_dir=run.out
     )
 
-    write_measure_table(os.path.join(out_dir, "measures.tsv"), table)
-    write_manifest(os.path.join(out_dir, "manifest.txt"), [
+    write_measure_table(os.path.join(run.out, "measures.tsv"), table)
+    write_manifest(os.path.join(run.out, "manifest.txt"), [
         ("generated", datetime.now(timezone.utc).isoformat()),
         ("trackbench", __version__),
         ("python", ".".join(map(str, sys.version_info[:3]))),
         ("numpy", numpy.__version__),
-        ("dataset", os.path.abspath(dataset)),
+        ("dataset", os.path.abspath(run.dataset)),
         ("sequences", len(seqs)),
         ("trackers", ",".join(h.name for h in handles)),
-        *(("tracker", spec) for spec in specs),
-        ("mode", mode),
-        ("repetitions", repetitions),
-        ("tau", format_number(float(tau))),
-        ("master_seed", seed),
-        ("timeout", format_number(float(timeout))),
-        ("workers", workers),
+        *(("tracker", spec) for spec in run.tracker),
+        ("mode", run.mode),
+        ("repetitions", run.repetitions),
+        ("tau", format_number(float(run.tau))),
+        ("master_seed", run.seed),
+        ("timeout", format_number(float(run.timeout))),
+        ("workers", run.workers),
     ])
 
     bad = sum(1 for r in table.rows if r.error is not None)
-    print(f"wrote {os.path.join(out_dir, 'measures.tsv')} ({len(table.rows)} rows)")
+    print(f"wrote {os.path.join(run.out, 'measures.tsv')} ({len(table.rows)} rows)")
     if bad:
         print(f"warning: {bad} rows carry a run error", file=sys.stderr)
     return 0
@@ -337,26 +323,7 @@ def _cmd_plot(args) -> int:
     elif args.type == "survival":
         if not args.measures:
             raise ConfigError("plot survival needs --measures")
-        table = read_measure_table(args.measures)
-        keys = measure_keys()
-        sup_idx = keys.index("sup_avg_overlap")
-        uns_idx = keys.index("avg_overlap")
-        use_sup = any(
-            r.error is None and not math.isnan(r.values[sup_idx]) for r in table.rows
-        )
-        idx = sup_idx if use_sup else uns_idx
-        per: dict = {}
-        for r in table.rows:
-            if r.error is not None or math.isnan(r.values[idx]):
-                continue
-            per.setdefault(r.tracker, {}).setdefault(r.sequence, []).append(
-                r.values[idx]
-            )
-        scores = {
-            tracker: [sum(v) / len(v) for _, v in sorted(by_seq.items())]
-            for tracker, by_seq in sorted(per.items())
-        }
-        svg = plots.survival_curve(scores)
+        svg = plots.survival_curve(survival_scores(read_measure_table(args.measures)))
     else:  # unreachable, argparse restricts choices
         raise ConfigError(f"unknown plot type {args.type!r}")
 
@@ -380,21 +347,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_synth)
 
     rp = sub.add_parser("run", help="evaluate trackers over a dataset")
-    rp.add_argument("--dataset", help="dataset root (one directory per sequence)")
+    for key, (kind, default, text) in _RUN_SETTINGS.items():
+        shown = "" if default is None else f" (default: {default})"
+        rp.add_argument(f"--{key}", type=kind, help=text + shown)
     rp.add_argument(
         "--tracker",
         action="append",
         help="tracker spec; repeatable (tta|tts|ttf|tto, scripted:..., "
         "cmd:<name>:<command>)",
     )
-    rp.add_argument("--out", help="output directory (default: out)")
-    rp.add_argument("--mode", choices=("supervised", "unsupervised", "both"))
-    rp.add_argument("--repetitions", type=int, help="runs per pair (default: 30)")
-    rp.add_argument("--tau", type=float, help="failure threshold (default: 0)")
-    rp.add_argument("--seed", type=int, help="master seed (default: 0)")
-    rp.add_argument("--workers", type=int,
-                    help="(tracker, sequence) units run in parallel (default: 1)")
-    rp.add_argument("--timeout", type=float, help="per-reply timeout in seconds")
     rp.add_argument("--config", help="key=value config file; flags win")
     rp.set_defaults(func=_cmd_run)
 

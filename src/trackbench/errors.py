@@ -10,24 +10,24 @@ class TrackbenchError(Exception):
     """Base class for all toolkit errors."""
 
 
-class InvalidRegionError(TrackbenchError):
-    """A region has non-finite coordinates or negative extent."""
+class _FrameError(TrackbenchError):
+    """An error about one frame's data; `frame` prefixes the message when given."""
 
     def __init__(self, message: str, frame: int | None = None):
         super().__init__(message if frame is None else f"frame {frame}: {message}")
         self.frame = frame
+
+
+class InvalidRegionError(_FrameError):
+    """A region has non-finite coordinates or negative extent."""
 
 
 class LengthMismatchError(TrackbenchError):
     """Paired per-frame data have different lengths."""
 
 
-class DegenerateAnnotationError(TrackbenchError):
+class DegenerateAnnotationError(_FrameError):
     """A ground-truth region is unusable for the requested computation."""
-
-    def __init__(self, message: str, frame: int | None = None):
-        super().__init__(message if frame is None else f"frame {frame}: {message}")
-        self.frame = frame
 
 
 class EmptySeriesError(TrackbenchError):

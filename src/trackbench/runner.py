@@ -25,7 +25,8 @@ fresh `hello` after a run's last reply and resets all its state there.
 `execute_plan` then keeps that child for every run of its (tracker,
 sequence) unit and sends `quit` once, when the unit ends. Any other
 child is started for one run and sent `quit` after it. A run that ends
-in an error always stops its child, so the next run starts a new one.
+in an error kills its child at once, without `quit`, so the next run
+starts a new one.
 
 Per-frame timeouts and tracker crashes invalidate the run (they are
 run failures, not tracking failures). The same engine drives
@@ -166,7 +167,8 @@ class PipeSession:
     `idle` is the slot of a pair-scoped TrackerHandle, or None. A clean
     quit() after a hello that carried `runs=many` parks the session
     there with its child alive, and close() leaves a parked session
-    alone. Every other end of a run stops the child.
+    alone. Any other clean quit() sends `quit` and waits for the child
+    to exit; close() kills a live child at once.
     """
 
     def __init__(self, argv: list[str], timeout: float, idle: list | None = None):
@@ -200,8 +202,6 @@ class PipeSession:
         deadline = time.monotonic() + self._timeout
         while (end := self._pending.find(b"\n", 0, MAX_REPLY_CHARS)) < 0:
             if len(self._pending) >= MAX_REPLY_CHARS:
-                # A flooding child blocks on its full stdout and never reads quit.
-                self._proc.kill()
                 raise ProtocolViolationError(f"reply longer than {MAX_REPLY_CHARS} bytes", frame)
             if not select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
                 raise TrackerTimeoutError(f"no reply within {self._timeout}s", frame)
@@ -236,20 +236,26 @@ class PipeSession:
         return _parse_state_line(reply, frame)
 
     def close(self) -> None:
+        """Kill a live child at once, unless the session is parked."""
         if self._idle and self in self._idle:
             return
         if self._proc.poll() is None:
-            self._send("quit")
-            try:
-                self._proc.wait(timeout=min(5.0, self._timeout))
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+            self._proc.kill()
+            self._proc.wait()
         for stream in (self._proc.stdin, self._proc.stdout):
             try:
                 stream.close()
             except OSError:
                 pass
+
+    def _stop(self) -> None:
+        """The clean end: send quit and give the child time to exit, then close()."""
+        self._send("quit")
+        try:
+            self._proc.wait(timeout=min(5.0, self._timeout))
+        except subprocess.TimeoutExpired:
+            pass
+        self.close()
 
     def quit(self) -> None:
         # An unread line would answer the next run's hello.
@@ -258,7 +264,7 @@ class PipeSession:
                 and not select.select([self._proc.stdout], [], [], 0)[0]):
             self._idle.append(self)
         else:
-            self.close()
+            self._stop()
 
     def __enter__(self):
         return self
@@ -339,7 +345,7 @@ class TrackerHandle:
 
     def close_idle(self) -> None:
         while self._idle:
-            self._idle.pop().close()
+            self._idle.pop()._stop()
 
 
 # Matches what str.isspace accepts: both use the same Unicode table.
@@ -359,13 +365,16 @@ def _check_groundtruth(seq: SequenceData) -> None:
         raise InvalidRegionError(f"invalid ground truth of sequence {a.name!r}: {r}", t)
 
 
-def _check_out_dir(out_dir: str) -> None:
-    """Raise ConfigError when out_dir or its nearest existing ancestor is not a directory."""
-    d = os.path.abspath(out_dir)
-    while not os.path.lexists(d):
-        d = os.path.dirname(d)
-    if not os.path.isdir(d):
-        raise ConfigError(f"output directory {out_dir!r}: {d!r} is not a directory")
+def _check_out_dirs(out_dir: str, units) -> None:
+    """Raise ConfigError when out_dir or a unit's raw/<tracker>/<sequence>/ cannot be a
+    directory: the path, or its nearest existing ancestor, is something else."""
+    for path in (out_dir, *(os.path.join(out_dir, "raw", handle.name, seq.annotation.name)
+                            for handle, seq in units)):
+        d = os.path.abspath(path)
+        while not os.path.lexists(d):
+            d = os.path.dirname(d)
+        if not os.path.isdir(d):
+            raise ConfigError(f"output directory {path!r}: {d!r} is not a directory")
 
 
 def _drive(handle: TrackerHandle, seq: SequenceData, seed: int, hello: dict | None,
@@ -536,9 +545,9 @@ def execute_plan(
     sequence, run) so the result does not depend on scheduling. With
     `out_dir`, a unit's run files are written once all its runs are done;
     a unit that raises writes none. Before any unit starts, a duplicate
-    or unsafe name, a frame path holding whitespace or an `out_dir` that
-    cannot be a directory raises ConfigError, and an invalid
-    ground-truth region InvalidRegionError.
+    or unsafe name, a frame path holding whitespace, or an `out_dir` or
+    unit directory under it that cannot be a directory raises
+    ConfigError, and an invalid ground-truth region InvalidRegionError.
     """
     # Names key the rows and the raw/<tracker>/<sequence>/ directories,
     # which units on different threads write at the same time, so each
@@ -553,13 +562,13 @@ def execute_plan(
     # Before any unit starts, so a bad value leaves no partial raw/ output.
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+    units = [(handle, seq) for handle in trackers for seq in sequences]
     if out_dir is not None:
-        _check_out_dir(out_dir)
+        _check_out_dirs(out_dir, units)
     for seq in sequences:
         _check_paths(seq)
         _check_groundtruth(seq)
 
-    units = [(handle, seq) for handle in trackers for seq in sequences]
     todo = iter(units)
     lock = threading.Lock()
     # Each worker releases it as it ends. The calling thread waits on it, as

@@ -17,13 +17,14 @@ from trackbench.analysis import (
     label_sequences,
     measure_similarity,
     pearson_matrix,
+    survival_scores,
 )
 from trackbench.errors import (
     ClusterDomainError,
     ConfigError,
     InsufficientSamplesError,
 )
-from trackbench.measures import MEASURES
+from trackbench.measures import MEASURES, measure_keys
 from trackbench.trajectory import MeasureRow, MeasureTable
 
 from conftest import make_sequence, moving_sequence, static_sequence
@@ -56,6 +57,54 @@ class TestArPair:
         assert rob == 3.0
         want_rel = (math.exp(-30.0 * 2 / 100) + math.exp(-30.0 * 4 / 200)) / 2.0
         assert abs(rel - want_rel) < 1e-15
+
+
+def overlaps(avg=float("nan"), sup=float("nan")):
+    """A 16-measure row that defines only avg_overlap and sup_avg_overlap."""
+    values = [float("nan")] * 16
+    keys = measure_keys()
+    values[keys.index("avg_overlap")] = avg
+    values[keys.index("sup_avg_overlap")] = sup
+    return values
+
+
+class TestSurvivalScores:
+    def test_supervised_column_when_any_clean_row_defines_it(self):
+        table = MeasureTable(rows=(
+            row("a", "s1", overlaps(avg=0.9, sup=0.5)),
+            row("a", "s2", overlaps(avg=0.9)),  # no supervised value: skipped
+        ))
+        assert survival_scores(table) == {"a": [0.5]}
+
+    def test_unsupervised_column_otherwise(self):
+        table = MeasureTable(rows=(
+            row("a", "s1", overlaps(avg=0.25)),
+            row("a", "s2", overlaps(avg=0.75, sup=0.5), error="timeout at frame 3"),
+        ))
+        assert survival_scores(table) == {"a": [0.25]}
+
+    def test_error_rows_and_nan_cells_are_skipped(self):
+        table = MeasureTable(rows=(
+            row("a", "s1", overlaps(sup=0.5), run=0),
+            row("a", "s1", overlaps(sup=0.0), run=1, error="boom"),
+            row("a", "s1", overlaps(), run=2),
+            row("b", "s1", overlaps(), run=0),
+        ))
+        assert survival_scores(table) == {"a": [0.5]}
+
+    def test_one_mean_per_sequence_in_name_order_with_trackers_sorted(self):
+        table = MeasureTable(rows=(
+            row("b", "s2", overlaps(sup=0.5)),
+            row("b", "s1", overlaps(sup=0.25), run=0),
+            row("b", "s1", overlaps(sup=0.5), run=1),
+            row("a", "s3", overlaps(sup=0.125)),
+        ))
+        got = survival_scores(table)
+        assert list(got) == ["a", "b"]
+        assert got == {"a": [0.125], "b": [0.375, 0.5]}
+
+    def test_empty_table(self):
+        assert survival_scores(MeasureTable(rows=())) == {}
 
 
 def two_pass_pearson(x, y):

@@ -297,6 +297,71 @@ class TestRunPipeline:
         assert cli.main(["run", "--config", str(cfg), "--out", str(flagout)]) == 0
         assert os.path.exists(flagout / "measures.tsv")
 
+    def test_every_config_key_matches_its_flag_and_every_flag_wins(self, tmp_dataset, tmp_path):
+        settings = {"mode": "supervised", "repetitions": "2", "tau": "0.25", "seed": "5",
+                    "workers": "2", "timeout": "7.5"}
+        flags = [f"--{key}={value}" for key, value in settings.items()]
+        (tmp_path / "run.cfg").write_text(
+            f"dataset={tmp_dataset}\nout={tmp_path / 'config'}\ntracker={SCRIPTED}\n"
+            + "".join(f"{key}={value}\n" for key, value in settings.items()))
+        # Each line differs from its flag, so the run below shows which one won.
+        (tmp_path / "other.cfg").write_text(
+            f"dataset={tmp_path / 'nowhere'}\nout={tmp_path / 'lost'}\ntracker=tts\n"
+            "mode=unsupervised\nrepetitions=1\ntau=0.5\nseed=9\nworkers=1\ntimeout=2\n")
+        argv = ["--dataset", tmp_dataset, "--tracker", SCRIPTED, *flags]
+        runs = {
+            "flags": [*argv, "--out", str(tmp_path / "flags")],
+            "config": ["--config", str(tmp_path / "run.cfg")],
+            "both": ["--config", str(tmp_path / "other.cfg"), *argv,
+                     "--out", str(tmp_path / "both")],
+        }
+        trees, manifests = [], []
+        for name, args in runs.items():
+            assert cli.main(["run", *args]) == 0, name
+            out = tmp_path / name
+            pairs = read_manifest(out / "manifest.txt")
+            manifests.append([(key, value) for key, value in pairs if key != "generated"])
+            (out / "manifest.txt").unlink()
+            trees.append({os.path.relpath(path, out): path.read_bytes()
+                          for path in sorted(out.rglob("*")) if path.is_file()})
+        assert not (tmp_path / "lost").exists()
+        assert trees[0] == trees[1] == trees[2]
+        assert manifests[0] == manifests[1] == manifests[2]
+        fields = dict(manifests[0])
+        keys = ("mode", "repetitions", "tau", "master_seed", "workers", "timeout")
+        assert [fields[k] for k in keys] == ["supervised", "2", "0.25", "5", "2", "7.5"]
+        assert max(r.run for r in read_measure_table(tmp_path / "flags" / "measures.tsv").rows) == 1
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_unknown_mode_is_one_error_line(self, tmp_dataset, tmp_path, capsys, via_config):
+        flags = ["--mode", "x"]
+        if via_config:
+            (tmp_path / "run.cfg").write_text("mode=x\n")
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--dataset", tmp_dataset, "--out", str(out), "--tracker", "tts",
+                       *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: unknown mode 'x'"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["raw", "raw/tts/alpha"])
+    def test_a_file_where_a_unit_directory_goes_is_a_usage_error_before_any_tracker_starts(
+            self, tmp_dataset, tmp_path, capsys, monkeypatch, blocked):
+        opened = []
+        monkeypatch.setattr(runner.TrackerHandle, "open", lambda handle, seq: opened.append(seq))
+        out = tmp_path / "out"
+        (out / blocked).parent.mkdir(parents=True)
+        (out / blocked).write_text("kept\n")
+        rc = cli.main(["run", "--dataset", tmp_dataset, "--out", str(out), "--tracker", "tta",
+                       "--tracker", "tts"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(f"{str(out / blocked)!r} is not a directory"), err
+        assert opened == []
+        assert (out / blocked).read_text() == "kept\n"
+        assert sorted(os.listdir(out)) == ["raw"]
+
     def test_bad_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("dataset=x\nturbo=yes\n")

@@ -527,8 +527,8 @@ class TestSessionReuse:
     def test_no_process_outlives_a_plan_that_raises(self, tmp_dataset, tmp_path, started):
         seqs = [read_sequence(os.path.join(tmp_dataset, n)) for n in ("alpha", "bravo")]
         out = tmp_path / "out"
-        out.mkdir()
-        (out / "raw").write_text("a file where the raw/ directory should go\n")
+        # A directory where a run file goes: the unit runs, then its write raises.
+        (out / "raw" / "stub-ok" / "alpha" / "run_00.traj").mkdir(parents=True)
         handles = [wob_handle(), stub_handle("ok", "runs=many", "deterministic=0")]
         with pytest.raises(OSError):
             execute_plan(RunPlan(repetitions=2, mode="both"), handles, seqs,
@@ -640,6 +640,14 @@ class TestChildProcess:
         with pytest.raises(TrackerTimeoutError) as e:
             run_supervised(stub_handle("slow", timeout=0.5), seq, tau=0.0, seed=0)
         assert e.value.frame == 3
+
+    def test_a_timed_out_child_is_killed_without_a_second_wait(self, started):
+        t0 = time.monotonic()
+        table = execute_plan(RunPlan(repetitions=1, mode="unsupervised"),
+                             [stub_handle("slow", timeout=1.0)], [static_sequence(8)])
+        assert time.monotonic() - t0 < 1.75  # the deadline, not the deadline twice
+        assert table.rows[0].error == "timeout at frame 3: no reply within 1.0s"
+        assert all_exited(started)
 
     def test_silent_exit_is_detected(self):
         seq = static_sequence(8)
