@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .analysis import ar_summary, cluster_measures, label_sequences, pearson_matrix, survival_scores
-from .dataset import format_number, is_safe_name, read_text, write_text
+from .dataset import format_number, is_safe_name, settings_lines, write_text
 from .errors import ClusterDomainError, ConfigError, TrackbenchError, exit_status
 from .io_formats import (
     SequenceData,
@@ -43,13 +43,11 @@ __all__ = ["main", "parse_tracker_spec"]
 
 
 def _settings_lines(path: str, what: str) -> list[tuple[int, str]]:
-    """(line number, stripped line) of every line that is neither blank nor a # comment."""
+    """dataset.settings_lines, with an unreadable file a ConfigError."""
     try:
-        lines = read_text(path).split("\n")
+        return settings_lines(path)
     except OSError as e:
         raise ConfigError(f"cannot read {what} {path!r}: {e}") from e
-    return [(i, line.strip()) for i, line in enumerate(lines, start=1)
-            if line.strip() and not line.lstrip().startswith("#")]
 
 
 def parse_tracker_spec(spec: str, timeout: float = 30.0) -> TrackerHandle:
@@ -163,14 +161,19 @@ def _cmd_run(args) -> int:
         raise ConfigError("run needs at least one --tracker (or tracker= in the config)")
     handles = [parse_tracker_spec(spec, timeout=run.timeout) for spec in run.tracker]
     seqs = _load_dataset(run.dataset)
+    table_path = os.path.join(run.out, "measures.tsv")
+    manifest_path = os.path.join(run.out, "manifest.txt")
+    for path in (table_path, manifest_path):
+        if os.path.isdir(path):
+            raise ConfigError(f"output file {path!r} is a directory")
 
     plan = RunPlan(repetitions=run.repetitions, mode=run.mode, tau=run.tau)
     table = execute_plan(
         plan, handles, seqs, master_seed=run.seed, workers=run.workers, out_dir=run.out
     )
 
-    write_measure_table(os.path.join(run.out, "measures.tsv"), table)
-    write_manifest(os.path.join(run.out, "manifest.txt"), [
+    write_measure_table(table_path, table)
+    write_manifest(manifest_path, [
         ("generated", datetime.now(timezone.utc).isoformat()),
         ("trackbench", __version__),
         ("python", ".".join(map(str, sys.version_info[:3]))),
@@ -188,7 +191,7 @@ def _cmd_run(args) -> int:
     ])
 
     bad = sum(1 for r in table.rows if r.error is not None)
-    print(f"wrote {os.path.join(run.out, 'measures.tsv')} ({len(table.rows)} rows)")
+    print(f"wrote {table_path} ({len(table.rows)} rows)")
     if bad:
         print(f"warning: {bad} rows carry a run error", file=sys.stderr)
     return 0
@@ -279,6 +282,10 @@ def _cmd_plot(args) -> int:
     out_path = args.out or f"{args.type}.svg"
     trajs = _named_inputs(args.trajectory, "trajectory")
     recs = _named_inputs(args.record, "record")
+    names = [name for name, _ in trajs + recs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"plot input name {name!r} is given more than once")
 
     if args.type in ("center_error", "overlap", "threshold"):
         if not args.sequence:
@@ -320,12 +327,10 @@ def _cmd_plot(args) -> int:
             name: read_record(path).failure_frames for name, path in recs
         }
         svg = plots.fragmentation_timeline(failure_sets, len(annotation))
-    elif args.type == "survival":
+    else:  # survival, the last of argparse's choices
         if not args.measures:
             raise ConfigError("plot survival needs --measures")
         svg = plots.survival_curve(survival_scores(read_measure_table(args.measures)))
-    else:  # unreachable, argparse restricts choices
-        raise ConfigError(f"unknown plot type {args.type!r}")
 
     write_text(out_path, svg)
     print(f"wrote {out_path}")

@@ -9,7 +9,9 @@ fractional part), so write -> read reproduces every float bit-exactly.
 Dataset layout: one directory per sequence holding `groundtruth.txt`
 (one region per line), optional `center.txt` (one `x,y` per line),
 optional `frames/` with the image files, and `sequence.meta` with
-`key=value` lines (name, width, height). Region files parse in one
+`key=value` lines (name, width, height). Settings files (sequence.meta,
+run configs, scripted parameter files) skip blank lines and lines whose
+first non-blank character is `#`. Region files parse in one
 pass, and line by line with parse_region only to report an error with
 its file and line. A tracker process needs only this layer: the
 ground truth and the frame size, read into plain values. The
@@ -33,21 +35,12 @@ __all__ = [
     "is_safe_name",
     "read_text",
     "write_text",
+    "settings_lines",
     "read_groundtruth",
-    "read_image_size",
+    "read_meta",
 ]
 
 _new = tuple.__new__
-
-
-def format_number(v: float) -> str:
-    """Shortest decimal text that parses back to exactly v."""
-    v = float(v)
-    if math.isnan(v):
-        raise ParseError("cannot serialize NaN as a number")
-    if v.is_integer() and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
 
 
 def parse_number(text: str, path=None, line=None) -> float:
@@ -73,6 +66,11 @@ def _region_text(text: str) -> str:
     if "nan" in text:
         raise ParseError("cannot serialize NaN as a number")
     return text.replace(".0,", ",").replace("-0,", "0,").replace(",\n", "\n")
+
+
+def format_number(v: float) -> str:
+    """Shortest decimal text that parses back to exactly v."""
+    return _region_text("%r,\n" % float(v))[:-1]
 
 
 def format_region(r: Region) -> str:
@@ -133,6 +131,12 @@ def _read_lines(path) -> list[str]:
     return lines
 
 
+def settings_lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped line) of every line that is neither blank nor a # comment."""
+    return [(i, line) for i, line in enumerate(map(str.strip, _read_lines(path)), start=1)
+            if line and line[0] != "#"]
+
+
 def read_text(path) -> str:
     """Read UTF-8 text, with CRLF and CR newlines read as LF.
 
@@ -167,18 +171,6 @@ def _read_regions(path, what: str) -> list[Region]:
     return regions
 
 
-def _read_meta(path) -> dict[str, str]:
-    meta = {}
-    for i, line in enumerate(_read_lines(path), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected key=value, got {line!r}", str(path), i)
-        key, value = line.split("=", 1)
-        meta[key.strip()] = value.strip()
-    return meta
-
-
 def read_groundtruth(seq_dir, gt_path=None) -> tuple[tuple[Region, ...], tuple | None]:
     """The regions of groundtruth.txt and the Points of center.txt.
 
@@ -208,15 +200,19 @@ def read_groundtruth(seq_dir, gt_path=None) -> tuple[tuple[Region, ...], tuple |
     return regions, tuple(centers)
 
 
-def read_image_size(meta_path) -> tuple[float, float] | None:
-    """(width, height) from a sequence.meta file; None when either is absent."""
-    return _image_size(_read_meta(meta_path), meta_path)
+def read_meta(path) -> tuple[str | None, tuple[float, float] | None]:
+    """(name, (width, height)) from a sequence.meta file.
 
-
-def _image_size(meta: dict[str, str], meta_path) -> tuple[float, float] | None:
-    if "width" not in meta or "height" not in meta:
-        return None
-    return (
-        parse_number(meta["width"], meta_path),
-        parse_number(meta["height"], meta_path),
-    )
+    The name is None when it is absent, and the size when either of its
+    keys is.
+    """
+    meta = {}
+    for i, line in settings_lines(path):
+        if "=" not in line:
+            raise ParseError(f"expected key=value, got {line!r}", str(path), i)
+        key, value = line.split("=", 1)
+        meta[key.strip()] = value.strip()
+    size = None
+    if "width" in meta and "height" in meta:
+        size = (parse_number(meta["width"], path), parse_number(meta["height"], path))
+    return meta.get("name"), size

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 from .dataset import (
     _REGION_LINE,
-    _image_size,
     _parse_regions,
-    _read_meta,
     _read_regions,
     _region_text,
     format_number,
@@ -30,6 +28,7 @@ from .dataset import (
     parse_number,
     parse_region,
     read_groundtruth,
+    read_meta,
     read_text,
     write_text,
 )
@@ -142,16 +141,14 @@ def read_sequence(seq_dir) -> SequenceData:
     present) and is named by sequence.meta, or else by the directory.
     """
     regions, centers = read_groundtruth(seq_dir)
-    name = os.path.basename(os.path.normpath(seq_dir))
-    source = seq_dir
     meta_path = os.path.join(seq_dir, "sequence.meta")
-    meta = _read_meta(meta_path) if os.path.exists(meta_path) else None
-    if meta is not None:
-        name, source = meta.get("name", name), meta_path
+    has_meta = os.path.exists(meta_path)
+    name, image_size = read_meta(meta_path) if has_meta else (None, None)
+    if name is None:
+        name = os.path.basename(os.path.normpath(seq_dir))
     if not is_safe_name(name):
-        raise ParseError(f"unsafe sequence name {name!r}", source)
+        raise ParseError(f"unsafe sequence name {name!r}", meta_path if has_meta else seq_dir)
     annotation = SequenceAnnotation(name, regions, centers)
-    image_size = None if meta is None else _image_size(meta, meta_path)
 
     frames_dir = os.path.join(seq_dir, "frames")
     if not os.path.isdir(frames_dir):

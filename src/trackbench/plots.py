@@ -137,10 +137,6 @@ def _chart(
     ymin: float,
     ymax: float,
 ) -> _Axes:
-    if xmax <= xmin:
-        xmax = xmin + 1.0
-    if ymax <= ymin:
-        ymax = ymin + 1.0
     ax = _Axes(
         left=56.0,
         top=28.0,

@@ -37,6 +37,8 @@ ARCHETYPES = (
     "zigzag",
 )
 
+_WIDTH, _HEIGHT = 320.0, 240.0  # the frame size of every synthetic sequence
+
 
 def _clamp_box(cx, cy, w, h, width, height):
     w = min(max(w, 6.0), width - 2.0)
@@ -102,7 +104,7 @@ def _make_regions(kind, rng, n, width, height):
             x = min(max(x, width * 0.12), width * 0.88)
             y = min(max(y, height * 0.12), height * 0.88)
             out.append(_clamp_box(x, y, w, h, width, height))
-    elif kind == "zigzag":
+    else:  # zigzag, the last of ARCHETYPES
         w, h = rng.uniform(24.0, 34.0), rng.uniform(20.0, 28.0)
         speed = rng.uniform(3.2, 4.4)
         leg = rng.randrange(12, 19)
@@ -115,17 +117,10 @@ def _make_regions(kind, rng, n, width, height):
                 direction = -direction
                 y += rng.uniform(-8.0, 8.0)
             x = min(max(x, width * 0.1), width * 0.9)
-    else:
-        raise ValueError(f"unknown archetype {kind!r}")
     return out
 
 
-def make_dataset(
-    n_sequences: int = 12,
-    seed: int = 2024,
-    width: float = 320.0,
-    height: float = 240.0,
-) -> list[SequenceData]:
+def make_dataset(n_sequences: int = 12, seed: int = 2024) -> list[SequenceData]:
     """Generate a deterministic in-memory dataset.
 
     Archetypes are cycled so any n_sequences >= len(ARCHETYPES) covers
@@ -138,12 +133,12 @@ def make_dataset(
     for i in range(n_sequences):
         kind = ARCHETYPES[i % len(ARCHETYPES)]
         n = rng.randrange(60, 121)
-        regions = _make_regions(kind, rng, n, width, height)
+        regions = _make_regions(kind, rng, n, _WIDTH, _HEIGHT)
         annotation = SequenceAnnotation(
             name=f"{kind}_{i + 1:02d}", regions=tuple(regions)
         )
         seqs.append(
-            SequenceData.synthetic(annotation, image_size=(width, height))
+            SequenceData.synthetic(annotation, image_size=(_WIDTH, _HEIGHT))
         )
     return seqs
 

@@ -31,7 +31,7 @@ without interpreter teardown (see run).
 import os
 import sys
 
-from .dataset import format_region, parse_region, read_groundtruth, read_image_size
+from .dataset import format_region, parse_region, read_groundtruth, read_meta
 from .errors import ConfigError, ParseError, TrackbenchError, exit_status
 from .theoretical import BUILTINS, BuiltinTracker
 
@@ -96,7 +96,7 @@ def _read_input(kind: str, flags: dict, needs: str | None):
         if meta_path is None and flags["sequence"]:
             candidate = os.path.join(flags["sequence"], "sequence.meta")
             meta_path = candidate if os.path.exists(candidate) else None
-        return None if meta_path is None else read_image_size(meta_path)
+        return None if meta_path is None else read_meta(meta_path)[1]
     return None
 
 
@@ -171,6 +171,9 @@ def main(argv=None) -> int:
             return 0
         kind, flags = parsed
         tracker = BuiltinTracker.parse(kind, flags["params"])
+        if any(map(str.isspace, tracker.name)):
+            # The hello reply is whitespace-separated `key=value` tokens.
+            raise ConfigError(f"tracker name {tracker.name!r} holds whitespace")
         needs, build = BUILTINS[kind]
         behavior = build(tracker.params, _read_input(kind, flags, needs))
         return serve(behavior, sys.stdin, sys.stdout)

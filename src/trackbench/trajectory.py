@@ -134,9 +134,6 @@ class MeasureTable:
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 def validate_pair(a: "SequenceAnnotation", t: Trajectory) -> None:
     """Check that a trajectory can be scored against an annotation.

@@ -59,6 +59,18 @@ class TestArPair:
         assert abs(rel - want_rel) < 1e-15
 
 
+    def test_a_tracker_without_a_defined_failure_count_is_left_out(self):
+        # An unsupervised-only run leaves the supervised columns undefined.
+        defined = [0.5] * 16
+        undefined = defined.copy(); undefined[14] = undefined[15] = float("nan")
+        table = MeasureTable(rows=(
+            row("a", "s1", defined),
+            row("u", "s1", undefined),
+            row("u", "s2", defined, error="boom"),
+        ))
+        assert [t for t, *_ in ar_summary(table)] == ["a"]
+
+
 def overlaps(avg=float("nan"), sup=float("nan")):
     """A 16-measure row that defines only avg_overlap and sup_avg_overlap."""
     values = [float("nan")] * 16

@@ -362,6 +362,55 @@ class TestRunPipeline:
         assert (out / blocked).read_text() == "kept\n"
         assert sorted(os.listdir(out)) == ["raw"]
 
+    @pytest.mark.parametrize("name", ["measures.tsv", "manifest.txt"])
+    def test_a_directory_where_an_output_file_goes_is_a_usage_error_before_any_tracker_starts(
+            self, tmp_dataset, tmp_path, capsys, monkeypatch, name):
+        opened = []
+        monkeypatch.setattr(runner.TrackerHandle, "open", lambda handle, seq: opened.append(seq))
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        rc = cli.main(["run", "--dataset", tmp_dataset, "--out", str(out), "--tracker", "tts"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: output file {str(out / name)!r} is a directory"]
+        assert opened == []
+        assert os.listdir(out) == [name]
+
+    @pytest.mark.parametrize("line, message", [
+        ("repetitions 3", "expected key=value, got 'repetitions 3'"),
+        ("repetitions=x", "bad value for repetitions: 'x'"),
+        ("  tau = 0.5.5", "bad value for tau: '0.5.5'"),
+    ])
+    def test_bad_config_line_names_file_and_line(self, tmp_dataset, tmp_path, capsys, line,
+                                                 message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\ndataset={tmp_dataset}\n\n{line}\ntracker=tts\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:4: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("what", ["config", "scripted params"])
+    def test_unreadable_settings_file_is_a_usage_error(self, tmp_dataset, tmp_path, capsys,
+                                                       what):
+        missing = str(tmp_path / "nope")
+        flags = (["--config", missing] if what == "config"
+                 else ["--dataset", tmp_dataset, "--tracker", f"scripted:@{missing}"])
+        assert cli.main(["run", "--out", str(tmp_path / "out"), *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read {what} {missing!r}: ")
+
+    @pytest.mark.parametrize("root", ["missing", "empty"])
+    def test_dataset_without_sequences_is_a_usage_error(self, tmp_path, capsys, root):
+        (tmp_path / "empty" / "not_a_sequence").mkdir(parents=True)
+        data = str(tmp_path / root)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--dataset", data, "--out", str(out), "--tracker", "tts"]) == 2
+        expected = (f"dataset directory not found: {data!r}" if root == "missing"
+                    else f"no sequences under {data!r} (need <seq>/groundtruth.txt)")
+        assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
+        assert not out.exists()
+
     def test_bad_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("dataset=x\nturbo=yes\n")
@@ -416,6 +465,18 @@ class TestMeasureCommand:
     def test_needs_some_input(self, pipeline):
         seq, _ = first_raw(pipeline, "tts", ".traj")
         assert cli.main(["measure", "--sequence", seq]) == 2
+
+    def test_a_trajectory_longer_than_the_sequence_is_a_data_error(self, pipeline, tmp_path,
+                                                                   capsys):
+        seq, traj = first_raw(pipeline, "tts", ".traj")
+        longer = tmp_path / "longer.traj"
+        with open(traj, encoding="utf-8") as fh:
+            text = fh.read()
+        longer.write_text(text + text.splitlines()[-1] + "\n")
+        n = len(text.splitlines())
+        assert cli.main(["measure", "--sequence", seq, "--trajectory", str(longer)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: annotation has {n} frames, trajectory {n + 1}"]
 
     def test_unsafe_name_is_usage_error(self, pipeline, tmp_path, capsys):
         # A tab would split the tracker cell, so analyze could not read the table.
@@ -811,6 +872,43 @@ class TestPlotCommand:
              "--measures", os.path.join(pipeline["out"], "measures.tsv")],
             str(tmp_path / "survival.svg"),
         )
+
+    def test_a_bare_path_is_named_by_its_file(self, pipeline, tmp_path):
+        seq, traj = first_raw(pipeline, "tts", ".traj")
+        dest = tmp_path / "overlap.svg"
+        self.plot(["--type", "overlap", "--sequence", seq, "--trajectory", traj], str(dest))
+        assert traj.endswith("run_00.traj")
+        assert ">run_00</text>" in dest.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("item", ["probe=", "=x.traj", "="])
+    def test_a_name_or_path_left_empty_is_a_usage_error(self, pipeline, tmp_path, capsys, item):
+        seq, _ = first_raw(pipeline, "tts", ".traj")
+        dest = tmp_path / "overlap.svg"
+        rc = cli.main(["plot", "--type", "overlap", "--sequence", seq, "--trajectory", item,
+                       "--out", str(dest)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad --trajectory {item!r}, want NAME=PATH"]
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("inputs, name", [
+        (["--trajectory", "{tts_traj}", "--trajectory", "{tta_traj}"], "run_00"),
+        (["--trajectory", "probe={tts_traj}", "--trajectory", "probe={tta_traj}"], "probe"),
+        (["--trajectory", "probe={tts_traj}", "--record", "probe={tts_rec}"], "probe"),
+    ], ids=["default", "explicit", "across-kinds"])
+    def test_a_name_given_twice_is_a_usage_error(self, pipeline, tmp_path, capsys, inputs, name):
+        # Each name is one curve and one legend entry; a repeat would drop a curve.
+        seq, tts_traj = first_raw(pipeline, "tts", ".traj")
+        _, tta_traj = first_raw(pipeline, "tta", ".traj")
+        _, tts_rec = first_raw(pipeline, "tts", ".record")
+        where = {"tts_traj": tts_traj, "tta_traj": tta_traj, "tts_rec": tts_rec}
+        dest = tmp_path / "overlap.svg"
+        rc = cli.main(["plot", "--type", "overlap", "--sequence", seq,
+                       *(arg.format(**where) for arg in inputs), "--out", str(dest)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: plot input name {name!r} is given more than once"]
+        assert not dest.exists()
 
     @pytest.mark.parametrize("cap", ["nan", "inf", "-inf"])
     def test_non_finite_cap_is_one_error_line(self, pipeline, tmp_path, capsys, cap):

@@ -189,6 +189,34 @@ class TestSequenceDir:
             read_sequence(str(d)).annotation
         assert (e.value.path, e.value.line) == (str(d / "center.txt"), 2)
 
+    def test_meta_comments_in_column_1_and_indented_are_skipped(self, tmp_path):
+        d = tmp_path / "seq"
+        d.mkdir()
+        (d / "groundtruth.txt").write_text("0,0,2,2\n")
+        (d / "sequence.meta").write_text(
+            "# written by hand\nname=kept\n  # indented\n\twidth=9\nheight=8\n")
+        seq = read_sequence(str(d))
+        assert (seq.annotation.name, seq.image_size) == ("kept", (9.0, 8.0))
+
+    def test_meta_line_without_equals_rejected_naming_file_and_line(self, tmp_path):
+        d = tmp_path / "seq"
+        d.mkdir()
+        (d / "groundtruth.txt").write_text("0,0,2,2\n")
+        (d / "sequence.meta").write_text("name=seq\n\nwidth 9\n")
+        with pytest.raises(ParseError, match="expected key=value, got 'width 9'") as e:
+            read_sequence(str(d))
+        assert (e.value.path, e.value.line) == (str(d / "sequence.meta"), 3)
+
+    @pytest.mark.parametrize("bad", ["1", "1,1,1", ""])
+    def test_center_line_without_two_values_rejected(self, tmp_path, bad):
+        d = tmp_path / "bad"
+        d.mkdir()
+        (d / "groundtruth.txt").write_text("0,0,2,2\n1,1,2,2\n")
+        (d / "center.txt").write_text(f"1,1\n{bad}\n")
+        with pytest.raises(ParseError, match="center needs 2 values") as e:
+            read_sequence(str(d))
+        assert (e.value.path, e.value.line) == (str(d / "center.txt"), 2)
+
     def test_frame_images_must_match_annotation(self, tmp_path):
         d = tmp_path / "seq"
         d.mkdir()
@@ -389,6 +417,21 @@ class TestMeasureTableFile:
             loads_measure_table("\n".join(["# format: other/9"] + lines[1:]) + "\n")
         with pytest.raises(ParseError):
             loads_measure_table("\n".join([lines[0], "tracker\tnope"] + lines[2:]) + "\n")
+
+    def test_missing_header_rejected(self):
+        with pytest.raises(ParseError, match="missing column header") as e:
+            loads_measure_table(FORMAT_LINE + "\n", "m.tsv")
+        assert (e.value.path, e.value.line) == ("m.tsv", 2)
+
+    @pytest.mark.parametrize("cells", [("x", "60"), ("0", "1.5")], ids=["run", "frames"])
+    def test_bad_run_or_frames_cell_rejected(self, cells):
+        lines = dumps_measure_table(sample_table()).split("\n")
+        bad = lines[2].split("\t")
+        bad[2:4] = cells
+        lines[2] = "\t".join(bad)
+        with pytest.raises(ParseError, match="bad run/frames index") as e:
+            loads_measure_table("\n".join(lines))
+        assert e.value.line == 3
 
     def test_cell_count_checked(self):
         text = dumps_measure_table(sample_table()) + "only\tthree\tcells\n"

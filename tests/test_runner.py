@@ -280,6 +280,11 @@ class TestRunPlan:
                          out_dir=str(out))
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_placeholder_needs_a_sequence_on_disk(self):
+        handle = TrackerHandle.from_command("kid", [sys.executable, STUB, "{groundtruth}"])
+        with pytest.raises(ConfigError, match="tracker 'kid' needs sequence files on disk"):
+            run_unsupervised(handle, static_sequence(3), seed=1)
+
     def test_deterministic_trackers_collapse_repetitions(self):
         table = execute_plan(
             RunPlan(repetitions=5, mode="supervised"),

@@ -185,6 +185,19 @@ def test_a_flag_and_its_value_may_be_one_argument(tmp_dataset, monkeypatch, caps
     assert replies[1] == replies[0] and replies[2] == replies[0]
 
 
+@pytest.mark.parametrize("name", ["a b", "a\tb"], ids=["space", "tab"])
+def test_a_name_with_whitespace_is_a_usage_error(name, tmp_dataset, monkeypatch, capsys):
+    # The hello reply is whitespace-separated tokens, so the runner would reject it.
+    gt_path = os.path.join(tmp_dataset, "alpha", "groundtruth.txt")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("hello version=1 seed=1\nquit\n"))
+    rc = tracker_cli.main(["scripted", "--params", f"name={name},center_noise=1",
+                           "--groundtruth", gt_path])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: tracker name {name!r} holds whitespace"]
+
+
 def serve_child(argv, text):
     """Run `python -m trackbench.tracker_cli` on stdin text; the completed process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(tracker_cli.__file__)))
