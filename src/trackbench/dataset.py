@@ -204,15 +204,19 @@ def read_meta(path) -> tuple[str | None, tuple[float, float] | None]:
     """(name, (width, height)) from a sequence.meta file.
 
     The name is None when it is absent, and the size when either of its
-    keys is.
+    keys is. A width or height that is not finite and positive is a
+    ParseError at its line.
     """
-    meta = {}
+    meta, lines = {}, {}
     for i, line in settings_lines(path):
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", str(path), i)
-        key, value = line.split("=", 1)
-        meta[key.strip()] = value.strip()
-    size = None
-    if "width" in meta and "height" in meta:
-        size = (parse_number(meta["width"], path), parse_number(meta["height"], path))
+        key, value = map(str.strip, line.split("=", 1))
+        meta[key], lines[key] = value, i
+    if "width" not in meta or "height" not in meta:
+        return meta.get("name"), None
+    size = tuple(parse_number(meta[key], path, lines[key]) for key in ("width", "height"))
+    for key, v in zip(("width", "height"), size):
+        if not 0.0 < v < math.inf:
+            raise ParseError(f"{key} must be finite and positive: {meta[key]!r}", path, lines[key])
     return meta.get("name"), size

@@ -60,8 +60,9 @@ class Region(_FloatTuple, namedtuple("Region", "x y width height")):
 
     Construction only coerces to float. Finiteness and sign are checked
     where a region enters: by parse_region and the file readers, by the
-    runner for in-process reports, and by the scoring kernel, which
-    reports an invalid region through validate_region with its frame.
+    runner for in-process reports, by io_formats.SequenceAnnotation for
+    ground truth, and by the scoring kernel for predictions, which
+    reports an invalid one through validate_region with its frame.
     """
 
     __slots__ = ()

@@ -32,8 +32,8 @@ from .dataset import (
     read_text,
     write_text,
 )
-from .errors import FormatVersionError, LengthMismatchError, ParseError
-from .geometry import Point, Region, region_center
+from .errors import FormatVersionError, InvalidRegionError, LengthMismatchError, ParseError
+from .geometry import Point, Region, is_valid_region, region_center
 from .measures import measure_keys
 from .trajectory import (
     Failure,
@@ -77,6 +77,10 @@ class SequenceAnnotation:
     """Ground truth for one sequence: per-frame regions, optional centers.
 
     When centers is None, a frame's center derives from its region.
+    Construction is the one check of the ground truth: it raises
+    InvalidRegionError, with its frame, for the first region that is
+    not finite with non-negative extent, so every annotation that exists
+    can be scored and driven without checking its regions again.
     """
 
     name: str
@@ -89,6 +93,9 @@ class SequenceAnnotation:
             object.__setattr__(self, "centers", tuple(self.centers))
         if len(self.regions) < 1:
             raise LengthMismatchError(f"sequence {self.name!r} has no frames")
+        if not all(map(is_valid_region, self.regions)):
+            t, r = next((t, r) for t, r in enumerate(self.regions, 1) if not is_valid_region(r))
+            raise InvalidRegionError(f"invalid ground truth of sequence {self.name!r}: {r}", t)
         if self.centers is not None and len(self.centers) != len(self.regions):
             raise LengthMismatchError(
                 f"sequence {self.name!r}: {len(self.centers)} centers"

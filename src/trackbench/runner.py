@@ -62,7 +62,6 @@ except ImportError:
 from .dataset import format_region, is_safe_name, parse_region
 from .errors import (
     ConfigError,
-    InvalidRegionError,
     ParseError,
     PrematureExitError,
     ProtocolViolationError,
@@ -299,8 +298,10 @@ class TrackerHandle:
     _idle: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.timeout < float("inf"):
-            raise ConfigError(f"tracker {self.name!r}: timeout must be positive and finite")
+        # select cannot wait longer than TIMEOUT_MAX seconds.
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(f"tracker {self.name!r}: timeout must be positive and at most"
+                              f" {threading.TIMEOUT_MAX:.0f} seconds")
 
     @classmethod
     def in_process(cls, name: str, factory, timeout: float = 30.0) -> "TrackerHandle":
@@ -358,13 +359,6 @@ def _check_paths(seq: SequenceData) -> None:
         raise ConfigError(f"frame path contains whitespace: {bad!r}")
 
 
-def _check_groundtruth(seq: SequenceData) -> None:
-    a = seq.annotation
-    if not all(map(is_valid_region, a.regions)):
-        t, r = next((t, r) for t, r in enumerate(a.regions, 1) if not is_valid_region(r))
-        raise InvalidRegionError(f"invalid ground truth of sequence {a.name!r}: {r}", t)
-
-
 def _check_out_dirs(out_dir: str, units) -> None:
     """Raise ConfigError when out_dir or a unit's raw/<tracker>/<sequence>/ cannot be a
     directory: the path, or its nearest existing ancestor, is something else."""
@@ -383,7 +377,8 @@ def _drive(handle: TrackerHandle, seq: SequenceData, seed: int, hello: dict | No
 
     With tau None every entry is the reported region. Otherwise entries
     are Init, Tracked or Failure as run_supervised describes. Sessions
-    and run_supervised have checked every region the loop scores.
+    check each report, and the ground truth was checked when its
+    SequenceAnnotation was built, so every region the loop scores is valid.
     """
     _check_paths(seq)
     entries = []
@@ -434,12 +429,9 @@ def run_supervised(
     carrying its ground-truth region. A failure on the final frame is
     recorded with no subsequent Init. Init entries store the
     ground-truth region bit-exactly. `hello` is as in run_unsupervised.
-    An invalid ground-truth region raises InvalidRegionError before the
-    tracker starts.
     """
     if not (0.0 <= tau <= 1.0):
         raise ConfigError(f"tau {tau} outside [0, 1]")
-    _check_groundtruth(seq)
     return SupervisedRunRecord(_drive(handle, seq, seed, hello, tau), tau=tau)
 
 
@@ -547,7 +539,8 @@ def execute_plan(
     a unit that raises writes none. Before any unit starts, a duplicate
     or unsafe name, a frame path holding whitespace, or an `out_dir` or
     unit directory under it that cannot be a directory raises
-    ConfigError, and an invalid ground-truth region InvalidRegionError.
+    ConfigError. The ground truth needs no check here: a SequenceAnnotation
+    holds only valid regions.
     """
     # Names key the rows and the raw/<tracker>/<sequence>/ directories,
     # which units on different threads write at the same time, so each
@@ -567,7 +560,6 @@ def execute_plan(
         _check_out_dirs(out_dir, units)
     for seq in sequences:
         _check_paths(seq)
-        _check_groundtruth(seq)
 
     todo = iter(units)
     lock = threading.Lock()

@@ -223,8 +223,9 @@ def parse_scripted_params(text: str) -> ScriptedTrackerSpec:
     """Build a scripted tracker spec from "key=value,key=value" text.
 
     drift_velocity uses a colon pair (dx:dy) since commas separate
-    fields. Unknown keys, a non-finite center_noise, scale_noise or
-    loss_prob, and a scale_noise beyond +-MAX_SCALE_NOISE are rejected.
+    fields. Unknown keys, a non-finite center_noise, scale_noise,
+    loss_prob or drift_velocity component, and a scale_noise beyond
+    +-MAX_SCALE_NOISE are rejected.
     """
     fields: dict = {}
     if text.strip():
@@ -254,6 +255,8 @@ def parse_scripted_params(text: str) -> ScriptedTrackerSpec:
                 elif key == "drift_velocity":
                     dx, dy = value.split(":")
                     fields[key] = (float(dx), float(dy))
+                    if not all(map(math.isfinite, fields[key])):
+                        raise ConfigError(f"scripted parameter {key!r} must be finite")
                 elif key == "seed":
                     fields[key] = int(value)
                 else:

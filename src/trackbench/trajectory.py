@@ -26,7 +26,6 @@ __all__ = [
     "SupervisedRunRecord",
     "MeasureRow",
     "MeasureTable",
-    "validate_pair",
     "FrameSeries",
     "score_trajectory",
     "score_record",
@@ -76,8 +75,9 @@ class SupervisedRunRecord:
     failed. failure_frames is derived, not passed: the 1-based frame
     numbers of the Failure entries, in order. Construction is where the
     structure is checked, once: it raises MalformedRecordError for an
-    empty record or for a Failure not followed by an Init (except on the
-    final frame), so every record that exists is well formed.
+    empty record, a first frame that is not an Init, or a Failure not
+    followed by an Init (except on the final frame), so every record
+    that exists is well formed.
     """
 
     frames: tuple[FrameRecord, ...]
@@ -89,6 +89,8 @@ class SupervisedRunRecord:
         n = len(frames)
         if n == 0:
             raise MalformedRecordError("record has no frames")
+        if not isinstance(frames[0], Init):
+            raise MalformedRecordError("frame 1 is not an Init")
         failures = tuple(i + 1 for i, f in enumerate(frames) if isinstance(f, Failure))
         for f in failures:
             if f < n and not isinstance(frames[f], Init):
@@ -135,23 +137,6 @@ class MeasureTable:
         object.__setattr__(self, "rows", tuple(self.rows))
 
 
-def validate_pair(a: "SequenceAnnotation", t: Trajectory) -> None:
-    """Check that a trajectory can be scored against an annotation.
-
-    Raises LengthMismatchError on differing lengths and
-    InvalidRegionError (carrying the 1-based frame number) on the first
-    invalid region in either the annotation or the trajectory.
-    """
-    if len(a) != len(t):
-        raise LengthMismatchError(
-            f"annotation has {len(a)} frames, trajectory {len(t)}"
-        )
-    for i, r in enumerate(a.regions):
-        validate_region(r, frame=i + 1)
-    for i, r in enumerate(t.regions):
-        validate_region(r, frame=i + 1)
-
-
 class FrameSeries(NamedTuple):
     """Per-frame overlap, center error and normalized center error of a run.
 
@@ -177,15 +162,16 @@ class FrameSeries(NamedTuple):
         return self.normalized
 
 
-def _score_frames(a: "SequenceAnnotation", frames, invalid) -> FrameSeries:
+def _score_frames(a: "SequenceAnnotation", frames) -> FrameSeries:
     """Score one run in one pass over local floats.
 
     frames holds a trajectory Region or a supervised FrameRecord per
     frame. A Failure scores overlap 0 and no center error; an Init is
-    excluded from every series. A scored pair that fails the inline
-    finiteness and sign check goes to invalid(gt, pred), which raises
-    the caller's error if a region is invalid and returns if not. Finite
-    boxes give a non-finite center distance only by overflow, which raises
+    excluded from every series. The annotation's regions are valid by
+    construction; a scored prediction that fails the inline finiteness
+    and sign check goes to validate_region, which raises
+    InvalidRegionError with its frame if it is invalid. Finite boxes
+    give a non-finite center distance only by overflow, which raises
     MeasureDomainError for the first such frame, after the loop, so any
     invalid region is reported first. The overlap is geometry.box_overlap.
     """
@@ -207,10 +193,9 @@ def _score_frames(a: "SequenceAnnotation", frames, invalid) -> FrameSeries:
         px, py, pw, ph = f
         # NaN or an infinity makes the sum NaN or infinite; a sum of
         # finite values that overflows only costs the exact check.
-        total = gx + gy + gw + gh + px + py + pw + ph
-        if not (total - total == 0.0 and gw >= 0.0 and gh >= 0.0
-                and pw >= 0.0 and ph >= 0.0):
-            invalid(gt, f)
+        total = px + py + pw + ph
+        if not (total - total == 0.0 and pw >= 0.0 and ph >= 0.0):
+            validate_region(f, i + 1)
         overlaps.append(box_overlap(gx, gy, gw, gh, px, py, pw, ph))
         if centers is None:
             cx, cy = gx + gw / 2.0, gy + gh / 2.0
@@ -237,29 +222,19 @@ def _score_frames(a: "SequenceAnnotation", frames, invalid) -> FrameSeries:
 
 
 def score_trajectory(a: "SequenceAnnotation", t: Trajectory) -> FrameSeries:
-    """Every per-frame series of a trajectory.
-
-    Errors are validate_pair's: the first invalid ground-truth region,
-    then the first invalid predicted one.
-    """
+    """Every per-frame series of a trajectory; the first invalid prediction raises."""
     if len(a) != len(t):
-        validate_pair(a, t)
-    return _score_frames(a, t.regions, lambda gt, pred: validate_pair(a, t))
-
-
-def _invalid_tracked(gt: Region, pred: Region) -> None:
-    validate_region(gt)
-    validate_region(pred)
+        raise LengthMismatchError(f"annotation has {len(a)} frames, trajectory {len(t)}")
+    return _score_frames(a, t.regions)
 
 
 def score_record(rec: SupervisedRunRecord, a: "SequenceAnnotation") -> FrameSeries:
     """Every per-frame series of a supervised run.
 
-    The record's structure was checked when it was built. The regions of
-    each Tracked frame are checked as overlap checks them, without a
-    frame number.
+    The record's structure was checked when it was built; the region of
+    each Tracked frame is checked as a trajectory's is.
     """
     if len(rec) != len(a):
         raise LengthMismatchError(f"record has {len(rec)} frames, annotation {len(a)}")
-    return _score_frames(a, rec.frames, _invalid_tracked)
+    return _score_frames(a, rec.frames)
 

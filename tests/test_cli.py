@@ -7,6 +7,7 @@ import platform
 import re
 import shlex
 import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -656,6 +657,51 @@ class TestExitStatus:
         assert self.call(tracker_main, argv, tmp_dataset, tmp_path) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("key, value", [("width", "nan"), ("width", "-320"), ("height", "0")])
+    def test_bad_frame_size_is_one_error_naming_the_meta_line(self, tmp_dataset, tmp_path,
+                                                               capsys, key, value):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--dataset", tmp_dataset, "--out", str(out), "--tracker", "tts",
+                         "--repetitions", "1"]) == 0
+        meta = os.path.join(tmp_dataset, "alpha", "sequence.meta")
+        size = {"width": "320", "height": "240", key: value}
+        with open(meta, "w") as fh:
+            fh.write(f"name=alpha\nwidth={size['width']}\nheight={size['height']}\n")
+        line = {"width": 2, "height": 3}[key]
+        want = [f"error: {meta}:{line}: {key} must be finite and positive: {value!r}"]
+        for main, argv in (
+            (cli.main, ["run", "--dataset", tmp_dataset, "--out", str(tmp_path / "again"),
+                        "--tracker", "tta"]),
+            (cli.main, ["label", "--dataset", tmp_dataset, "--out", str(tmp_path / "reports")]),
+            (cli.main, ["plot", "--type", "ar", "--measures", str(out / "measures.tsv"),
+                        "--dataset", tmp_dataset, "--out", str(tmp_path / "ar.svg")]),
+            (tracker_main, ["tta", "--meta", meta]),
+        ):
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err.splitlines() == want, argv
+
+    def test_timeout_past_what_select_can_wait_is_a_usage_error(self, tmp_dataset, tmp_path,
+                                                                capsys):
+        out = tmp_path / "out"
+        spec = f"cmd:child:{shlex.quote(sys.executable)} -m trackbench.tracker_cli tts"
+        assert cli.main(["run", "--dataset", tmp_dataset, "--out", str(out), "--timeout", "1e10",
+                         "--tracker", spec]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: tracker 'child': timeout must be positive and at most"
+                       f" {threading.TIMEOUT_MAX:.0f} seconds"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first", ["T:40,30,24,18", "F:"])
+    def test_record_that_does_not_start_with_an_init_exits_1(self, tmp_dataset, tmp_path,
+                                                              capsys, first):
+        record = tmp_path / "run.record"
+        record.write_text("# format: trackbench/1\ntau:0\n" + first + "\n"
+                          + "I:40,30,24,18\n" + "T:40,30,24,18\n" * 18)
+        seq = os.path.join(tmp_dataset, "alpha")
+        assert cli.main(["measure", "--sequence", seq, "--record", str(record)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: frame 1 is not an Init"]
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

@@ -198,6 +198,20 @@ class TestSequenceDir:
         seq = read_sequence(str(d))
         assert (seq.annotation.name, seq.image_size) == ("kept", (9.0, 8.0))
 
+    @pytest.mark.parametrize("key", ["width", "height"])
+    @pytest.mark.parametrize("bad", ["nan", "-320", "0", "inf", "1e999"])
+    def test_meta_frame_size_must_be_finite_and_positive(self, tmp_path, key, bad):
+        d = tmp_path / "seq"
+        d.mkdir()
+        (d / "groundtruth.txt").write_text("0,0,2,2\n")
+        size = {"width": "320", "height": "240", key: bad}
+        (d / "sequence.meta").write_text(
+            f"name=seq\nwidth={size['width']}\n# frame size\nheight={size['height']}\n")
+        with pytest.raises(ParseError, match=f"{key} must be finite and positive: '{bad}'") as e:
+            read_sequence(str(d))
+        assert (e.value.path, e.value.line) == (str(d / "sequence.meta"),
+                                                {"width": 2, "height": 4}[key])
+
     def test_meta_line_without_equals_rejected_naming_file_and_line(self, tmp_path):
         d = tmp_path / "seq"
         d.mkdir()

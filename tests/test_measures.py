@@ -21,6 +21,7 @@ from trackbench.geometry import (
     overlap,
     region_center,
     region_size,
+    validate_region,
 )
 from trackbench.io_formats import SequenceAnnotation
 from trackbench.measures import (
@@ -52,7 +53,6 @@ from trackbench.trajectory import (
     Trajectory,
     score_record,
     score_trajectory,
-    validate_pair,
 )
 
 from conftest import make_annotation
@@ -440,8 +440,17 @@ def ref_iou(gt, pred):
 
 # Reference series: per-frame loops built on geometry.overlap and
 # region_center, as the series were computed before the one-pass kernel.
+# An annotation holds valid regions by construction; each route checks
+# every scored prediction with its frame before anything is computed.
+def ref_checked_trajectory(a, t):
+    if len(a) != len(t):
+        raise LengthMismatchError(f"annotation has {len(a)} frames, trajectory {len(t)}")
+    for i, p in enumerate(t.regions):
+        validate_region(p, frame=i + 1)
+
+
 def ref_overlap_series(a, t):
-    validate_pair(a, t)
+    ref_checked_trajectory(a, t)
     return [overlap(g, p) for g, p in zip(a.regions, t.regions)]
 
 
@@ -466,13 +475,16 @@ def ref_center_error(a, i, pred, normalized):
 
 
 def ref_center_error_series(a, t, normalized):
-    validate_pair(a, t)
+    ref_checked_trajectory(a, t)
     return [ref_center_error(a, i, p, normalized) for i, p in enumerate(t.regions)]
 
 
 def ref_checked_record(rec, a):
     if len(rec) != len(a):
         raise LengthMismatchError(f"record has {len(rec)} frames, annotation {len(a)}")
+    for i, fr in enumerate(rec.frames):
+        if isinstance(fr, Tracked):
+            validate_region(fr.region, frame=i + 1)
 
 
 def ref_supervised_overlap_series(rec, a):
@@ -593,10 +605,10 @@ def scoring_cases(draw):
 
     Predictions are often the ground truth itself, to reach the gt == pred
     case, or touch it on an edge. Coordinates and extents include -0.0.
-    Up to three frames get a coordinate of the ground truth, of the
-    prediction (trajectory and Tracked region) or of both replaced by NaN,
-    an infinity or -1, so that the order in which errors are reported
-    matters.
+    Up to three frames get a coordinate of the prediction (trajectory and
+    Tracked region) replaced by NaN, an infinity or -1, so that the order
+    in which errors are reported matters. The ground truth stays valid:
+    an annotation cannot hold an invalid region.
     """
     n = draw(st.integers(1, 24))
     gt = draw(st.lists(boxes, min_size=n, max_size=n))
@@ -620,13 +632,9 @@ def scoring_cases(draw):
 
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
         k = draw(st.integers(0, n - 1))
-        where = draw(st.sampled_from(["gt", "pred", "both"]))
-        if where != "pred":
-            gt[k] = spoiled(gt[k])
-        if where != "gt":
-            preds[k] = spoiled(preds[k])
-            if isinstance(frames[k], Tracked):
-                frames[k] = Tracked(spoiled(frames[k].region))
+        preds[k] = spoiled(preds[k])
+        if isinstance(frames[k], Tracked):
+            frames[k] = Tracked(spoiled(frames[k].region))
 
     a = SequenceAnnotation(name="seq", regions=tuple(gt),
                            centers=None if centers is None else tuple(centers))
@@ -638,8 +646,9 @@ def scoring_cases(draw):
 
 
 def one_frame_case(gt, pred):
-    return (SequenceAnnotation(name="seq", regions=(gt,)), Trajectory(regions=(pred,)),
-            SupervisedRunRecord([Tracked(pred)], tau=0.0))
+    """Both routes score the pair on frame 2, after a frame 1 on gt itself."""
+    return (SequenceAnnotation(name="seq", regions=(gt, gt)), Trajectory(regions=(gt, pred)),
+            SupervisedRunRecord([Init(gt), Tracked(pred)], tau=0.0))
 
 
 # Boxes touching where an edge is -0.0: the intersection width, then the
@@ -670,12 +679,14 @@ UNDERFLOW = one_frame_case(Region(0.0, 0.0, 1.0, 1.43e-171),
 # truth squares past the float range.
 _far, _unit = Region(1e160, 0.0, 1.0, 1.0), Region(0.0, 0.0, 1.0, 1.0)
 FAR = one_frame_case(_unit, _far)
-# That box, then an invalid region: the reference scores every overlap,
-# and so checks every region, before any center error.
+# That box, then two invalid predictions: the reference checks every
+# prediction before any center error, and reports the first, frame 3.
+_nan_box, _neg_box = Region(math.nan, 0.0, 1.0, 1.0), Region(0.0, 0.0, -1.0, 1.0)
 FAR_THEN_INVALID = (
-    SequenceAnnotation(name="seq", regions=(_unit, Region(math.nan, 0.0, 1.0, 1.0))),
-    Trajectory(regions=(_far, _unit)),
-    SupervisedRunRecord([Tracked(_far), Tracked(Region(0.0, 0.0, -1.0, 1.0))], tau=0.0),
+    SequenceAnnotation(name="seq", regions=(_unit,) * 4),
+    Trajectory(regions=(_unit, _far, _nan_box, _neg_box)),
+    SupervisedRunRecord([Init(_unit), Tracked(_far), Tracked(_nan_box), Tracked(_neg_box)],
+                        tau=0.0),
 )
 # A valid box whose center itself overflows: the distance is infinite
 # without an OverflowError.
@@ -688,13 +699,14 @@ TWIN_WIDE = (
     Trajectory(regions=(_wide,) * 3),
     SupervisedRunRecord([Init(_wide), Tracked(_wide), Tracked(_wide)], tau=0.0),
 )
-# An invalid prediction before an invalid ground truth: a trajectory
-# reports the ground truth of frame 3, a record the prediction of frame 2.
+# A negative extent before a non-finite coordinate: both routes report
+# the first invalid prediction, frame 2, whatever its kind.
 _ok, _bad = Region(0.0, 0.0, 4.0, 4.0), Region(0.0, 0.0, -1.0, 4.0)
 ERRORS_SPREAD = (
-    SequenceAnnotation(name="seq", regions=(_ok, _ok, Region(math.nan, 0.0, 4.0, 4.0))),
-    Trajectory(regions=(_ok, _bad, _ok)),
-    SupervisedRunRecord([Init(_ok), Tracked(_bad), Tracked(_ok)], tau=0.0),
+    SequenceAnnotation(name="seq", regions=(_ok,) * 3),
+    Trajectory(regions=(_ok, _bad, Region(math.nan, 0.0, 4.0, 4.0))),
+    SupervisedRunRecord([Init(_ok), Tracked(_bad), Tracked(Region(math.nan, 0.0, 4.0, 4.0))],
+                        tau=0.0),
 )
 
 
@@ -773,8 +785,6 @@ class TestScoringKernel:
     @pytest.mark.parametrize(
         "where, value, frame",
         [
-            ("gt", Region(math.nan, 0.0, 4.0, 4.0), 3),
-            ("gt", Region(0.0, 0.0, -1.0, 4.0), 2),
             ("gt", Region(0.0, 0.0, 0.0, 4.0), 3),
             ("pred", Region(0.0, math.inf, 4.0, 4.0), 3),
             ("pred", Region(0.0, 0.0, 4.0, -math.inf), 2),
@@ -792,3 +802,17 @@ class TestScoringKernel:
         got = outcome(compute_all, a, t, rec)
         assert got == outcome(ref_compute_all, a, t, rec)
         assert issubclass(got[0], (InvalidRegionError, DegenerateAnnotationError))
+        assert got[1] == frame
+
+    @pytest.mark.parametrize("field", ["x", "y", "width", "height"])
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    def test_invalid_ground_truth_cannot_be_built(self, field, value):
+        gt = [Region(0.0, 0.0, 4.0, 4.0)] * 4
+        gt[2] = gt[2]._replace(**{field: value})
+        if math.isfinite(value) and field in ("x", "y"):  # -1 is a valid corner
+            assert SequenceAnnotation(name="seq", regions=tuple(gt)).regions[2] == gt[2]
+            return
+        with pytest.raises(InvalidRegionError) as e:
+            SequenceAnnotation(name="seq", regions=tuple(gt))
+        assert e.value.frame == 3
+        assert str(e.value) == f"frame 3: invalid ground truth of sequence 'seq': {gt[2]}"

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import time
 
 import pytest
 
-from trackbench import geometry, runner
+from trackbench import geometry, io_formats, runner
 from trackbench.errors import (
     ConfigError,
     InvalidRegionError,
@@ -175,8 +176,8 @@ def tracker_cli_handle(kind, *args):
 
 
 class TestValidationBudget:
-    """A supervised run checks each region once: the ground truth before
-    the session, each report as the session returns it."""
+    """Each region is checked once: the ground truth when its annotation
+    is built, each report as the session returns it."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -188,7 +189,7 @@ class TestValidationBudget:
                 return fn(r, *args)
             return check
 
-        for module in (geometry, runner):
+        for module in (geometry, io_formats, runner):
             for name in ("is_valid_region", "validate_region"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(getattr(module, name)))
@@ -197,17 +198,15 @@ class TestValidationBudget:
     @pytest.mark.parametrize("tau", [0.0, 0.6])
     def test_at_most_one_check_per_ground_truth_and_reported_region(self, checks, tau):
         seq = moving_sequence(30, step=4.0)
+        assert len(checks) == len(seq)
+        checks.clear()
         rec = run_supervised(scripted_handle(), seq, tau=tau, seed=4)
         assert tau == 0.0 or rec.failure_frames
-        assert 0 < len(checks) <= 2 * len(seq)
+        assert 0 < len(checks) <= len(seq)
 
-    def test_invalid_ground_truth_raises_before_the_tracker_starts(self):
-        opened = []
-        handle = TrackerHandle.in_process("tts", lambda seq: opened.append(seq) or StaticTracker())
-        seq = make_sequence([(0.0, 0.0, 4.0, 4.0), (0.0, 0.0, 4.0, math.inf)], name="s")
+    def test_invalid_ground_truth_cannot_be_built(self):
         with pytest.raises(InvalidRegionError, match="^frame 2: invalid ground truth of sequence 's': Region"):
-            run_supervised(handle, seq)
-        assert opened == []
+            make_sequence([(0.0, 0.0, 4.0, 4.0), (0.0, 0.0, 4.0, math.inf)], name="s")
 
 
 class TestOneLoop:
@@ -429,20 +428,16 @@ class TestRunPlan:
         assert sorted(p.name for p in (raw / "s0").iterdir()) == ["run_00.traj", "run_01.traj"]
         assert not list(raw.glob("s1/run_*"))
 
-    @pytest.mark.parametrize("mode", ["unsupervised", "supervised", "both"])
+    @pytest.mark.parametrize("box", [(0.0, 0.0, -1.0, 4.0), (math.nan, 0.0, 4.0, 4.0),
+                                     (0.0, 0.0, 4.0, -math.inf)])
     @pytest.mark.parametrize("frame", [1, 3])
-    def test_invalid_ground_truth_is_rejected_before_any_unit(self, tmp_path, mode, frame):
+    def test_invalid_ground_truth_cannot_reach_a_plan(self, box, frame):
         boxes = [(0.0, 0.0, 4.0, 4.0)] * 4
-        boxes[frame - 1] = (0.0, 0.0, -1.0, 4.0)
-        seqs = [static_sequence(4, name="good"), make_sequence(boxes, name="bad")]
-        opened = []
-        handle = TrackerHandle.in_process("tts", lambda seq: opened.append(seq) or StaticTracker())
-        out = tmp_path / "out"
+        boxes[frame - 1] = box
         with pytest.raises(InvalidRegionError,
-                           match=f"^frame {frame}: invalid ground truth of sequence 'bad': "):
-            execute_plan(RunPlan(repetitions=1, mode=mode), [handle], seqs, out_dir=str(out))
-        assert opened == []
-        assert not (out / "raw").exists()
+                           match=f"^frame {frame}: invalid ground truth of sequence 'bad': "
+                                 rf"{re.escape(str(Region(*box)))}$"):
+            make_sequence(boxes, name="bad")
 
     def test_out_dir_that_is_a_file_is_rejected_before_any_unit(self, tmp_path):
         afile = tmp_path / "afile"
@@ -610,12 +605,18 @@ class TestHandle:
         with pytest.raises(ConfigError):
             TrackerHandle(name="empty").open(static_sequence(3))
 
-    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.inf, math.nan])
-    def test_timeout_must_be_positive_and_finite(self, timeout):
+    # select cannot wait longer than threading.TIMEOUT_MAX seconds.
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.inf, math.nan,
+                                         threading.TIMEOUT_MAX * 1.01, 1e10])
+    def test_timeout_must_be_positive_and_at_most_timeout_max(self, timeout):
         for make in (lambda: stub_handle("ok", timeout=timeout),
                      lambda: TrackerHandle.in_process("tts", BuiltinTracker("tts"), timeout)):
             with pytest.raises(ConfigError, match="timeout"):
                 make()
+
+    def test_longest_timeout_serves_a_child(self):
+        handle = stub_handle("ok", timeout=threading.TIMEOUT_MAX)
+        assert len(run_supervised(handle, static_sequence(3))) == 3
 
     def test_empty_command_rejected(self):
         with pytest.raises(ConfigError):

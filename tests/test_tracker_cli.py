@@ -66,9 +66,11 @@ def test_params_on_a_kind_other_than_scripted_rejected(kind, tmp_dataset, capsys
 
 
 # A scale_noise past the bound can overflow math.exp in
-# ScriptedTracker.update; a non-finite noise value is rejected with it.
+# ScriptedTracker.update; a non-finite noise value or drift component,
+# which would make every drifting report invalid, is rejected with it.
 UNSAFE_SCRIPTED = ["scale_noise=1000", "scale_noise=-82.01", "scale_noise=inf",
-                   "center_noise=nan", "loss_prob=-inf"]
+                   "center_noise=nan", "loss_prob=-inf", "drift_velocity=nan:0",
+                   "drift_velocity=0:-inf,drift_onset=0"]
 
 
 @pytest.mark.parametrize("params", UNSAFE_SCRIPTED)

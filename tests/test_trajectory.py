@@ -19,8 +19,8 @@ from trackbench.trajectory import (
     SupervisedRunRecord,
     Tracked,
     Trajectory,
+    score_record,
     score_trajectory,
-    validate_pair,
 )
 
 from conftest import make_annotation
@@ -81,6 +81,12 @@ class TestRecord:
         with pytest.raises(TypeError):
             SupervisedRunRecord(frames=(Init(r), Failure()), failure_frames=(2,), tau=0.0)
 
+    @pytest.mark.parametrize("first", [Tracked(Region(0, 0, 2, 2)), Failure()])
+    def test_first_frame_must_be_an_init(self, first):
+        r = Region(0, 0, 2, 2)
+        with pytest.raises(MalformedRecordError, match="^frame 1 is not an Init$"):
+            SupervisedRunRecord(frames=(first, Init(r), Tracked(r)), tau=0.0)
+
     def test_empty_record(self):
         with pytest.raises(MalformedRecordError, match="^record has no frames$"):
             SupervisedRunRecord(frames=(), tau=0.0)
@@ -106,25 +112,33 @@ class TestMeasureRow:
 class TestPairValidation:
     def test_length_mismatch(self):
         a = make_annotation([(0, 0, 2, 2)] * 3)
-        with pytest.raises(LengthMismatchError):
-            validate_pair(a, traj([(0, 0, 2, 2)] * 2))
+        with pytest.raises(LengthMismatchError, match="^annotation has 3 frames, trajectory 2$"):
+            score_trajectory(a, traj([(0, 0, 2, 2)] * 2))
 
     def test_invalid_annotation_region_carries_frame(self):
         rows = [(0.0, 0.0, 2.0, 2.0)] * 10
         rows[6] = (0.0, 0.0, -1.0, 2.0)
-        a = SequenceAnnotation(name="bad", regions=tuple(Region(*r) for r in rows))
         with pytest.raises(InvalidRegionError) as e:
-            validate_pair(a, traj([(0, 0, 2, 2)] * 10))
+            SequenceAnnotation(name="bad", regions=tuple(Region(*r) for r in rows))
         assert e.value.frame == 7
-        assert "frame 7" in str(e.value)
+        assert str(e.value) == (
+            "frame 7: invalid ground truth of sequence 'bad': "
+            "Region(x=0.0, y=0.0, width=-1.0, height=2.0)")
 
     def test_invalid_trajectory_region_carries_frame(self):
         rows = [(0.0, 0.0, 2.0, 2.0)] * 5
         rows[2] = (float("nan"), 0.0, 2.0, 2.0)
         a = make_annotation([(0, 0, 2, 2)] * 5)
         with pytest.raises(InvalidRegionError) as e:
-            validate_pair(a, traj(rows))
+            score_trajectory(a, traj(rows))
         assert e.value.frame == 3
+
+    def test_invalid_tracked_region_carries_frame(self):
+        r = Region(0.0, 0.0, 2.0, 2.0)
+        rec = SupervisedRunRecord([Init(r), Tracked(r), Tracked(r._replace(height=-1.0))],
+                                  tau=0.0)
+        with pytest.raises(InvalidRegionError, match="^frame 3: negative region extent"):
+            score_record(rec, make_annotation([r] * 3))
 
 
 class TestSeries:
