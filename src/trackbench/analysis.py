@@ -462,8 +462,8 @@ def label_sequences(seqs, span: float = 30.0, k: int = 3) -> tuple[tuple[str, ..
     labels read as the property: motion and size change are probed by
     scores that FALL as the property grows (tts reliability, tto
     overlap), so those columns are negated before partitioning.
-    Identical scalars across sequences (fewer distinct values than k)
-    raise ClusterDomainError.
+    Identical scalars across sequences (fewer distinct values than k),
+    or an undefined one, raise ClusterDomainError.
     """
     from .theoretical import sequence_properties
 
@@ -473,6 +473,10 @@ def label_sequences(seqs, span: float = 30.0, k: int = 3) -> tuple[tuple[str, ..
             f"labeling needs at least 3 sequences, got {len(seqs)}"
         )
     scalars = [sequence_properties(seq, span=span) for seq in seqs]
+    for seq, values in zip(seqs, scalars):
+        for prop, v in zip(("size", "motion", "speed", "size_change"), values):
+            if not math.isfinite(v):
+                raise ClusterDomainError(f"sequence {seq.annotation.name!r}: {prop} is undefined")
     size_l = kmeans_labels([s[0] for s in scalars], k, _SIZE_NAMES if k == 3 else None)
     motion_l = kmeans_labels([-s[1] for s in scalars], k)  # high reliability = low motion
     speed_l = kmeans_labels([s[2] for s in scalars], k)

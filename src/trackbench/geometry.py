@@ -60,7 +60,7 @@ class Region(_FloatTuple, namedtuple("Region", "x y width height")):
 
     Construction only coerces to float. Finiteness and sign are checked
     where a region enters: by parse_region and the file readers, by the
-    runner for in-process reports, by io_formats.SequenceAnnotation for
+    runner for every tracker report, by io_formats.SequenceAnnotation for
     ground truth, and by the scoring kernel for predictions, which
     reports an invalid one through validate_region with its frame.
     """

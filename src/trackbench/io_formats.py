@@ -41,7 +41,6 @@ from .trajectory import (
     MeasureRow,
     MeasureTable,
     SupervisedRunRecord,
-    Tracked,
     Trajectory,
 )
 
@@ -229,13 +228,13 @@ def dumps_record(rec: SupervisedRunRecord) -> str:
     """Serialize a supervised run record.
 
     Line 1 is the format version, line 2 the threshold as `tau:<value>`,
-    then one line per frame tagged `T:` (tracked, with region), `F:`
+    then one line per frame tagged `T:` (the reported region), `F:`
     (failure, no payload) or `I:` (init, with the GT region used).
     """
     text = _region_text("".join([
-        _TRACKED_LINE % fr.region if isinstance(fr, Tracked)
+        _INIT_LINE % fr.region if isinstance(fr, Init)
         else "F:,\n" if isinstance(fr, Failure)
-        else _INIT_LINE % fr.region
+        else _TRACKED_LINE % fr
         for fr in rec.frames
     ]))
     return f"{FORMAT_LINE}\ntau:{format_number(rec.tau)}\n{text}"
@@ -263,13 +262,13 @@ def loads_record(text: str, path=None) -> SupervisedRunRecord:
         [t[2:] if t[:2] in ("T:", "I:") else "" for t in lines[2:] if t != "F:"])
     if regions is not None:
         it = iter(regions)
-        frames = [Failure() if line == "F:" else (Tracked if line[0] == "T" else Init)(next(it))
+        frames = [Failure() if line == "F:" else next(it) if line[0] == "T" else Init(next(it))
                   for line in lines[2:]]
     else:
         frames = []
         for i, line in enumerate(lines[2:], start=3):
             if line.startswith("T:"):
-                frames.append(Tracked(parse_region(line[2:], path, i)))
+                frames.append(parse_region(line[2:], path, i))
             elif line == "F:":
                 frames.append(Failure())
             elif line.startswith("I:"):

@@ -12,7 +12,7 @@ Conventions, applied consistently:
     overlap > tau;
   * in supervised series, Failure frames contribute overlap 0 and Init
     frames are excluded from every average;
-  * center errors on supervised records use Tracked frames only
+  * center errors on supervised records use the reported regions only
     (Failure frames carry no region, Init frames are excluded).
 """
 
@@ -345,7 +345,7 @@ def unsupervised_measures(a: "SequenceAnnotation", t: Trajectory) -> list[float]
 def supervised_measures(rec: SupervisedRunRecord, a: "SequenceAnnotation") -> list[float]:
     """Measures 10-16 from a supervised run record.
 
-    Center-error entries are NaN when the run has no Tracked frames.
+    Center-error entries are NaN when the run has no tracked frame.
     """
     scores = score_record(rec, a)
     return (

@@ -299,23 +299,31 @@ def ar_plot(points_by_name: dict, reference_points: dict | None = None) -> str:
 
     Both dicts map a name to (accuracy, reliability); reliability is
     the x axis so that up and right are both better. Reference points
-    (the theoretical extreme behaviors) are drawn with distinct hollow
-    shapes, trackers as filled circles.
+    (the theoretical extreme behaviors) are hollow shapes, trackers
+    filled circles; a point with a non-finite coordinate is a comment.
     """
     if not points_by_name:
         raise EmptySeriesError("no points to plot")
     c = _Canvas(480, 440, "Accuracy vs reliability")
     ax = _chart(c, "reliability", "accuracy", 0.0, 1.0, 0.0, 1.0)
+
+    def drawable(name, acc, rel):
+        if not (finite := math.isfinite(acc) and math.isfinite(rel)):
+            c.comment(f"{name}: accuracy {acc}, reliability {rel}: point not drawn")
+        return finite
+
     for i, (name, (acc, rel)) in enumerate(points_by_name.items()):
-        c.circle(ax.px(rel), ax.py(acc), 4.0, _color(i))
+        if drawable(name, acc, rel):
+            c.circle(ax.px(rel), ax.py(acc), 4.0, _color(i))
     _legend(c, ax, points_by_name)
     if reference_points:
         legend = []
         for kind, (acc, rel) in reference_points.items():
             label, shape, marker = _REF_MARKERS.get(kind, (kind, "cross", _cross))
-            tag, geometry = marker(ax.px(rel), ax.py(acc))
-            c.raw(f'<{tag} class="ref" {geometry} fill="none" stroke="{_FRAME}" '
-                  f'stroke-width="1.50"/>')
+            if drawable(kind, acc, rel):
+                tag, geometry = marker(ax.px(rel), ax.py(acc))
+                c.raw(f'<{tag} class="ref" {geometry} fill="none" stroke="{_FRAME}" '
+                      f'stroke-width="1.50"/>')
             legend.append(f"{shape}: {label}")
         base = ax.bottom - 14 * len(legend)
         for j, text in enumerate(legend):

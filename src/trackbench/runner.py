@@ -31,7 +31,7 @@ starts a new one.
 Per-frame timeouts and tracker crashes invalidate the run (they are
 run failures, not tracking failures). The same engine drives
 in-process tracker behaviors and child processes over stdio,
-producing identical records for identical reports.
+producing identical records, or errors, for identical reports.
 
 The supervised protocol reinitializes after failures: frame 1 is
 always an Init frame; on any later frame whose reported overlap with
@@ -59,10 +59,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .dataset import format_region, is_safe_name, parse_region
+from .dataset import format_region, is_safe_name
 from .errors import (
     ConfigError,
-    ParseError,
     PrematureExitError,
     ProtocolViolationError,
     RunError,
@@ -78,7 +77,6 @@ from .trajectory import (
     MeasureRow,
     MeasureTable,
     SupervisedRunRecord,
-    Tracked,
     Trajectory,
 )
 
@@ -104,9 +102,9 @@ def _parse_state_line(line: str, frame: int) -> Region:
     if len(parts) != 2 or parts[0] != "state":
         raise ProtocolViolationError(f"expected 'state <region>', got {line!r}", frame)
     try:
-        return parse_region(parts[1])
-    except ParseError as e:
-        raise ProtocolViolationError(f"bad state region: {e}", frame) from None
+        return Region(*map(float, parts[1].split(",")))
+    except (TypeError, ValueError):
+        raise ProtocolViolationError(f"bad state region: {parts[1]!r}", frame) from None
 
 
 def _parse_hello_line(line: str) -> dict[str, str]:
@@ -134,19 +132,11 @@ class InProcessSession:
         self._behavior.begin(seed)
         return self._behavior.name, bool(self._behavior.deterministic)
 
-    def _checked(self, region, frame: int) -> Region:
-        # The same finiteness and sign check a wire reply gets from parse_region.
-        if not isinstance(region, Region):
-            raise ProtocolViolationError(f"tracker returned {type(region).__name__}", frame)
-        if not is_valid_region(region):
-            raise ProtocolViolationError(f"invalid reported region {region}", frame)
-        return region
-
     def initialize(self, frame: int, path: str, region: Region) -> Region:
-        return self._checked(self._behavior.initialize(path, region), frame)
+        return self._behavior.initialize(path, region)
 
     def frame(self, frame: int, path: str) -> Region:
-        return self._checked(self._behavior.update(path), frame)
+        return self._behavior.update(path)
 
     def close(self) -> None:
         pass
@@ -371,13 +361,22 @@ def _check_out_dirs(out_dir: str, units) -> None:
             raise ConfigError(f"output directory {path!r}: {d!r} is not a directory")
 
 
+def _checked(report, frame: int) -> Region:
+    """A session's report if it is a valid Region, whatever its transport."""
+    if not isinstance(report, Region):
+        raise ProtocolViolationError(f"tracker returned {type(report).__name__}", frame)
+    if not is_valid_region(report):
+        raise ProtocolViolationError(f"invalid reported region {report}", frame)
+    return report
+
+
 def _drive(handle: TrackerHandle, seq: SequenceData, seed: int, hello: dict | None,
            tau: float | None) -> list:
     """The session loop of both protocols; returns one entry per frame.
 
     With tau None every entry is the reported region. Otherwise entries
-    are Init, Tracked or Failure as run_supervised describes. Sessions
-    check each report, and the ground truth was checked when its
+    are Init, Failure or the reported region as run_supervised describes.
+    _checked checks each report, and the ground truth was checked when its
     SequenceAnnotation was built, so every region the loop scores is valid.
     """
     _check_paths(seq)
@@ -389,15 +388,13 @@ def _drive(handle: TrackerHandle, seq: SequenceData, seed: int, hello: dict | No
         init = True  # frame 1 initializes
         for t, (path, gt) in enumerate(zip(seq.frame_paths, seq.annotation.regions), 1):
             if init:
-                state = session.initialize(t, path, gt)
+                state = _checked(session.initialize(t, path, gt), t)
                 init = False
                 entries.append(state if tau is None else Init(gt))
-            elif tau is None:
-                entries.append(session.frame(t, path))
             else:
-                state = session.frame(t, path)
-                init = box_overlap(*gt, *state) <= tau
-                entries.append(Failure() if init else Tracked(state))
+                state = _checked(session.frame(t, path), t)
+                init = tau is not None and box_overlap(*gt, *state) <= tau
+                entries.append(Failure() if init else state)
         session.quit()
     return entries
 

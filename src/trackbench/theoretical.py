@@ -411,16 +411,16 @@ def _probe(kind: str, seq: "SequenceData", span: float) -> tuple[float, float, f
     Returns (supervised accuracy, tracked accuracy, reliability). The
     supervised accuracy averages overlap with Failure frames as 0 and
     Init frames excluded, as for evaluated trackers. The tracked accuracy
-    averages Tracked frames only; ttf has none on odd-length sequences,
-    and its accuracy there is 1.0 by construction (every region it
-    reports on a tracked frame is the ground truth). The run is driven in
+    averages the record's Region frames only; ttf has none on odd-length
+    sequences, and its accuracy there is 1.0 by construction (every
+    region it reports on a tracked frame is the ground truth). The run is driven in
     process on frame paths synthesized from the frame numbers, so where
     the dataset sits, spaces in its path included, does not matter.
     """
     from .io_formats import SequenceData
     from .measures import reliability
     from .runner import TrackerHandle, run_supervised
-    from .trajectory import Tracked, score_record
+    from .trajectory import score_record
 
     a = seq.annotation
     handle = TrackerHandle.in_process(kind, BuiltinTracker(kind))
@@ -428,7 +428,7 @@ def _probe(kind: str, seq: "SequenceData", span: float) -> tuple[float, float, f
     rec = run_supervised(handle, probe_seq, tau=0.0, seed=0)
     phis = score_record(rec, a).overlaps
     scored = [v for v in phis if v is not None]
-    tracked = [v for v, fr in zip(phis, rec.frames) if isinstance(fr, Tracked)]
+    tracked = [v for v, fr in zip(phis, rec.frames) if isinstance(fr, Region)]
     if tracked:
         tracked_acc = math.fsum(tracked) / len(tracked)
     else:
@@ -483,19 +483,22 @@ def theoretical_ar_points(
 ) -> dict[str, tuple[float, float]]:
     """Reference (accuracy, reliability) per theoretical tracker.
 
-    Reference accuracy averages overlap over Tracked frames only: it
-    describes how well each tracker tracks when it is tracking, which
-    is what the interpretation corners of the accuracy-reliability
+    Reference accuracy averages overlap over the record's Region frames
+    only: it describes how well each tracker tracks when it is tracking,
+    which is what the interpretation corners of the accuracy-reliability
     plot need. This differs deliberately from the supervised accuracy
-    of evaluated trackers, where failure frames count as overlap 0.
+    of evaluated trackers, where failure frames count as overlap 0. It
+    skips a sequence where the kind tracks no frame, as ar_summary does.
     """
     if not seqs:
         return {}
-    sums = {k: [0.0, 0.0] for k in THEORETICAL_KINDS}
+    sums = {k: [0.0, 0, 0.0] for k in THEORETICAL_KINDS}
     for seq in seqs:
         for kind in THEORETICAL_KINDS:
             _, acc, rel = _probe(kind, seq, span)
-            sums[kind][0] += acc
-            sums[kind][1] += rel
+            if acc == acc:
+                sums[kind][0] += acc
+                sums[kind][1] += 1
+            sums[kind][2] += rel
     n = len(seqs)
-    return {k: (acc / n, rel / n) for k, (acc, rel) in sums.items()}
+    return {k: (acc / m if m else math.nan, rel / n) for k, (acc, m, rel) in sums.items()}

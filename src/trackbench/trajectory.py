@@ -20,7 +20,6 @@ from .geometry import Region, box_overlap, validate_region
 
 __all__ = [
     "Trajectory",
-    "Tracked",
     "Failure",
     "Init",
     "SupervisedRunRecord",
@@ -46,13 +45,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class Tracked:
-    """Frame where the tracker ran and reported a region that passed."""
-
-    region: Region
-
-
-@dataclass(frozen=True)
 class Failure:
     """Frame where the tracker's report fell at or below the threshold."""
 
@@ -64,7 +56,7 @@ class Init:
     region: Region
 
 
-FrameRecord = Tracked | Failure | Init
+FrameRecord = Region | Failure | Init
 
 
 @dataclass(frozen=True)
@@ -141,10 +133,10 @@ class FrameSeries(NamedTuple):
     """Per-frame overlap, center error and normalized center error of a run.
 
     None marks a frame a series excludes: in a supervised run an Init
-    frame is excluded from every series, and a Failure frame scores
-    overlap 0.0 and has no center error. degenerate_frame is the 1-based
-    number of the first scored frame whose ground truth has zero size, so
-    that its normalized error is undefined, or None.
+    frame is excluded from every series, a Failure frame scores overlap
+    0.0 and has no center error, and a reported region scores as in a
+    trajectory. degenerate_frame is the 1-based number of the first
+    scored frame whose ground truth has zero size, or None.
     """
 
     overlaps: list[float | None]
@@ -165,15 +157,15 @@ class FrameSeries(NamedTuple):
 def _score_frames(a: "SequenceAnnotation", frames) -> FrameSeries:
     """Score one run in one pass over local floats.
 
-    frames holds a trajectory Region or a supervised FrameRecord per
-    frame. A Failure scores overlap 0 and no center error; an Init is
-    excluded from every series. The annotation's regions are valid by
-    construction; a scored prediction that fails the inline finiteness
-    and sign check goes to validate_region, which raises
-    InvalidRegionError with its frame if it is invalid. Finite boxes
-    give a non-finite center distance only by overflow, which raises
-    MeasureDomainError for the first such frame, after the loop, so any
-    invalid region is reported first. The overlap is geometry.box_overlap.
+    frames holds a Region or a supervised FrameRecord per frame. A
+    Failure scores overlap 0 and no center error, an Init is excluded
+    from every series, and any other frame is a prediction. The
+    annotation's regions are valid by construction; a prediction that
+    fails the inline finiteness and sign check goes to validate_region,
+    which raises InvalidRegionError with its frame if it is invalid.
+    Finite boxes give a non-finite center distance only by overflow,
+    which raises MeasureDomainError for the first such frame, after the
+    loop, so any invalid region is reported first.
     """
     overlaps: list[float | None] = []
     errors: list[float | None] = []
@@ -181,14 +173,11 @@ def _score_frames(a: "SequenceAnnotation", frames) -> FrameSeries:
     degenerate = None
     centers = a.centers
     for i, (gt, f) in enumerate(zip(a.regions, frames)):
-        if f.__class__ is not Region:
-            if isinstance(f, Tracked):
-                f = f.region
-            elif isinstance(f, (Failure, Init)):
-                overlaps.append(0.0 if isinstance(f, Failure) else None)
-                errors.append(None)
-                normalized.append(None)
-                continue
+        if f.__class__ is not Region and isinstance(f, (Failure, Init)):
+            overlaps.append(0.0 if isinstance(f, Failure) else None)
+            errors.append(None)
+            normalized.append(None)
+            continue
         gx, gy, gw, gh = gt
         px, py, pw, ph = f
         # NaN or an infinity makes the sum NaN or infinite; a sum of
@@ -231,8 +220,8 @@ def score_trajectory(a: "SequenceAnnotation", t: Trajectory) -> FrameSeries:
 def score_record(rec: SupervisedRunRecord, a: "SequenceAnnotation") -> FrameSeries:
     """Every per-frame series of a supervised run.
 
-    The record's structure was checked when it was built; the region of
-    each Tracked frame is checked as a trajectory's is.
+    The record's structure was checked when it was built; each reported
+    region is checked as a trajectory's is.
     """
     if len(rec) != len(a):
         raise LengthMismatchError(f"record has {len(rec)} frames, annotation {len(a)}")

@@ -30,6 +30,8 @@ Options may follow the mode:
                    starts a new run
   deterministic=0  declare the tracker stochastic, so repetitions run
   at=K             misbehave only in the K-th run of this process
+  state=TEXT       report TEXT, verbatim, on every frame request the mode
+                   does not misbehave on
 
 Deliberately self-contained: no package imports, so it behaves like a
 foreign executable.
@@ -102,7 +104,7 @@ def main() -> int:
                         sys.stdout.write("x" * (1 << 20))
                         sys.stdout.flush()
                     return 1
-            reply(f"state {FIXED.get(mode, held)}")
+            reply(f"state {options.get('state', FIXED.get(mode, held))}")
         elif cmd == "quit":
             return 0
     return 0

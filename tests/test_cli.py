@@ -25,6 +25,7 @@ from trackbench.io_formats import (
     loads_measure_table,
     read_measure_table,
     write_measure_table,
+    write_sequence,
 )
 from trackbench.theoretical import (
     BuiltinTracker,
@@ -35,7 +36,7 @@ from trackbench.theoretical import (
 from trackbench.tracker_cli import main as tracker_main
 from trackbench.tracker_cli import serve
 
-from conftest import STUB, moving_sequence
+from conftest import STUB, moving_sequence, static_sequence
 
 SCRIPTED = "scripted:name=jig,center_noise=2.5,scale_noise=0.05,seed=5"
 
@@ -878,6 +879,34 @@ class TestLabelCommand:
                              "--dataset", str(data), "--out", str(rep / "ar.svg")]) == 0
             outputs.append([(rep / f).read_bytes() for f in ("labels.tsv", "ar.svg")])
         assert outputs[0] == outputs[1]
+
+
+class TestOneFrameSequence:
+    """A dataset that adds a one-frame sequence, where no reference tracker tracks a frame."""
+
+    @pytest.fixture
+    def data(self, pipeline, tmp_path):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        one = static_sequence(1, name="zz_one")
+        write_sequence(str(data / "zz_one"), one.annotation, one.image_size)
+        return str(data)
+
+    def test_ar_plot_draws_every_reference_point_and_no_nan(self, pipeline, data, tmp_path):
+        measures = os.path.join(pipeline["out"], "measures.tsv")
+        svg = tmp_path / "ar.svg"
+        assert cli.main(["plot", "--type", "ar", "--measures", measures,
+                         "--dataset", data, "--out", str(svg)]) == 0
+        text = svg.read_text()
+        assert "nan" not in text
+        assert len([el for el in ET.fromstring(text).iter() if el.get("class") == "ref"]) == 4
+
+    def test_label_names_the_sequence_and_its_undefined_property(self, data, tmp_path, capsys):
+        assert cli.main(["label", "--dataset", data, "--out", str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: sequence 'zz_one': size is undefined"]
 
 
 class TestPlotCommand:

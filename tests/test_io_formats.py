@@ -38,7 +38,6 @@ from trackbench.trajectory import (
     MeasureRow,
     MeasureTable,
     SupervisedRunRecord,
-    Tracked,
     Trajectory,
 )
 
@@ -264,7 +263,7 @@ class TestTrajectoryFile:
 
 def sample_record():
     r = Region(1.0, 2.0, 3.0, 4.5)
-    frames = (Init(r), Tracked(Region(1.5, 2.0, 3.0, 4.5)), Failure(), Init(r), Tracked(r))
+    frames = (Init(r), Region(1.5, 2.0, 3.0, 4.5), Failure(), Init(r), r)
     return SupervisedRunRecord(frames, tau=0.125)
 
 
@@ -322,7 +321,7 @@ class TestRecordFile:
         r = Region(0.0, 0.0, 2.0, 2.0)
         frames = []
         for tag in tags:
-            frames.append({"T": Tracked(r), "F": Failure(), "I": Init(r)}[tag])
+            frames.append({"T": r, "F": Failure(), "I": Init(r)}[tag])
         rec = SupervisedRunRecord(frames, tau=0.0)
         assert loads_record(dumps_record(rec)) == rec
 
@@ -360,15 +359,14 @@ class TestOnePassWriters:
     def test_generated_lines(self, rows):
         regions = [Region(*v) for v in rows]
         assert dataset.format_regions(regions) == "".join(t + "\n" for t in per_region(regions))
-        frames = [Init(regions[0])] + [Tracked(r) for r in regions[1:]] + [Failure()]
+        frames = [Init(regions[0])] + list(regions[1:]) + [Failure()]
         lines = dumps_record(SupervisedRunRecord(frames, tau=0.5)).split("\n")
         assert lines[2:] == ["I:" + t for t in per_region(regions[:1])] + [
             "T:" + t for t in per_region(regions[1:])] + ["F:", ""]
 
     def test_record_lines(self):
         e = EDGE_REGIONS
-        frames = (Init(e[0]), Tracked(e[1]), Failure(), Init(e[2]), Tracked(e[3]),
-                  Tracked(e[4]), Failure())
+        frames = (Init(e[0]), e[1], Failure(), Init(e[2]), e[3], e[4], Failure())
         text = dumps_record(SupervisedRunRecord(frames, tau=0.0))
         t = per_region(e)
         assert text.split("\n") == [FORMAT_LINE, "tau:0", "I:" + t[0], "T:" + t[1], "F:",
@@ -383,7 +381,7 @@ class TestOnePassWriters:
         p = tmp_path / "t.traj"
         write_trajectory(str(p), Trajectory((r, Region(-0.0, 1.0, 2.0, 3.0))))
         assert p.read_text() == "inf,-inf,1,inf\n0,1,2,3\n"
-        text = dumps_record(SupervisedRunRecord((Init(Region(0, 0, 1, 1)), Tracked(r)), tau=0.0))
+        text = dumps_record(SupervisedRunRecord((Init(Region(0, 0, 1, 1)), r), tau=0.0))
         assert text.endswith("\nI:0,0,1,1\nT:inf,-inf,1,inf\n")
 
     def test_nan_raises(self, tmp_path):
@@ -391,7 +389,7 @@ class TestOnePassWriters:
         with pytest.raises(ParseError, match="NaN"):
             write_trajectory(str(tmp_path / "t.traj"), Trajectory((Region(0, 0, 1, 1), r)))
         with pytest.raises(ParseError, match="NaN"):
-            dumps_record(SupervisedRunRecord((Init(Region(0, 0, 1, 1)), Tracked(r)), tau=0.0))
+            dumps_record(SupervisedRunRecord((Init(Region(0, 0, 1, 1)), r), tau=0.0))
 
 
 def sample_table():

@@ -49,7 +49,6 @@ from trackbench.trajectory import (
     FrameSeries,
     Init,
     SupervisedRunRecord,
-    Tracked,
     Trajectory,
     score_record,
     score_trajectory,
@@ -302,7 +301,7 @@ class TestReliability:
 
 
 def perfect_record(ann):
-    frames = [Init(ann.regions[0])] + [Tracked(r) for r in ann.regions[1:]]
+    frames = [Init(ann.regions[0])] + list(ann.regions[1:])
     return SupervisedRunRecord(frames, tau=0.0)
 
 
@@ -310,7 +309,7 @@ class TestSupervisedSeries:
     def test_init_excluded_failure_zero(self):
         a = make_annotation([(0, 0, 2, 2)] * 4)
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord([Init(r), Tracked(r), Failure(), Init(r)], tau=0.0)
+        rec = SupervisedRunRecord([Init(r), r, Failure(), Init(r)], tau=0.0)
         scores = score_record(rec, a)
         assert scores.overlaps == [None, 1.0, 0.0, None]
         assert scores.center_errors == [None, 0.0, None, None]
@@ -328,7 +327,7 @@ class TestSupervisedSeries:
         boxes = [(10.0 + 3 * i, 20.0, 12.0, 10.0) for i in range(8)]
         preds = [(x + 1.0, y, w, h) for x, y, w, h in boxes]
         a = make_annotation(boxes)
-        frames = [Init(Region(*boxes[0]))] + [Tracked(Region(*p)) for p in preds[1:]]
+        frames = [Init(Region(*boxes[0]))] + [Region(*p) for p in preds[1:]]
         rec = SupervisedRunRecord(frames, tau=0.0)
         tail = make_annotation(boxes[1:])
         t = Trajectory(regions=tuple(Region(*p) for p in preds[1:]))
@@ -351,7 +350,7 @@ class TestSupervisedSeries:
         r = Region(0, 0, 2, 2)
         # A malformed record is rejected when it is built, before it is scored.
         with pytest.raises(MalformedRecordError):
-            SupervisedRunRecord([Init(r), Failure(), Tracked(r)], tau=0.0)
+            SupervisedRunRecord([Init(r), Failure(), r], tau=0.0)
 
 
 class TestComputeAll:
@@ -483,8 +482,8 @@ def ref_checked_record(rec, a):
     if len(rec) != len(a):
         raise LengthMismatchError(f"record has {len(rec)} frames, annotation {len(a)}")
     for i, fr in enumerate(rec.frames):
-        if isinstance(fr, Tracked):
-            validate_region(fr.region, frame=i + 1)
+        if isinstance(fr, Region):
+            validate_region(fr, frame=i + 1)
 
 
 def ref_supervised_overlap_series(rec, a):
@@ -496,14 +495,14 @@ def ref_supervised_overlap_series(rec, a):
         elif isinstance(fr, Failure):
             out.append(0.0)
         else:
-            out.append(overlap(a.regions[i], fr.region))
+            out.append(overlap(a.regions[i], fr))
     return out
 
 
 def ref_supervised_center_error_series(rec, a, normalized):
     ref_checked_record(rec, a)
     return [
-        ref_center_error(a, i, fr.region, normalized) if isinstance(fr, Tracked) else None
+        ref_center_error(a, i, fr, normalized) if isinstance(fr, Region) else None
         for i, fr in enumerate(rec.frames)
     ]
 
@@ -529,7 +528,7 @@ def ref_trajectory_series(a, t):
 
 def ref_record_series(rec, a):
     """score_record composed from the reference loops."""
-    scored = [fr.region if isinstance(fr, Tracked) else None for fr in rec.frames]
+    scored = [fr if isinstance(fr, Region) else None for fr in rec.frames]
     return FrameSeries(ref_supervised_overlap_series(rec, a),
                        ref_supervised_center_error_series(rec, a, False),
                        *ref_normalized_field(a, scored))
@@ -606,7 +605,7 @@ def scoring_cases(draw):
     Predictions are often the ground truth itself, to reach the gt == pred
     case, or touch it on an edge. Coordinates and extents include -0.0.
     Up to three frames get a coordinate of the prediction (trajectory and
-    Tracked region) replaced by NaN, an infinity or -1, so that the order
+    tracked region) replaced by NaN, an infinity or -1, so that the order
     in which errors are reported matters. The ground truth stays valid:
     an annotation cannot hold an invalid region.
     """
@@ -624,7 +623,7 @@ def scoring_cases(draw):
             frames.append(Failure())
             pending = True
         else:
-            frames.append(Tracked(draw(st.just(g) | boxes | touching(g))))
+            frames.append(draw(st.just(g) | boxes | touching(g)))
 
     def spoiled(r):
         return r._replace(**{draw(st.sampled_from(["x", "y", "width", "height"])):
@@ -633,8 +632,8 @@ def scoring_cases(draw):
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
         k = draw(st.integers(0, n - 1))
         preds[k] = spoiled(preds[k])
-        if isinstance(frames[k], Tracked):
-            frames[k] = Tracked(spoiled(frames[k].region))
+        if isinstance(frames[k], Region):
+            frames[k] = spoiled(frames[k])
 
     a = SequenceAnnotation(name="seq", regions=tuple(gt),
                            centers=None if centers is None else tuple(centers))
@@ -648,7 +647,7 @@ def scoring_cases(draw):
 def one_frame_case(gt, pred):
     """Both routes score the pair on frame 2, after a frame 1 on gt itself."""
     return (SequenceAnnotation(name="seq", regions=(gt, gt)), Trajectory(regions=(gt, pred)),
-            SupervisedRunRecord([Init(gt), Tracked(pred)], tau=0.0))
+            SupervisedRunRecord([Init(gt), pred], tau=0.0))
 
 
 # Boxes touching where an edge is -0.0: the intersection width, then the
@@ -685,7 +684,7 @@ _nan_box, _neg_box = Region(math.nan, 0.0, 1.0, 1.0), Region(0.0, 0.0, -1.0, 1.0
 FAR_THEN_INVALID = (
     SequenceAnnotation(name="seq", regions=(_unit,) * 4),
     Trajectory(regions=(_unit, _far, _nan_box, _neg_box)),
-    SupervisedRunRecord([Init(_unit), Tracked(_far), Tracked(_nan_box), Tracked(_neg_box)],
+    SupervisedRunRecord([Init(_unit), _far, _nan_box, _neg_box],
                         tau=0.0),
 )
 # A valid box whose center itself overflows: the distance is infinite
@@ -697,7 +696,7 @@ _wide = Region(1.7e308, 0.0, 1.7e308, 4.0)
 TWIN_WIDE = (
     SequenceAnnotation(name="seq", regions=(_wide,) * 3),
     Trajectory(regions=(_wide,) * 3),
-    SupervisedRunRecord([Init(_wide), Tracked(_wide), Tracked(_wide)], tau=0.0),
+    SupervisedRunRecord([Init(_wide), _wide, _wide], tau=0.0),
 )
 # A negative extent before a non-finite coordinate: both routes report
 # the first invalid prediction, frame 2, whatever its kind.
@@ -705,7 +704,7 @@ _ok, _bad = Region(0.0, 0.0, 4.0, 4.0), Region(0.0, 0.0, -1.0, 4.0)
 ERRORS_SPREAD = (
     SequenceAnnotation(name="seq", regions=(_ok,) * 3),
     Trajectory(regions=(_ok, _bad, Region(math.nan, 0.0, 4.0, 4.0))),
-    SupervisedRunRecord([Init(_ok), Tracked(_bad), Tracked(Region(math.nan, 0.0, 4.0, 4.0))],
+    SupervisedRunRecord([Init(_ok), _bad, Region(math.nan, 0.0, 4.0, 4.0)],
                         tau=0.0),
 )
 
@@ -775,8 +774,8 @@ class TestScoringKernel:
         a, t, rec = case
         pairs = [] if t is None else list(zip(a.regions, t.regions))
         if rec is not None:
-            pairs += [(g, f.region) for g, f in zip(a.regions, rec.frames)
-                      if isinstance(f, Tracked)]
+            pairs += [(g, f) for g, f in zip(a.regions, rec.frames)
+                      if isinstance(f, Region)]
         for g, p in pairs:
             if is_valid_region(g) and is_valid_region(p):
                 assert overlap(g, p).hex() == ref_iou(g, p).hex()
@@ -796,7 +795,7 @@ class TestScoringKernel:
         (gt if where == "gt" else preds)[frame - 1] = value
         a = SequenceAnnotation(name="seq", regions=tuple(gt))
         t = Trajectory(regions=tuple(preds)) if mode != "supervised" else None
-        frames = [Init(gt[0])] + [Tracked(p) for p in preds[1:]]
+        frames = [Init(gt[0])] + list(preds[1:])
         rec = (SupervisedRunRecord(frames, tau=0.0)
                if mode != "unsupervised" else None)
         got = outcome(compute_all, a, t, rec)

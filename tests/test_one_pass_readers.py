@@ -23,7 +23,6 @@ from trackbench.trajectory import (
     Failure,
     Init,
     SupervisedRunRecord,
-    Tracked,
     Trajectory,
 )
 
@@ -64,7 +63,7 @@ def reference_loads_record(text: str, path=None) -> SupervisedRunRecord:
     frames: list = []
     for i, line in enumerate(lines[2:], start=3):
         if line.startswith("T:"):
-            frames.append(Tracked(parse_region(line[2:], path, i)))
+            frames.append(parse_region(line[2:], path, i))
         elif line == "F:":
             frames.append(Failure())
         elif line.startswith("I:"):
@@ -241,7 +240,7 @@ class TestOnePassRoute:
         (tmp_path / "t.traj").write_text("1,2,3,4\n")
         assert read_trajectory(str(tmp_path / "t.traj")).regions == (Region(1, 2, 3, 4),)
         rec = loads_record(f"{FORMAT_LINE}\ntau:0\nI:0,0,2,2\nT:1,1,2,2\nF:\nI:0,0,2,2\n")
-        assert [type(f).__name__ for f in rec.frames] == ["Init", "Tracked", "Failure", "Init"]
+        assert [type(f).__name__ for f in rec.frames] == ["Init", "Region", "Failure", "Init"]
         assert rec.failure_frames == (3,)
 
     @pytest.mark.parametrize("text", [

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -175,6 +176,17 @@ class TestArPlot:
     def test_empty_input_rejected(self):
         with pytest.raises(EmptySeriesError):
             ar_plot({})
+
+    def test_points_with_an_undefined_coordinate_are_noted_not_drawn(self):
+        svg = ar_plot({"a": (math.nan, 0.5), "b": (0.5, 0.5)},
+                      {"tta": (math.nan, 1.0), "ttf": (1.0, 0.2)})
+        assert "<!-- a: accuracy nan, reliability 0.5: point not drawn -->" in svg
+        assert "<!-- tta: accuracy nan, reliability 1.0: point not drawn -->" in svg
+        elements = list(ET.fromstring(svg).iter())
+        assert not [v for el in elements for v in el.attrib.values() if "nan" in v]
+        assert len([el for el in elements if el.get("class") == "ref"]) == 1
+        assert len([el for el in elements if el.tag.endswith("circle")]) == 1
+        assert "square: always whole frame" in svg
 
 
 class TestFragmentationTimeline:

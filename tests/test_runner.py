@@ -37,7 +37,7 @@ from trackbench.theoretical import (
     StaticTracker,
     parse_scripted_params,
 )
-from trackbench.trajectory import Init, Tracked
+from trackbench.trajectory import Init
 
 from conftest import STUB, make_sequence, moving_sequence, static_sequence
 
@@ -226,7 +226,7 @@ class TestOneLoop:
         handle = make()
         trajectory = run_unsupervised(handle, seq, seed=5)
         record = run_supervised(handle, seq, tau=0.0, seed=5)
-        want = (Init(seq.annotation.regions[0]), *map(Tracked, trajectory.regions[1:]))
+        want = (Init(seq.annotation.regions[0]), *trajectory.regions[1:])
         assert record.frames == want
         assert len(want) == len(seq.annotation)
 
@@ -775,27 +775,37 @@ def reporter_handle(report, at):
     return TrackerHandle.in_process("reporter", lambda seq: Reporter(report, at))
 
 
+BAD_REPORTS = [
+    Region(math.nan, 30.0, 24.0, 18.0),
+    Region(40.0, math.inf, 24.0, 18.0),
+    Region(-math.inf, 30.0, 24.0, 18.0),
+    Region(40.0, 30.0, math.nan, 18.0),
+    Region(40.0, 30.0, math.inf, 18.0),
+    Region(40.0, 30.0, 24.0, math.inf),
+    Region(40.0, 30.0, -1.0, 18.0),
+    Region(40.0, 30.0, 24.0, -5e-324),
+]
+
+
 class TestInProcessReportCheck:
     @pytest.mark.parametrize("run", [run_unsupervised, run_supervised])
     @pytest.mark.parametrize("at", [1, 4])
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            Region(math.nan, 30.0, 24.0, 18.0),
-            Region(40.0, math.inf, 24.0, 18.0),
-            Region(-math.inf, 30.0, 24.0, 18.0),
-            Region(40.0, 30.0, math.nan, 18.0),
-            Region(40.0, 30.0, math.inf, 18.0),
-            Region(40.0, 30.0, 24.0, math.inf),
-            Region(40.0, 30.0, -1.0, 18.0),
-            Region(40.0, 30.0, 24.0, -5e-324),
-        ],
-    )
+    @pytest.mark.parametrize("bad", BAD_REPORTS)
     def test_invalid_report_is_a_protocol_violation_at_its_frame(self, run, at, bad):
         with pytest.raises(ProtocolViolationError) as e:
             run(reporter_handle(bad, at), static_sequence(6))
         assert e.value.frame == at
         assert str(e.value).endswith(f"invalid reported region {bad}")
+
+    @pytest.mark.parametrize("run", [run_unsupervised, run_supervised])
+    @pytest.mark.parametrize("bad", BAD_REPORTS)
+    def test_a_child_reporting_it_fails_with_the_in_process_error(self, run, bad):
+        # The stub answers its first frame request, frame 2, with the region's text.
+        with pytest.raises(ProtocolViolationError) as wire:
+            run(stub_handle("ok", "state=" + ",".join(map(repr, bad))), static_sequence(6))
+        with pytest.raises(ProtocolViolationError) as local:
+            run(reporter_handle(bad, 2), static_sequence(6))
+        assert (str(wire.value), wire.value.frame) == (str(local.value), local.value.frame)
 
     def test_non_region_report_is_a_protocol_violation(self):
         with pytest.raises(ProtocolViolationError, match="tracker returned tuple") as e:

@@ -227,6 +227,12 @@ class TestReferencePoints:
         acc_tto, rel_tto = pts["tto"]
         assert acc_tto == 1.0 and rel_tto == 1.0
 
+    def test_a_sequence_without_a_tracked_frame_leaves_the_accuracy_means(self):
+        seqs = [static_sequence(11), moving_sequence(14)]
+        with_one = theoretical_ar_points([*seqs, static_sequence(1, name="one")])
+        for kind, (acc, _) in theoretical_ar_points(seqs).items():
+            assert with_one[kind][0] == acc
+
     def test_self_failing_failure_count(self):
         for n in (7, 12):
             seq = static_sequence(n)

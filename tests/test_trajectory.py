@@ -17,7 +17,6 @@ from trackbench.trajectory import (
     Init,
     MeasureRow,
     SupervisedRunRecord,
-    Tracked,
     Trajectory,
     score_record,
     score_trajectory,
@@ -59,16 +58,16 @@ class TestAnnotation:
 def record_frames(tags):
     """Frames for tags in "TFI", each Failure followed by an Init unless last."""
     r = Region(0, 0, 2, 2)
-    make = {"T": lambda: Tracked(r), "F": Failure, "I": lambda: Init(r)}
+    make = {"T": lambda: r, "F": Failure, "I": lambda: Init(r)}
     return [make[t]() for t in ["I"] + ["I" if a == "F" else b for a, b in zip(tags, tags[1:])]]
 
 
 class TestRecord:
     def test_failure_frames_derived_from_entries(self):
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord([Init(r), Tracked(r), Failure(), Init(r), Tracked(r)], tau=0.0)
+        rec = SupervisedRunRecord([Init(r), r, Failure(), Init(r), r], tau=0.0)
         assert rec.failure_frames == (3,)
-        assert rec.frames == (Init(r), Tracked(r), Failure(), Init(r), Tracked(r))
+        assert rec.frames == (Init(r), r, Failure(), Init(r), r)
 
     @given(st.lists(st.sampled_from("TFI"), min_size=1, max_size=30).map(record_frames))
     def test_failure_frames_are_the_failure_positions(self, frames):
@@ -81,11 +80,11 @@ class TestRecord:
         with pytest.raises(TypeError):
             SupervisedRunRecord(frames=(Init(r), Failure()), failure_frames=(2,), tau=0.0)
 
-    @pytest.mark.parametrize("first", [Tracked(Region(0, 0, 2, 2)), Failure()])
+    @pytest.mark.parametrize("first", [Region(0, 0, 2, 2), Failure()])
     def test_first_frame_must_be_an_init(self, first):
         r = Region(0, 0, 2, 2)
         with pytest.raises(MalformedRecordError, match="^frame 1 is not an Init$"):
-            SupervisedRunRecord(frames=(first, Init(r), Tracked(r)), tau=0.0)
+            SupervisedRunRecord(frames=(first, Init(r), r), tau=0.0)
 
     def test_empty_record(self):
         with pytest.raises(MalformedRecordError, match="^record has no frames$"):
@@ -94,12 +93,12 @@ class TestRecord:
     def test_failure_needs_following_init(self):
         r = Region(0, 0, 2, 2)
         with pytest.raises(MalformedRecordError) as e:
-            SupervisedRunRecord(frames=(Init(r), Failure(), Tracked(r)), tau=0.0)
+            SupervisedRunRecord(frames=(Init(r), Failure(), r), tau=0.0)
         assert str(e.value) == "frame 3 after failure at 2 is not an Init"
 
     def test_final_frame_failure_allowed(self):
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord(frames=(Init(r), Tracked(r), Failure()), tau=0.0)
+        rec = SupervisedRunRecord(frames=(Init(r), r, Failure()), tau=0.0)
         assert rec.failure_frames == (3,)
 
 
@@ -135,7 +134,7 @@ class TestPairValidation:
 
     def test_invalid_tracked_region_carries_frame(self):
         r = Region(0.0, 0.0, 2.0, 2.0)
-        rec = SupervisedRunRecord([Init(r), Tracked(r), Tracked(r._replace(height=-1.0))],
+        rec = SupervisedRunRecord([Init(r), r, r._replace(height=-1.0)],
                                   tau=0.0)
         with pytest.raises(InvalidRegionError, match="^frame 3: negative region extent"):
             score_record(rec, make_annotation([r] * 3))
