@@ -208,8 +208,8 @@ def pearson_matrix(table: MeasureTable) -> CorrelationMatrix:
             y = data[mask, j]
             if np.var(x) == 0.0 or np.var(y) == 0.0:
                 continue  # undefined, not 0
-            r = float(np.corrcoef(x, y)[0, 1])
-            values[i, j] = values[j, i] = min(1.0, max(-1.0, r))
+            # clip keeps a NaN, the undefined cell of sums that overflow.
+            values[i, j] = values[j, i] = np.clip(np.corrcoef(x, y)[0, 1], -1.0, 1.0)
     return CorrelationMatrix(
         labels=tuple(m.key for m in MEASURES), values=values, counts=counts
     )

@@ -43,9 +43,15 @@ __all__ = [
 _new = tuple.__new__
 
 
+def _breaks_number_rule(text: str) -> bool:
+    """Whether text holds a character that the number rule forbids. A number text
+    is ASCII, holds no whitespace and no `_`, and parses with float; commas pass."""
+    return not (text.isascii() and text.isprintable()) or " " in text or "_" in text
+
+
 def parse_number(text: str, path=None, line=None) -> float:
-    try:
-        return float(text)
+    try:  # a forbidden character stands in as an empty text, which float rejects
+        return float("" if _breaks_number_rule(text) else text)
     except ValueError:
         raise ParseError(f"not a number: {text!r}", path, line) from None
 
@@ -98,13 +104,14 @@ def parse_region(text: str, path=None, line=None) -> Region:
 def _parse_regions(texts: list[str]) -> list[Region] | None:
     """parse_region of every text in one pass, or None if any is invalid.
 
-    float parses the numbers on both routes, so they accept the same
-    texts; on None the caller's per-line loop reports the error.
+    Both routes parse the numbers by the number rule, so they accept the
+    same texts; on None the caller's per-line loop reports the error.
     """
-    if [t.count(",") for t in texts] != [3] * len(texts):
+    joined = ",".join(texts)
+    if [t.count(",") for t in texts] != [3] * len(texts) or _breaks_number_rule(joined):
         return None
     try:
-        v = list(map(float, ",".join(texts).split(",")))
+        v = list(map(float, joined.split(",")))
     except ValueError:
         return None
     if not all(map(math.isfinite, v)) or min(v[2::4]) < 0 or min(v[3::4]) < 0:

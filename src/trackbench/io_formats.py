@@ -41,7 +41,6 @@ from .trajectory import (
     MeasureRow,
     MeasureTable,
     SupervisedRunRecord,
-    Trajectory,
 )
 
 __all__ = [
@@ -211,13 +210,13 @@ def list_sequences(root) -> list[str]:
 FORMAT_LINE = "# format: trackbench/1"
 
 
-def read_trajectory(path) -> Trajectory:
+def read_trajectory(path) -> tuple[Region, ...]:
     """Read a trajectory file: one region per line, same syntax as ground truth."""
-    return Trajectory(regions=tuple(_read_regions(str(path), "trajectory")))
+    return tuple(_read_regions(str(path), "trajectory"))
 
 
-def write_trajectory(path, t: Trajectory) -> None:
-    write_text(path, format_regions(t.regions))
+def write_trajectory(path, regions) -> None:
+    write_text(path, format_regions(regions))
 
 
 _TRACKED_LINE = "T:" + _REGION_LINE
@@ -346,10 +345,10 @@ def loads_measure_table(text: str, path=None) -> MeasureTable:
                              path, i) from None
         values = []
         for cell in value_cells:
-            if cell == "NA":
-                values.append(float("nan"))
-            else:
-                values.append(parse_number(cell, path, i))
+            v = math.nan if cell == "NA" else parse_number(cell, path, i)
+            if cell != "NA" and not math.isfinite(v):  # NA is the one undefined cell
+                raise ParseError(f"non-finite measure value: {cell!r}", path, i)
+            values.append(v)
         error = error_cell if error_cell != "" else None
         rows.append(MeasureRow(tracker=tracker, sequence=sequence, run=run,
                                frames=frames, values=tuple(values), error=error))

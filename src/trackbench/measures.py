@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import EmptySeriesError, FragmentationUndefinedError, MeasureDomainError
-from .trajectory import SupervisedRunRecord, Trajectory, score_record, score_trajectory
+from .trajectory import SupervisedRunRecord, score_record, score_trajectory
 
 __all__ = [
     "MeasureId",
@@ -300,17 +300,23 @@ def _included(series) -> list[float]:
 
 # The reductions below take the scoring kernel's own series, whose
 # overlaps it keeps in [0, 1], so they skip the public reductions' checks;
-# each value equals the public reduction's bit for bit.
+# each value equals the public reduction's bit for bit. A sum of center
+# errors that overflows the float range raises MeasureDomainError.
 def _center_measures(deltas: list[float], normalized: list[float]) -> list[float]:
     """Average center error, average normalized error and RMSE; NaN if empty."""
     n = len(deltas)
     if not n:
         return [math.nan] * 3
-    return [
-        math.fsum(deltas) / n,
-        math.fsum(normalized) / n,
-        math.sqrt(math.fsum(map(mul, deltas, deltas)) / n),
-    ]
+    sums = []
+    for what, terms in (("center errors", deltas), ("normalized center errors", normalized),
+                        ("squared center errors", map(mul, deltas, deltas))):
+        try:
+            sums.append(math.fsum(terms))  # inf when a square overflows
+        except OverflowError:
+            sums.append(math.inf)
+        if sums[-1] == math.inf:
+            raise MeasureDomainError(f"the sum of {what} overflows the float range")
+    return [sums[0] / n, sums[1] / n, math.sqrt(sums[2] / n)]
 
 
 def _overlap_measures(phis: list[float]) -> list[float]:
@@ -326,7 +332,7 @@ def _overlap_measures(phis: list[float]) -> list[float]:
     ]
 
 
-def unsupervised_measures(a: "SequenceAnnotation", t: Trajectory) -> list[float]:
+def unsupervised_measures(a: "SequenceAnnotation", t: "tuple[Region, ...]") -> list[float]:
     """Measures 1-9 from a single-initialization trajectory."""
     scores = score_trajectory(a, t)
     phis = scores.overlaps
@@ -358,7 +364,7 @@ def supervised_measures(rec: SupervisedRunRecord, a: "SequenceAnnotation") -> li
 
 def compute_all(
     a: "SequenceAnnotation",
-    trajectory: Trajectory | None = None,
+    trajectory: "tuple[Region, ...] | None" = None,
     record: SupervisedRunRecord | None = None,
 ) -> tuple[float, ...]:
     """Assemble the 16-entry measure vector.

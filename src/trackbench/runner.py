@@ -18,7 +18,7 @@ the LF) is a protocol violation. Replies are read on the calling
 thread with `select` on the child's stdout pipe, so `cmd:` trackers
 need a POSIX system. Frame paths are passed verbatim and never opened
 by the evaluator; paths containing whitespace cannot be framed on this
-protocol and are rejected up front.
+protocol, so no child is started on them.
 
 A child process that ends its hello reply with `runs=many` accepts a
 fresh `hello` after a run's last reply and resets all its state there.
@@ -59,7 +59,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .dataset import format_region, is_safe_name
+from .dataset import _breaks_number_rule, format_region, is_safe_name
 from .errors import (
     ConfigError,
     PrematureExitError,
@@ -77,7 +77,6 @@ from .trajectory import (
     MeasureRow,
     MeasureTable,
     SupervisedRunRecord,
-    Trajectory,
 )
 
 __all__ = [
@@ -101,8 +100,10 @@ def _parse_state_line(line: str, frame: int) -> Region:
     parts = line.split()
     if len(parts) != 2 or parts[0] != "state":
         raise ProtocolViolationError(f"expected 'state <region>', got {line!r}", frame)
+    # dataset's number rule, as parse_number applies it; inf and nan reach _checked.
+    text = "" if _breaks_number_rule(parts[1]) else parts[1]
     try:
-        return Region(*map(float, parts[1].split(",")))
+        return Region(*map(float, text.split(",")))
     except (TypeError, ValueError):
         raise ProtocolViolationError(f"bad state region: {parts[1]!r}", frame) from None
 
@@ -274,6 +275,8 @@ class TrackerHandle:
     `{sequence}` and `{frames}` expand per sequence) is set. Both start
     a fresh tracker per session, so a handle admits any number of open
     sessions, and it holds no lock, so it pickles when its factory does.
+    Before it starts a child, `open` raises ConfigError for a frame path
+    that holds whitespace; an in-process session frames no path.
 
     `execute_plan` runs each (tracker, sequence) unit on a copy whose
     `_idle` slot is a list. A `command` child that declared `runs=many`
@@ -332,6 +335,7 @@ class TrackerHandle:
             raise ConfigError(f"tracker {self.name!r} has no transport")
         if self._idle:
             return self._idle.pop()
+        _check_paths(seq)
         return PipeSession(self._expand_command(seq), self.timeout, self._idle)
 
     def close_idle(self) -> None:
@@ -379,7 +383,6 @@ def _drive(handle: TrackerHandle, seq: SequenceData, seed: int, hello: dict | No
     _checked checks each report, and the ground truth was checked when its
     SequenceAnnotation was built, so every region the loop scores is valid.
     """
-    _check_paths(seq)
     entries = []
     with handle.open(seq) as session:
         _, deterministic = session.handshake(seed)
@@ -401,14 +404,14 @@ def _drive(handle: TrackerHandle, seq: SequenceData, seed: int, hello: dict | No
 
 def run_unsupervised(
     handle: TrackerHandle, seq: SequenceData, seed: int = 0, hello: dict | None = None
-) -> Trajectory:
+) -> tuple[Region, ...]:
     """One single-initialization run; returns one region per frame.
 
     Frame 1 holds the region the tracker echoed for the initialization.
     If given, `hello["deterministic"]` is set from the handshake reply
     unless an earlier handshake already set it.
     """
-    return Trajectory(regions=tuple(_drive(handle, seq, seed, hello, None)))
+    return tuple(_drive(handle, seq, seed, hello, None))
 
 
 def run_supervised(

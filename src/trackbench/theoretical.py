@@ -374,34 +374,32 @@ class BuiltinTracker(namedtuple("BuiltinTracker", "kind params")):
 
 def theoretical_trajectory(
     kind: str, a: "SequenceAnnotation", image_size: tuple[float, float] | None = None
-) -> "Trajectory":
+) -> tuple[Region, ...]:
     """Single-initialization trajectory of a theoretical tracker.
 
     Computed directly from the annotation; equals what the stateful
     behavior reports under an unsupervised run.
     """
-    from .trajectory import Trajectory
-
     n = len(a)
     if kind == "tta":
         if image_size is None:
             raise ConfigError("tta needs the image size")
         r = Region(0.0, 0.0, float(image_size[0]), float(image_size[1]))
-        return Trajectory(regions=(r,) * n)
+        return (r,) * n
     if kind == "tts":
-        return Trajectory(regions=(a.regions[0],) * n)
+        return (a.regions[0],) * n
     if kind == "ttf":
         regions = [a.regions[0]]
         for t in range(2, n + 1):
             regions.append(a.regions[t - 1] if t == n else _ZERO_REGION)
-        return Trajectory(regions=tuple(regions))
+        return tuple(regions)
     if kind == "tto":
         w, h = a.regions[0].width, a.regions[0].height
         regions = []
         for i in range(n):
             c = a.center(i)
             regions.append(Region(c.x - w / 2.0, c.y - h / 2.0, w, h))
-        return Trajectory(regions=tuple(regions))
+        return tuple(regions)
     raise ConfigError(f"unknown theoretical tracker kind: {kind!r}")
 
 
@@ -413,19 +411,17 @@ def _probe(kind: str, seq: "SequenceData", span: float) -> tuple[float, float, f
     Init frames excluded, as for evaluated trackers. The tracked accuracy
     averages the record's Region frames only; ttf has none on odd-length
     sequences, and its accuracy there is 1.0 by construction (every
-    region it reports on a tracked frame is the ground truth). The run is driven in
-    process on frame paths synthesized from the frame numbers, so where
-    the dataset sits, spaces in its path included, does not matter.
+    region it reports on a tracked frame is the ground truth). The run
+    is driven in process, which frames no path, so the dataset's own
+    frame paths serve, spaces included.
     """
-    from .io_formats import SequenceData
     from .measures import reliability
     from .runner import TrackerHandle, run_supervised
     from .trajectory import score_record
 
     a = seq.annotation
     handle = TrackerHandle.in_process(kind, BuiltinTracker(kind))
-    probe_seq = SequenceData.synthetic(a, seq.image_size, root="")
-    rec = run_supervised(handle, probe_seq, tau=0.0, seed=0)
+    rec = run_supervised(handle, seq, tau=0.0, seed=0)
     phis = score_record(rec, a).overlaps
     scored = [v for v in phis if v is not None]
     tracked = [v for v, fr in zip(phis, rec.frames) if isinstance(fr, Region)]

@@ -1,9 +1,10 @@
 """Run model and scoring: trajectories, supervised runs, measure rows.
 
-Frame numbers are 1-based everywhere they are exposed (failure frames,
-error messages); plain Python indices into the underlying tuples stay
-0-based. The ground truth a run is scored against is an
-io_formats.SequenceAnnotation.
+A trajectory is the tuple of Regions an uninterrupted run reported, one
+per frame. Frame numbers are 1-based everywhere they are exposed
+(failure frames, error messages); plain Python indices into the
+underlying tuples stay 0-based. The ground truth a run is scored
+against is an io_formats.SequenceAnnotation.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +20,6 @@ from .errors import (
 from .geometry import Region, box_overlap, validate_region
 
 __all__ = [
-    "Trajectory",
     "Failure",
     "Init",
     "SupervisedRunRecord",
@@ -29,19 +29,6 @@ __all__ = [
     "score_trajectory",
     "score_record",
 ]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Tracker output of an uninterrupted run: one region per frame."""
-
-    regions: tuple[Region, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(self.regions))
-
-    def __len__(self) -> int:
-        return len(self.regions)
 
 
 @dataclass(frozen=True)
@@ -163,9 +150,9 @@ def _score_frames(a: "SequenceAnnotation", frames) -> FrameSeries:
     annotation's regions are valid by construction; a prediction that
     fails the inline finiteness and sign check goes to validate_region,
     which raises InvalidRegionError with its frame if it is invalid.
-    Finite boxes give a non-finite center distance only by overflow,
-    which raises MeasureDomainError for the first such frame, after the
-    loop, so any invalid region is reported first.
+    Finite boxes give a non-finite center or normalized distance only by
+    overflow, which raises MeasureDomainError for the first such frame,
+    after the loop, so any invalid region is reported first.
     """
     overlaps: list[float | None] = []
     errors: list[float | None] = []
@@ -204,17 +191,18 @@ def _score_frames(a: "SequenceAnnotation", frames) -> FrameSeries:
             normalized.append(None)
             if degenerate is None:
                 degenerate = i + 1
-    if _INF in errors:
-        frame = errors.index(_INF) + 1
-        raise MeasureDomainError(f"frame {frame}: center error overflows the float range")
+    for what, series in (("center error", errors), ("normalized center error", normalized)):
+        if _INF in series:
+            frame = series.index(_INF) + 1
+            raise MeasureDomainError(f"frame {frame}: {what} overflows the float range")
     return FrameSeries(overlaps, errors, normalized, degenerate)
 
 
-def score_trajectory(a: "SequenceAnnotation", t: Trajectory) -> FrameSeries:
+def score_trajectory(a: "SequenceAnnotation", regions: tuple[Region, ...]) -> FrameSeries:
     """Every per-frame series of a trajectory; the first invalid prediction raises."""
-    if len(a) != len(t):
-        raise LengthMismatchError(f"annotation has {len(a)} frames, trajectory {len(t)}")
-    return _score_frames(a, t.regions)
+    if len(a) != len(regions):
+        raise LengthMismatchError(f"annotation has {len(a)} frames, trajectory {len(regions)}")
+    return _score_frames(a, regions)
 
 
 def score_record(rec: SupervisedRunRecord, a: "SequenceAnnotation") -> FrameSeries:

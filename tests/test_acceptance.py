@@ -367,8 +367,8 @@ def test_09_child_processes_reproduce_in_process_records(tmp_path):
             assert dumps_record(rec_child) == dumps_record(rec_local), (kind, seq.annotation.name)
             t_local = run_unsupervised(local, seq, seed=13)
             t_child = run_unsupervised(child, seq, seed=13)
-            assert [format_region(r) for r in t_child.regions] == [
-                format_region(r) for r in t_local.regions
+            assert [format_region(r) for r in t_child] == [
+                format_region(r) for r in t_local
             ]
 
     seq = seqs[0]

@@ -202,6 +202,20 @@ class TestPearsonMatrix:
         assert corr.counts[2, 0] == 2
         assert math.isnan(corr.values[2, 0])
 
+    def test_an_overflowing_correlation_is_undefined_not_minus_one(self):
+        # Columns near 1e200 overflow np.corrcoef's sums, so r is NaN.
+        rows = []
+        rng = np.random.default_rng(7)
+        for i in range(10):
+            vals = rng.normal(size=16)
+            vals[0], vals[2] = (i + 1) * 1e200, (i % 4 + 1) * 1e200
+            rows.append(row("t", f"s{i}", vals, run=i))
+        with np.errstate(over="ignore", invalid="ignore"):
+            corr = pearson_matrix(MeasureTable(rows=tuple(rows)))
+        assert math.isnan(corr.values[0, 2]) and math.isnan(corr.values[2, 0])
+        assert corr.counts[0, 2] == 10
+        assert not math.isnan(corr.values[1, 3])
+
 
 class TestPolarityAlignment:
     def test_sign_flips_follow_the_registry(self):

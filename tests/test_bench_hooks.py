@@ -81,3 +81,30 @@ def test_traced_run_counts_every_session_score_and_file(tmp_dataset, tmp_path, w
     assert rec.counts["runner.sessions"] == 2 * rows
     assert rec.counts["io_formats.files_written"] == on_disk == 2 * rows + 1
     assert rec.counts["measures.compute_all_calls"] == rows
+
+
+@pytest.mark.parametrize("command, probes", [
+    (["label"], 3),  # size, motion and size_change: tta, tts and tto
+    (["plot", "--type", "ar"], 4),  # one point per reference tracker
+])
+def test_traced_reference_probes_record_runner_and_theoretical_spans(tmp_path, command, probes):
+    # A traced score_report requires a span in every layer it crosses. The
+    # reference probes are its only runner sessions, so they must go through
+    # the hooked runner.run_supervised and TrackerHandle.open.
+    data, out = str(tmp_path / "data"), tmp_path / "out"
+    assert cli.main(["synth", "--out", data, "--sequences", "8"]) == 0
+    assert cli.main(["run", "--dataset", data, "--out", str(out), "--tracker", "tts",
+                     "--repetitions", "1"]) == 0
+    argv = command + ["--dataset", data, "--out", str(tmp_path / "report")]
+    if command[0] == "plot":
+        argv[-1] += ".svg"
+        argv += ["--measures", str(out / "measures.tsv")]
+    spans = load_spans()
+    rec = spans.Recorder()
+    undo = spans.install(rec)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        undo()
+    assert {"runner", "theoretical"} <= rec.layers()
+    assert rec.counts["runner.sessions"] == probes * 8

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 import trackbench
 from trackbench import analysis, cli, runner
-from trackbench.dataset import format_region
+from trackbench.dataset import format_region, parse_region
 from trackbench.errors import ConfigError
 from trackbench.io_formats import (
+    SequenceAnnotation,
     dumps_measure_table,
     loads_measure_table,
     read_measure_table,
@@ -743,6 +744,53 @@ class TestOverflowingRegions:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: frame 1: {self.OVERFLOW}"]
         assert captured.out == ""
+
+
+class TestOverflowingSums:
+    """A center error, normalized error or sum of them that overflows is a
+    measure error: a row error from run, one error line from measure."""
+
+    def test_run_of_a_drift_whose_squares_overflow_gives_an_error_row(self, tmp_path):
+        data, out = str(tmp_path / "data"), tmp_path / "out"
+        assert cli.main(["synth", "--out", data, "--sequences", "1"]) == 0
+        assert cli.main(["run", "--dataset", data, "--out", str(out), "--repetitions", "1",
+                         "--tracker", "scripted:name=d,drift_onset=0,drift_velocity=1e152:0"]) == 0
+        [row] = read_measure_table(str(out / "measures.tsv")).rows
+        assert row.error == ("measure error: the sum of squared center errors overflows"
+                             " the float range")
+        assert (out / "raw" / "d").is_dir()
+
+    @pytest.mark.parametrize("gt, far, message", [
+        ("0,0,4,4", "1e154,0,4,4", "the sum of squared center errors overflows the float range"),
+        ("0,0,5e-324,1", "3e146,0,4,4",
+         "the sum of normalized center errors overflows the float range"),
+        ("0,0,5e-324,1", "1e150,0,4,4",
+         "frame 2: normalized center error overflows the float range"),
+    ])
+    def test_measure_prints_one_error_line(self, tmp_path, capsys, gt, far, message):
+        seq = str(tmp_path / "s")
+        write_sequence(seq, SequenceAnnotation("s", (parse_region(gt),) * 3))
+        traj = tmp_path / "far.traj"
+        traj.write_text(f"{gt}\n{far}\n{far}\n")
+        assert cli.main(["measure", "--sequence", seq, "--trajectory", str(traj)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_analyze_of_a_non_finite_cell_exits_1_naming_its_line(pipeline, tmp_path, capsys, cell):
+    with open(os.path.join(pipeline["out"], "measures.tsv"), encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    cells = lines[4].split("\t")
+    cells[5] = cell  # avg_norm_center_error
+    lines[4] = "\t".join(cells)
+    measures = tmp_path / "measures.tsv"
+    measures.write_text("\n".join(lines))
+    assert cli.main(["analyze", "--measures", str(measures), "--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {measures}:5: non-finite measure value: {cell!r}"]
+    assert not (tmp_path / "a" / "correlation.tsv").exists()
 
 
 class TestGoldenReports:

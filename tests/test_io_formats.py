@@ -38,7 +38,6 @@ from trackbench.trajectory import (
     MeasureRow,
     MeasureTable,
     SupervisedRunRecord,
-    Trajectory,
 )
 
 from conftest import make_annotation
@@ -108,6 +107,67 @@ class TestRegions:
                 format_region(r)
         else:
             assert format_region(r) == ",".join(map(format_number, values))
+
+
+class TestNumberRule:
+    """A number text is ASCII, holds no whitespace and no `_`, and parses
+    with float; every file route rejects any other text at its line."""
+
+    FORMS = ["1_0", "\u0661\u0662", "\u0661", " 1", "1 ", "1\t", "\u30001"]
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_parse_number_and_parse_region(self, form):
+        with pytest.raises(ParseError, match="not a number") as e:
+            parse_number(form, "f", 7)
+        assert (e.value.path, e.value.line) == ("f", 7)
+        with pytest.raises(ParseError, match="not a number"):
+            parse_region(f"4,{form},2,3")
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_region_files(self, tmp_path, form):
+        bad = f"40,30,{form},18"
+        traj = tmp_path / "t.traj"
+        traj.write_text(f"40,30,24,18\n{bad}\n40,30,24,18\n", encoding="utf-8")
+        seq = tmp_path / "s"
+        write_sequence(str(seq), make_annotation([(40.0, 30.0, 24.0, 18.0)] * 3, "s"))
+        (seq / "groundtruth.txt").write_text(traj.read_text(encoding="utf-8"), encoding="utf-8")
+        for read, path in ((read_trajectory, traj), (read_sequence, seq)):
+            with pytest.raises(ParseError, match="not a number") as e:
+                read(str(path))
+            assert e.value.line == 2
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_record_files(self, form):
+        good = "# format: trackbench/1\ntau:0\nI:40,30,24,18\nT:40,30,24,18\n"
+        for line, text in ((4, good.replace("T:40", f"T:{form}")),
+                           (3, good.replace("I:40,30", f"I:40,{form}")),
+                           (2, good.replace("tau:0", f"tau:{form}"))):
+            with pytest.raises(ParseError, match="not a number") as e:
+                loads_record(text, "r.record")
+            assert (e.value.path, e.value.line) == ("r.record", line)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_centers_meta_and_measure_tables(self, tmp_path, form):
+        seq = tmp_path / "s"
+        write_sequence(str(seq), make_annotation([(40.0, 30.0, 24.0, 18.0)] * 2, "s"),
+                       image_size=(320.0, 240.0))
+        (seq / "center.txt").write_text(f"52,39\n{form},39\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="not a number") as e:
+            read_sequence(str(seq))
+        assert e.value.line == 2
+        (seq / "center.txt").unlink()
+        (seq / "sequence.meta").write_text(f"name=s\nwidth=3{form}0\nheight=240\n",
+                                           encoding="utf-8")
+        with pytest.raises(ParseError, match="not a number") as e:
+            read_sequence(str(seq))
+        assert e.value.line == 2
+        lines = dumps_measure_table(sample_table()).split("\n")
+        lines[2] = lines[2].replace("\t0.0\t", f"\t0.{form}\t", 1)
+        # A tab ends a TSV cell, so that form fails the cell count instead.
+        with pytest.raises(ParseError, match="expected 21 cells" if "\t" in form
+                           else "not a number") as e:
+            loads_measure_table("\n".join(lines))
+        assert e.value.line == 3
 
 
 class TestSequenceDir:
@@ -249,7 +309,7 @@ class TestSequenceDir:
 
 class TestTrajectoryFile:
     def test_round_trip(self, tmp_path):
-        t = Trajectory(regions=(Region(0.5, 1.5, 2.0, 3.0), Region(1.0, 2.0, 3.0, 4.0)))
+        t = (Region(0.5, 1.5, 2.0, 3.0), Region(1.0, 2.0, 3.0, 4.0))
         p = tmp_path / "t.txt"
         write_trajectory(str(p), t)
         assert read_trajectory(str(p)) == t
@@ -349,7 +409,7 @@ class TestOnePassWriters:
     def test_trajectory_lines(self, tmp_path):
         p = tmp_path / "t.traj"
         for regions in (EDGE_REGIONS, EDGE_REGIONS[:1], EDGE_REGIONS[2:3]):
-            write_trajectory(str(p), Trajectory(regions))
+            write_trajectory(str(p), regions)
             assert p.read_bytes().decode().split("\n") == per_region(regions) + [""]
 
     coordinate = TestRegions.coordinates.filter(lambda v: not math.isnan(v))
@@ -379,7 +439,7 @@ class TestOnePassWriters:
     def test_infinities_are_written_as_inf(self, tmp_path):
         r = Region(math.inf, -math.inf, 1.0, math.inf)
         p = tmp_path / "t.traj"
-        write_trajectory(str(p), Trajectory((r, Region(-0.0, 1.0, 2.0, 3.0))))
+        write_trajectory(str(p), (r, Region(-0.0, 1.0, 2.0, 3.0)))
         assert p.read_text() == "inf,-inf,1,inf\n0,1,2,3\n"
         text = dumps_record(SupervisedRunRecord((Init(Region(0, 0, 1, 1)), r), tau=0.0))
         assert text.endswith("\nI:0,0,1,1\nT:inf,-inf,1,inf\n")
@@ -387,7 +447,7 @@ class TestOnePassWriters:
     def test_nan_raises(self, tmp_path):
         r = Region(1.0, math.nan, 2.0, 3.0)
         with pytest.raises(ParseError, match="NaN"):
-            write_trajectory(str(tmp_path / "t.traj"), Trajectory((Region(0, 0, 1, 1), r)))
+            write_trajectory(str(tmp_path / "t.traj"), (Region(0, 0, 1, 1), r))
         with pytest.raises(ParseError, match="NaN"):
             dumps_record(SupervisedRunRecord((Init(Region(0, 0, 1, 1)), r), tau=0.0))
 
@@ -449,6 +509,16 @@ class TestMeasureTableFile:
         text = dumps_measure_table(sample_table()) + "only\tthree\tcells\n"
         with pytest.raises(ParseError):
             loads_measure_table(text)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity", "NaN"])
+    def test_a_non_finite_cell_is_rejected_at_its_line(self, cell):
+        lines = dumps_measure_table(sample_table()).split("\n")
+        cells = lines[3].split("\t")
+        cells[5] = cell
+        lines[3] = "\t".join(cells)
+        with pytest.raises(ParseError, match="non-finite measure value") as e:
+            loads_measure_table("\n".join(lines), "m.tsv")
+        assert (e.value.path, e.value.line) == ("m.tsv", 4)
 
     def test_nan_cells_written_as_na(self):
         text = dumps_measure_table(sample_table())

@@ -49,7 +49,6 @@ from trackbench.trajectory import (
     FrameSeries,
     Init,
     SupervisedRunRecord,
-    Trajectory,
     score_record,
     score_trajectory,
 )
@@ -330,7 +329,7 @@ class TestSupervisedSeries:
         frames = [Init(Region(*boxes[0]))] + [Region(*p) for p in preds[1:]]
         rec = SupervisedRunRecord(frames, tau=0.0)
         tail = make_annotation(boxes[1:])
-        t = Trajectory(regions=tuple(Region(*p) for p in preds[1:]))
+        t = tuple(Region(*p) for p in preds[1:])
         sup = supervised_measures(rec, a)
         phis = score_trajectory(tail, t).overlaps
         assert sup[5] == average_overlap(phis)
@@ -357,7 +356,7 @@ class TestComputeAll:
     def test_perfect_tracker(self):
         boxes = [(5.0 + i, 6.0, 10.0, 8.0) for i in range(6)]
         a = make_annotation(boxes)
-        t = Trajectory(regions=tuple(Region(*b) for b in boxes))
+        t = tuple(Region(*b) for b in boxes)
         rec = perfect_record(a)
         v = compute_all(a, trajectory=t, record=rec)
         keys = measure_keys()
@@ -373,7 +372,7 @@ class TestComputeAll:
 
     def test_missing_halves_are_nan(self):
         a = make_annotation([(0, 0, 2, 2)] * 3)
-        t = Trajectory(regions=(Region(0, 0, 2, 2),) * 3)
+        t = (Region(0, 0, 2, 2),) * 3
         v = compute_all(a, trajectory=t, record=None)
         assert all(math.isnan(x) for x in v[9:16])
         assert not any(math.isnan(x) for x in v[0:9])
@@ -392,13 +391,13 @@ class TestFrameScores:
     def test_identical_trajectory_scores_one(self):
         boxes = [(5.0, 6.0, 10.0, 8.0), (7.0, 6.0, 12.0, 9.0)]
         a = make_annotation(boxes)
-        t = Trajectory(regions=tuple(Region(*b) for b in boxes))
+        t = tuple(Region(*b) for b in boxes)
         assert score_trajectory(a, t).overlaps == [1.0, 1.0]
         assert unsupervised_measures(a, t) == [0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 1.0, 0.0]
 
     def test_disjoint_trajectory_scores_zero(self):
         a = make_annotation([(0.0, 0.0, 4.0, 4.0)])
-        t = Trajectory(regions=(Region(50.0, 50.0, 4.0, 4.0),))
+        t = (Region(50.0, 50.0, 4.0, 4.0),)
         assert score_trajectory(a, t).overlaps == [0.0]
         values = unsupervised_measures(a, t)
         assert values[0] == pytest.approx(50.0 * math.sqrt(2.0))
@@ -444,13 +443,13 @@ def ref_iou(gt, pred):
 def ref_checked_trajectory(a, t):
     if len(a) != len(t):
         raise LengthMismatchError(f"annotation has {len(a)} frames, trajectory {len(t)}")
-    for i, p in enumerate(t.regions):
+    for i, p in enumerate(t):
         validate_region(p, frame=i + 1)
 
 
 def ref_overlap_series(a, t):
     ref_checked_trajectory(a, t)
-    return [overlap(g, p) for g, p in zip(a.regions, t.regions)]
+    return [overlap(g, p) for g, p in zip(a.regions, t)]
 
 
 def ref_center_error(a, i, pred, normalized):
@@ -475,7 +474,7 @@ def ref_center_error(a, i, pred, normalized):
 
 def ref_center_error_series(a, t, normalized):
     ref_checked_trajectory(a, t)
-    return [ref_center_error(a, i, p, normalized) for i, p in enumerate(t.regions)]
+    return [ref_center_error(a, i, p, normalized) for i, p in enumerate(t)]
 
 
 def ref_checked_record(rec, a):
@@ -523,7 +522,7 @@ def ref_normalized_field(a, scored):
 def ref_trajectory_series(a, t):
     """score_trajectory composed from the reference loops."""
     return FrameSeries(ref_overlap_series(a, t), ref_center_error_series(a, t, False),
-                       *ref_normalized_field(a, t.regions))
+                       *ref_normalized_field(a, t))
 
 
 def ref_record_series(rec, a):
@@ -638,7 +637,7 @@ def scoring_cases(draw):
     a = SequenceAnnotation(name="seq", regions=tuple(gt),
                            centers=None if centers is None else tuple(centers))
     mode = draw(st.sampled_from(["unsupervised", "supervised", "both"]))
-    t = Trajectory(regions=tuple(preds)) if mode != "supervised" else None
+    t = tuple(preds) if mode != "supervised" else None
     rec = (SupervisedRunRecord(frames, tau=0.0)
            if mode != "unsupervised" else None)
     return a, t, rec
@@ -646,7 +645,7 @@ def scoring_cases(draw):
 
 def one_frame_case(gt, pred):
     """Both routes score the pair on frame 2, after a frame 1 on gt itself."""
-    return (SequenceAnnotation(name="seq", regions=(gt, gt)), Trajectory(regions=(gt, pred)),
+    return (SequenceAnnotation(name="seq", regions=(gt, gt)), (gt, pred),
             SupervisedRunRecord([Init(gt), pred], tau=0.0))
 
 
@@ -683,7 +682,7 @@ FAR = one_frame_case(_unit, _far)
 _nan_box, _neg_box = Region(math.nan, 0.0, 1.0, 1.0), Region(0.0, 0.0, -1.0, 1.0)
 FAR_THEN_INVALID = (
     SequenceAnnotation(name="seq", regions=(_unit,) * 4),
-    Trajectory(regions=(_unit, _far, _nan_box, _neg_box)),
+    (_unit, _far, _nan_box, _neg_box),
     SupervisedRunRecord([Init(_unit), _far, _nan_box, _neg_box],
                         tau=0.0),
 )
@@ -695,7 +694,7 @@ WIDE = one_frame_case(Region(0.0, 0.0, 4.0, 4.0), Region(1.7e308, 0.0, 1.7e308, 
 _wide = Region(1.7e308, 0.0, 1.7e308, 4.0)
 TWIN_WIDE = (
     SequenceAnnotation(name="seq", regions=(_wide,) * 3),
-    Trajectory(regions=(_wide,) * 3),
+    (_wide,) * 3,
     SupervisedRunRecord([Init(_wide), _wide, _wide], tau=0.0),
 )
 # A negative extent before a non-finite coordinate: both routes report
@@ -703,7 +702,7 @@ TWIN_WIDE = (
 _ok, _bad = Region(0.0, 0.0, 4.0, 4.0), Region(0.0, 0.0, -1.0, 4.0)
 ERRORS_SPREAD = (
     SequenceAnnotation(name="seq", regions=(_ok,) * 3),
-    Trajectory(regions=(_ok, _bad, Region(math.nan, 0.0, 4.0, 4.0))),
+    (_ok, _bad, Region(math.nan, 0.0, 4.0, 4.0)),
     SupervisedRunRecord([Init(_ok), _bad, Region(math.nan, 0.0, 4.0, 4.0)],
                         tau=0.0),
 )
@@ -772,7 +771,7 @@ class TestScoringKernel:
     @example(UNDERFLOW)
     def test_overlap_matches_builtin_formula_bit_for_bit(self, case):
         a, t, rec = case
-        pairs = [] if t is None else list(zip(a.regions, t.regions))
+        pairs = [] if t is None else list(zip(a.regions, t))
         if rec is not None:
             pairs += [(g, f) for g, f in zip(a.regions, rec.frames)
                       if isinstance(f, Region)]
@@ -794,7 +793,7 @@ class TestScoringKernel:
         preds = [Region(1.0, 0.0, 4.0, 4.0)] * 4
         (gt if where == "gt" else preds)[frame - 1] = value
         a = SequenceAnnotation(name="seq", regions=tuple(gt))
-        t = Trajectory(regions=tuple(preds)) if mode != "supervised" else None
+        t = tuple(preds) if mode != "supervised" else None
         frames = [Init(gt[0])] + list(preds[1:])
         rec = (SupervisedRunRecord(frames, tau=0.0)
                if mode != "unsupervised" else None)

@@ -23,7 +23,6 @@ from trackbench.trajectory import (
     Failure,
     Init,
     SupervisedRunRecord,
-    Trajectory,
 )
 
 
@@ -38,7 +37,7 @@ def reference_ground_truth(gt_path):
     return regions
 
 
-def reference_read_trajectory(path) -> Trajectory:
+def reference_read_trajectory(path) -> tuple[Region, ...]:
     regions = []
     for i, line in enumerate(_read_lines(path), start=1):
         if line.strip() == "":
@@ -46,7 +45,7 @@ def reference_read_trajectory(path) -> Trajectory:
         regions.append(parse_region(line, str(path), i))
     if not regions:
         raise ParseError("trajectory has no frames", str(path))
-    return Trajectory(regions=tuple(regions))
+    return tuple(regions)
 
 
 def reference_loads_record(text: str, path=None) -> SupervisedRunRecord:
@@ -95,10 +94,6 @@ def outcome(read, *args, fingerprint):
 
 def regions_bits(regions) -> list:
     return [bits(r) for r in regions]
-
-
-def trajectory_bits(t: Trajectory) -> list:
-    return regions_bits(t.regions)
 
 
 def record_bits(rec: SupervisedRunRecord) -> tuple:
@@ -163,8 +158,8 @@ class TestRegionFiles:
         os.makedirs(seq_dir, exist_ok=True)
         path = os.path.join(seq_dir, "run_00.traj")
         write(path, file_text(lines, trailing))
-        assert outcome(read_trajectory, path, fingerprint=trajectory_bits) == outcome(
-            reference_read_trajectory, path, fingerprint=trajectory_bits)
+        assert outcome(read_trajectory, path, fingerprint=regions_bits) == outcome(
+            reference_read_trajectory, path, fingerprint=regions_bits)
 
 
 @st.composite
@@ -238,7 +233,7 @@ class TestOnePassRoute:
         assert read_sequence(str(tmp_path)).annotation.regions == (
             Region(0, 0, 2, 2), Region(-0.0, 1.5, 0, 1e300))
         (tmp_path / "t.traj").write_text("1,2,3,4\n")
-        assert read_trajectory(str(tmp_path / "t.traj")).regions == (Region(1, 2, 3, 4),)
+        assert read_trajectory(str(tmp_path / "t.traj")) == (Region(1, 2, 3, 4),)
         rec = loads_record(f"{FORMAT_LINE}\ntau:0\nI:0,0,2,2\nT:1,1,2,2\nF:\nI:0,0,2,2\n")
         assert [type(f).__name__ for f in rec.frames] == ["Init", "Region", "Failure", "Init"]
         assert rec.failure_frames == (3,)

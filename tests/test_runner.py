@@ -159,12 +159,13 @@ class TestSupervisedProtocol:
         high = run_supervised(tts_handle(), seq, tau=0.5, seed=0)
         assert len(high.failure_frames) > len(low.failure_frames)
 
-    def test_whitespace_frame_paths_rejected(self):
+    def test_whitespace_frame_paths_rejected(self, started):
         seq = make_sequence([(0.0, 0.0, 4.0, 4.0)] * 3, root="has space")
         with pytest.raises(ConfigError):
-            run_supervised(tts_handle(), seq)
+            run_supervised(tracker_cli_handle("tts"), seq)
         with pytest.raises(ConfigError):
-            run_unsupervised(tts_handle(), seq)
+            run_unsupervised(tracker_cli_handle("tts"), seq)
+        assert started == []
 
 
 QUIET = "name=quiet,center_noise=0.5,scale_noise=0.01,seed=4"
@@ -226,7 +227,7 @@ class TestOneLoop:
         handle = make()
         trajectory = run_unsupervised(handle, seq, seed=5)
         record = run_supervised(handle, seq, tau=0.0, seed=5)
-        want = (Init(seq.annotation.regions[0]), *trajectory.regions[1:])
+        want = (Init(seq.annotation.regions[0]), *trajectory[1:])
         assert record.frames == want
         assert len(want) == len(seq.annotation)
 
@@ -686,7 +687,7 @@ class TestChildProcess:
     def test_a_last_reply_without_lf_is_read_before_the_exit(self):
         # The reply to frame 3 has no LF; the child exits after it.
         box = static_sequence(3).annotation.regions[0]
-        assert run_unsupervised(stub_handle("partial"), static_sequence(3)).regions == (box,) * 3
+        assert run_unsupervised(stub_handle("partial"), static_sequence(3)) == (box,) * 3
         with pytest.raises(PrematureExitError) as e:
             run_unsupervised(stub_handle("partial"), static_sequence(4))
         assert e.value.frame == 4
@@ -735,7 +736,7 @@ class TestUnsupervised:
         seq = moving_sequence(12)
         t = run_unsupervised(tts_handle(), seq, seed=0)
         assert len(t) == 12
-        assert t.regions[0] == seq.annotation.regions[0]
+        assert t[0] == seq.annotation.regions[0]
 
     def test_seed_reaches_the_tracker(self):
         seq = static_sequence(10)
@@ -822,7 +823,7 @@ class TestInProcessReportCheck:
     )
     def test_negative_zero_and_zero_area_reports_are_accepted(self, report):
         t = run_unsupervised(reporter_handle(report, 4), static_sequence(6))
-        got = t.regions[3]
+        got = t[3]
         assert got == report
         signs = [math.copysign(1.0, v) for v in (got.x, got.y, got.width, got.height)]
         assert signs == [math.copysign(1.0, v)
@@ -831,21 +832,68 @@ class TestInProcessReportCheck:
         assert rec.failure_frames == (4,)
 
 
+class TestStateNumbers:
+    """A reply's region follows the dataset files' number rule; inf and nan
+    parse, so a non-finite report fails as an invalid region."""
+
+    @pytest.mark.parametrize("state", ["1_0,2,3,4", "\u0661,2,3,4", "1,2,3,\u0664\u0662"])
+    def test_a_number_text_outside_the_rule_is_a_bad_state_region(self, state):
+        with pytest.raises(ProtocolViolationError, match="bad state region") as e:
+            run_unsupervised(stub_handle("ok", f"state={state}"), static_sequence(4))
+        assert str(e.value) == f"protocol-violation at frame 2: bad state region: {state!r}"
+
+    @pytest.mark.parametrize("state", ["inf,0,1,1", "0,nan,1,1"])
+    def test_a_non_finite_number_reaches_the_region_check(self, state):
+        with pytest.raises(ProtocolViolationError, match="invalid reported region"):
+            run_unsupervised(stub_handle("ok", f"state={state}"), static_sequence(4))
+
+
 class TestFramePathCheck:
+    """The wire cannot frame a path that holds whitespace: a `cmd:` session
+    rejects one before its child starts, and a plan before any unit starts."""
+
     @pytest.mark.parametrize("space", [" ", "\t", "\u3000", "\x1c", "\x85", "\xa0", "\u2028"])
-    def test_unicode_whitespace_is_rejected(self, space):
+    def test_unicode_whitespace_is_rejected(self, space, started):
         seq = make_sequence([(0.0, 0.0, 4.0, 4.0)] * 3, root=f"data{space}dir")
         for run in (run_unsupervised, run_supervised):
             with pytest.raises(ConfigError, match="frame path contains whitespace"):
-                run(tts_handle(), seq)
+                run(tracker_cli_handle("tts"), seq)
+        assert started == []
 
-    def test_error_names_the_offending_path(self):
+    def test_error_names_the_offending_path(self, started):
         a = static_sequence(3).annotation
         seq = SequenceData(annotation=a, image_size=None,
                            frame_paths=("f/1.jpg", "f/2\x1c.jpg", "f/3 .jpg"))
         with pytest.raises(ConfigError) as e:
-            run_unsupervised(tts_handle(), seq)
+            run_unsupervised(tracker_cli_handle("tts"), seq)
         assert str(e.value) == "frame path contains whitespace: 'f/2\\x1c.jpg'"
+        assert started == []
+
+    def test_an_in_process_run_frames_no_path(self):
+        clean = make_sequence([(0.0, 0.0, 4.0, 4.0)] * 3 + [(9.0, 0.0, 4.0, 4.0)])
+        spaced = make_sequence(clean.annotation.regions, root="data dir")
+        for handle in (tts_handle(), scripted_handle()):
+            got = run_supervised(handle, spaced, tau=0.1, seed=3)
+            assert dumps_record(got) == dumps_record(run_supervised(handle, clean, tau=0.1, seed=3))
+            want = run_unsupervised(handle, clean, seed=3)
+            assert run_unsupervised(handle, spaced, seed=3) == want
+        assert run_supervised(tts_handle(), spaced, tau=0.1).failure_frames == (4,)
+
+    @pytest.mark.parametrize("make", [scripted_handle, lambda: tracker_cli_handle("tts")],
+                             ids=["in-process", "cmd"])
+    def test_a_plan_checks_each_sequence_once_and_each_child_start_once(
+        self, monkeypatch, started, make
+    ):
+        checked = []
+        check = runner._check_paths
+        monkeypatch.setattr(runner, "_check_paths", lambda seq: checked.append(seq) or check(seq))
+        seqs = [static_sequence(4, name="s1"), moving_sequence(5, name="s2")]
+        table = execute_plan(RunPlan(repetitions=3), [make()], seqs, workers=2)
+        assert len(table.rows) == (6 if make is scripted_handle else 2)
+        assert bool(started) == (make is not scripted_handle)
+        names = [s.annotation.name for s in checked]
+        assert sorted(names[:2]) == ["s1", "s2"]  # the plan's check, before any unit
+        assert len(names) == 2 + len(started)
 
     def test_non_whitespace_unicode_is_accepted(self):
         seq = make_sequence([(0.0, 0.0, 4.0, 4.0)] * 3, root="caf\u00e9\u200b")

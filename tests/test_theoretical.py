@@ -16,7 +16,6 @@ from trackbench.theoretical import (
     theoretical_ar_points,
     theoretical_trajectory,
 )
-from trackbench.trajectory import Trajectory
 
 from conftest import make_annotation, make_sequence, moving_sequence, static_sequence
 
@@ -28,7 +27,7 @@ def drive_unsupervised(behavior, seq):
     regions = [behavior.initialize("frame-1", a.regions[0])]
     for t in range(2, len(a) + 1):
         regions.append(behavior.update(f"frame-{t}"))
-    return Trajectory(regions=tuple(regions))
+    return tuple(regions)
 
 
 def scripted_run(spec, seq, seed):
@@ -49,7 +48,7 @@ class TestTheoreticalTrajectories:
     def test_full_frame_reports_the_frame(self):
         seq = static_sequence(5)
         t = theoretical_trajectory("tta", seq.annotation, seq.image_size)
-        assert all(r == Region(0.0, 0.0, 320.0, 240.0) for r in t.regions)
+        assert all(r == Region(0.0, 0.0, 320.0, 240.0) for r in t)
 
     def test_full_frame_needs_image_size(self):
         seq = static_sequence(3)
@@ -67,21 +66,21 @@ class TestTheoreticalTrajectories:
     def test_static_holds_first_region(self):
         a = moving_sequence(8).annotation
         t = theoretical_trajectory("tts", a)
-        assert all(r == a.regions[0] for r in t.regions)
+        assert all(r == a.regions[0] for r in t)
 
     def test_self_failing_pattern(self):
         a = moving_sequence(6).annotation
         t = theoretical_trajectory("ttf", a)
-        assert t.regions[0] == a.regions[0]
-        assert t.regions[-1] == a.regions[-1]
-        for r in t.regions[1:-1]:
+        assert t[0] == a.regions[0]
+        assert t[-1] == a.regions[-1]
+        for r in t[1:-1]:
             assert r.width == 0.0 and r.height == 0.0
 
     def test_center_oracle_locks_first_size(self):
         seq = make_sequence([(100.0, 80.0, 20.0 + i, 16.0 + i) for i in range(5)])
         a = seq.annotation
         t = theoretical_trajectory("tto", a)
-        for i, r in enumerate(t.regions):
+        for i, r in enumerate(t):
             assert (r.width, r.height) == (20.0, 16.0)
             c = a.center(i)
             assert abs(r.x + r.width / 2.0 - c.x) < 1e-12
@@ -99,7 +98,7 @@ class TestScriptedTracker:
     def test_zero_noise_reproduces_ground_truth(self):
         seq = moving_sequence(10)
         t = scripted_run(ScriptedTrackerSpec(), seq, seed=5)
-        assert t.regions == seq.annotation.regions
+        assert t == seq.annotation.regions
 
     def test_same_seed_same_trajectory(self):
         seq = moving_sequence(15)
@@ -122,14 +121,14 @@ class TestScriptedTracker:
         spec = ScriptedTrackerSpec(drift_onset=5, drift_velocity=(2.0, 0.0))
         t = scripted_run(spec, seq, seed=0)
         # frame t is since_init = t - 1 updates after the initialization
-        for i, r in enumerate(t.regions):
+        for i, r in enumerate(t):
             steps = max(0, i - 5)
             assert abs(r.x - (a.regions[i].x + 2.0 * steps)) < 1e-9
 
     def test_certain_loss_reports_zero_area_near_target(self):
         spec = ScriptedTrackerSpec(center_noise=1.0, loss_prob=1.0, seed=4)
         t = scripted_run(spec, static_sequence(8), seed=4)
-        for r in t.regions[1:]:
+        for r in t[1:]:
             assert r.width == 0.0 and r.height == 0.0
             assert abs(r.x - 52.0) < 10.0 and abs(r.y - 39.0) < 10.0
 

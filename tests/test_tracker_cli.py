@@ -163,8 +163,8 @@ def test_groundtruth_flag_reads_the_center_file_beside_it(tmp_path):
     assert dumps_record(rec_child) == dumps_record(rec_local)
     t_local = run_unsupervised(local, seq, seed=13)
     t_child = run_unsupervised(child, seq, seed=13)
-    assert [format_region(r) for r in t_child.regions] == [
-        format_region(r) for r in t_local.regions
+    assert [format_region(r) for r in t_child] == [
+        format_region(r) for r in t_local
     ]
     assert t_local != theoretical_trajectory("tto", base)
 

@@ -17,7 +17,6 @@ from trackbench.trajectory import (
     Init,
     MeasureRow,
     SupervisedRunRecord,
-    Trajectory,
     score_record,
     score_trajectory,
 )
@@ -26,7 +25,7 @@ from conftest import make_annotation
 
 
 def traj(regions):
-    return Trajectory(regions=tuple(Region(*r) for r in regions))
+    return tuple(Region(*r) for r in regions)
 
 
 class TestAnnotation:
