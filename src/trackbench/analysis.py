@@ -182,6 +182,13 @@ class CorrelationMatrix:
     counts: np.ndarray
 
 
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """v with its largest magnitude, if nonzero and outside [2**-500, 2**500),
+    scaled into [0.5, 1) by a power of two: exact, and rho is scale-free."""
+    m = float(np.max(np.abs(v)))
+    return v if m == 0.0 or 2.0 ** -500 <= m < 2.0 ** 500 else np.ldexp(v, -math.frexp(m)[1])
+
+
 def pearson_matrix(table: MeasureTable) -> CorrelationMatrix:
     """Correlation of the 16 measure columns over clean rows.
 
@@ -204,11 +211,11 @@ def pearson_matrix(table: MeasureTable) -> CorrelationMatrix:
             counts[i, j] = counts[j, i] = n
             if n < 3:
                 continue
-            x = data[mask, i]
-            y = data[mask, j]
+            x = _unit_scaled(data[mask, i])
+            y = _unit_scaled(data[mask, j])
             if np.var(x) == 0.0 or np.var(y) == 0.0:
                 continue  # undefined, not 0
-            # clip keeps a NaN, the undefined cell of sums that overflow.
+            # clip bounds rounding past +-1.
             values[i, j] = values[j, i] = np.clip(np.corrcoef(x, y)[0, 1], -1.0, 1.0)
     return CorrelationMatrix(
         labels=tuple(m.key for m in MEASURES), values=values, counts=counts

@@ -166,15 +166,14 @@ def write_text(path, text: str) -> None:
 def _read_regions(path, what: str) -> list[Region]:
     """The regions of a file holding one region per line, at least one."""
     lines = _read_lines(path)
+    if not lines:
+        raise ParseError(f"{what} has no frames", path)
     regions = _parse_regions(lines)
-    if regions is None:
-        regions = []
+    if regions is None:  # the per-line pass raises at the first bad line
         for i, line in enumerate(lines, start=1):
             if line.strip() == "":
                 raise ParseError(f"blank line in {what}", path, i)
-            regions.append(parse_region(line, path, i))
-    if not regions:
-        raise ParseError(f"{what} has no frames", path)
+            parse_region(line, path, i)
     return regions
 
 

@@ -36,7 +36,6 @@ from .errors import FormatVersionError, InvalidRegionError, LengthMismatchError,
 from .geometry import Point, Region, is_valid_region, region_center
 from .measures import measure_keys
 from .trajectory import (
-    Failure,
     Init,
     MeasureRow,
     MeasureTable,
@@ -130,11 +129,8 @@ class SequenceData:
 
     @classmethod
     def synthetic(cls, annotation, image_size=None, root=None) -> "SequenceData":
-        base = root if root is not None else annotation.name
-        paths = tuple(
-            os.path.join(base, "frames", "%08d.jpg" % (i + 1))
-            for i in range(len(annotation))
-        )
+        prefix = os.path.join(root if root is not None else annotation.name, "frames", "")
+        paths = tuple(prefix + "%08d.jpg" % k for k in range(1, len(annotation) + 1))
         return cls(annotation=annotation, image_size=image_size,
                    frame_paths=paths, root=root)
 
@@ -232,7 +228,7 @@ def dumps_record(rec: SupervisedRunRecord) -> str:
     """
     text = _region_text("".join([
         _INIT_LINE % fr.region if isinstance(fr, Init)
-        else "F:,\n" if isinstance(fr, Failure)
+        else "F:,\n" if fr is None
         else _TRACKED_LINE % fr
         for fr in rec.frames
     ]))
@@ -256,26 +252,21 @@ def loads_record(text: str, path=None) -> SupervisedRunRecord:
     if len(lines) < 2 or not lines[1].startswith("tau:"):
         raise ParseError("missing tau line", path, 2)
     tau = parse_number(lines[1][len("tau:"):], path, 2)
-    # A bad tag stands in as an empty text, which no region parse accepts.
-    regions = _parse_regions(
-        [t[2:] if t[:2] in ("T:", "I:") else "" for t in lines[2:] if t != "F:"])
-    if regions is not None:
-        it = iter(regions)
-        frames = [Failure() if line == "F:" else next(it) if line[0] == "T" else Init(next(it))
-                  for line in lines[2:]]
-    else:
-        frames = []
-        for i, line in enumerate(lines[2:], start=3):
-            if line.startswith("T:"):
-                frames.append(parse_region(line[2:], path, i))
-            elif line == "F:":
-                frames.append(Failure())
-            elif line.startswith("I:"):
-                frames.append(Init(parse_region(line[2:], path, i)))
-            else:
-                raise ParseError(f"malformed frame tag: {line!r}", path, i)
-    if not frames:
+    body = lines[2:]
+    if not body:
         raise ParseError("record has no frames", path)
+    # A bad tag stands in as an empty text, which no region parse accepts.
+    texts = [t[2:] if t[:2] in ("T:", "I:") else "" for t in body if t != "F:"]
+    regions = _parse_regions(texts) if texts else []
+    if regions is None:  # the per-line pass raises at the first bad line
+        for i, line in enumerate(body, start=3):
+            if line[:2] in ("T:", "I:"):
+                parse_region(line[2:], path, i)
+            elif line != "F:":
+                raise ParseError(f"malformed frame tag: {line!r}", path, i)
+    it = iter(regions)
+    frames = [None if line == "F:" else next(it) if line[0] == "T" else Init(next(it))
+              for line in body]
     return SupervisedRunRecord(frames, tau=tau)
 
 

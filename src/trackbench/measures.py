@@ -10,10 +10,10 @@ the registry so dataset-level analysis can align polarities.
 Conventions, applied consistently:
   * thresholded correctness is strict: a frame counts only when
     overlap > tau;
-  * in supervised series, Failure frames contribute overlap 0 and Init
-    frames are excluded from every average;
+  * in supervised series, failure frames (None) contribute overlap 0
+    and Init frames are excluded from every average;
   * center errors on supervised records use the reported regions only
-    (Failure frames carry no region, Init frames are excluded).
+    (failure frames (None) carry no region, Init frames are excluded).
 """
 
 import math

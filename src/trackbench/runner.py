@@ -35,9 +35,9 @@ producing identical records, or errors, for identical reports.
 
 The supervised protocol reinitializes after failures: frame 1 is
 always an Init frame; on any later frame whose reported overlap with
-the ground truth is at or below tau, a Failure is recorded and the
-next frame (if any) becomes an Init frame carrying that frame's
-ground-truth region.
+the ground truth is at or below tau, a failure frame (None) is
+recorded and the next frame (if any) becomes an Init frame carrying
+that frame's ground-truth region.
 """
 
 import os
@@ -72,7 +72,6 @@ from .geometry import Region, box_overlap, is_valid_region
 from .io_formats import SequenceData, write_record, write_trajectory
 from .measures import compute_all
 from .trajectory import (
-    Failure,
     Init,
     MeasureRow,
     MeasureTable,
@@ -379,7 +378,8 @@ def _drive(handle: TrackerHandle, seq: SequenceData, seed: int, hello: dict | No
     """The session loop of both protocols; returns one entry per frame.
 
     With tau None every entry is the reported region. Otherwise entries
-    are Init, Failure or the reported region as run_supervised describes.
+    are Init, a failure frame (None) or the reported region as
+    run_supervised describes.
     _checked checks each report, and the ground truth was checked when its
     SequenceAnnotation was built, so every region the loop scores is valid.
     """
@@ -397,7 +397,7 @@ def _drive(handle: TrackerHandle, seq: SequenceData, seed: int, hello: dict | No
             else:
                 state = _checked(session.frame(t, path), t)
                 init = tau is not None and box_overlap(*gt, *state) <= tau
-                entries.append(Failure() if init else state)
+                entries.append(None if init else state)
         session.quit()
     return entries
 
@@ -425,9 +425,9 @@ def run_supervised(
 
     Frame 1 is an Init frame. On every non-Init frame the reported
     region is scored against the ground truth; overlap <= tau records a
-    Failure there and turns the next frame (if any) into an Init frame
-    carrying its ground-truth region. A failure on the final frame is
-    recorded with no subsequent Init. Init entries store the
+    failure frame (None) there and turns the next frame (if any) into an
+    Init frame carrying its ground-truth region. A failure on the final
+    frame is recorded with no subsequent Init. Init entries store the
     ground-truth region bit-exactly. `hello` is as in run_unsupervised.
     """
     if not (0.0 <= tau <= 1.0):

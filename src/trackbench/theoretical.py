@@ -407,13 +407,13 @@ def _probe(kind: str, seq: "SequenceData", span: float) -> tuple[float, float, f
     """One supervised run of a theoretical tracker at tau 0, seed 0, scored once.
 
     Returns (supervised accuracy, tracked accuracy, reliability). The
-    supervised accuracy averages overlap with Failure frames as 0 and
-    Init frames excluded, as for evaluated trackers. The tracked accuracy
-    averages the record's Region frames only; ttf has none on odd-length
-    sequences, and its accuracy there is 1.0 by construction (every
-    region it reports on a tracked frame is the ground truth). The run
-    is driven in process, which frames no path, so the dataset's own
-    frame paths serve, spaces included.
+    supervised accuracy averages overlap with failure frames (None) as 0
+    and Init frames excluded, as for evaluated trackers. The tracked
+    accuracy averages the record's Region frames only; ttf has none on
+    odd-length sequences, and its accuracy there is 1.0 by construction
+    (every region it reports on a tracked frame is the ground truth).
+    The run is driven in process, which frames no path, so the dataset's
+    own frame paths serve, spaces included.
     """
     from .measures import reliability
     from .runner import TrackerHandle, run_supervised

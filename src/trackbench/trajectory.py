@@ -20,7 +20,6 @@ from .errors import (
 from .geometry import Region, box_overlap, validate_region
 
 __all__ = [
-    "Failure",
     "Init",
     "SupervisedRunRecord",
     "MeasureRow",
@@ -32,18 +31,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Failure:
-    """Frame where the tracker's report fell at or below the threshold."""
-
-
-@dataclass(frozen=True)
 class Init:
     """Frame where the tracker was (re)initialized with the GT region."""
 
     region: Region
 
 
-FrameRecord = Region | Failure | Init
+# None is a failure frame: the tracker's report fell at or below tau.
+FrameRecord = Region | Init | None
 
 
 @dataclass(frozen=True)
@@ -52,11 +47,11 @@ class SupervisedRunRecord:
 
     The threshold tau is the overlap at or below which a frame counts as
     failed. failure_frames is derived, not passed: the 1-based frame
-    numbers of the Failure entries, in order. Construction is where the
-    structure is checked, once: it raises MalformedRecordError for an
-    empty record, a first frame that is not an Init, or a Failure not
-    followed by an Init (except on the final frame), so every record
-    that exists is well formed.
+    numbers of the failure frames (None), in order. Construction is
+    where the structure is checked, once: it raises MalformedRecordError
+    for an empty record, a first frame that is not an Init, or a failure
+    frame not followed by an Init (except on the final frame), so every
+    record that exists is well formed.
     """
 
     frames: tuple[FrameRecord, ...]
@@ -70,7 +65,7 @@ class SupervisedRunRecord:
             raise MalformedRecordError("record has no frames")
         if not isinstance(frames[0], Init):
             raise MalformedRecordError("frame 1 is not an Init")
-        failures = tuple(i + 1 for i, f in enumerate(frames) if isinstance(f, Failure))
+        failures = tuple(i + 1 for i, f in enumerate(frames) if f is None)
         for f in failures:
             if f < n and not isinstance(frames[f], Init):
                 raise MalformedRecordError(f"frame {f + 1} after failure at {f} is not an Init")
@@ -120,9 +115,9 @@ class FrameSeries(NamedTuple):
     """Per-frame overlap, center error and normalized center error of a run.
 
     None marks a frame a series excludes: in a supervised run an Init
-    frame is excluded from every series, a Failure frame scores overlap
-    0.0 and has no center error, and a reported region scores as in a
-    trajectory. degenerate_frame is the 1-based number of the first
+    frame is excluded from every series, a failure frame (None) scores
+    overlap 0.0 and has no center error, and a reported region scores as
+    in a trajectory. degenerate_frame is the 1-based number of the first
     scored frame whose ground truth has zero size, or None.
     """
 
@@ -145,8 +140,8 @@ def _score_frames(a: "SequenceAnnotation", frames) -> FrameSeries:
     """Score one run in one pass over local floats.
 
     frames holds a Region or a supervised FrameRecord per frame. A
-    Failure scores overlap 0 and no center error, an Init is excluded
-    from every series, and any other frame is a prediction. The
+    failure frame (None) scores overlap 0 and no center error, an Init is
+    excluded from every series, and any other frame is a prediction. The
     annotation's regions are valid by construction; a prediction that
     fails the inline finiteness and sign check goes to validate_region,
     which raises InvalidRegionError with its frame if it is invalid.
@@ -160,8 +155,8 @@ def _score_frames(a: "SequenceAnnotation", frames) -> FrameSeries:
     degenerate = None
     centers = a.centers
     for i, (gt, f) in enumerate(zip(a.regions, frames)):
-        if f.__class__ is not Region and isinstance(f, (Failure, Init)):
-            overlaps.append(0.0 if isinstance(f, Failure) else None)
+        if f.__class__ is not Region and (f is None or isinstance(f, Init)):
+            overlaps.append(0.0 if f is None else None)
             errors.append(None)
             normalized.append(None)
             continue

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,19 +203,38 @@ class TestPearsonMatrix:
         assert corr.counts[2, 0] == 2
         assert math.isnan(corr.values[2, 0])
 
-    def test_an_overflowing_correlation_is_undefined_not_minus_one(self):
-        # Columns near 1e200 overflow np.corrcoef's sums, so r is NaN.
-        rows = []
+    def test_columns_near_1e200_correlate_as_their_unscaled_values(self):
+        # Unscaled, np.corrcoef's sums of columns near 1e200 overflow.
+        rows, small = [], []
         rng = np.random.default_rng(7)
         for i in range(10):
             vals = rng.normal(size=16)
             vals[0], vals[2] = (i + 1) * 1e200, (i % 4 + 1) * 1e200
             rows.append(row("t", f"s{i}", vals, run=i))
-        with np.errstate(over="ignore", invalid="ignore"):
+            small.append((i + 1, i % 4 + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             corr = pearson_matrix(MeasureTable(rows=tuple(rows)))
-        assert math.isnan(corr.values[0, 2]) and math.isnan(corr.values[2, 0])
+        want = two_pass_pearson(*zip(*small))
+        assert abs(corr.values[0, 2] - want) < 1e-12 and corr.values[2, 0] == corr.values[0, 2]
+        assert abs(corr.values[0, 1]) < 1.0 and corr.values[0, 1] != 0.0
         assert corr.counts[0, 2] == 10
         assert not math.isnan(corr.values[1, 3])
+
+    def test_columns_scaled_by_powers_of_two_keep_every_cell(self):
+        table = random_table(9, rows=30, nan_cols=(4,))
+        scale = np.ones(16)
+        scale[3], scale[4] = 2.0 ** 600, 2.0 ** -600
+        scaled = MeasureTable(rows=tuple(
+            row(r.tracker, r.sequence, np.array(r.values) * scale, run=r.run)
+            for r in table.rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pearson_matrix(scaled)
+        want = pearson_matrix(table)
+        assert [float(v).hex() for v in got.values.ravel()] == [
+            float(v).hex() for v in want.values.ravel()]
+        assert np.isnan(want.values).sum() == 0
 
 
 class TestPolarityAlignment:

@@ -493,6 +493,29 @@ class TestMeasureCommand:
         assert captured.err.splitlines() == ["error: unsafe tracker name 'a\\tb'"]
         assert not dest.exists()
 
+    def test_each_row_rescored_from_its_files_gives_the_same_cells(self, tmp_path, capsys):
+        # run scores failure frames in memory; measure reads them back from F: lines.
+        data, out = str(tmp_path / "data"), str(tmp_path / "out")
+        assert cli.main(["synth", "--out", data, "--sequences", "4", "--seed", "3"]) == 0
+        params = "center_noise=3,loss_prob=0.2,seed=4"
+        child = (f"cmd:kid:{shlex.quote(sys.executable)} -m trackbench.tracker_cli scripted"
+                 f" --groundtruth {{groundtruth}} --params name=kid,{params}")
+        specs = ["ttf", "tto", f"scripted:name=lossy,{params}", child]
+        assert cli.main(["run", "--dataset", data, "--out", out,
+                         *(a for spec in specs for a in ("--tracker", spec)),
+                         "--tau", "0.3", "--repetitions", "2", "--mode", "both"]) == 0
+        rows = read_measure_table(os.path.join(out, "measures.tsv")).rows
+        assert len(rows) == 4 * (1 + 1 + 2 + 2)  # a deterministic tracker runs once
+        assert all(row.error is None for row in rows)
+        assert any(row.values[-1] > 0 for row in rows)  # some run failed
+        for row in rows:
+            stem = os.path.join(out, "raw", row.tracker, row.sequence, "run_%02d" % row.run)
+            capsys.readouterr()
+            assert cli.main(["measure", "--sequence", os.path.join(data, row.sequence),
+                             "--trajectory", stem + ".traj", "--record", stem + ".record"]) == 0
+            (got,) = loads_measure_table(capsys.readouterr().out).rows
+            assert [v.hex() for v in got.values] == [v.hex() for v in row.values], stem
+
 
 class TestAnalyzeCommand:
     def test_reports_written(self, pipeline, tmp_path):

@@ -18,6 +18,7 @@ from trackbench.geometry import Point, Region
 from trackbench.io_formats import (
     FORMAT_LINE,
     SequenceAnnotation,
+    SequenceData,
     dumps_measure_table,
     dumps_record,
     list_sequences,
@@ -33,7 +34,6 @@ from trackbench.io_formats import (
     write_trajectory,
 )
 from trackbench.trajectory import (
-    Failure,
     Init,
     MeasureRow,
     MeasureTable,
@@ -184,6 +184,14 @@ class TestSequenceDir:
         assert seq.image_size == (320.0, 240.0)
         assert len(seq.frame_paths) == 2
 
+    @pytest.mark.parametrize("root", [None, "", "rel/seq", "/abs/seq/"])
+    def test_synthetic_frame_paths_join_root_frames_and_number(self, root):
+        a = SequenceAnnotation(name="demo", regions=(Region(1.0, 2.0, 3.5, 4.0),) * 12)
+        seq = SequenceData.synthetic(a, root=root)
+        base = "demo" if root is None else root
+        assert seq.frame_paths == tuple(
+            os.path.join(base, "frames", "%08d.jpg" % k) for k in range(1, 13))
+
     def test_read_sequence_reads_each_file_once(self, tmp_path, monkeypatch):
         a = SequenceAnnotation(
             name="demo",
@@ -323,7 +331,7 @@ class TestTrajectoryFile:
 
 def sample_record():
     r = Region(1.0, 2.0, 3.0, 4.5)
-    frames = (Init(r), Region(1.5, 2.0, 3.0, 4.5), Failure(), Init(r), r)
+    frames = (Init(r), Region(1.5, 2.0, 3.0, 4.5), None, Init(r), r)
     return SupervisedRunRecord(frames, tau=0.125)
 
 
@@ -381,7 +389,7 @@ class TestRecordFile:
         r = Region(0.0, 0.0, 2.0, 2.0)
         frames = []
         for tag in tags:
-            frames.append({"T": r, "F": Failure(), "I": Init(r)}[tag])
+            frames.append({"T": r, "F": None, "I": Init(r)}[tag])
         rec = SupervisedRunRecord(frames, tau=0.0)
         assert loads_record(dumps_record(rec)) == rec
 
@@ -419,14 +427,14 @@ class TestOnePassWriters:
     def test_generated_lines(self, rows):
         regions = [Region(*v) for v in rows]
         assert dataset.format_regions(regions) == "".join(t + "\n" for t in per_region(regions))
-        frames = [Init(regions[0])] + list(regions[1:]) + [Failure()]
+        frames = [Init(regions[0])] + list(regions[1:]) + [None]
         lines = dumps_record(SupervisedRunRecord(frames, tau=0.5)).split("\n")
         assert lines[2:] == ["I:" + t for t in per_region(regions[:1])] + [
             "T:" + t for t in per_region(regions[1:])] + ["F:", ""]
 
     def test_record_lines(self):
         e = EDGE_REGIONS
-        frames = (Init(e[0]), e[1], Failure(), Init(e[2]), e[3], e[4], Failure())
+        frames = (Init(e[0]), e[1], None, Init(e[2]), e[3], e[4], None)
         text = dumps_record(SupervisedRunRecord(frames, tau=0.0))
         t = per_region(e)
         assert text.split("\n") == [FORMAT_LINE, "tau:0", "I:" + t[0], "T:" + t[1], "F:",

@@ -45,7 +45,6 @@ from trackbench.measures import (
     unsupervised_measures,
 )
 from trackbench.trajectory import (
-    Failure,
     FrameSeries,
     Init,
     SupervisedRunRecord,
@@ -308,7 +307,7 @@ class TestSupervisedSeries:
     def test_init_excluded_failure_zero(self):
         a = make_annotation([(0, 0, 2, 2)] * 4)
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord([Init(r), r, Failure(), Init(r)], tau=0.0)
+        rec = SupervisedRunRecord([Init(r), r, None, Init(r)], tau=0.0)
         scores = score_record(rec, a)
         assert scores.overlaps == [None, 1.0, 0.0, None]
         assert scores.center_errors == [None, 0.0, None, None]
@@ -339,7 +338,7 @@ class TestSupervisedSeries:
     def test_all_failures_leaves_center_errors_nan(self):
         a = make_annotation([(0, 0, 2, 2)] * 2)
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord([Init(r), Failure()], tau=0.0)
+        rec = SupervisedRunRecord([Init(r), None], tau=0.0)
         sup = supervised_measures(rec, a)
         assert math.isnan(sup[0]) and math.isnan(sup[1]) and math.isnan(sup[2])
         assert sup[5] == 0.0
@@ -349,7 +348,7 @@ class TestSupervisedSeries:
         r = Region(0, 0, 2, 2)
         # A malformed record is rejected when it is built, before it is scored.
         with pytest.raises(MalformedRecordError):
-            SupervisedRunRecord([Init(r), Failure(), r], tau=0.0)
+            SupervisedRunRecord([Init(r), None, r], tau=0.0)
 
 
 class TestComputeAll:
@@ -491,7 +490,7 @@ def ref_supervised_overlap_series(rec, a):
     for i, fr in enumerate(rec.frames):
         if isinstance(fr, Init):
             out.append(None)
-        elif isinstance(fr, Failure):
+        elif fr is None:
             out.append(0.0)
         else:
             out.append(overlap(a.regions[i], fr))
@@ -619,7 +618,7 @@ def scoring_cases(draw):
             frames.append(Init(g))
             pending = False
         elif draw(st.integers(0, 3)) == 0:
-            frames.append(Failure())
+            frames.append(None)
             pending = True
         else:
             frames.append(draw(st.just(g) | boxes | touching(g)))

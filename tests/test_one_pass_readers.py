@@ -20,7 +20,6 @@ from trackbench.errors import FormatVersionError, ParseError, TrackbenchError
 from trackbench.geometry import Region
 from trackbench.io_formats import FORMAT_LINE, loads_record, read_sequence, read_trajectory
 from trackbench.trajectory import (
-    Failure,
     Init,
     SupervisedRunRecord,
 )
@@ -64,7 +63,7 @@ def reference_loads_record(text: str, path=None) -> SupervisedRunRecord:
         if line.startswith("T:"):
             frames.append(parse_region(line[2:], path, i))
         elif line == "F:":
-            frames.append(Failure())
+            frames.append(None)
         elif line.startswith("I:"):
             frames.append(Init(parse_region(line[2:], path, i)))
         else:
@@ -235,7 +234,7 @@ class TestOnePassRoute:
         (tmp_path / "t.traj").write_text("1,2,3,4\n")
         assert read_trajectory(str(tmp_path / "t.traj")) == (Region(1, 2, 3, 4),)
         rec = loads_record(f"{FORMAT_LINE}\ntau:0\nI:0,0,2,2\nT:1,1,2,2\nF:\nI:0,0,2,2\n")
-        assert [type(f).__name__ for f in rec.frames] == ["Init", "Region", "Failure", "Init"]
+        assert [type(f).__name__ for f in rec.frames] == ["Init", "Region", "NoneType", "Init"]
         assert rec.failure_frames == (3,)
 
     @pytest.mark.parametrize("text", [

@@ -13,7 +13,6 @@ from trackbench.errors import (
 from trackbench.geometry import Point, Region
 from trackbench.io_formats import SequenceAnnotation
 from trackbench.trajectory import (
-    Failure,
     Init,
     MeasureRow,
     SupervisedRunRecord,
@@ -55,31 +54,31 @@ class TestAnnotation:
 
 
 def record_frames(tags):
-    """Frames for tags in "TFI", each Failure followed by an Init unless last."""
+    """Frames for tags in "TFI", each failure (None) followed by an Init unless last."""
     r = Region(0, 0, 2, 2)
-    make = {"T": lambda: r, "F": Failure, "I": lambda: Init(r)}
+    make = {"T": lambda: r, "F": lambda: None, "I": lambda: Init(r)}
     return [make[t]() for t in ["I"] + ["I" if a == "F" else b for a, b in zip(tags, tags[1:])]]
 
 
 class TestRecord:
     def test_failure_frames_derived_from_entries(self):
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord([Init(r), r, Failure(), Init(r), r], tau=0.0)
+        rec = SupervisedRunRecord([Init(r), r, None, Init(r), r], tau=0.0)
         assert rec.failure_frames == (3,)
-        assert rec.frames == (Init(r), r, Failure(), Init(r), r)
+        assert rec.frames == (Init(r), r, None, Init(r), r)
 
     @given(st.lists(st.sampled_from("TFI"), min_size=1, max_size=30).map(record_frames))
     def test_failure_frames_are_the_failure_positions(self, frames):
         rec = SupervisedRunRecord(frames, tau=0.0)
         assert rec.failure_frames == tuple(
-            i + 1 for i, f in enumerate(frames) if isinstance(f, Failure))
+            i + 1 for i, f in enumerate(frames) if f is None)
 
     def test_failure_frames_is_not_an_argument(self):
         r = Region(0, 0, 2, 2)
         with pytest.raises(TypeError):
-            SupervisedRunRecord(frames=(Init(r), Failure()), failure_frames=(2,), tau=0.0)
+            SupervisedRunRecord(frames=(Init(r), None), failure_frames=(2,), tau=0.0)
 
-    @pytest.mark.parametrize("first", [Region(0, 0, 2, 2), Failure()])
+    @pytest.mark.parametrize("first", [Region(0, 0, 2, 2), None])
     def test_first_frame_must_be_an_init(self, first):
         r = Region(0, 0, 2, 2)
         with pytest.raises(MalformedRecordError, match="^frame 1 is not an Init$"):
@@ -92,12 +91,12 @@ class TestRecord:
     def test_failure_needs_following_init(self):
         r = Region(0, 0, 2, 2)
         with pytest.raises(MalformedRecordError) as e:
-            SupervisedRunRecord(frames=(Init(r), Failure(), r), tau=0.0)
+            SupervisedRunRecord(frames=(Init(r), None, r), tau=0.0)
         assert str(e.value) == "frame 3 after failure at 2 is not an Init"
 
     def test_final_frame_failure_allowed(self):
         r = Region(0, 0, 2, 2)
-        rec = SupervisedRunRecord(frames=(Init(r), r, Failure()), tau=0.0)
+        rec = SupervisedRunRecord(frames=(Init(r), r, None), tau=0.0)
         assert rec.failure_frames == (3,)
 
 
