@@ -28,10 +28,12 @@ child is started for one run and sent `quit` after it. A run that ends
 in an error kills its child at once, without `quit`, so the next run
 starts a new one.
 
-Per-frame timeouts and tracker crashes invalidate the run (they are
-run failures, not tracking failures). The same engine drives
-in-process tracker behaviors and child processes over stdio,
-producing identical records, or errors, for identical reports.
+A session is what the run loop drives: handshake(seed), initialize(frame,
+path, region) and frame(frame, path) with the 1-based frame number, quit()
+after a clean run, and close(). theoretical.TrackerBehavior implements it
+in process, with no timeouts, and PipeSession for a child over stdio;
+identical reports give identical records, or errors. Per-frame timeouts
+and tracker crashes invalidate the run (run failures, not tracking ones).
 
 The supervised protocol reinitializes after failures: frame 1 is
 always an Init frame; on any later frame whose reported overlap with
@@ -120,34 +122,6 @@ def _parse_hello_line(line: str) -> dict[str, str]:
     if "name" not in fields or fields.get("deterministic") not in ("0", "1"):
         raise ProtocolViolationError(f"incomplete hello reply: {line!r}", 0)
     return fields
-
-
-class InProcessSession:
-    """Drives a TrackerBehavior object directly; no timeouts apply."""
-
-    def __init__(self, behavior):
-        self._behavior = behavior
-
-    def handshake(self, seed: int) -> tuple[str, bool]:
-        self._behavior.begin(seed)
-        return self._behavior.name, bool(self._behavior.deterministic)
-
-    def initialize(self, frame: int, path: str, region: Region) -> Region:
-        return self._behavior.initialize(path, region)
-
-    def frame(self, frame: int, path: str) -> Region:
-        return self._behavior.update(path)
-
-    def close(self) -> None:
-        pass
-
-    quit = close
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
 
 
 class PipeSession:
@@ -297,7 +271,7 @@ class TrackerHandle:
 
     @classmethod
     def in_process(cls, name: str, factory, timeout: float = 30.0) -> "TrackerHandle":
-        """factory(seq: SequenceData) -> TrackerBehavior"""
+        """factory(seq: SequenceData) -> TrackerBehavior; `open` returns it as the session."""
         return cls(name=name, timeout=timeout, factory=factory)
 
     @classmethod
@@ -327,9 +301,9 @@ class TrackerHandle:
             argv.append(token)
         return argv
 
-    def open(self, seq: SequenceData) -> InProcessSession | PipeSession:
+    def open(self, seq: SequenceData):
         if self.factory is not None:
-            return InProcessSession(self.factory(seq))
+            return self.factory(seq)
         if self.command is None:
             raise ConfigError(f"tracker {self.name!r} has no transport")
         if self._idle:

@@ -19,11 +19,11 @@ Scripted trackers perturb the ground truth with configurable center
 noise, scale noise, post-onset drift and random loss; they are the
 deterministic-seed workhorses for protocol and analysis tests.
 
-All behaviors speak the same in-process interface the runner drives:
-begin(seed), initialize(path, region) -> region, update(path) -> region.
-Behaviors count frames by counting messages, exactly like their
-standalone executable counterparts, so both modes produce identical
-output.
+Every behavior is the session the runner drives in process:
+handshake(seed) -> (name, deterministic), initialize(frame, path,
+region) -> region, frame(frame, path) -> region, quit(), close(). The
+caller counts frames, the runner in process and tracker_cli.serve over
+the wire, so both modes produce identical output.
 
 BUILTINS, the one registry of these behaviors, maps each kind to the
 input it is built from (the ground truth's regions and centers, or the
@@ -68,28 +68,38 @@ _ZERO_REGION = Region(0.0, 0.0, 0.0, 0.0)
 
 
 class TrackerBehavior:
-    """In-process tracker interface driven by the runner."""
+    """The in-process session the runner drives (see the module docstring).
+
+    handshake calls the begin(seed) reset hook; quit and close do nothing.
+    """
 
     name = "tracker"
     deterministic = True
-    _length = math.inf  # frames of its ground truth; _advance raises ValueError past them
+    length = math.inf  # frames of its ground truth, if it has one
 
     def begin(self, seed: int) -> None:
-        """Reset all run state; called once before the first frame."""
-        self._frame = 0
+        """Reset all run state; called by handshake before the first frame."""
 
-    def initialize(self, frame_path: str, region: Region) -> Region:
+    def handshake(self, seed: int) -> tuple[str, bool]:
+        self.begin(seed)
+        return self.name, bool(self.deterministic)
+
+    def initialize(self, frame: int, path: str, region: Region) -> Region:
         raise NotImplementedError
 
-    def update(self, frame_path: str) -> Region:
+    def frame(self, frame: int, path: str) -> Region:
         raise NotImplementedError
 
-    def _advance(self) -> int:
-        """Count one protocol message; returns the 1-based frame number."""
-        self._frame += 1
-        if self._frame > self._length:
-            raise ValueError(f"frame {self._frame} is past the sequence's {self._length} frames")
-        return self._frame
+    def quit(self) -> None:
+        pass
+
+    close = quit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
 
 
 class FullFrameTracker(TrackerBehavior):
@@ -102,12 +112,10 @@ class FullFrameTracker(TrackerBehavior):
             raise ConfigError("tta needs the image size (sequence.meta width/height)")
         self._region = Region(0.0, 0.0, float(image_size[0]), float(image_size[1]))
 
-    def initialize(self, frame_path: str, region: Region) -> Region:
-        self._advance()
+    def initialize(self, frame: int, path: str, region: Region) -> Region:
         return self._region
 
-    def update(self, frame_path: str) -> Region:
-        self._advance()
+    def frame(self, frame: int, path: str) -> Region:
         return self._region
 
 
@@ -117,16 +125,13 @@ class StaticTracker(TrackerBehavior):
     name = "tts"
 
     def begin(self, seed: int) -> None:
-        super().begin(seed)
         self._held = None
 
-    def initialize(self, frame_path: str, region: Region) -> Region:
-        self._advance()
+    def initialize(self, frame: int, path: str, region: Region) -> Region:
         self._held = region
         return region
 
-    def update(self, frame_path: str) -> Region:
-        self._advance()
+    def frame(self, frame: int, path: str) -> Region:
         return self._held
 
 
@@ -145,17 +150,13 @@ class SelfFailingTracker(TrackerBehavior):
 
     def __init__(self, regions: tuple[Region, ...]):
         self._regions = regions
-        self._length = len(regions)
+        self.length = len(regions)
 
-    def initialize(self, frame_path: str, region: Region) -> Region:
-        self._advance()
+    def initialize(self, frame: int, path: str, region: Region) -> Region:
         return region
 
-    def update(self, frame_path: str) -> Region:
-        t = self._advance()
-        if t == self._length:
-            return self._regions[t - 1]
-        return _ZERO_REGION
+    def frame(self, frame: int, path: str) -> Region:
+        return self._regions[frame - 1] if frame == self.length else _ZERO_REGION
 
 
 class CenterOracleTracker(TrackerBehavior):
@@ -171,25 +172,20 @@ class CenterOracleTracker(TrackerBehavior):
     def __init__(self, regions: tuple[Region, ...], centers=None):
         """centers: the annotated centers, or None to use the regions' own."""
         self._centers = tuple(map(region_center, regions)) if centers is None else centers
-        self._length = len(regions)
+        self.length = len(regions)
 
     def begin(self, seed: int) -> None:
-        super().begin(seed)
         self._size = None
 
-    def _report(self, t: int) -> Region:
-        cx, cy = self._centers[t - 1]
-        w, h = self._size
-        return Region(cx - w / 2.0, cy - h / 2.0, w, h)
-
-    def initialize(self, frame_path: str, region: Region) -> Region:
-        t = self._advance()
+    def initialize(self, frame: int, path: str, region: Region) -> Region:
         if self._size is None:
             self._size = (region.width, region.height)
-        return self._report(t)
+        return self.frame(frame, path)
 
-    def update(self, frame_path: str) -> Region:
-        return self._report(self._advance())
+    def frame(self, frame: int, path: str) -> Region:
+        cx, cy = self._centers[frame - 1]
+        w, h = self._size
+        return Region(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
 class ScriptedTrackerSpec(namedtuple(
@@ -213,7 +209,7 @@ class ScriptedTrackerSpec(namedtuple(
     __slots__ = ()
 
 
-# ScriptedTracker.update's inline Box-Muller draw never exceeds
+# ScriptedTracker.frame's inline Box-Muller draw never exceeds
 # sqrt(-2 ln 2**-53) < 8.58 in magnitude (1 - random() >= 2**-53), so
 # exp(draw * scale_noise) stays below math.exp's overflow at 709.78.
 MAX_SCALE_NOISE = 82.0
@@ -272,7 +268,7 @@ class ScriptedTracker(TrackerBehavior):
     def __init__(self, spec: ScriptedTrackerSpec, regions: tuple[Region, ...]):
         self._spec = spec
         self._regions = regions
-        self._length = len(regions)
+        self.length = len(regions)
         self.name = spec.name
 
     @property
@@ -281,18 +277,15 @@ class ScriptedTracker(TrackerBehavior):
         return s.center_noise == 0.0 and s.scale_noise == 0.0 and s.loss_prob == 0.0
 
     def begin(self, seed: int) -> None:
-        super().begin(seed)
         mixed = ((self._spec.seed * 0x9E3779B97F4A7C15) ^ seed) & 0xFFFFFFFFFFFFFFFF
         self._random = random.Random(mixed).random
         self._since_init = 0
 
-    def initialize(self, frame_path: str, region: Region) -> Region:
-        self._advance()
+    def initialize(self, frame: int, path: str, region: Region) -> Region:
         self._since_init = 0
         return region
 
-    def update(self, frame_path: str) -> Region:
-        t = self._advance()
+    def frame(self, frame: int, path: str) -> Region:
         self._since_init += 1
         _, noise, scale, onset, (vx, vy), loss, _ = self._spec
         # Fixed draw order keeps runs reproducible whatever the params:
@@ -309,7 +302,7 @@ class ScriptedTracker(TrackerBehavior):
         r = _sqrt(-2.0 * _log(1.0 - draw()))
         sw = 0.0 + _cos(a) * r
         sh = 0.0 + _sin(a) * r
-        base = self._regions[t - 1]
+        base = self._regions[frame - 1]
         x, y, w, h = base
         drift_steps = 0 if onset is None else max(0, self._since_init - onset)
         cx = x + w / 2.0 + nx * noise + drift_steps * vx

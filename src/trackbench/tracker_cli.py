@@ -4,9 +4,11 @@ Runs one of the built-in behaviors behind stdin and stdout. The
 protocol is the one the runner speaks: `hello version=1 seed=<n>`,
 `initialize <path> <x>,<y>,<w>,<h>`, `frame <path>`, `quit`; every
 frame is answered with `state <x>,<y>,<w>,<h>`. The hello reply ends
-with `runs=many`: a later `hello` starts a new run, and `begin(seed)`
-resets all of the behavior's state, so the runner keeps one process
-for every run of a (tracker, sequence) unit.
+with `runs=many`: a later `hello` starts a new run, and the behavior's
+handshake resets all of its state, so the runner keeps one process
+for every run of a (tracker, sequence) unit. serve counts each run's
+frames; a request past the ground truth's last frame gets an `error`
+reply, and the process exits 2.
 
 Which behavior runs comes from `theoretical.BUILTINS`, the registry
 `trackbench run --tracker` also builds from, and so does what the
@@ -107,8 +109,15 @@ def serve(behavior, rfile, wfile) -> int:
         wfile.write(line + "\n")
         wfile.flush()
 
+    def next_frame() -> int:
+        nonlocal frames
+        frames += 1
+        if frames > behavior.length:
+            raise ValueError(f"frame {frames} is past the sequence's {behavior.length} frames")
+        return frames
+
     # A run starts at hello, and its first frame must be an initialize.
-    begun = initialized = False
+    begun, initialized, frames = False, False, 0
     for raw in rfile:
         line = raw.strip()
         if not line:
@@ -123,10 +132,9 @@ def serve(behavior, rfile, wfile) -> int:
                 if kv.get("version") != "1":
                     reply("error unsupported protocol version")
                     return 2
-                behavior.begin(int(kv.get("seed", "0")))
-                begun, initialized = True, False
-                det = 1 if behavior.deterministic else 0
-                reply(f"hello name={behavior.name} deterministic={det} runs=many")
+                name, deterministic = behavior.handshake(int(kv.get("seed", "0")))
+                begun, initialized, frames = True, False, 0
+                reply(f"hello name={name} deterministic={int(deterministic)} runs=many")
             elif cmd == "initialize":
                 if len(parts) < 3:
                     reply("error initialize needs a path and a region")
@@ -136,7 +144,7 @@ def serve(behavior, rfile, wfile) -> int:
                     return 2
                 region = parse_region(parts[-1])
                 path = " ".join(parts[1:-1])
-                reply(f"state {format_region(behavior.initialize(path, region))}")
+                reply(f"state {format_region(behavior.initialize(next_frame(), path, region))}")
                 initialized = True
             elif cmd == "frame":
                 if len(parts) < 2:
@@ -146,7 +154,7 @@ def serve(behavior, rfile, wfile) -> int:
                     reply("error frame before the run's first initialize")
                     return 2
                 path = " ".join(parts[1:])
-                reply(f"state {format_region(behavior.update(path))}")
+                reply(f"state {format_region(behavior.frame(next_frame(), path))}")
             elif cmd == "quit":
                 return 0
             else:

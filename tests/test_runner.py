@@ -381,15 +381,15 @@ class TestRunPlan:
         frames = []
 
         class Signalling(StaticTracker):
-            def update(self, frame_path):
+            def frame(self, frame, path):
                 if threading.current_thread() is threading.main_thread():
                     time.sleep(0.001)  # so that the worker takes the other unit
                 else:
                     time.sleep(0.01)
-                    frames.append(frame_path)
+                    frames.append(path)
                     if len(frames) == 9:
                         signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-                return super().update(frame_path)
+                return super().frame(frame, path)
 
         seqs = [static_sequence(30, name=f"s{i}") for i in range(2)]
         before = threading.active_count()
@@ -473,10 +473,10 @@ class Interrupter(StaticTracker):
         self._at = at
         self._interrupted = interrupted
 
-    def update(self, frame_path):
-        region = super().update(frame_path)
+    def frame(self, frame, path):
+        region = super().frame(frame, path)
         time.sleep(0.002)
-        if self._frame == self._at:
+        if frame == self._at:
             self._interrupted.set()
             _thread.interrupt_main()
         return region
@@ -748,28 +748,23 @@ class TestUnsupervised:
         assert a != c
 
 
-class Reporter:
+class Reporter(StaticTracker):
     """In-process tracker that holds its initial region but reports
     `report` on frame `at`."""
 
     name = "reporter"
-    deterministic = True
 
     def __init__(self, report, at):
         self._report = report
         self._at = at
 
-    def begin(self, seed):
-        self._frame = 0
+    def initialize(self, frame, path, region):
+        held = super().initialize(frame, path, region)
+        return self._report if frame == self._at else held
 
-    def initialize(self, frame_path, region):
-        self._frame = 1
-        self._region = region
-        return self._report if self._at == 1 else region
-
-    def update(self, frame_path):
-        self._frame += 1
-        return self._report if self._frame == self._at else self._region
+    def frame(self, frame, path):
+        held = super().frame(frame, path)
+        return self._report if frame == self._at else held
 
 
 def reporter_handle(report, at):

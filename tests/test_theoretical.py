@@ -22,11 +22,11 @@ from conftest import make_annotation, make_sequence, moving_sequence, static_seq
 
 def drive_unsupervised(behavior, seq):
     """Feed a behavior the whole sequence with a single initialization."""
-    behavior.begin(0)
+    behavior.handshake(0)
     a = seq.annotation
-    regions = [behavior.initialize("frame-1", a.regions[0])]
+    regions = [behavior.initialize(1, "frame-1", a.regions[0])]
     for t in range(2, len(a) + 1):
-        regions.append(behavior.update(f"frame-{t}"))
+        regions.append(behavior.frame(t, f"frame-{t}"))
     return tuple(regions)
 
 
@@ -179,9 +179,9 @@ class TestScriptedDraws:
         regions = moving_sequence(40, step=3.5).annotation.regions
         tracker = ScriptedTracker(spec, regions)
         for seed in range(60):
-            tracker.begin(seed)
-            got = [tracker.initialize("f", regions[0])]
-            got += [tracker.update("f") for _ in regions[1:]]
+            tracker.handshake(seed)
+            got = [tracker.initialize(1, "f", regions[0])]
+            got += [tracker.frame(t, "f") for t in range(2, len(regions) + 1)]
             assert hexes(got) == hexes(gauss_reference_run(spec, regions, seed)), seed
 
     def test_the_lossy_spec_reports_losses(self):
