@@ -211,8 +211,11 @@ class ScriptedTrackerSpec(namedtuple(
 
 # ScriptedTracker.frame's inline Box-Muller draw never exceeds
 # sqrt(-2 ln 2**-53) < 8.58 in magnitude (1 - random() >= 2**-53), so
-# exp(draw * scale_noise) stays below math.exp's overflow at 709.78.
+# exp(draw * scale_noise) stays below math.exp's overflow at 709.78, and
+# draw * center_noise far inside the float range (about 1.8e308).
 MAX_SCALE_NOISE = 82.0
+MAX_CENTER_NOISE = 1e300
+_NOISE_BOUNDS = {"scale_noise": MAX_SCALE_NOISE, "center_noise": MAX_CENTER_NOISE}
 
 
 def parse_scripted_params(text: str) -> ScriptedTrackerSpec:
@@ -220,8 +223,9 @@ def parse_scripted_params(text: str) -> ScriptedTrackerSpec:
 
     drift_velocity uses a colon pair (dx:dy) since commas separate
     fields. Unknown keys, a non-finite center_noise, scale_noise,
-    loss_prob or drift_velocity component, and a scale_noise beyond
-    +-MAX_SCALE_NOISE are rejected.
+    loss_prob or drift_velocity component, a scale_noise beyond
+    +-MAX_SCALE_NOISE and a center_noise beyond +-MAX_CENTER_NOISE are
+    rejected.
     """
     fields: dict = {}
     if text.strip():
@@ -241,11 +245,9 @@ def parse_scripted_params(text: str) -> ScriptedTrackerSpec:
                     fields[key] = float(value)
                     if not math.isfinite(fields[key]):
                         raise ConfigError(f"scripted parameter {key!r} must be finite")
-                    if key == "scale_noise" and abs(fields[key]) > MAX_SCALE_NOISE:
-                        raise ConfigError(
-                            f"scripted parameter 'scale_noise' must be within "
-                            f"+-{MAX_SCALE_NOISE:g}"
-                        )
+                    if abs(fields[key]) > _NOISE_BOUNDS.get(key, math.inf):
+                        raise ConfigError(f"scripted parameter {key!r} must be within "
+                                          f"+-{_NOISE_BOUNDS[key]:g}")
                 elif key == "drift_onset":
                     fields[key] = None if value.lower() == "none" else int(value)
                 elif key == "drift_velocity":

@@ -23,6 +23,14 @@ scripted misbehavior selected by argv[1]:
   crlf      well-behaved, but ends every reply with CR LF
   partial   answers the 2nd frame request with a state line without LF,
             then exits
+  deaf      answers the 2nd frame request with its stdin closed, then
+            sleeps: the next request finds no reader
+  mute      closes its stdout at the 2nd frame request, then sleeps
+  stubborn  well-behaved, but ignores quit and reads on until killed
+            or its stdin ends
+
+deaf and mute keep running after they misbehave, so only the runner's
+kill ends them.
 
 Options may follow the mode:
 
@@ -40,6 +48,8 @@ foreign executable.
 import os
 import sys
 import time
+
+LINGER = 60.0  # seconds a misbehaving mode keeps running
 
 # Modes that answer every frame request with one fixed region.
 FIXED = {"zerocopy": "0,0,0,0", "huge": "0,0,1e200,1e200", "wide": "1.7e308,0,1.7e308,4"}
@@ -95,6 +105,17 @@ def main() -> int:
                 if mode == "stray":
                     reply(f"state {held}\nstate {held}")
                     continue
+                if mode == "deaf":
+                    # Closed before the reply, so that the next request is sure
+                    # to find no reader.
+                    os.close(0)
+                    reply(f"state {held}")
+                    time.sleep(LINGER)
+                    return 1
+                if mode == "mute":
+                    os.close(1)
+                    time.sleep(LINGER)
+                    return 1
                 if mode == "slow":
                     time.sleep(5.0)
                 if mode == "exit":
@@ -105,7 +126,7 @@ def main() -> int:
                         sys.stdout.flush()
                     return 1
             reply(f"state {options.get('state', FIXED.get(mode, held))}")
-        elif cmd == "quit":
+        elif cmd == "quit" and mode != "stubborn":
             return 0
     return 0
 

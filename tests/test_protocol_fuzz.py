@@ -87,6 +87,15 @@ def test_a_message_past_the_sequence_is_an_error_reply(kind):
     assert len(out.splitlines()) == 6  # hello, four states, the error
 
 
+@pytest.mark.parametrize("kind", ["ttf", "tto", "scripted"])
+def test_each_hello_starts_the_frame_count_again(kind):
+    run = ["hello version=1 seed=1", "initialize f1 10,40,20,16"] + ["frame f"] * 3
+    code, out = served(kind, run + run)
+    replies = [line.split()[0] for line in out.splitlines()]
+    assert code == 0
+    assert replies == (["hello"] + ["state"] * 4) * 2
+
+
 replies = st.one_of(
     st.text(),
     st.builds(lambda ts: " ".join(["hello", *ts]), st.lists(tokens, max_size=4)),

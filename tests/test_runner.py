@@ -656,6 +656,32 @@ class TestChildProcess:
         assert table.rows[0].error == "timeout at frame 3: no reply within 1.0s"
         assert all_exited(started)
 
+    @staticmethod
+    def run_lingering(mode, started):
+        """One unsupervised run of a stub that outlives its misbehavior, at a
+        0.5 s timeout: (the row's error, seconds taken). No child is left."""
+        t0 = time.monotonic()
+        table = execute_plan(RunPlan(repetitions=1, mode="unsupervised"),
+                             [stub_handle(mode, timeout=0.5)], [static_sequence(8)])
+        elapsed = time.monotonic() - t0
+        assert len(started) == 1 and all_exited(started)
+        return table.rows[0].error, elapsed
+
+    def test_a_request_to_a_child_that_closed_its_stdin_is_a_premature_exit(self, started):
+        error, elapsed = self.run_lingering("deaf", started)
+        assert error.startswith("premature-exit at frame 4: tracker stdin closed: ")
+        assert elapsed < 0.5  # no wait: the write fails at once
+
+    def test_a_child_that_closed_its_stdout_is_killed_after_the_timeout(self, started):
+        error, elapsed = self.run_lingering("mute", started)
+        assert error == "premature-exit at frame 3: tracker exited (status None)"
+        assert 0.5 <= elapsed < 1.25  # the wait for the exit, once
+
+    def test_a_child_that_ignores_quit_is_killed_after_the_timeout(self, started):
+        error, elapsed = self.run_lingering("stubborn", started)
+        assert error is None
+        assert 0.5 <= elapsed < 1.25  # the wait for the exit, once
+
     def test_silent_exit_is_detected(self):
         seq = static_sequence(8)
         with pytest.raises(PrematureExitError) as e:

@@ -29,6 +29,7 @@ from trackbench.theoretical import (
     BUILTINS,
     THEORETICAL_KINDS,
     BuiltinTracker,
+    ScriptedTrackerSpec,
     theoretical_trajectory,
 )
 
@@ -101,6 +102,36 @@ def test_scale_noise_at_its_bound_runs(tmp_dataset, tmp_path):
     ]) == 0
     rows = read_measure_table(str(out / "measures.tsv")).rows
     assert len(rows) == 18 and not any(r.error for r in rows)
+
+
+def test_a_center_noise_whose_draw_overflows_is_a_usage_error(tmp_path, capsys):
+    # The reported center overflowed to an infinity: the run exited 0 with
+    # the row "protocol-violation at frame 8: invalid reported region
+    # Region(x=-inf, ...)".
+    params = "name=c,center_noise=1e308,seed=1"
+    data, out = str(tmp_path / "data"), tmp_path / "out"
+    assert cli.main(["synth", "--out", data, "--sequences", "1", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", "--dataset", data, "--out", str(out), "--mode", "supervised",
+                     "--repetitions", "1", "--tracker", f"scripted:{params}"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'center_noise'" in err[0]
+    assert not out.exists()
+    seq_dir = os.path.join(data, os.listdir(data)[0])
+    assert tracker_cli.main(["scripted", "--sequence", seq_dir, "--params", params]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'center_noise'" in err[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("noise", [1e300, -1e300])
+def test_center_noise_at_its_bound_reports_valid_regions(noise):
+    spec = ScriptedTrackerSpec(center_noise=noise, scale_noise=82.0)
+    handle = TrackerHandle.in_process("c", BuiltinTracker("scripted", spec))
+    for seed in range(20):
+        # An invalid report raises ProtocolViolationError.
+        assert len(run_unsupervised(handle, moving_sequence(40), seed=seed)) == 40
 
 
 @pytest.mark.parametrize("kind", list(BUILTINS))
