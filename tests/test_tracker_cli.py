@@ -67,9 +67,12 @@ def test_params_on_a_kind_other_than_scripted_rejected(kind, tmp_dataset, capsys
 
 
 # A scale_noise past the bound can overflow math.exp in
-# ScriptedTracker.update; a non-finite noise value or drift component,
-# which would make every drifting report invalid, is rejected with it.
+# ScriptedTracker.frame, and a center_noise past it the reported center
+# (center_noise=1e308 reported Region(x=-inf, ...) at frame 8 of a run);
+# a non-finite noise value or drift component, which would make every
+# drifting report invalid, is rejected with them.
 UNSAFE_SCRIPTED = ["scale_noise=1000", "scale_noise=-82.01", "scale_noise=inf",
+                   "center_noise=1e308", "center_noise=-1.01e300",
                    "center_noise=nan", "loss_prob=-inf", "drift_velocity=nan:0",
                    "drift_velocity=0:-inf,drift_onset=0"]
 
@@ -102,27 +105,6 @@ def test_scale_noise_at_its_bound_runs(tmp_dataset, tmp_path):
     ]) == 0
     rows = read_measure_table(str(out / "measures.tsv")).rows
     assert len(rows) == 18 and not any(r.error for r in rows)
-
-
-def test_a_center_noise_whose_draw_overflows_is_a_usage_error(tmp_path, capsys):
-    # The reported center overflowed to an infinity: the run exited 0 with
-    # the row "protocol-violation at frame 8: invalid reported region
-    # Region(x=-inf, ...)".
-    params = "name=c,center_noise=1e308,seed=1"
-    data, out = str(tmp_path / "data"), tmp_path / "out"
-    assert cli.main(["synth", "--out", data, "--sequences", "1", "--seed", "1"]) == 0
-    capsys.readouterr()
-    assert cli.main(["run", "--dataset", data, "--out", str(out), "--mode", "supervised",
-                     "--repetitions", "1", "--tracker", f"scripted:{params}"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "'center_noise'" in err[0]
-    assert not out.exists()
-    seq_dir = os.path.join(data, os.listdir(data)[0])
-    assert tracker_cli.main(["scripted", "--sequence", seq_dir, "--params", params]) == 2
-    captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "'center_noise'" in err[0]
-    assert captured.out == ""
 
 
 @pytest.mark.parametrize("noise", [1e300, -1e300])
