@@ -11,10 +11,11 @@ Dataset layout: one directory per sequence holding `groundtruth.txt`
 optional `frames/` with the image files, and `sequence.meta` with
 `key=value` lines (name, width, height). Settings files (sequence.meta,
 run configs, scripted parameter files) skip blank lines and lines whose
-first non-blank character is `#`. Region files parse in one
-pass, and line by line with parse_region only to report an error with
-its file and line. A tracker process needs only this layer: the
-ground truth and the frame size, read into plain values. The
+first non-blank character is `#`. Region files, like io_formats'
+measure tables, parse in one pass: one number-rule check and one float
+map over the joined numbers. A per-line loop runs only to report an
+error with its file and line. A tracker process needs only this layer:
+the ground truth and the frame size, read into plain values. The
 sequence types and the whole-directory readers and writers are in
 io_formats, which builds on it.
 """
@@ -43,10 +44,16 @@ __all__ = [
 _new = tuple.__new__
 
 
+# The bytes a number text may hold: printable ASCII but space and `_`. What
+# survives deleting them from ASCII text is the controls, space, `_` and DEL.
+_NUMBER_BYTES = bytes(c for c in range(0x21, 0x7F) if c != 0x5F)
+_REGION_BYTES = _NUMBER_BYTES.replace(b",", b"")
+
+
 def _breaks_number_rule(text: str) -> bool:
     """Whether text holds a character that the number rule forbids. A number text
     is ASCII, holds no whitespace and no `_`, and parses with float; commas pass."""
-    return not (text.isascii() and text.isprintable()) or " " in text or "_" in text
+    return not text.isascii() or text.encode().translate(None, _NUMBER_BYTES)
 
 
 def parse_number(text: str, path=None, line=None) -> float:
@@ -105,13 +112,15 @@ def _parse_regions(texts: list[str]) -> list[Region] | None:
     """parse_region of every text in one pass, or None if any is invalid.
 
     Both routes parse the numbers by the number rule, so they accept the
-    same texts; on None the caller's per-line loop reports the error.
+    same texts; on None the caller's per-line loop reports the error. Deleting
+    the number bytes but `,` from the LF-joined texts checks rule and arity.
     """
-    joined = ",".join(texts)
-    if [t.count(",") for t in texts] != [3] * len(texts) or _breaks_number_rule(joined):
+    joined = "\n".join(texts)
+    if not joined.isascii() or joined.encode().translate(None, _REGION_BYTES) != b"\n".join(
+            repeat(b",,,", len(texts))):
         return None
     try:
-        v = list(map(float, joined.split(",")))
+        v = list(map(float, joined.replace("\n", ",").split(",")))
     except ValueError:
         return None
     if not all(map(math.isfinite, v)) or min(v[2::4]) < 0 or min(v[3::4]) < 0:
@@ -150,11 +159,12 @@ def read_text(path) -> str:
     Other bytes are a ParseError naming the file; an OSError, such as
     FileNotFoundError for a missing file, reaches the caller as it is.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline=None) as fh:
-            return fh.read()
+    try:  # one read, one decode
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text: {e.reason}", path) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def write_text(path, text: str) -> None:

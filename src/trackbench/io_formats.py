@@ -5,20 +5,23 @@ and writers, build on dataset, which a tracker process reads through
 alone. Text, regions and numbers follow dataset's conventions, so
 write -> read reproduces every float bit-exactly. Run records and
 measure tables start with the version line `# format: trackbench/1`;
-parsers reject other versions and trailing garbage. Trajectories and
-records parse in one pass, and line by line with parse_region only to
-report an error with its file and line. Analysis outputs (correlation
-matrices, cluster assignments, A-R summaries, label tables) are
-write-only artifacts: each writer takes an analysis result and writes
-the whole file, its `#`-prefixed notes included.
+parsers reject other versions and trailing garbage. Trajectories,
+records and measure tables parse in one pass, and a measure table's
+overlap and fraction cells must lie in [0, 1]; a per-line loop runs
+only to report an error with its file and line. Analysis outputs
+(correlation matrices, cluster assignments, A-R summaries, label
+tables) are write-only artifacts: each writer takes an analysis result
+and writes the whole file, its `#`-prefixed notes included.
 """
 
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .dataset import (
     _REGION_LINE,
+    _breaks_number_rule,
     _parse_regions,
     _read_regions,
     _region_text,
@@ -311,6 +314,34 @@ def dumps_measure_table(table: MeasureTable) -> str:
     ))
 
 
+# The overlap and fraction columns: a defined cell lies in [0, 1].
+_UNIT_KEYS = ("p_0.1", "p_0.5", "avg_overlap", "sup_p_0.1", "sup_p_0.5", "sup_avg_overlap")
+_UNIT = tuple(map(measure_keys().index, _UNIT_KEYS))
+
+
+def _parse_rows(lines: list[str], n: int) -> list[MeasureRow] | None:
+    """The rows of a table's lines in one pass, or None if any is invalid. Per row,
+    one number-rule call and one map(float) cover the joined value cells, NA read
+    as NaN; per table, one check that only the NA cells are not finite, and one
+    that the defined overlaps and fractions, seeded with 0.0, lie in [0, 1]."""
+    rows, values, na = [], [], 0
+    for cells in map(str.split, lines, repeat("\t")):
+        texts = cells[4:-1]
+        joined = ",".join(texts)
+        if len(texts) != n or joined.count(",") != n - 1 or _breaks_number_rule(joined):
+            return None
+        try:
+            v = list(map(float, joined.replace("NA", "nan").split(",")))
+            rows.append(MeasureRow(*cells[:2], int(cells[2]), int(cells[3]), v, cells[-1] or None))
+        except ValueError:
+            return None
+        values += v
+        na += texts.count("NA")
+    unit = [0.0, *filter(math.isfinite, chain.from_iterable(values[k::n] for k in _UNIT))]
+    finite = sum(map(math.isfinite, values)) + na == len(values)
+    return rows if finite and 0.0 <= min(unit) and max(unit) <= 1.0 else None
+
+
 def loads_measure_table(text: str, path=None) -> MeasureTable:
     lines = _versioned_lines(text, path)
     if len(lines) < 2:
@@ -318,31 +349,22 @@ def loads_measure_table(text: str, path=None) -> MeasureTable:
     columns = _table_columns()
     if lines[1].split("\t") != columns:
         raise ParseError("column header mismatch", path, 2)
-    rows = []
-    for i, line in enumerate(lines[2:], start=3):
-        cells = line.split("\t")
-        if len(cells) != len(columns):
-            raise ParseError(
-                f"expected {len(columns)} cells, got {len(cells)}", path, i
-            )
-        # The header check above pinned the layout: four key columns,
-        # one per measure key, then the error column.
-        tracker, sequence, run_text, frames_text, *value_cells, error_cell = cells
-        try:
-            run = int(run_text)
-            frames = int(frames_text)
-        except ValueError:
-            raise ParseError(f"bad run/frames index: {run_text!r}/{frames_text!r}",
-                             path, i) from None
-        values = []
-        for cell in value_cells:
-            v = math.nan if cell == "NA" else parse_number(cell, path, i)
-            if cell != "NA" and not math.isfinite(v):  # NA is the one undefined cell
-                raise ParseError(f"non-finite measure value: {cell!r}", path, i)
-            values.append(v)
-        error = error_cell if error_cell != "" else None
-        rows.append(MeasureRow(tracker=tracker, sequence=sequence, run=run,
-                               frames=frames, values=tuple(values), error=error))
+    rows = _parse_rows(lines[2:], len(columns) - 5)
+    if rows is None:  # the per-line pass raises at the first bad line
+        for i, cells in enumerate(map(str.split, lines[2:], repeat("\t")), start=3):
+            if len(cells) != len(columns):
+                raise ParseError(f"expected {len(columns)} cells, got {len(cells)}", path, i)
+            try:  # the header check pinned the layout: four key columns, the values, error
+                int(cells[2]), int(cells[3])
+            except ValueError:
+                raise ParseError(f"bad run/frames index: {cells[2]!r}/{cells[3]!r}",
+                                 path, i) from None
+            for key, cell in zip(columns[4:-1], cells[4:-1]):
+                v = 0.0 if cell == "NA" else parse_number(cell, path, i)  # the one undefined cell
+                if not math.isfinite(v):
+                    raise ParseError(f"non-finite measure value: {cell!r}", path, i)
+                if key in _UNIT_KEYS and not 0.0 <= v <= 1.0:
+                    raise ParseError(f"{key} outside [0, 1]: {cell!r}", path, i)
     return MeasureTable(rows=tuple(rows))
 
 

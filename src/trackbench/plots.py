@@ -44,9 +44,13 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+# A `%.2f` text holds `-0.00` only when it is `-0.00`, which both write as `0.00`.
 def _fmt(v: float) -> str:
-    out = f"{v:.2f}"
-    return "0.00" if out == "-0.00" else out
+    return f"{v:.2f}".replace("-0.00", "0.00")
+
+
+def _points(points) -> str:
+    return " ".join(map("%.2f,%.2f".__mod__, points)).replace("-0.00", "0.00")
 
 
 def _color(i: int) -> str:
@@ -83,9 +87,8 @@ class _Canvas:
         )
 
     def polyline(self, points, stroke) -> None:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
         self._lines.append(
-            f'<polyline class="data" points="{coords}" fill="none" '
+            f'<polyline class="data" points="{_points(points)}" fill="none" '
             f'stroke="{stroke}" stroke-width="1.50"/>'
         )
 
@@ -277,7 +280,7 @@ def _cross(x: float, y: float) -> tuple[str, str]:
 
 
 def _polygon(*points: tuple[float, float]) -> tuple[str, str]:
-    return "polygon", 'points="' + " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points) + '"'
+    return "polygon", f'points="{_points(points)}"'
 
 
 # Reference tracker kind -> (legend label, shape name, builder of the

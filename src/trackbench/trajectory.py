@@ -94,7 +94,7 @@ class MeasureRow:
     error: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if len(self.values) != 16:
             raise LengthMismatchError(
                 f"measure row needs 16 values, got {len(self.values)}"

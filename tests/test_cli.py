@@ -816,6 +816,47 @@ def test_analyze_of_a_non_finite_cell_exits_1_naming_its_line(pipeline, tmp_path
     assert not (tmp_path / "a" / "correlation.tsv").exists()
 
 
+class TestOverlapCellDomain:
+    """An overlap or fraction cell outside [0, 1] is a parse error at its line, so
+    no report sums or plots a value that no run can write."""
+
+    def table_with(self, pipeline, tmp_path, value, rows):
+        """The pipeline's table with sup_avg_overlap set to value in its first
+        `rows` tts rows; returns the path and the first edited line."""
+        with open(os.path.join(pipeline["out"], "measures.tsv"), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        column = lines[1].split("\t").index("sup_avg_overlap")
+        edited = [i for i, line in enumerate(lines) if line.startswith("tts\t")][:rows]
+        for i in edited:
+            cells = lines[i].split("\t")
+            cells[column] = value
+            lines[i] = "\t".join(cells)
+        path = tmp_path / "measures.tsv"
+        path.write_text("\n".join(lines))
+        return str(path), edited[0] + 1
+
+    def test_analyze_of_two_huge_accuracies_is_one_error_line(self, pipeline, tmp_path,
+                                                              capsys):
+        # Summed for the tracker's mean accuracy, two such cells overflowed math.fsum.
+        measures, line = self.table_with(pipeline, tmp_path, "1e308", rows=2)
+        out = tmp_path / "reports"
+        assert cli.main(["analyze", "--measures", measures, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {measures}:{line}: sup_avg_overlap outside [0, 1]: '1e308'"]
+        assert not out.exists()
+
+    def test_ar_plot_of_a_huge_negative_accuracy_is_one_error_line(self, pipeline, tmp_path,
+                                                                   capsys):
+        # Plotted, the cell's mean put cy="inf" into the SVG.
+        measures, line = self.table_with(pipeline, tmp_path, "-1e308", rows=1)
+        svg = tmp_path / "ar.svg"
+        assert cli.main(["plot", "--type", "ar", "--measures", measures,
+                         "--dataset", pipeline["data"], "--out", str(svg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {measures}:{line}: sup_avg_overlap outside [0, 1]: '-1e308'"]
+        assert not svg.exists()
+
+
 class TestGoldenReports:
     # SHA-256 of the pipeline fixture's reports, and of its A-R plot with
     # the reference trackers' points. The correlation and cluster tables

@@ -461,8 +461,12 @@ class TestOnePassWriters:
 
 
 def sample_table():
-    vals = tuple(float(i) / 7.0 for i in range(16))
-    nanvals = tuple(float("nan") if i % 3 == 0 else -1.5 * i for i in range(16))
+    # The overlap and fraction columns (p_0.1, p_0.5, avg_overlap and their
+    # sup_ twins) hold values in [0, 1]; the others take any finite value.
+    unit = (3, 4, 7, 12, 13, 14)
+    vals = tuple(float(i) / (17.0 if i in unit else 7.0) for i in range(16))
+    nanvals = tuple(float("nan") if i % 3 == 0 else 1.0 / i if i in unit else -1.5 * i
+                    for i in range(16))
     return MeasureTable(
         rows=(
             MeasureRow(tracker="a", sequence="s1", run=1, frames=30, values=vals),

@@ -1,26 +1,46 @@
-"""The one-pass region readers against the per-line loops they replace.
+"""The one-pass readers against the per-line and per-cell loops they replace.
 
-read_sequence, read_trajectory and loads_record parse a whole file
-in one pass and fall back to a per-line loop over parse_region only to
-report an error. The reference functions below are those per-line loops
-as they were before the one-pass route existed. For every drawn file the
-readers must return the same regions (compared by float.hex) or raise
-the same exception type with the same message, path and line.
+read_sequence, read_trajectory and loads_record parse a whole file in
+one pass, and loads_measure_table a whole table, each falling back to a
+per-line loop only to report an error. The reference functions below
+are those loops as they were before the one-pass routes existed. For
+every drawn file the readers must return the same values (compared by
+float.hex) or raise the same exception type with the same message, path
+and line. The number rule and read_text are pinned against the
+expressions they replace.
 """
 
+import math
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trackbench import dataset, io_formats
-from trackbench.dataset import _read_lines, format_region, parse_number, parse_region
+from trackbench.dataset import (
+    _breaks_number_rule,
+    _read_lines,
+    format_region,
+    parse_number,
+    parse_region,
+    read_text,
+)
 from trackbench.errors import FormatVersionError, ParseError, TrackbenchError
 from trackbench.geometry import Region
-from trackbench.io_formats import FORMAT_LINE, loads_record, read_sequence, read_trajectory
+from trackbench.io_formats import (
+    FORMAT_LINE,
+    _table_columns,
+    _versioned_lines,
+    loads_measure_table,
+    loads_record,
+    read_sequence,
+    read_trajectory,
+)
 from trackbench.trajectory import (
     Init,
+    MeasureRow,
+    MeasureTable,
     SupervisedRunRecord,
 )
 
@@ -246,3 +266,192 @@ class TestOnePassRoute:
         assert dataset._parse_regions(good) == [Region(1, 2, 3, 4)] * 3
         assert dataset._parse_regions(good[:1] + [text] + good[1:]) is None
         assert dataset._parse_regions([]) is None
+
+
+# The overlap and fraction columns; a defined cell must lie in [0, 1].
+UNIT_KEYS = ("p_0.1", "p_0.5", "avg_overlap", "sup_p_0.1", "sup_p_0.5", "sup_avg_overlap")
+
+
+def reference_loads_measure_table(text: str, path=None) -> MeasureTable:
+    """The per-cell table reader, with the [0, 1] rule added at its cell."""
+    lines = _versioned_lines(text, path)
+    if len(lines) < 2:
+        raise ParseError("missing column header", path, 2)
+    columns = _table_columns()
+    if lines[1].split("\t") != columns:
+        raise ParseError("column header mismatch", path, 2)
+    rows = []
+    for i, line in enumerate(lines[2:], start=3):
+        cells = line.split("\t")
+        if len(cells) != len(columns):
+            raise ParseError(
+                f"expected {len(columns)} cells, got {len(cells)}", path, i
+            )
+        tracker, sequence, run_text, frames_text, *value_cells, error_cell = cells
+        try:
+            run = int(run_text)
+            frames = int(frames_text)
+        except ValueError:
+            raise ParseError(f"bad run/frames index: {run_text!r}/{frames_text!r}",
+                             path, i) from None
+        values = []
+        for key, cell in zip(columns[4:-1], value_cells):
+            v = math.nan if cell == "NA" else parse_number(cell, path, i)
+            if cell != "NA" and not math.isfinite(v):
+                raise ParseError(f"non-finite measure value: {cell!r}", path, i)
+            if key in UNIT_KEYS and cell != "NA" and not 0.0 <= v <= 1.0:
+                raise ParseError(f"{key} outside [0, 1]: {cell!r}", path, i)
+            values.append(v)
+        error = error_cell if error_cell != "" else None
+        rows.append(MeasureRow(tracker=tracker, sequence=sequence, run=run,
+                               frames=frames, values=tuple(values), error=error))
+    return MeasureTable(rows=tuple(rows))
+
+
+def table_bits(table: MeasureTable) -> list:
+    return [(r.tracker, r.sequence, r.run, r.frames, [v.hex() for v in r.values], r.error)
+            for r in table.rows]
+
+
+COLUMNS = _table_columns()
+# Free text: the key and error cells may hold anything but a tab or a newline.
+cell_texts = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="\t\n\r"), max_size=6)
+unit_values = st.floats(0.0, 1.0).map(repr)
+any_values = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# Cells that float or the number rule reject, the NA look-alikes, a comma,
+# and numbers that are fine in some columns and out of [0, 1] in others.
+HOSTILE_CELLS = ["na", "NaN", "nan", "-nan", "inf", "-inf", "Infinity", "-NA", "+NA", "NA1",
+                 "NANA", "1_0", " 1", "1 ", "\x0b1", "١٢", "１", "1,5", ",", "", "x", "2",
+                 "-0.5", "1.5", "1e308", "-1e308", "-0.0", "0x1", "+7", ".5", "5.", "1e-400"]
+HOSTILE_INDICES = ["x", "1.5", "", " 1", "1_0", "١", "-1", "+2", "0x1", "NA"]
+
+
+@st.composite
+def table_rows(draw):
+    """A valid row's cells: overlaps and fractions in [0, 1], NA anywhere."""
+    cells = [draw(cell_texts), draw(cell_texts),
+             str(draw(st.integers(0, 99))), str(draw(st.integers(0, 10**6)))]
+    for key in COLUMNS[4:-1]:
+        value = unit_values if key in UNIT_KEYS else any_values
+        cells.append(draw(st.one_of(value, value, value, st.just("NA"))))
+    return cells + [draw(st.one_of(st.just(""), cell_texts))]
+
+
+@st.composite
+def table_texts(draw):
+    """A table of valid rows with up to two hostile edits: a bad value or
+    index cell, an overlap or fraction out of [0, 1], or a cell inserted
+    or deleted."""
+    rows = draw(st.lists(table_rows(), max_size=4))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2])) if rows else 0):
+        cells = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["value", "unit", "index", "insert", "delete"]))
+        if kind == "value":
+            cells[draw(st.integers(4, len(cells) - 2))] = draw(st.sampled_from(HOSTILE_CELLS))
+        elif kind == "unit":
+            cells[COLUMNS.index(draw(st.sampled_from(UNIT_KEYS)))] = draw(st.sampled_from(
+                ["2", "-0.5", "1.0000000000000002", "-5e-324", "1e308", "-1e308"]))
+        elif kind == "index":
+            cells[draw(st.integers(2, 3))] = draw(st.sampled_from(HOSTILE_INDICES))
+        elif kind == "insert":
+            cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(["0", "NA", ""])))
+        else:
+            del cells[draw(st.integers(0, len(cells) - 1))]
+    lines = [FORMAT_LINE, "\t".join(COLUMNS), *map("\t".join, rows)]
+    return file_text(lines, draw(st.booleans()))
+
+
+# A valid row: NA, -0.0 and huge values where no [0, 1] rule applies.
+VALID_ROW = ["t", "s", "0", "60", "NA", "0.5", "1e300", "1", "-0.0", "7", "0", "0.25",
+             "NA", "-3", "2.5", "1e-300", "0", "NA", "1", "4", ""]
+
+
+def table_with(column: str, cell: str) -> str:
+    """A two-row table whose second row has cell in column."""
+    row = list(VALID_ROW)
+    row[COLUMNS.index(column)] = cell
+    return file_text([FORMAT_LINE, "\t".join(COLUMNS), "\t".join(VALID_ROW), "\t".join(row)],
+                     True)
+
+
+class TestMeasureTables:
+    @settings(max_examples=60, derandomize=True)
+    @given(table_texts())
+    @example(table_with("rmse", "1,5"))
+    @example(table_with("rmse", "-NA"))
+    @example(table_with("rmse", "nan"))
+    @example(table_with("sup_avg_overlap", "1.5"))
+    @example(table_with("p_0.1", "-1e308"))
+    @example(file_text([FORMAT_LINE, "\t".join(COLUMNS)], True))
+    def test_loads_measure_table_matches_the_per_cell_loop(self, text):
+        assert outcome(loads_measure_table, text, "m.tsv", fingerprint=table_bits) == outcome(
+            reference_loads_measure_table, text, "m.tsv", fingerprint=table_bits)
+
+    def test_valid_tables_take_the_one_pass_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-cell parse_number ran on a valid table")
+
+        monkeypatch.setattr(io_formats, "parse_number", refuse)
+        table = loads_measure_table(table_with("error", "timeout"))
+        values = [float(c).hex() if c != "NA" else math.nan.hex() for c in VALID_ROW[4:-1]]
+        assert table_bits(table) == [("t", "s", 0, 60, values, None),
+                                     ("t", "s", 0, 60, values, "timeout")]
+
+
+# The number rule as it was written before its one-pass form.
+def reference_rule(text: str) -> bool:
+    return not (text.isascii() and text.isprintable()) or " " in text or "_" in text
+
+
+NON_ASCII = ["\x80", "\xa0", "é", "١", "１", "\u2028", "\U0001d7d9", "\ufeff"]
+
+
+class TestNumberRule:
+    def test_every_ascii_character_alone_and_inside_a_number(self):
+        for c in [*map(chr, range(128)), *NON_ASCII]:
+            for text in (c, f"1{c}5", f"1.5e{c}", f"{c}2,3,4,5"):
+                assert bool(_breaks_number_rule(text)) == reference_rule(text), repr(text)
+
+    def test_the_region_pass_applies_the_rule_and_the_arity(self):
+        # _parse_regions folds the rule and the comma count into one translate.
+        for c in [*map(chr, range(128)), *NON_ASCII]:
+            for texts in ([f"1{c}5,2,3,4"], ["1,2,3,4", f"{c}"], [f"1,2,3,4{c}"],
+                          ["1,2,3,4", f"1,2{c}3,4"]):
+                try:
+                    want = [parse_region(t) for t in texts]
+                except ParseError:
+                    want = None
+                assert dataset._parse_regions(texts) == want, repr(texts)
+
+
+def text_io_reference(path) -> tuple:
+    """What read_text gave when it read through a TextIOWrapper."""
+    try:
+        with open(path, encoding="utf-8", newline=None) as fh:
+            return "ok", fh.read()
+    except UnicodeDecodeError as e:
+        return "error", f"{path}: not UTF-8 text: {e.reason}"
+
+
+CHUNK = 8192  # the TextIOWrapper's read chunk
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"1,2,3,4\n", b"1,2,3,4\r\n5,6,7,8\r\n", b"1,2,3,4\r5,6,7,8\r",
+    b"a\r\nb\rc\nd\r\r\n\n\re", b"x\r", b"\r", b"\r\n\r",
+    b"a" * (CHUNK - 1) + b"\r\nb",
+    b"a" * (CHUNK - 1) + "é".encode(),
+    b"a" * (CHUNK - 2) + "€".encode() + b"\r",
+    b"a" * (CHUNK - 1) + "𝟙".encode() + b"\n" + b"b" * CHUNK,
+    b"\xff", b"ok\n\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf",
+    b"a" * (CHUNK - 1) + b"\xe2\x82\x28", b"a" * (CHUNK - 1) + b"\xe2",
+], ids=lambda data: f"{len(data)}B")
+def test_read_text_matches_the_text_io_reader(tmp_path, data):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    try:
+        got = "ok", read_text(str(path))
+    except ParseError as e:
+        got = "error", str(e)
+    assert got == text_io_reference(str(path))

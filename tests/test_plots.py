@@ -3,9 +3,14 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackbench.errors import EmptySeriesError
 from trackbench.plots import (
+    _Canvas,
+    _fmt,
+    _polygon,
     ar_plot,
     center_error_plot,
     fragmentation_timeline,
@@ -218,3 +223,22 @@ class TestSurvivalCurve:
             survival_curve({})
         with pytest.raises(EmptySeriesError):
             survival_curve({"a": []})
+
+
+class TestPointText:
+    """Polyline and polygon points are formatted in one pass with _fmt's digits."""
+
+    def test_a_point_in_the_rounding_gap_below_zero_writes_zero(self):
+        c = _Canvas(10, 10, "t")
+        c.polyline([(-0.004, -0.0), (-0.01, -10.0), (-0.0049, -10.004)], "#000")
+        [line] = [s for s in c.finish().split("\n") if s.startswith("<polyline")]
+        assert 'points="0.00,0.00 -0.01,-10.00 0.00,-10.00"' in line
+        assert _polygon((-0.001, -0.006), (-10.0, -1e-9)) == (
+            "polygon", 'points="0.00,-0.01 -10.00,0.00"')
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.lists(st.tuples(*[st.one_of(st.floats(-1e6, 1e6), st.floats(-0.02, 0.02))] * 2),
+                    min_size=1, max_size=6))
+    def test_points_match_fmt(self, points):
+        want = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+        assert _polygon(*points) == ("polygon", f'points="{want}"')
