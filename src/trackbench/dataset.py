@@ -11,13 +11,14 @@ Dataset layout: one directory per sequence holding `groundtruth.txt`
 optional `frames/` with the image files, and `sequence.meta` with
 `key=value` lines (name, width, height). Settings files (sequence.meta,
 run configs, scripted parameter files) skip blank lines and lines whose
-first non-blank character is `#`. Region files, like io_formats'
-measure tables, parse in one pass: one number-rule check and one float
-map over the joined numbers. A per-line loop runs only to report an
-error with its file and line. A tracker process needs only this layer:
-the ground truth and the frame size, read into plain values. The
-sequence types and the whole-directory readers and writers are in
-io_formats, which builds on it.
+first non-blank character is `#`. One function, _parse_numbers, applies
+the number rule to the data files, io_formats' measure tables and the
+wire: one check and one float map over the joined numbers of a file or
+a row. Region files and center.txt parse in one pass; a per-line loop
+runs only to report an error with its file and line. A tracker process
+needs only this layer: the ground truth and the frame size, read into
+plain values. The sequence types and the whole-directory readers and
+writers are in io_formats, which builds on it.
 """
 
 import math
@@ -44,21 +45,27 @@ __all__ = [
 _new = tuple.__new__
 
 
-# The bytes a number text may hold: printable ASCII but space and `_`. What
-# survives deleting them from ASCII text is the controls, space, `_` and DEL.
-_NUMBER_BYTES = bytes(c for c in range(0x21, 0x7F) if c != 0x5F)
-_REGION_BYTES = _NUMBER_BYTES.replace(b",", b"")
+# The bytes a number text may hold but `,`: printable ASCII but space and `_`.
+# What survives deleting them from ASCII text is the commas, the controls,
+# space, `_` and DEL.
+_NUMBER_BYTES = bytes(c for c in range(0x21, 0x7F) if c not in b",_")
 
 
-def _breaks_number_rule(text: str) -> bool:
-    """Whether text holds a character that the number rule forbids. A number text
-    is ASCII, holds no whitespace and no `_`, and parses with float; commas pass."""
-    return not text.isascii() or text.encode().translate(None, _NUMBER_BYTES)
+def _parse_numbers(texts: list[str], arity: int) -> list[float]:
+    """The numbers of texts that each hold `arity` comma-separated number texts, or a
+    ValueError. A number text is ASCII, holds no whitespace and no `_`, and parses with
+    float, inf and nan included: one translate of the LF-joined texts checks the rule
+    and the arity, and one map(float) parses them."""
+    joined = "\n".join(texts)
+    if not joined.isascii() or joined.encode().translate(None, _NUMBER_BYTES) != b"\n".join(
+            repeat(b"," * (arity - 1), len(texts))):
+        raise ValueError("breaks the number rule")
+    return list(map(float, joined.replace("\n", ",").split(",")))
 
 
 def parse_number(text: str, path=None, line=None) -> float:
-    try:  # a forbidden character stands in as an empty text, which float rejects
-        return float("" if _breaks_number_rule(text) else text)
+    try:
+        return _parse_numbers([text], 1)[0]
     except ValueError:
         raise ParseError(f"not a number: {text!r}", path, line) from None
 
@@ -112,15 +119,10 @@ def _parse_regions(texts: list[str]) -> list[Region] | None:
     """parse_region of every text in one pass, or None if any is invalid.
 
     Both routes parse the numbers by the number rule, so they accept the
-    same texts; on None the caller's per-line loop reports the error. Deleting
-    the number bytes but `,` from the LF-joined texts checks rule and arity.
+    same texts; on None the caller's per-line loop reports the error.
     """
-    joined = "\n".join(texts)
-    if not joined.isascii() or joined.encode().translate(None, _REGION_BYTES) != b"\n".join(
-            repeat(b",,,", len(texts))):
-        return None
     try:
-        v = list(map(float, joined.replace("\n", ",").split(",")))
+        v = _parse_numbers(texts, 4)
     except ValueError:
         return None
     if not all(map(math.isfinite, v)) or min(v[2::4]) < 0 or min(v[3::4]) < 0:
@@ -200,20 +202,22 @@ def read_groundtruth(seq_dir, gt_path=None) -> tuple[tuple[Region, ...], tuple |
     center_path = os.path.join(seq_dir, "center.txt")
     if not os.path.exists(center_path):
         return regions, None
-    centers = []
-    for i, line in enumerate(_read_lines(center_path), start=1):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"center needs 2 values: {line!r}", center_path, i)
-        x, y = (parse_number(p, center_path, i) for p in parts)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"non-finite center coordinate: {line!r}", center_path, i)
-        centers.append(Point(x, y))
-    if len(centers) != len(regions):
-        raise LengthMismatchError(
-            f"{center_path}: {len(centers)} centers for {len(regions)} regions"
-        )
-    return regions, tuple(centers)
+    lines = _read_lines(center_path)
+    try:  # one pass; an empty file reaches the length check with no centers
+        v = _parse_numbers(lines, 2) if lines else []
+        if not all(map(math.isfinite, v)):
+            raise ValueError
+    except ValueError:  # the per-line pass raises at the first bad line
+        for i, line in enumerate(lines, start=1):
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ParseError(f"center needs 2 values: {line!r}", center_path, i)
+            x, y = (parse_number(p, center_path, i) for p in parts)
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"non-finite center coordinate: {line!r}", center_path, i)
+    if len(lines) != len(regions):
+        raise LengthMismatchError(f"{center_path}: {len(lines)} centers for {len(regions)} regions")
+    return regions, tuple(map(_new, repeat(Point), zip(v[0::2], v[1::2])))
 
 
 def read_meta(path) -> tuple[str | None, tuple[float, float] | None]:

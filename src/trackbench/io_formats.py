@@ -5,10 +5,12 @@ and writers, build on dataset, which a tracker process reads through
 alone. Text, regions and numbers follow dataset's conventions, so
 write -> read reproduces every float bit-exactly. Run records and
 measure tables start with the version line `# format: trackbench/1`;
-parsers reject other versions and trailing garbage. Trajectories,
-records and measure tables parse in one pass, and a measure table's
-overlap and fraction cells must lie in [0, 1]; a per-line loop runs
-only to report an error with its file and line. Analysis outputs
+parsers reject other versions and trailing garbage. Trajectories and
+records parse in one pass, and a per-line loop runs only to report an
+error with its file and line. A measure table is checked row by row:
+one parse of each row's run, frames and value cells, whose overlap and
+fraction cells must lie in [0, 1]; the first bad row raises, naming its
+line and its first bad cell. Analysis outputs
 (correlation matrices, cluster assignments, A-R summaries, label
 tables) are write-only artifacts: each writer takes an analysis result
 and writes the whole file, its `#`-prefixed notes included.
@@ -17,11 +19,12 @@ and writes the whole file, its `#`-prefixed notes included.
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
+from operator import itemgetter
 
 from .dataset import (
     _REGION_LINE,
-    _breaks_number_rule,
+    _parse_numbers,
     _parse_regions,
     _read_regions,
     _region_text,
@@ -316,30 +319,23 @@ def dumps_measure_table(table: MeasureTable) -> str:
 
 # The overlap and fraction columns: a defined cell lies in [0, 1].
 _UNIT_KEYS = ("p_0.1", "p_0.5", "avg_overlap", "sup_p_0.1", "sup_p_0.5", "sup_avg_overlap")
-_UNIT = tuple(map(measure_keys().index, _UNIT_KEYS))
+_unit_values = itemgetter(*map(measure_keys().index, _UNIT_KEYS))
 
 
-def _parse_rows(lines: list[str], n: int) -> list[MeasureRow] | None:
-    """The rows of a table's lines in one pass, or None if any is invalid. Per row,
-    one number-rule call and one map(float) cover the joined value cells, NA read
-    as NaN; per table, one check that only the NA cells are not finite, and one
-    that the defined overlaps and fractions, seeded with 0.0, lie in [0, 1]."""
-    rows, values, na = [], [], 0
-    for cells in map(str.split, lines, repeat("\t")):
-        texts = cells[4:-1]
-        joined = ",".join(texts)
-        if len(texts) != n or joined.count(",") != n - 1 or _breaks_number_rule(joined):
-            return None
-        try:
-            v = list(map(float, joined.replace("NA", "nan").split(",")))
-            rows.append(MeasureRow(*cells[:2], int(cells[2]), int(cells[3]), v, cells[-1] or None))
-        except ValueError:
-            return None
-        values += v
-        na += texts.count("NA")
-    unit = [0.0, *filter(math.isfinite, chain.from_iterable(values[k::n] for k in _UNIT))]
-    finite = sum(map(math.isfinite, values)) + na == len(values)
-    return rows if finite and 0.0 <= min(unit) and max(unit) <= 1.0 else None
+def _raise_row_error(cells: list[str], columns: list[str], path, line: int) -> None:
+    """Raise the ParseError that names a refused table row's first bad cell."""
+    if len(cells) != len(columns):
+        raise ParseError(f"expected {len(columns)} cells, got {len(cells)}", path, line)
+    try:  # the header check pinned the layout: four key columns, the values, error
+        _parse_numbers(cells[2:4], 1), int(cells[2]), int(cells[3])
+    except ValueError:
+        raise ParseError(f"bad run/frames index: {cells[2]!r}/{cells[3]!r}", path, line) from None
+    for key, cell in zip(columns[4:-1], cells[4:-1]):
+        v = 0.0 if cell == "NA" else parse_number(cell, path, line)  # the one undefined cell
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite measure value: {cell!r}", path, line)
+        if key in _UNIT_KEYS and not 0.0 <= v <= 1.0:
+            raise ParseError(f"{key} outside [0, 1]: {cell!r}", path, line)
 
 
 def loads_measure_table(text: str, path=None) -> MeasureTable:
@@ -349,22 +345,20 @@ def loads_measure_table(text: str, path=None) -> MeasureTable:
     columns = _table_columns()
     if lines[1].split("\t") != columns:
         raise ParseError("column header mismatch", path, 2)
-    rows = _parse_rows(lines[2:], len(columns) - 5)
-    if rows is None:  # the per-line pass raises at the first bad line
-        for i, cells in enumerate(map(str.split, lines[2:], repeat("\t")), start=3):
-            if len(cells) != len(columns):
-                raise ParseError(f"expected {len(columns)} cells, got {len(cells)}", path, i)
-            try:  # the header check pinned the layout: four key columns, the values, error
-                int(cells[2]), int(cells[3])
-            except ValueError:
-                raise ParseError(f"bad run/frames index: {cells[2]!r}/{cells[3]!r}",
-                                 path, i) from None
-            for key, cell in zip(columns[4:-1], cells[4:-1]):
-                v = 0.0 if cell == "NA" else parse_number(cell, path, i)  # the one undefined cell
-                if not math.isfinite(v):
-                    raise ParseError(f"non-finite measure value: {cell!r}", path, i)
-                if key in _UNIT_KEYS and not 0.0 <= v <= 1.0:
-                    raise ParseError(f"{key} outside [0, 1]: {cell!r}", path, i)
+    rows = []
+    for i, cells in enumerate(map(str.split, lines[2:], repeat("\t")), start=3):
+        try:  # run, frames and values in one parse, NA as NaN, the one non-finite value;
+            # a comma in a cell can stand in for a missing cell, so the count comes after
+            v = _parse_numbers([",".join(cells[2:-1]).replace("NA", "nan")], len(columns) - 3)
+            values = v[2:]
+            unit = [0.0, *filter(math.isfinite, _unit_values(values))]
+            if (len(cells) != len(columns) or min(unit) < 0.0 or max(unit) > 1.0
+                    or sum(map(math.isfinite, values)) + cells[4:-1].count("NA") != len(values)):
+                raise ValueError
+            rows.append(MeasureRow(cells[0], cells[1], int(cells[2]), int(cells[3]), values,
+                                   cells[-1] or None))
+        except ValueError:  # the per-cell loop raises at the row's first bad cell
+            _raise_row_error(cells, columns, path, i)
     return MeasureTable(rows=tuple(rows))
 
 

@@ -61,7 +61,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .dataset import _breaks_number_rule, format_region, is_safe_name
+from .dataset import _parse_numbers, format_region, is_safe_name
 from .errors import (
     ConfigError,
     PrematureExitError,
@@ -101,11 +101,9 @@ def _parse_state_line(line: str, frame: int) -> Region:
     parts = line.split()
     if len(parts) != 2 or parts[0] != "state":
         raise ProtocolViolationError(f"expected 'state <region>', got {line!r}", frame)
-    # dataset's number rule, as parse_number applies it; inf and nan reach _checked.
-    text = "" if _breaks_number_rule(parts[1]) else parts[1]
-    try:
-        return Region(*map(float, text.split(",")))
-    except (TypeError, ValueError):
+    try:  # dataset's number rule, as parse_number applies it; inf and nan reach _checked
+        return Region(*_parse_numbers(parts[1:], 4))
+    except ValueError:
         raise ProtocolViolationError(f"bad state region: {parts[1]!r}", frame) from None
 
 

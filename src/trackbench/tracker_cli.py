@@ -33,7 +33,7 @@ without interpreter teardown (see run).
 import os
 import sys
 
-from .dataset import format_region, parse_region, read_groundtruth, read_meta
+from .dataset import format_region, parse_number, parse_region, read_groundtruth, read_meta
 from .errors import ConfigError, ParseError, TrackbenchError, exit_status
 from .theoretical import BUILTINS, BuiltinTracker
 
@@ -132,7 +132,9 @@ def serve(behavior, rfile, wfile) -> int:
                 if kv.get("version") != "1":
                     reply("error unsupported protocol version")
                     return 2
-                name, deterministic = behavior.handshake(int(kv.get("seed", "0")))
+                seed = kv.get("seed", "0")
+                parse_number(seed)  # the number rule, which int alone does not apply
+                name, deterministic = behavior.handshake(int(seed))
                 begun, initialized, frames = True, False, 0
                 reply(f"hello name={name} deterministic={int(deterministic)} runs=many")
             elif cmd == "initialize":

@@ -13,6 +13,11 @@ settings.load_profile("default")
 
 STUB = os.path.join(os.path.dirname(__file__), "stub_tracker.py")
 
+# Characters outside ASCII that a number text must not hold: a control, a
+# no-break space, a letter, Arabic-Indic and fullwidth digits, a line
+# separator, a mathematical digit and a byte order mark.
+NON_ASCII = ["\x80", "\xa0", "é", "١", "１", "\u2028", "\U0001d7d9", "\ufeff"]
+
 
 def make_annotation(regions, name="seq"):
     return SequenceAnnotation(name=name, regions=tuple(Region(*r) for r in regions))

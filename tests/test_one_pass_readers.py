@@ -1,13 +1,14 @@
 """The one-pass readers against the per-line and per-cell loops they replace.
 
-read_sequence, read_trajectory and loads_record parse a whole file in
-one pass, and loads_measure_table a whole table, each falling back to a
-per-line loop only to report an error. The reference functions below
-are those loops as they were before the one-pass routes existed. For
-every drawn file the readers must return the same values (compared by
-float.hex) or raise the same exception type with the same message, path
-and line. The number rule and read_text are pinned against the
-expressions they replace.
+read_sequence (ground truth and centers), read_trajectory and
+loads_record parse a whole file in one pass, and loads_measure_table
+each row of a table, each falling back to a per-line or per-cell loop
+only to report an error. The reference functions below are those loops
+as they were before the one-pass routes existed. For every drawn file
+the readers must return the same values (compared by float.hex) or
+raise the same exception type with the same message, path and line.
+The number parser and read_text are pinned against the expressions
+they replace.
 """
 
 import math
@@ -19,15 +20,15 @@ from hypothesis import strategies as st
 
 from trackbench import dataset, io_formats
 from trackbench.dataset import (
-    _breaks_number_rule,
+    _parse_numbers,
     _read_lines,
     format_region,
     parse_number,
     parse_region,
     read_text,
 )
-from trackbench.errors import FormatVersionError, ParseError, TrackbenchError
-from trackbench.geometry import Region
+from trackbench.errors import FormatVersionError, LengthMismatchError, ParseError, TrackbenchError
+from trackbench.geometry import Point, Region
 from trackbench.io_formats import (
     FORMAT_LINE,
     _table_columns,
@@ -44,6 +45,8 @@ from trackbench.trajectory import (
     SupervisedRunRecord,
 )
 
+from conftest import NON_ASCII
+
 
 def reference_ground_truth(gt_path):
     regions = []
@@ -54,6 +57,23 @@ def reference_ground_truth(gt_path):
     if not regions:
         raise ParseError("ground truth has no frames", gt_path)
     return regions
+
+
+def reference_centers(center_path, n_regions):
+    centers = []
+    for i, line in enumerate(_read_lines(center_path), start=1):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"center needs 2 values: {line!r}", center_path, i)
+        x, y = (parse_number(p, center_path, i) for p in parts)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"non-finite center coordinate: {line!r}", center_path, i)
+        centers.append(Point(x, y))
+    if len(centers) != n_regions:
+        raise LengthMismatchError(
+            f"{center_path}: {len(centers)} centers for {n_regions} regions"
+        )
+    return tuple(centers)
 
 
 def reference_read_trajectory(path) -> tuple[Region, ...]:
@@ -115,6 +135,10 @@ def regions_bits(regions) -> list:
     return [bits(r) for r in regions]
 
 
+def points_bits(points) -> list:
+    return [(p.x.hex(), p.y.hex()) for p in points]
+
+
 def record_bits(rec: SupervisedRunRecord) -> tuple:
     return rec.tau.hex(), rec.failure_frames, [frame_bits(f) for f in rec.frames]
 
@@ -128,6 +152,10 @@ valid_texts = st.builds(Region, finite, finite, extents, extents).map(format_reg
 FIELDS = ["0", "1", "-1", "2.5", "-0.0", "-0", "1e308", "1e400", "-1e400", "nan",
           "-nan", "inf", "-inf", "Infinity", "1_0", "1__0", " 3", "4 ", "\t5",
           "١٢", "１", "+7", ".5", "5.", "0x1", "", "x", "1,5"]
+center_texts = st.one_of(
+    st.sampled_from(["", " ", "1", "1,2,3", "1,,2", ",", "1_0,2", "1, 2", "nan,0", "0,-inf"]),
+    st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3).map(",".join),
+)
 hostile_texts = st.one_of(
     st.sampled_from(["", " ", "\t", "  \t ", " "]),
     st.lists(st.sampled_from(FIELDS), min_size=3, max_size=5).map(",".join),
@@ -179,6 +207,23 @@ class TestRegionFiles:
         write(path, file_text(lines, trailing))
         assert outcome(read_trajectory, path, fingerprint=regions_bits) == outcome(
             reference_read_trajectory, path, fingerprint=regions_bits)
+
+    @settings(max_examples=300)
+    @given(mixed(st.tuples(finite, finite).map(lambda p: "%r,%r" % p),
+                 st.one_of(center_texts, hostile_texts)),
+           st.booleans())
+    @example(["1,2", "3,4", "-0.0,1e300"], False)
+    @example([], True)
+    def test_centers_match_the_per_line_loop(self, seq_dir, lines, trailing):
+        # As many regions as center lines, so that most drawn files are valid.
+        n = max(len(lines), 1)
+        os.makedirs(seq_dir, exist_ok=True)
+        write(os.path.join(seq_dir, "groundtruth.txt"), "0,0,2,2\n" * n)
+        center_path = os.path.join(seq_dir, "center.txt")
+        write(center_path, file_text(lines, trailing))
+        got = outcome(lambda d: read_sequence(d).annotation.centers, seq_dir,
+                      fingerprint=points_bits)
+        assert got == outcome(reference_centers, center_path, n, fingerprint=points_bits)
 
 
 @st.composite
@@ -257,6 +302,17 @@ class TestOnePassRoute:
         assert [type(f).__name__ for f in rec.frames] == ["Init", "Region", "NoneType", "Init"]
         assert rec.failure_frames == (3,)
 
+    def test_valid_centers_take_the_one_pass_route(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-line parse_number ran on a valid center file")
+
+        monkeypatch.setattr(dataset, "parse_number", refuse)
+        (tmp_path / "groundtruth.txt").write_text("0,0,2,2\n0,0,2,2\n")
+        (tmp_path / "center.txt").write_text("1,1\n-0.0,1e300\n")
+        centers = read_sequence(str(tmp_path)).annotation.centers
+        assert points_bits(centers) == points_bits([Point(1, 1), Point(-0.0, 1e300)])
+        assert all(type(p) is Point for p in centers)
+
     @pytest.mark.parametrize("text", [
         "", " ", "1,2,3", "1,2,3,4,5", "nan,0,1,1", "0,inf,1,1", "0,0,-1,1",
         "0,0,1,-1e-300", "a,0,1,1", "1,,2,3",
@@ -273,7 +329,8 @@ UNIT_KEYS = ("p_0.1", "p_0.5", "avg_overlap", "sup_p_0.1", "sup_p_0.5", "sup_avg
 
 
 def reference_loads_measure_table(text: str, path=None) -> MeasureTable:
-    """The per-cell table reader, with the [0, 1] rule added at its cell."""
+    """The per-cell table reader, with the [0, 1] rule added at its cell and
+    the number rule at the run and frames cells."""
     lines = _versioned_lines(text, path)
     if len(lines) < 2:
         raise ParseError("missing column header", path, 2)
@@ -288,7 +345,9 @@ def reference_loads_measure_table(text: str, path=None) -> MeasureTable:
                 f"expected {len(columns)} cells, got {len(cells)}", path, i
             )
         tracker, sequence, run_text, frames_text, *value_cells, error_cell = cells
-        try:
+        try:  # the number rule, then int
+            if reference_rule(run_text) or reference_rule(frames_text):
+                raise ValueError
             run = int(run_text)
             frames = int(frames_text)
         except ValueError:
@@ -388,6 +447,16 @@ class TestMeasureTables:
         assert outcome(loads_measure_table, text, "m.tsv", fingerprint=table_bits) == outcome(
             reference_loads_measure_table, text, "m.tsv", fingerprint=table_bits)
 
+    @pytest.mark.parametrize("column, cell", [
+        ("run", " 1"), ("run", "1_0"), ("run", "٣"), ("frames", "6_0"), ("frames", "60 "),
+    ])
+    def test_run_and_frames_cells_keep_the_number_rule(self, column, cell):
+        # int alone reads these as 1, 10, 3, 60 and 60.
+        with pytest.raises(ParseError) as e:
+            loads_measure_table(table_with(column, cell), "m.tsv")
+        run, frames = (cell, "60") if column == "run" else ("0", cell)
+        assert str(e.value) == f"m.tsv:4: bad run/frames index: {run!r}/{frames!r}"
+
     def test_valid_tables_take_the_one_pass_route(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("per-cell parse_number ran on a valid table")
@@ -404,17 +473,39 @@ def reference_rule(text: str) -> bool:
     return not (text.isascii() and text.isprintable()) or " " in text or "_" in text
 
 
-NON_ASCII = ["\x80", "\xa0", "é", "١", "１", "\u2028", "\U0001d7d9", "\ufeff"]
+def reference_numbers(texts, arity) -> list | None:
+    """The numbers of texts by the reference rule, a comma split and float, or None."""
+    numbers = []
+    for text in texts:
+        fields = text.split(",")
+        if len(fields) != arity or any(map(reference_rule, fields)):
+            return None
+        try:
+            numbers += map(float, fields)
+        except ValueError:
+            return None
+    return numbers
+
+
+def numbers_outcome(texts, arity) -> list | None:
+    try:
+        return [v.hex() for v in _parse_numbers(texts, arity)]
+    except ValueError:
+        return None
 
 
 class TestNumberRule:
     def test_every_ascii_character_alone_and_inside_a_number(self):
         for c in [*map(chr, range(128)), *NON_ASCII]:
-            for text in (c, f"1{c}5", f"1.5e{c}", f"{c}2,3,4,5"):
-                assert bool(_breaks_number_rule(text)) == reference_rule(text), repr(text)
+            for texts in ([c], [f"1{c}5"], [f"1.5e{c}"], [f"{c}2,3,4,5"], ["1,2,3,4", f"1,2{c}3,4"],
+                          [f"1{c}5", "2"], ["2", f"{c}"], [f"{c}", "2"]):
+                for arity in (1, 2, 4):
+                    want = reference_numbers(texts, arity)
+                    assert numbers_outcome(texts, arity) == (
+                        None if want is None else [v.hex() for v in want]), (texts, arity)
 
     def test_the_region_pass_applies_the_rule_and_the_arity(self):
-        # _parse_regions folds the rule and the comma count into one translate.
+        # _parse_regions adds finiteness and sign to _parse_numbers' rule and arity.
         for c in [*map(chr, range(128)), *NON_ASCII]:
             for texts in ([f"1{c}5,2,3,4"], ["1,2,3,4", f"{c}"], [f"1,2,3,4{c}"],
                           ["1,2,3,4", f"1,2{c}3,4"]):

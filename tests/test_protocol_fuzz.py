@@ -3,7 +3,8 @@
 On any list of command lines, `trackbench-tracker` (tracker_cli.serve)
 writes only `hello `, `state ` and `error ` lines and returns 0 or 2.
 On any reply text, the runner's parsers raise only
-ProtocolViolationError.
+ProtocolViolationError, and a state reply parses as it did before the
+wire shared dataset's number parser.
 """
 
 import io
@@ -13,11 +14,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trackbench.errors import ProtocolViolationError
+from trackbench.geometry import Region
 from trackbench.runner import _parse_hello_line, _parse_state_line
 from trackbench.theoretical import BUILTINS, BuiltinTracker, ScriptedTrackerSpec
 from trackbench.tracker_cli import serve
 
-from conftest import moving_sequence
+from conftest import NON_ASCII, moving_sequence
 
 SEQ = moving_sequence(4)
 NOISY = ScriptedTrackerSpec(
@@ -78,6 +80,15 @@ def test_a_frame_out_of_order_is_an_error_reply(kind, lines, reply):
     assert out.splitlines()[-1] == reply
 
 
+@pytest.mark.parametrize("kind", list(BUILTINS))
+@pytest.mark.parametrize("seed", ["1_0", "٣", "１", "1e3", "2.5", "x", ""])
+def test_a_seed_that_is_no_integer_text_is_an_error_reply(kind, seed):
+    # int alone reads 1_0, ٣ and １ as 10, 3 and 1.
+    code, out = served(kind, [f"hello version=1 seed={seed}", "initialize f1 10,40,20,16"])
+    assert code == 2
+    assert out.startswith("error ") and out.count("\n") == 1, out
+
+
 @pytest.mark.parametrize("kind", ["ttf", "tto", "scripted"])
 def test_a_message_past_the_sequence_is_an_error_reply(kind):
     lines = ["hello version=1 seed=1", "initialize f1 10,40,20,16"] + ["frame f"] * 4
@@ -112,3 +123,43 @@ def test_reply_parsers_raise_only_protocol_violations(line):
             parse(line)
         except ProtocolViolationError:
             pass
+
+
+# dataset's number rule before it was folded into dataset._parse_numbers: the
+# bytes a number text may hold, commas included.
+OLD_NUMBER_BYTES = bytes(c for c in range(0x21, 0x7F) if c != 0x5F)
+
+
+def reference_parse_state_line(line: str, frame: int) -> Region:
+    """runner._parse_state_line as it was before the wire shared that parser."""
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "state":
+        raise ProtocolViolationError(f"expected 'state <region>', got {line!r}", frame)
+    breaks = not parts[1].isascii() or parts[1].encode().translate(None, OLD_NUMBER_BYTES)
+    text = "" if breaks else parts[1]
+    try:
+        return Region(*map(float, text.split(",")))
+    except (TypeError, ValueError):
+        raise ProtocolViolationError(f"bad state region: {parts[1]!r}", frame) from None
+
+
+def state_outcome(parse, line):
+    try:
+        return "ok", [v.hex() for v in parse(line, 3)]
+    except ProtocolViolationError as e:
+        return "error", str(e), e.frame
+
+
+def test_every_character_parses_in_a_state_reply_as_before():
+    for c in [*map(chr, range(128)), *NON_ASCII]:
+        for region in (c, f"1{c}5,2,3,4", f"1,2,3,4{c}", f"{c}1,2,3,4", f"1,2,{c},4",
+                       f"1,2,3{c}", f"1e{c}5,2,3,4", f"{c}inf,nan,3,4"):
+            for line in (f"state {region}", f"state  {region} ", f"{c}state 1,2,3,4"):
+                assert state_outcome(_parse_state_line, line) == state_outcome(
+                    reference_parse_state_line, line), repr(line)
+
+
+@given(replies)
+def test_any_reply_parses_as_before(line):
+    assert state_outcome(_parse_state_line, line) == state_outcome(
+        reference_parse_state_line, line)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from trackbench.errors import ConfigError
+from trackbench.errors import ConfigError, DegenerateAnnotationError
 from trackbench.geometry import Region
 from trackbench.runner import TrackerHandle, run_supervised, run_unsupervised
 from trackbench.synthdata import corpus_trackers
@@ -211,8 +211,19 @@ class TestSequenceProperties:
         _, motion, speed, size_change = sequence_properties(seq)
         assert size_change < 1.0
 
+    def test_a_zero_size_region_leaves_the_speed_undefined_at_its_frame(self):
+        # Frame 3's region has no area, so the step from it to frame 4 has no scale.
+        seq = make_sequence([(10.0, 40.0, 20.0, 16.0)] * 2 + [(10.0, 40.0, 0.0, 16.0)] * 2)
+        with pytest.raises(DegenerateAnnotationError) as e:
+            sequence_properties(seq)
+        assert e.value.frame == 3
+        assert str(e.value) == "frame 3: zero-size ground-truth region, speed undefined"
+
 
 class TestReferencePoints:
+    def test_no_sequence_gives_no_point(self):
+        assert theoretical_ar_points([]) == {}
+
     def test_corner_points(self):
         seqs = [static_sequence(11), moving_sequence(14)]
         pts = theoretical_ar_points(seqs)
